@@ -15,6 +15,7 @@ import contextlib
 import csv
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -116,16 +117,19 @@ def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
 
 @contextlib.contextmanager
 def _atomic_output(path, binary: bool = False):
-    """Write to a temp file next to ``path`` and rename on success."""
+    """Write to a unique temp file next to ``path`` (mode 0o666 less the umask) and rename on success."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
     mode = "wb" if binary else "w"
     try:
-        with open(tmp, mode, encoding=None if binary else "utf-8", newline=None if binary else "") as fh:
+        with open(fd, mode, encoding=None if binary else "utf-8", newline=None if binary else "") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
@@ -289,7 +293,7 @@ def cmd_evaluate(opts) -> int:
 def cmd_plan(opts) -> int:
     grid = planner.GridMap.load(opts["map"])
     path = planner.astar(grid, opts["start"], opts["goal"])
-    heading = planner.Heading.from_letter(opts["heading"]) if opts.get("heading") else _first_heading(path)
+    heading = planner.Heading.from_letter(opts["heading"]) if opts.get("heading") else planner.first_segment_heading(path)
     checkpoints = planner.extract_checkpoints(path, heading)
     if opts.get("output"):
         with _atomic_output(opts["output"]) as fh:
@@ -298,13 +302,6 @@ def cmd_plan(opts) -> int:
     for cp in checkpoints:
         print(f"  {cp.cell[0]},{cp.cell[1]}  {cp.action.value}")
     return 0
-
-
-def _first_heading(path: planner.PlannedPath) -> planner.Heading:
-    if len(path.cells) >= 2:
-        a, b = path.cells[0], path.cells[1]
-        return planner.Heading((b[0] - a[0], b[1] - a[1]))
-    return planner.Heading.EAST
 
 
 def cmd_make_world(opts) -> int:
@@ -537,7 +534,7 @@ def main(argv=None) -> int:
             print("error: a model file is required unless --oracle is given", file=sys.stderr)
             return 2
         return args.func(opts)
-    except (ToolkitError, OSError) as exc:
+    except (ToolkitError, OSError, ValueError) as exc:  # ValueError: option and dataclass validation
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

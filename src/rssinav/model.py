@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ToolkitError
 from .features import (
+    EmptyDataset,
     FeatureSelection,
     NormalizationParams,
     denormalize_coords,
@@ -53,10 +54,6 @@ class EmptyBatch(ToolkitError):
 
 class UninitializedStatistics(ToolkitError):
     """Inference-mode batch norm needs populated running statistics."""
-
-
-class EmptyDataset(ToolkitError):
-    """Training needs at least one row."""
 
 
 class DivergenceDetected(ToolkitError):
@@ -488,9 +485,6 @@ class ModelBundle:
     model: MlpRegressor
     selection: FeatureSelection
     params: NormalizationParams
-
-    def __iter__(self):
-        return iter((self.model, self.selection, self.params))
 
 
 def prepare_features(bundle: ModelBundle, values) -> np.ndarray:

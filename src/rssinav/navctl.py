@@ -156,18 +156,18 @@ def nav_step(state: NavState, fix) -> tuple[NavState, DriveCommand | None]:
     ``fix`` is an (x, y) position estimate in feet, or None when no estimate
     was available (the robot holds position).  Exactly one command or none
     is returned: the next checkpoint's action when the fix falls within
-    checkpoint_radius of its cell center, otherwise a forward step.  More
-    than max_consecutive_misses successive missing fixes abort the run.
+    checkpoint_radius of its cell center, otherwise a forward step.  A None
+    or non-finite fix is a miss; max_consecutive_misses + 1 in a row abort.
     """
     if state.mode in (Mode.DONE, Mode.ABORTED):
         raise InvalidState(f"nav_step called in terminal mode {state.mode.value}")
-    if fix is None:
+    fx, fy = (math.nan, math.nan) if fix is None else (float(fix[0]), float(fix[1]))
+    if not (math.isfinite(fx) and math.isfinite(fy)):
         misses = state.miss_counter + 1
         if misses > state.config.max_consecutive_misses:
             return replace(state, mode=Mode.ABORTED, miss_counter=misses), None
         return replace(state, mode=Mode.AWAITING_FIX, miss_counter=misses), None
 
-    fx, fy = float(fix[0]), float(fix[1])
     cx, cy = state.checkpoint_center(state.next_checkpoint_index)
     if math.hypot(fx - cx, fy - cy) <= state.config.checkpoint_radius:
         checkpoint = state.plan[state.next_checkpoint_index]

@@ -164,9 +164,6 @@ class GridMap:
     def load(cls, path) -> "GridMap":
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
-
 
 @dataclass(frozen=True)
 class PlannedPath:
@@ -259,6 +256,14 @@ def _turn_action(incoming: Cell, outgoing: Cell) -> Action:
     if cross < 0:
         return Action.TURN_RIGHT_90
     raise PathReversal(f"direction {incoming} cannot reverse to {outgoing}")
+
+
+def first_segment_heading(path: PlannedPath) -> Heading:
+    """Heading along the path's first segment; EAST for a one-cell path."""
+    if len(path.cells) < 2:
+        return Heading.EAST
+    (ax, ay), (bx, by) = path.cells[:2]
+    return Heading((bx - ax, by - ay))
 
 
 def extract_checkpoints(path: PlannedPath, initial_heading: Heading) -> tuple[Checkpoint, ...]:

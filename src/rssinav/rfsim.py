@@ -20,7 +20,7 @@ import numpy as np
 from .errors import OutOfBounds, ToolkitError
 from .model import ModelBundle, NoKnownAccessPoints, predict_position
 from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
-from .planner import GridMap, Heading, MapFormatError, astar, extract_checkpoints
+from .planner import GridMap, MapFormatError, astar, extract_checkpoints, first_segment_heading
 from .scan_ingest import ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, format_number, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
@@ -140,39 +140,50 @@ def render_scan_text(snapshot: ScanSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _body_rates(robot: SimRobot, command: DriveCommand) -> tuple[float, float]:
+    """(v, omega) from the gain-scaled wheel speeds; omega is 0.0 for straight motion."""
+    vl = command.left_speed * robot.left_scale
+    vr = command.right_speed * robot.right_scale
+    omega = (vr - vl) / robot.wheel_base
+    return 0.5 * (vl + vr), (omega if abs(omega) >= 1e-12 else 0.0)
+
+
+def _substep(x: float, y: float, theta: float, v: float, omega: float, h: float) -> tuple[float, float, float]:
+    """One integration substep of h seconds: a straight segment, or an exact circular arc."""
+    if not omega:
+        return x + v * h * math.cos(theta), y + v * h * math.sin(theta), theta
+    theta_next = theta + omega * h
+    radius = v / omega
+    x += radius * (math.sin(theta_next) - math.sin(theta))
+    y -= radius * (math.cos(theta_next) - math.cos(theta))
+    return x, y, theta_next
+
+
+def _wrap_heading(theta: float) -> float:
+    """Wrap a heading to (-pi, pi]."""
+    theta = math.atan2(math.sin(theta), math.cos(theta))
+    return math.pi if theta <= -math.pi else theta
+
+
 def step_robot(robot: SimRobot, command: DriveCommand, dt: float) -> SimRobot:
     """Advance the robot dt seconds under a constant wheel command.
 
     Standard differential-drive kinematics on the effective (gain-scaled)
     wheel speeds: v = (vl + vr) / 2, omega = (vr - vl) / wheel_base,
     integrated exactly along circular arcs in substeps of at most 0.01 s.
-    Turns wrap the heading to (-pi, pi]; straight motion leaves it untouched.
+    Turns wrap the heading to (-pi, pi] once, at the end; straight motion keeps it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    vl = command.left_speed * robot.left_scale
-    vr = command.right_speed * robot.right_scale
-    v = 0.5 * (vl + vr)
-    omega = (vr - vl) / robot.wheel_base
-    x, y, theta = robot.x, robot.y, robot.heading
-    turning = abs(omega) >= 1e-12
+    v, omega = _body_rates(robot, command)
+    x, y, theta = robot.pose
     remaining = dt
     while remaining > 1e-12:
         h = min(_SUBSTEP, remaining)
-        if not turning:
-            x += v * h * math.cos(theta)
-            y += v * h * math.sin(theta)
-        else:
-            theta_next = theta + omega * h
-            radius = v / omega
-            x += radius * (math.sin(theta_next) - math.sin(theta))
-            y -= radius * (math.cos(theta_next) - math.cos(theta))
-            theta = theta_next
+        x, y, theta = _substep(x, y, theta, v, omega, h)
         remaining -= h
-    if turning:  # straight motion keeps the heading bit-exactly
-        theta = math.atan2(math.sin(theta), math.cos(theta))
-        if theta <= -math.pi:
-            theta = math.pi
+    if omega:  # straight motion keeps the heading bit-exactly
+        theta = _wrap_heading(theta)
     return replace(robot, x=x, y=y, heading=theta)
 
 
@@ -263,7 +274,9 @@ def run_trial(
     The robot starts at the start cell center facing along the first path
     segment.  Each iteration simulates a scan at the true pose, produces a
     fix (the model's estimate, or the true position when ``oracle``), feeds
-    it to the navigation state machine and integrates the emitted command.
+    it to the navigation state machine and integrates the emitted command in
+    substeps of at most 0.01 s: ``trajectory`` gets one pose per substep after
+    the start pose, its heading wrapped to (-pi, pi] after every turning one.
     The trial ends on Done, Aborted, or after ``max_fixes`` fixes.  Success
     means Done with the true position within ``success_radius`` feet of the
     goal center and a trajectory that never left walkable cells.
@@ -272,17 +285,15 @@ def run_trial(
         raise ValueError("a model bundle is required unless oracle localization is enabled")
     config = nav_config or NavConfig()
     path = astar(world.grid, start, goal)
-    if len(path.cells) >= 2:
-        first = (path.cells[1][0] - path.cells[0][0], path.cells[1][1] - path.cells[0][1])
-        heading = Heading(first)
-    else:
-        heading = Heading.EAST
+    heading = first_segment_heading(path)
     checkpoints = extract_checkpoints(path, heading)
     cal = calibration or default_calibration(world.robot)
     state = NavState.initial(checkpoints, config, cal, world.grid.cell_size)
 
-    sx, sy = world.grid.cell_center(start)
-    gx, gy = world.grid.cell_center(goal)
+    grid = world.grid
+    walkable = grid.walkable.tolist()
+    sx, sy = grid.cell_center(start)
+    gx, gy = grid.cell_center(goal)
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
 
     result = TrialResult(False, 0.0, success_radius=success_radius, seed=seed)
@@ -291,7 +302,7 @@ def run_trial(
     clock = 0.0
     reason = "fix_budget"
     for draw_index in range(max_fixes):
-        if not world.grid.contains_point(robot.x, robot.y):
+        if not grid.contains_point(robot.x, robot.y):
             on_walkable = False
             reason = "left_map"
             break
@@ -311,14 +322,20 @@ def run_trial(
         if command is not None:
             result.commands.append((clock, command.left_speed, command.right_speed, command.duration, command.reason))
             result.events.append(("command", clock, command))
+            v, omega = _body_rates(robot, command)
+            x, y, theta = robot.pose
             remaining = command.duration
             while remaining > 1e-12:
                 h = min(_SUBSTEP, remaining)
-                robot = step_robot(robot, command, h)
+                x, y, theta = _substep(x, y, theta, v, omega, h)
+                if omega:
+                    theta = _wrap_heading(theta)
                 remaining -= h
-                result.trajectory.append(robot.pose)
-                if not world.grid.is_walkable(world.grid.cell_of(robot.x, robot.y)):
+                result.trajectory.append((x, y, theta))
+                ix, iy = math.floor(x / grid.cell_size), math.floor(y / grid.cell_size)
+                if not (0 <= ix < grid.width and 0 <= iy < grid.height and walkable[iy][ix]):
                     on_walkable = False
+            robot = replace(robot, x=x, y=y, heading=theta)
             clock += command.duration
         if state.mode is Mode.DONE:
             reason = "done"

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import pytest
 
@@ -173,6 +174,37 @@ class TestSimulateNavigate:
     def test_unreachable_goal_fails(self, workspace, capsys):
         _, world, _, _ = workspace
         assert main(["simulate", str(world), "--oracle", "--trials", "1", "--goal", "11,11"]) == 1
+
+    def test_existing_tmp_file_survives_output(self, workspace, tmp_path):
+        _, world, _, _ = workspace
+        out = tmp_path / "trials.csv"
+        mine = tmp_path / "trials.csv.tmp"
+        mine.write_text("user data\n")
+        assert main(["simulate", str(world), "--oracle", "--trials", "1", "-o", str(out)]) == 0
+        assert mine.read_text() == "user data\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.csv", "trials.csv.tmp"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+class TestValidationErrors:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "{world}", "--oracle", "--trials", "0", "-o", "{out}"], "trials must be >= 1"),
+            (["train", "{dataset}", "--epochs", "0", "-o", "{out}"], "epochs must be >= 1"),
+            (["navigate", "{world}", "--oracle", "--step-distance", "-1", "--out-prefix", "{out}"], "must be positive"),
+        ],
+    )
+    def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):
+        _, world, dataset, _ = workspace
+        out = tmp_path / "out"
+        argv = [a.format(world=world, dataset=dataset, out=out) for a in args]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHelp:

@@ -92,6 +92,17 @@ class TestNavStep:
         with pytest.raises(InvalidState):
             nav_step(state, None)
 
+    @pytest.mark.parametrize(
+        "fix", [(math.nan, 0.5), (2.5, math.nan), (math.inf, 0.5), (0.5, -math.inf), (np.float64("nan"), np.float64(0.5))]
+    )
+    def test_non_finite_fix_counts_as_a_miss(self, fix):
+        state = make_state(max_consecutive_misses=1)
+        state, cmd = nav_step(state, fix)
+        assert cmd is None and state.mode is Mode.AWAITING_FIX and state.miss_counter == 1
+        assert state.next_checkpoint_index == 0
+        state, cmd = nav_step(state, fix)  # past the limit
+        assert cmd is None and state.mode is Mode.ABORTED and state.miss_counter == 2
+
     def test_any_fix_resets_the_miss_counter(self):
         state = make_state(max_consecutive_misses=2)
         state, _ = nav_step(state, None)

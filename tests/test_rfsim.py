@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from rssinav.model import TrainConfig
 from rssinav.navctl import DriveCommand, DrivetrainCalibration, NavConfig
 from rssinav.planner import GridMap, NoPath
 from rssinav.rfsim import (
+    REFERENCE_GOAL,
+    REFERENCE_START,
     AccessPointSim,
     SimRobot,
     SimWorld,
@@ -192,6 +195,60 @@ class TestTrials:
             if kind == "command":
                 assert previous == "fix", "two commands without an intervening fix"
             previous = kind
+
+
+def replay_substeps(world, result):
+    """Re-integrate result.commands with one step_robot call per 0.01 s substep.
+
+    This is the reference integration path run_trial must reproduce bit for bit.
+    """
+    x, y, heading = result.trajectory[0]
+    robot = replace(world.robot, x=x, y=y, heading=heading)
+    poses = [robot.pose]
+    for _, left, right, duration, reason in result.commands:
+        command = DriveCommand(left, right, duration, reason)
+        remaining = duration
+        while remaining > 1e-12:
+            h = min(0.01, remaining)
+            robot = step_robot(robot, command, h)
+            remaining -= h
+            poses.append(robot.pose)
+    return robot, poses
+
+
+class TestTrialReplay:
+    @pytest.mark.parametrize(
+        "seed, oracle, reason",
+        [(0, False, "left_map+left_walkable"), (1, False, "left_map+left_walkable"), (2, False, "done"),
+         (3, False, "left_map+left_walkable"), (4, False, "left_map+left_walkable"),
+         (5, False, "left_map+left_walkable"), (0, True, "done")],
+    )
+    def test_trajectory_matches_per_substep_step_robot(self, ref_world, trained, seed, oracle, reason):
+        bundle, _, _ = trained
+        result = run_trial(ref_world, None if oracle else bundle, REFERENCE_START, REFERENCE_GOAL, seed=seed, oracle=oracle)
+        assert result.reason == reason
+        start = ref_world.grid.cell_center(REFERENCE_START)
+        assert result.trajectory[0] == (start[0], start[1], 0.0)  # the route's first segment runs east
+        robot, poses = replay_substeps(ref_world, result)
+        assert result.trajectory == poses
+        goal = ref_world.grid.cell_center(REFERENCE_GOAL)
+        assert result.final_error == math.hypot(robot.x - goal[0], robot.y - goal[1])
+        left_walkable = any(not ref_world.grid.is_walkable(ref_world.grid.cell_of(x, y)) for x, y, _ in poses[1:])
+        assert ("+left_walkable" in result.reason) == left_walkable
+
+    @pytest.mark.parametrize("goal, reason", [((5, 1), "done"), ((7, 1), "done+left_walkable")])
+    def test_veer_into_a_wall_inside_the_map(self, goal, reason):
+        # a 1 ft corridor and an uncompensated left veer: the longer run drifts
+        # into the blocked north row without leaving the map
+        grid = GridMap.from_text("10 3 1\n##########\n..........\n##########\n")
+        robot = SimRobot(wheel_base=0.4, left_scale=0.98)
+        world = SimWorld(grid, (AccessPointSim(MAC, "Net", (5.0, 1.5)),), robot)
+        cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=default_calibration(robot).turn_90_duration)
+        result = run_trial(world, None, (0, 1), goal, oracle=True, calibration=cal)
+        assert result.reason == reason
+        _, poses = replay_substeps(world, result)
+        assert result.trajectory == poses
+        assert any(not grid.is_walkable(grid.cell_of(x, y)) for x, y, _ in poses) == reason.endswith("+left_walkable")
 
 
 class TestWorldFile:
