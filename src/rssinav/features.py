@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToolkitError
-from .scan_ingest import FingerprintDataset, format_number
+from .scan_ingest import FingerprintDataset, finite_floats, format_number
 
 DEFAULT_PCC_THRESHOLD = 0.24
 DEFAULT_TRAIN_RATIO = 0.75
@@ -260,7 +260,10 @@ def sidecar_dumps(selection: FeatureSelection, params: NormalizationParams) -> s
 
 
 def sidecar_loads(text: str) -> tuple[FeatureSelection, NormalizationParams]:
-    """Parse sidecar text back into a selection and normalization params."""
+    """Parse sidecar text back into a selection and normalization params.
+
+    Every number must be finite; any malformed content raises SidecarFormatError.
+    """
     lines = text.splitlines()
     scalars: dict[str, str] = {}
     body_start = None
@@ -276,10 +279,7 @@ def sidecar_loads(text: str) -> tuple[FeatureSelection, NormalizationParams]:
     if scalars.get("format") != _SIDECAR_FORMAT:
         raise SidecarFormatError(f"unknown sidecar format {scalars.get('format')!r}")
     try:
-        threshold = float(scalars["threshold"])
-        ox = float(scalars["origin_x"])
-        oy = float(scalars["origin_y"])
-        extent = float(scalars["extent"])
+        threshold, ox, oy, extent = finite_floats([scalars[key] for key in ("threshold", "origin_x", "origin_y", "extent")])
     except (KeyError, ValueError) as exc:
         raise SidecarFormatError(f"bad scalar block: {exc}") from exc
     reader = csv.reader(io.StringIO("\n".join(lines[body_start:])))
@@ -297,12 +297,18 @@ def sidecar_loads(text: str) -> tuple[FeatureSelection, NormalizationParams]:
         if len(row) != 6:
             raise SidecarFormatError(f"bad column-stats row: {row!r}")
         mac, kept_flag, rx, ry, lo, hi = row
-        pcc_x[mac] = float(rx)
-        pcc_y[mac] = float(ry)
+        try:
+            numbers = finite_floats([rx, ry, lo, hi] if kept_flag == "1" else [rx, ry])
+        except ValueError as exc:
+            raise SidecarFormatError(f"bad column-stats row {row!r}: {exc}") from exc
+        pcc_x[mac], pcc_y[mac] = numbers[:2]
         if kept_flag == "1":
             kept.append(mac)
-            mins.append(float(lo))
-            maxs.append(float(hi))
+            mins.append(numbers[2])
+            maxs.append(numbers[3])
     selection = FeatureSelection(tuple(kept), pcc_x, pcc_y, threshold)
-    params = NormalizationParams(np.array(mins), np.array(maxs), ox, oy, extent)
+    try:
+        params = NormalizationParams(np.array(mins), np.array(maxs), ox, oy, extent)
+    except ValueError as exc:
+        raise SidecarFormatError(f"bad normalization parameters: {exc}") from exc
     return selection, params

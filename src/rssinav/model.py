@@ -5,7 +5,9 @@ Everything is explicit: forward pass, batch normalization with separate
 train/inference behaviour, mean-absolute-error loss, analytic
 backpropagation, a seeded training loop (plain gradient descent or
 adaptive-moment), and a self-describing binary model file that bundles the
-network with its feature selection and normalization parameters.
+network with its feature selection and normalization parameters.  Training
+keeps every trainable array in one contiguous buffer that the layers view,
+so an optimizer step is a few whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -225,30 +227,45 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
 def forward(model: MlpRegressor, x, mode: str = "infer") -> np.ndarray:
     """Run the network on one vector or a batch.
 
-    Train mode normalizes with batch statistics (without touching running
-    statistics); inference mode uses running statistics and therefore gives
-    the same answer for a sample alone or inside any batch.
+    Train mode normalizes with batch statistics exactly as a training step
+    does (running statistics untouched); inference mode uses running
+    statistics and so gives the same answer for a sample alone or in a batch.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     batch, single = _as_batch(x)
     if batch.shape[1] != model.input_width:
         raise ShapeMismatch(f"input width {batch.shape[1]} != model width {model.input_width}")
+    out = _pass(model, batch, mode == "train")
+    return out[0] if single else out
+
+
+def _pass(model: MlpRegressor, batch: np.ndarray, batch_stats: bool, cache: list | None = None) -> np.ndarray:
+    """The layer loop: batch norm uses batch statistics if ``batch_stats``, else
+    running ones; ``cache`` receives per-layer tuples for backpropagation,
+    (input, z) for a dense layer and (mean, var, xhat, ivar) for batch norm."""
     out = batch
     for layer in model.layers:
         if isinstance(layer, DenseLayer):
             z = out @ layer.weights.T + layer.biases
+            if cache is not None:
+                cache.append((out, z))
             out = np.maximum(z, 0.0) if layer.activation == RELU else z
+        elif batch_stats:
+            # bit-for-bit what ndarray.mean / ndarray.var compute, without their Python wrappers
+            mean = out.sum(axis=0) / out.shape[0]
+            centered = out - mean
+            var = (centered * centered).sum(axis=0) / out.shape[0]
+            ivar = 1.0 / np.sqrt(var + layer.epsilon)
+            xhat = centered * ivar
+            if cache is not None:
+                cache.append((mean, var, xhat, ivar))
+            out = layer.gamma * xhat + layer.beta
         else:
-            if mode == "train":
-                mean = out.mean(axis=0)
-                var = out.var(axis=0)
-            else:
-                if not layer.initialized:
-                    raise UninitializedStatistics("batch norm has no running statistics yet")
-                mean, var = layer.running_mean, layer.running_var
-            out = layer.gamma * (out - mean) / np.sqrt(var + layer.epsilon) + layer.beta
-    return out[0] if single else out
+            if not layer.initialized:
+                raise UninitializedStatistics("batch norm has no running statistics yet")
+            out = layer.gamma * (out - layer.running_mean) / np.sqrt(layer.running_var + layer.epsilon) + layer.beta
+    return out
 
 
 def mae_loss(pred, truth) -> float:
@@ -262,55 +279,36 @@ def mae_loss(pred, truth) -> float:
     return float(np.abs(pred - truth).mean())
 
 
-def _forward_cached(model: MlpRegressor, batch: np.ndarray):
-    caches = []
-    out = batch
-    for layer in model.layers:
-        if isinstance(layer, DenseLayer):
-            z = out @ layer.weights.T + layer.biases
-            activated = np.maximum(z, 0.0) if layer.activation == RELU else z
-            caches.append({"input": out, "z": z})
-            out = activated
-        else:
-            mean = out.mean(axis=0)
-            var = out.var(axis=0)
-            ivar = 1.0 / np.sqrt(var + layer.epsilon)
-            xhat = (out - mean) * ivar
-            caches.append({"input": out, "mean": mean, "var": var, "ivar": ivar, "xhat": xhat})
-            out = layer.gamma * xhat + layer.beta
-    return out, caches
-
-
-def _backward_cached(model: MlpRegressor, caches, grad_out: np.ndarray):
-    grads = [None] * len(model.layers)
-    g = grad_out
+def _backward(model: MlpRegressor, cache: list, g: np.ndarray) -> np.ndarray:
+    """Flat gradient (``_param_names`` order) from a cached pass and dLoss/dOutput ``g``."""
+    parts = []  # filled back to front, reversed at the end
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        cache = caches[i]
         if isinstance(layer, DenseLayer):
-            dz = g * (cache["z"] > 0.0) if layer.activation == RELU else g
-            grads[i] = {"weights": dz.T @ cache["input"], "biases": dz.sum(axis=0)}
-            g = dz @ layer.weights
+            inputs, z = cache[i]
+            dz = g * (z > 0.0) if layer.activation == RELU else g
+            parts += [dz.sum(axis=0), (dz.T @ inputs).ravel()]
+            if i:  # the network input needs no gradient
+                g = dz @ layer.weights
         else:
-            m = cache["input"].shape[0]
-            xhat, ivar = cache["xhat"], cache["ivar"]
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
+            _, _, xhat, ivar = cache[i]
+            m = xhat.shape[0]
+            parts += [g.sum(axis=0), (g * xhat).sum(axis=0)]
             dxhat = g * layer.gamma
             # batch statistics (population variance) participate in the gradient
             g = (ivar / m) * (m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-            grads[i] = {"gamma": dgamma, "beta": dbeta}
-    return grads
+    return np.concatenate(parts[::-1])
 
 
 def backward(model: MlpRegressor, inputs, targets):
     """Analytic gradients of the batch MAE loss for every parameter.
 
     The MAE subgradient at an exactly-zero component error is 0.  Gradient
-    shapes mirror parameter shapes, as a list of per-layer dicts.
+    shapes mirror parameter shapes, as a list of per-layer dicts (views of
+    one flat gradient buffer).
     """
-    loss, grads, _ = _loss_and_grads(model, inputs, targets)
-    return grads
+    _, grad, _ = _loss_and_grads(model, inputs, targets)
+    return _unflatten(model, grad)
 
 
 def _loss_and_grads(model: MlpRegressor, inputs, targets):
@@ -320,11 +318,10 @@ def _loss_and_grads(model: MlpRegressor, inputs, targets):
         raise ShapeMismatch("batch and target shapes do not match the model")
     if batch.shape[0] == 0:
         raise EmptyBatch("gradient over an empty batch")
-    pred, caches = _forward_cached(model, batch)
-    loss = float(np.abs(pred - truth).mean())
-    grad_out = np.sign(pred - truth) / pred.size
-    grads = _backward_cached(model, caches, grad_out)
-    return loss, grads, caches
+    cache = []
+    err = _pass(model, batch, True, cache) - truth
+    loss = float(np.abs(err).sum() / err.size)  # == ndarray.mean
+    return loss, _backward(model, cache, np.sign(err) / err.size), cache
 
 
 @dataclass
@@ -370,44 +367,52 @@ def write_report_csv(report: TrainReport, sink) -> None:
         sink.write(f"{i},{tr!r},{va!r}\n")
 
 
-def _param_items(model: MlpRegressor):
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, DenseLayer):
-            yield i, "weights"
-            yield i, "biases"
-        else:
-            yield i, "gamma"
-            yield i, "beta"
+def _param_names(layer) -> tuple[str, str]:
+    """A layer's trainable arrays; in layer order they lay out the flat buffers."""
+    return ("weights", "biases") if isinstance(layer, DenseLayer) else ("gamma", "beta")
+
+
+def _unflatten(model: MlpRegressor, flat: np.ndarray) -> list[dict]:
+    """Per-layer dicts of views into ``flat``, shaped like the layers' arrays."""
+    views, offset = [{} for _ in model.layers], 0
+    for layer, named in zip(model.layers, views):
+        for name in _param_names(layer):
+            param = getattr(layer, name)
+            named[name] = flat[offset : offset + param.size].reshape(param.shape)
+            offset += param.size
+    return views
+
+
+def _flatten_parameters(model: MlpRegressor) -> np.ndarray:
+    """Copy every trainable array into one buffer and rebind the layers to views of it."""
+    flat = np.concatenate([getattr(layer, name).ravel() for layer in model.layers for name in _param_names(layer)])
+    for layer, views in zip(model.layers, _unflatten(model, flat)):
+        for name, view in views.items():
+            setattr(layer, name, view)
+    return flat
 
 
 class _Adam:
-    def __init__(self, model: MlpRegressor, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, theta: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.theta, self.lr, self.beta1, self.beta2, self.eps = theta, lr, beta1, beta2, eps
         self.t = 0
-        self.m = {key: np.zeros_like(getattr(model.layers[key[0]], key[1])) for key in _param_items(model)}
-        self.v = {key: np.zeros_like(m) for key, m in self.m.items()}
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
 
-    def step(self, model: MlpRegressor, grads) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        for key in self.m:
-            i, name = key
-            g = grads[i][name]
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
-            mhat = self.m[key] / (1 - self.beta1**self.t)
-            vhat = self.v[key] / (1 - self.beta2**self.t)
-            param = getattr(model.layers[i], name)
-            setattr(model.layers[i], name, param - self.lr * mhat / (np.sqrt(vhat) + self.eps))
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        mhat = self.m / (1 - self.beta1**self.t)
+        vhat = self.v / (1 - self.beta2**self.t)
+        self.theta -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 class _Sgd:
-    def __init__(self, model: MlpRegressor, lr: float):
-        self.lr = lr
+    def __init__(self, theta: np.ndarray, lr: float):
+        self.theta, self.lr = theta, lr
 
-    def step(self, model: MlpRegressor, grads) -> None:
-        for i, name in _param_items(model):
-            param = getattr(model.layers[i], name)
-            setattr(model.layers[i], name, param - self.lr * grads[i][name])
+    def step(self, grad: np.ndarray) -> None:
+        self.theta -= self.lr * grad
 
 
 def validation_counts(n: int, fraction: float) -> tuple[int, int]:
@@ -426,6 +431,7 @@ def train(model: MlpRegressor, inputs, targets, config: TrainConfig) -> TrainRep
     ``validation_split`` fraction becomes the validation set, and the
     per-epoch batch order.  Batch-norm running statistics are updated from
     every training batch; validation loss is computed in inference mode.
+    Training leaves the layers' trainable arrays as views of one buffer.
     Raises DivergenceDetected (carrying the report so far) if the loss goes
     non-finite.
     """
@@ -446,20 +452,21 @@ def train(model: MlpRegressor, inputs, targets, config: TrainConfig) -> TrainRep
     Xtr, Ttr = X[train_idx], T[train_idx]
     Xva, Tva = X[val_idx], T[val_idx]
 
-    optimizer = _Adam(model, config.learning_rate) if config.optimizer == "adam" else _Sgd(model, config.learning_rate)
+    theta = _flatten_parameters(model)
+    optimizer = _Adam(theta, config.learning_rate) if config.optimizer == "adam" else _Sgd(theta, config.learning_rate)
     report = TrainReport()
     for _ in range(config.epochs):
         order = rng.permutation(len(Xtr))
         total_abs = 0.0
         for start in range(0, len(order), config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            loss, grads, caches = _loss_and_grads(model, Xtr[batch_idx], Ttr[batch_idx])
+            loss, grad, cache = _loss_and_grads(model, Xtr[batch_idx], Ttr[batch_idx])
             if not np.isfinite(loss):
                 raise DivergenceDetected("training loss became non-finite", report)
-            for layer, cache in zip(model.layers, caches):
+            for layer, entry in zip(model.layers, cache):
                 if isinstance(layer, BatchNormLayer):
-                    layer.update_running(cache["mean"], cache["var"])
-            optimizer.step(model, grads)
+                    layer.update_running(entry[0], entry[1])
+            optimizer.step(grad)
             total_abs += loss * batch_idx.size
         epoch_train = total_abs / len(Xtr)
         if len(Xva):
@@ -520,19 +527,10 @@ def _arch_descriptor(model: MlpRegressor) -> list[dict]:
     arch = []
     for layer in model.layers:
         if isinstance(layer, DenseLayer):
-            arch.append(
-                {"kind": "dense", "in": layer.in_width, "out": layer.out_width, "activation": layer.activation}
-            )
+            arch.append({"kind": "dense", "in": layer.in_width, "out": layer.out_width, "activation": layer.activation})
         else:
-            arch.append(
-                {
-                    "kind": "batchnorm",
-                    "width": layer.width,
-                    "epsilon": layer.epsilon,
-                    "momentum": layer.momentum,
-                    "initialized": layer.initialized,
-                }
-            )
+            fields = ("width", "epsilon", "momentum", "initialized")
+            arch.append({"kind": "batchnorm", **{name: getattr(layer, name) for name in fields}})
     return arch
 
 
@@ -600,7 +598,7 @@ def load_model(source) -> ModelBundle:
     try:
         header = json.loads(take(header_len).decode("utf-8"))
         arch = header["arch"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
         raise CorruptFile(f"bad architecture header: {exc}") from exc
 
     layers = []
@@ -625,7 +623,7 @@ def load_model(source) -> ModelBundle:
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFile(f"bad layer descriptor: {exc}") from exc
     (sidecar_len,) = struct.unpack("<I", take(4))
-    sidecar_text = take(sidecar_len).decode("utf-8")
+    sidecar_text = take(sidecar_len).decode("utf-8", errors="replace")  # bad bytes fail the checksum below
     if offset != len(data) - 32:
         raise CorruptFile("trailing bytes before checksum")
     if hashlib.sha256(data[:-32]).digest() != data[-32:]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -90,8 +91,8 @@ class GridMap:
         mask = np.ones((self.height, self.width), dtype=bool) if self.walkable is None else np.asarray(self.walkable, dtype=bool)
         if mask.shape != (self.height, self.width):
             raise MapFormatError(f"walkable mask shape {mask.shape} != (height, width)")
-        if not self.cell_size > 0:
-            raise MapFormatError("cell size must be positive")
+        if not 0 < self.cell_size < math.inf:
+            raise MapFormatError("cell size must be positive and finite")
         object.__setattr__(self, "walkable", mask)
 
     def __eq__(self, other) -> bool:
@@ -135,14 +136,15 @@ class GridMap:
             width, height, cell_size = int(fields[0]), int(fields[1]), float(fields[2])
         except ValueError as exc:
             raise MapFormatError(f"bad map header: {exc}") from exc
+        if width < 1 or height < 1:
+            raise MapFormatError("grid must be at least 1x1")
         if len(lines) < 1 + height:
             raise MapFormatError(f"expected {height} grid rows")
-        mask = np.zeros((height, width), dtype=bool)
-        for iy in range(height):
-            row = lines[1 + iy].rstrip("\n")
+        rows = [line.rstrip("\n") for line in lines[1 : 1 + height]]
+        for iy, row in enumerate(rows):  # validated before the mask is allocated from them
             if len(row) != width or any(ch not in ".#" for ch in row):
                 raise MapFormatError(f"grid row {iy} must be {width} characters of '.' or '#'")
-            mask[iy] = [ch == "." for ch in row]
+        mask = np.array([[ch == "." for ch in row] for row in rows], dtype=bool)
         return cls(width, height, cell_size, mask), lines[1 + height :]
 
     @classmethod

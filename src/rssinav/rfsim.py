@@ -21,7 +21,7 @@ from .errors import OutOfBounds, ToolkitError
 from .model import ModelBundle, NoKnownAccessPoints, predict_position
 from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
 from .planner import GridMap, MapFormatError, astar, extract_checkpoints, first_segment_heading
-from .scan_ingest import ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, format_number, parse_scan_text
+from .scan_ingest import ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
 _SEED_MASK = (1 << 63) - 1
@@ -430,9 +430,12 @@ def save_world(world: SimWorld, sink) -> None:
 
 
 def load_world(source) -> SimWorld:
-    if isinstance(source, (str, Path)):
-        return _parse_world(Path(source).read_text(encoding="utf-8"))
-    return _parse_world(source.read())
+    """Parse a world file; any malformed, non-UTF-8 or non-finite input raises WorldFormatError."""
+    try:
+        text = Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path)) else source.read()
+    except UnicodeDecodeError as exc:
+        raise WorldFormatError(f"world file is not UTF-8 text: {exc}") from exc
+    return _parse_world(text)
 
 
 def _parse_world(text: str) -> SimWorld:
@@ -454,17 +457,17 @@ def _parse_world(text: str) -> SimWorld:
                 if len(fields) != 8:
                     raise WorldFormatError(f"ap line needs 7 fields: {line!r}")
                 mac, ssid = fields[1].upper(), fields[2]
-                x, y, p0, n, sigma = map(float, fields[3:8])
+                x, y, p0, n, sigma = finite_floats(fields[3:8])
                 aps.append(AccessPointSim(mac, ssid, (x, y), p0, n, sigma))
             elif kind == "robot":
                 if len(fields) != 7:
                     raise WorldFormatError(f"robot line needs 6 fields: {line!r}")
-                x, y, heading, wheel_base, left, right = map(float, fields[1:7])
+                x, y, heading, wheel_base, left, right = finite_floats(fields[1:7])
                 robot = SimRobot(x, y, heading, wheel_base, left, right)
             elif kind == "seed":
                 seed = int(fields[1])
             elif kind == "refdist":
-                refdist = float(fields[1])
+                (refdist,) = finite_floats(fields[1:2])
             else:
                 raise WorldFormatError(f"unknown directive {kind!r}")
         except (ValueError, IndexError) as exc:

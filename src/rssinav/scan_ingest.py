@@ -17,6 +17,7 @@ downstream feature selection has to cope with the sentinel).
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,6 +261,15 @@ def format_number(v: float) -> str:
     return repr(f)
 
 
+def finite_floats(cells) -> list[float]:
+    """Parse text cells as floats; ValueError names the first that is not a finite number."""
+    values = [float(cell) for cell in cells]
+    for cell, value in zip(cells, values):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {cell!r}")
+    return values
+
+
 def write_csv(dataset: FingerprintDataset, sink) -> None:
     """Write the dataset as CSV: MAC columns, then literal ``x``, ``y``."""
     if isinstance(sink, (str, Path)):
@@ -273,15 +283,21 @@ def write_csv(dataset: FingerprintDataset, sink) -> None:
 
 
 def read_csv(source) -> FingerprintDataset:
-    """Read a dataset CSV written by write_csv; the round-trip is bit-exact."""
+    """Read a dataset CSV written by write_csv; the round-trip is bit-exact.
+
+    Every cell below the header must be a finite number; anything else,
+    including text that is not UTF-8, raises SchemaMismatch or RaggedRow.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_csv(fh)
-    reader = csv.reader(source)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatch("empty file: no header row") from None
+        rows = list(csv.reader(source))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaMismatch(f"unreadable dataset CSV: {exc}") from exc
+    if not rows:
+        raise SchemaMismatch("empty file: no header row")
+    header = rows[0]
     if len(header) < 2 or header[-2:] != ["x", "y"]:
         raise SchemaMismatch("header must end with the x and y label columns")
     columns = tuple(header[:-2])
@@ -290,15 +306,15 @@ def read_csv(source) -> FingerprintDataset:
     vectors: list[list[float]] = []
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
             raise RaggedRow(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
         try:
-            numbers = [float(cell) for cell in row]
+            numbers = finite_floats(row)
         except ValueError as exc:
-            raise SchemaMismatch(f"line {lineno}: non-numeric cell") from exc
+            raise SchemaMismatch(f"line {lineno}: {exc}") from exc
         vectors.append(numbers[:-2])
         xs.append(numbers[-2])
         ys.append(numbers[-1])

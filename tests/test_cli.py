@@ -195,12 +195,20 @@ class TestValidationErrors:
             (["simulate", "{world}", "--oracle", "--trials", "0", "-o", "{out}"], "trials must be >= 1"),
             (["train", "{dataset}", "--epochs", "0", "-o", "{out}"], "epochs must be >= 1"),
             (["navigate", "{world}", "--oracle", "--step-distance", "-1", "--out-prefix", "{out}"], "must be positive"),
+            (["train", "{nan_dataset}", "-o", "{out}"], "line 2: non-finite number 'nan'"),
+            (["simulate", "{inf_world}", "--oracle", "-o", "{out}"], "non-finite number 'inf'"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):
-        _, world, dataset, _ = workspace
+        root, world, dataset, _ = workspace
         out = tmp_path / "out"
-        argv = [a.format(world=world, dataset=dataset, out=out) for a in args]
+        lines = dataset.read_text().splitlines()
+        nan_dataset = root / "nan_dataset.csv"
+        nan_dataset.write_text("\n".join([lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:]) + "\n")
+        inf_world = root / "inf_world.txt"
+        inf_world.write_text(world.read_text().replace(" -40 3 2\n", " inf 3 2\n", 1))
+        paths = dict(world=world, dataset=dataset, out=out, nan_dataset=nan_dataset, inf_world=inf_world)
+        argv = [a.format(**paths) for a in args]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1

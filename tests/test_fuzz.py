@@ -1,0 +1,116 @@
+"""Byte-level fuzzing of the file parsers: any mutation or truncation of a
+valid dataset CSV, world file or model file must either load or raise a
+ToolkitError, never a bare ValueError, UnicodeDecodeError, OverflowError or
+any other exception."""
+
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rssinav.errors import ToolkitError
+from rssinav.features import FeatureSelection, NormalizationParams
+from rssinav.model import MlpRegressor, TrainConfig, load_model, save_model, train
+from rssinav.rfsim import load_world, reference_world, save_world
+from rssinav.scan_ingest import FingerprintDataset, read_csv, write_csv
+
+# fragments that turn a number into something a naive float() parse accepts
+# or chokes on, plus bytes that break the text layer
+_TOKENS = [b"nan", b"inf", b"-inf", b"1e999", b"-", b".", b"e", b"_", b"9" * 12, b"\xff", b"\xc3", b"\x00", b",", b" ", b"\n", b'"']
+
+
+@st.composite
+def mutations(draw, valid: bytes) -> bytes:
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        chunk = draw(st.one_of(st.sampled_from(_TOKENS), st.binary(min_size=1, max_size=3)))
+        if kind == "replace":
+            data[pos : pos + len(chunk)] = chunk
+        elif kind == "insert":
+            data[pos:pos] = chunk
+        else:
+            del data[pos : pos + draw(st.integers(1, 8))]
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))) :]
+    return bytes(data)
+
+
+def _dataset_csv() -> bytes:
+    columns = ("AA:00:00:00:00:01", "AA:00:00:00:00:02", "AA:00:00:00:00:03")
+    rssi = np.array([[-40.0, -71.0, 0.0], [-55.0, -62.0, -80.0], [-67.0, -48.0, -90.0], [0.0, -52.0, -75.0]])
+    buf = io.StringIO()
+    write_csv(FingerprintDataset(columns, rssi, np.array([0.5, 1.5, 2.5, 3.5]), np.array([0.5, 0.5, 1.5, 2.25])), buf)
+    return buf.getvalue().encode("utf-8")
+
+
+def _world_file() -> bytes:
+    buf = io.StringIO()
+    save_world(reference_world(), buf)
+    return buf.getvalue().encode("utf-8")
+
+
+def _model_file() -> bytes:
+    rng = np.random.default_rng(3)
+    model = MlpRegressor.default(2, hidden=(3, 4))
+    train(model, rng.uniform(0, 1, (8, 2)), rng.uniform(0, 1, (8, 2)), TrainConfig(epochs=2, seed=1))
+    macs = ("AA:00:00:00:00:01", "AA:00:00:00:00:02")
+    selection = FeatureSelection(macs, {m: 0.5 for m in macs}, {m: -0.25 for m in macs}, 0.24)
+    params = NormalizationParams(np.array([-90.0, -80.0]), np.array([-30.0, -35.0]), 0.0, 0.0, 11.0)
+    buf = io.BytesIO()
+    save_model(model, selection, params, buf)
+    return buf.getvalue()
+
+
+VALID_CSV = _dataset_csv()
+VALID_WORLD = _world_file()
+VALID_MODEL = _model_file()
+
+
+@pytest.fixture(scope="module")
+def scratch_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp) / "input"
+
+
+def _load_or_toolkit_error(loader, path: Path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        loader(path)
+    except ToolkitError:
+        pass
+
+
+def test_valid_inputs_load(scratch_file):
+    scratch_file.write_bytes(VALID_CSV)
+    assert read_csv(scratch_file).n_rows == 4
+    scratch_file.write_bytes(VALID_WORLD)
+    assert len(load_world(scratch_file).aps) == len(reference_world().aps)
+    scratch_file.write_bytes(VALID_MODEL)
+    assert load_model(scratch_file).model.input_width == 2
+
+
+_FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(data=mutations(VALID_CSV))
+def test_mutated_dataset_csv_raises_only_toolkit_errors(scratch_file, data):
+    _load_or_toolkit_error(read_csv, scratch_file, data)
+
+
+@_FUZZ
+@given(data=mutations(VALID_WORLD))
+def test_mutated_world_file_raises_only_toolkit_errors(scratch_file, data):
+    _load_or_toolkit_error(load_world, scratch_file, data)
+
+
+@_FUZZ
+@given(data=mutations(VALID_MODEL))
+def test_mutated_model_file_raises_only_toolkit_errors(scratch_file, data):
+    _load_or_toolkit_error(load_model, scratch_file, data)

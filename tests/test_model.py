@@ -29,7 +29,8 @@ from rssinav.model import (
     validation_counts,
     write_report_csv,
 )
-from rssinav.features import FeatureSelection, NormalizationParams
+from rssinav.errors import ToolkitError
+from rssinav.features import FeatureSelection, NormalizationParams, SidecarFormatError
 from rssinav.scan_ingest import ScanEntry, ScanSnapshot
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def random_model_and_batch(rng, with_batchnorm=None, margin=0.02):
     O(step * fan-in), about 1e-3 here) never straddles a non-differentiable
     point.
     """
-    from rssinav.model import _forward_cached
+    from rssinav.model import _pass
 
     while True:
         widths = [int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 4)))]
@@ -101,13 +102,155 @@ def random_model_and_batch(rng, with_batchnorm=None, margin=0.02):
         n = int(rng.integers(2, 9))
         X = rng.uniform(-1, 1, (n, first_in))
         T = rng.uniform(-1, 1, (n, widths[-1]))
-        pred, caches = _forward_cached(model, X)
+        caches = []
+        pred = _pass(model, X, True, caches)
         ok = np.abs(pred - T).min() > margin
         for layer, cache in zip(model.layers, caches):
             if isinstance(layer, DenseLayer) and layer.activation == "relu":
-                ok = ok and np.abs(cache["z"]).min() > margin
+                ok = ok and np.abs(cache[1]).min() > margin  # cache[1] is the pre-activation z
         if ok:
             return model, X, T
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-array training code (separate dict caches, one optimizer
+# update per parameter array through getattr/setattr, ndarray.mean/var batch
+# statistics), kept here so the flat-buffer training can be held to it bit
+# for bit
+
+
+def ref_forward(model, batch, mode):
+    out = batch
+    for layer in model.layers:
+        if isinstance(layer, DenseLayer):
+            z = out @ layer.weights.T + layer.biases
+            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        else:
+            if mode == "train":
+                mean, var = out.mean(axis=0), out.var(axis=0)
+            else:
+                mean, var = layer.running_mean, layer.running_var
+            out = layer.gamma * (out - mean) / np.sqrt(var + layer.epsilon) + layer.beta
+    return out
+
+
+def ref_forward_cached(model, batch):
+    caches = []
+    out = batch
+    for layer in model.layers:
+        if isinstance(layer, DenseLayer):
+            z = out @ layer.weights.T + layer.biases
+            caches.append({"input": out, "z": z})
+            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        else:
+            mean = out.mean(axis=0)
+            var = out.var(axis=0)
+            ivar = 1.0 / np.sqrt(var + layer.epsilon)
+            xhat = (out - mean) * ivar
+            caches.append({"input": out, "mean": mean, "var": var, "ivar": ivar, "xhat": xhat})
+            out = layer.gamma * xhat + layer.beta
+    return out, caches
+
+
+def ref_backward_cached(model, caches, grad_out):
+    grads = [None] * len(model.layers)
+    g = grad_out
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer, cache = model.layers[i], caches[i]
+        if isinstance(layer, DenseLayer):
+            dz = g * (cache["z"] > 0.0) if layer.activation == "relu" else g
+            grads[i] = {"weights": dz.T @ cache["input"], "biases": dz.sum(axis=0)}
+            g = dz @ layer.weights
+        else:
+            m = cache["input"].shape[0]
+            xhat, ivar = cache["xhat"], cache["ivar"]
+            dgamma = (g * xhat).sum(axis=0)
+            dbeta = g.sum(axis=0)
+            dxhat = g * layer.gamma
+            g = (ivar / m) * (m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+            grads[i] = {"gamma": dgamma, "beta": dbeta}
+    return grads
+
+
+def ref_param_items(model):
+    for i, layer in enumerate(model.layers):
+        for name in ("weights", "biases") if isinstance(layer, DenseLayer) else ("gamma", "beta"):
+            yield i, name
+
+
+class RefAdam:
+    def __init__(self, model, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {key: np.zeros_like(getattr(model.layers[key[0]], key[1])) for key in ref_param_items(model)}
+        self.v = {key: np.zeros_like(m) for key, m in self.m.items()}
+
+    def step(self, model, grads):
+        self.t += 1
+        for key in self.m:
+            i, name = key
+            g = grads[i][name]
+            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
+            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
+            mhat = self.m[key] / (1 - self.beta1**self.t)
+            vhat = self.v[key] / (1 - self.beta2**self.t)
+            param = getattr(model.layers[i], name)
+            setattr(model.layers[i], name, param - self.lr * mhat / (np.sqrt(vhat) + self.eps))
+
+
+class RefSgd:
+    def __init__(self, model, lr):
+        self.lr = lr
+
+    def step(self, model, grads):
+        for i, name in ref_param_items(model):
+            param = getattr(model.layers[i], name)
+            setattr(model.layers[i], name, param - self.lr * grads[i][name])
+
+
+def ref_train(model, X, T, config):
+    rng = np.random.default_rng(config.seed)
+    initialize_parameters(model, rng)
+    perm = rng.permutation(len(X))
+    n_train, _ = validation_counts(len(X), config.validation_split)
+    Xtr, Ttr = X[perm[:n_train]], T[perm[:n_train]]
+    Xva, Tva = X[perm[n_train:]], T[perm[n_train:]]
+    optimizer = RefAdam(model, config.learning_rate) if config.optimizer == "adam" else RefSgd(model, config.learning_rate)
+    report = TrainReport()
+    for _ in range(config.epochs):
+        order = rng.permutation(len(Xtr))
+        total_abs = 0.0
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            pred, caches = ref_forward_cached(model, Xtr[idx])
+            loss = float(np.abs(pred - Ttr[idx]).mean())
+            grads = ref_backward_cached(model, caches, np.sign(pred - Ttr[idx]) / pred.size)
+            for layer, cache in zip(model.layers, caches):
+                if isinstance(layer, BatchNormLayer):
+                    layer.update_running(cache["mean"], cache["var"])
+            optimizer.step(model, grads)
+            total_abs += loss * idx.size
+        epoch_train = total_abs / len(Xtr)
+        epoch_val = float(np.abs(ref_forward(model, Xva, "infer") - Tva).mean()) if len(Xva) else epoch_train
+        report.train_loss.append(float(epoch_train))
+        report.val_loss.append(float(epoch_val))
+    return report
+
+
+def oracle_data():
+    rng = np.random.default_rng(41)
+    return rng.uniform(0, 1, (30, 3)), rng.uniform(0, 1, (30, 2))
+
+
+def oracle_model(with_batchnorm):
+    if with_batchnorm:
+        return MlpRegressor.default(3, hidden=(5, 6))
+    return MlpRegressor([DenseLayer(np.zeros((5, 3)), np.zeros(5)), DenseLayer(np.zeros((2, 5)), np.zeros(2), "identity")])
+
+
+def layer_arrays(model):
+    names = {DenseLayer: ("weights", "biases"), BatchNormLayer: ("gamma", "beta", "running_mean", "running_var")}
+    return [getattr(layer, name) for layer in model.layers for name in names[type(layer)]]
 
 
 def linear_model(weights, biases):
@@ -287,6 +430,56 @@ class TestTrain:
         report = train(model, X, X.copy(), TrainConfig(epochs=300, learning_rate=0.05, optimizer="sgd", seed=1))
         assert report.train_loss[-1] < report.train_loss[0]
 
+    @pytest.mark.parametrize("optimizer, learning_rate", [("adam", 1e-2), ("sgd", 0.05)])
+    @pytest.mark.parametrize("with_batchnorm", [True, False])
+    def test_bit_identical_to_per_array_reference(self, optimizer, learning_rate, with_batchnorm):
+        X, T = oracle_data()
+        # batch size 5 over 24 training rows: batch-norm statistics over 5 and 4 rows
+        config = TrainConfig(epochs=25, batch_size=5, learning_rate=learning_rate, optimizer=optimizer, seed=6)
+        model, ref_model = oracle_model(with_batchnorm), oracle_model(with_batchnorm)
+        report = train(model, X, T, config)
+        ref_report = ref_train(ref_model, X, T, config)
+        assert np.array_equal(report.train_loss, ref_report.train_loss)
+        assert np.array_equal(report.val_loss, ref_report.val_loss)
+        assert all(np.array_equal(a, b) for a, b in zip(layer_arrays(model), layer_arrays(ref_model)))
+        assert [getattr(l, "initialized", True) for l in model.layers] == [getattr(l, "initialized", True) for l in ref_model.layers]
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_retraining_the_same_model_rebinds_its_parameters(self, optimizer):
+        X, T = oracle_data()
+        model = oracle_model(with_batchnorm=True)
+        train(model, X, T, TrainConfig(epochs=5, batch_size=5, optimizer=optimizer, seed=1))
+        first_buffer = model.layers[0].weights.base
+        config = TrainConfig(epochs=20, batch_size=5, learning_rate=0.01, optimizer=optimizer, seed=2)
+        report = train(model, X, T, config)
+        ref_model = oracle_model(with_batchnorm=True)
+        ref_report = ref_train(ref_model, X, T, config)
+        assert np.array_equal(report.train_loss, ref_report.train_loss) and np.array_equal(report.val_loss, ref_report.val_loss)
+        assert all(np.array_equal(a, b) for a, b in zip(layer_arrays(model), layer_arrays(ref_model)))
+        # every trainable array is a view of one fresh buffer
+        trainable = [model.layers[0].weights, model.layers[0].biases, model.layers[1].gamma, model.layers[1].beta, model.layers[-1].biases]
+        assert all(a.base is not None and a.base is trainable[0].base for a in trainable)
+        assert trainable[0].base is not first_buffer
+
+    def test_gradients_match_per_array_reference(self):
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            model, X, T = random_model_and_batch(rng)
+            pred, caches = ref_forward_cached(model, X)
+            expected = ref_backward_cached(model, caches, np.sign(pred - T) / pred.size)
+            got = backward(model, X, T)
+            assert [sorted(d) for d in got] == [sorted(d) for d in expected]
+            assert all(np.array_equal(g[k], e[k]) for g, e in zip(got, expected) for k in e)
+
+    def test_train_mode_forward_equals_cached_pass(self):
+        from rssinav.model import _pass
+
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            model, X, _ = random_model_and_batch(rng, with_batchnorm=True)
+            assert np.array_equal(forward(model, X, mode="train"), _pass(model, X, True, []))
+            assert np.allclose(forward(model, X, mode="train"), ref_forward(model, X, "train"), rtol=0, atol=1e-12)
+
     def test_report_csv_layout(self):
         report = TrainReport(train_loss=[0.5, 0.25], val_loss=[0.6, 0.3])
         buf = io.StringIO()
@@ -353,6 +546,35 @@ class TestPersistence:
     def test_bad_magic_rejected(self):
         with pytest.raises(CorruptFile):
             load_model(io.BytesIO(b"definitely not a model file"))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (",0.5,-0.4,", ",abc,-0.4,"),  # pcc_x not a number
+            (",0.5,-0.4,", ",0.5,nan,"),  # pcc_y not finite
+            (",-90,-30", ",-inf,-30"),  # rssi_min
+            (",-90,-30", ",-90,1e999"),  # rssi_max overflows to inf
+            (",-90,-30", ",-90,-95"),  # max below min
+            ("extent = 11", "extent = nan"),
+        ],
+    )
+    def test_bad_sidecar_with_valid_checksum_rejected(self, old, new):
+        import hashlib
+        import struct
+
+        bundle = small_bundle()
+        buf = io.BytesIO()
+        save_model(bundle.model, bundle.selection, bundle.params, buf)
+        data = buf.getvalue()[:-32]
+        start = data.index(b"format = ")
+        (length,) = struct.unpack_from("<I", data, start - 4)
+        sidecar = data[start : start + length].decode("utf-8")
+        assert old in sidecar
+        edited = sidecar.replace(old, new, 1).encode("utf-8")
+        body = data[: start - 4] + struct.pack("<I", len(edited)) + edited
+        with pytest.raises(SidecarFormatError) as exc_info:
+            load_model(io.BytesIO(body + hashlib.sha256(body).digest()))
+        assert isinstance(exc_info.value, ToolkitError)
 
 
 class TestPredict:

@@ -274,6 +274,33 @@ class TestWorldFile:
         with pytest.raises(WorldFormatError):
             load_world(io.StringIO("2 2 1\n..\n..\nap 02:00:00:00:00:01 Net 5 5 -40 3 2\nrobot 1 1 0 0.4 1 1\n"))
 
+    @pytest.mark.parametrize(
+        "ap, robot, extra",
+        [
+            ("1 1 inf 3 2", "1 1 0 0.4 1 1", ""),
+            ("1 1 -40 nan 2", "1 1 0 0.4 1 1", ""),
+            ("1 1 -40 3 nan", "1 1 0 0.4 1 1", ""),
+            ("1 1 -40 3 2", "nan 0.5 0 0.4 1 1", ""),
+            ("1 1 -40 3 2", "1 1 inf 0.4 1 1", ""),
+            ("1 1 -40 3 2", "1 1 0 0.4 1 1", "refdist inf\n"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, ap, robot, extra):
+        text = f"2 2 1\n..\n..\nap 02:00:00:00:00:01 Net {ap}\nrobot {robot}\n{extra}"
+        with pytest.raises(WorldFormatError, match="finite"):
+            load_world(io.StringIO(text))
+
+    @pytest.mark.parametrize("header", ["2 -1 1", "0 2 1", "2 2 inf", "2 2 nan"])
+    def test_bad_grid_header_rejected(self, header):
+        with pytest.raises(WorldFormatError):
+            load_world(io.StringIO(f"{header}\n..\n..\nrobot 1 1 0 0.4 1 1\n"))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "world.txt"
+        path.write_bytes(b"2 2 1\n..\n..\nrobot 1 1 0 0.4 1 1\nseed \xff\n")
+        with pytest.raises(WorldFormatError):
+            load_world(path)
+
 
 class TestNoiseMonotonicity:
     def test_mean_error_non_decreasing_in_noise(self):

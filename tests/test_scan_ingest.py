@@ -249,6 +249,17 @@ class TestCsv:
         with pytest.raises(SchemaMismatch):
             read_csv(io.StringIO(""))
 
+    @pytest.mark.parametrize("row", ["nan,3,7", "-50,inf,7", "-50,3,nan", "-inf,3,7", "-50,3,1e999"])
+    def test_non_finite_cell_rejected_naming_its_line(self, row):
+        with pytest.raises(SchemaMismatch, match="line 3: non-finite number"):
+            read_csv(io.StringIO(f"AA:00:00:00:00:01,x,y\n-50,3,7\n{row}\n"))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"AA:00:00:00:00:01,x,y\n-50,3,\xff7\n")
+        with pytest.raises(SchemaMismatch):
+            read_csv(path)
+
     @settings(max_examples=100, deadline=None)
     @given(datasets())
     def test_round_trip_is_bit_exact(self, ds):
