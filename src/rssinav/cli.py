@@ -133,6 +133,15 @@ def _atomic_output(path, binary: bool = False):
         raise
 
 
+def _write_rows(path, header, rows) -> None:
+    """Atomically write a CSV of a header and rows; floats (numpy's too) are
+    written as repr(float), so they round-trip, and None as an empty cell."""
+    with _atomic_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def run_training_pipeline(
     dataset: scan_ingest.FingerprintDataset,
     threshold: float = features.DEFAULT_PCC_THRESHOLD,
@@ -196,12 +205,28 @@ def _load_world_with_overrides(opts) -> rfsim.SimWorld:
     return world
 
 
-def _nav_config(opts) -> navctl.NavConfig:
-    return navctl.NavConfig(
+def _trial_logs(result: rfsim.TrialResult) -> tuple[list, list]:
+    """A trial's command-log rows and fix rows, derived from its event log."""
+    commands = [(t, c.left_speed, c.right_speed, c.duration, c.reason) for kind, t, c in result.events if kind == "command"]
+    fixes = [payload for kind, _, payload in result.events if kind != "command"]
+    return commands, [(*true, *(estimate or (None, None))) for true, estimate in fixes]
+
+
+def _trial_options(opts) -> dict:
+    """The run_trial keyword arguments that simulate and navigate share."""
+    nav_config = navctl.NavConfig(
         step_distance=opts["step_distance"],
         checkpoint_radius=opts["checkpoint_radius"],
         max_consecutive_misses=opts["max_misses"],
     )
+    return dict(nav_config=nav_config, success_radius=opts["success_radius"], oracle=opts["oracle"], scan_period=opts["scan_period"])
+
+
+def _write_dataset(dataset: scan_ingest.FingerprintDataset, path) -> int:
+    with _atomic_output(path) as fh:
+        scan_ingest.write_csv(dataset, fh)
+    print(f"wrote {dataset.n_rows} rows x {len(dataset.ap_columns)} access-point columns to {path}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +246,7 @@ def cmd_ingest(opts) -> int:
     if not snapshots:
         print(f"no scan files found in {directory}", file=sys.stderr)
         return 1
-    dataset = scan_ingest.build_dataset(snapshots)
-    with _atomic_output(opts["output"]) as fh:
-        scan_ingest.write_csv(dataset, fh)
-    print(f"wrote {dataset.n_rows} rows x {len(dataset.ap_columns)} access-point columns to {opts['output']}")
-    return 0
+    return _write_dataset(scan_ingest.build_dataset(snapshots), opts["output"])
 
 
 def cmd_select_features(opts) -> int:
@@ -239,11 +260,8 @@ def cmd_select_features(opts) -> int:
         marker = "*" if mac in kept else " "
         print(f" {marker} {mac}  pcc_x={selection.pcc_x[mac]:+.4f}  pcc_y={selection.pcc_y[mac]:+.4f}")
     if opts.get("output"):
-        with _atomic_output(opts["output"]) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["mac", "kept", "pcc_x", "pcc_y"])
-            for mac in dataset.ap_columns:
-                writer.writerow([mac, int(mac in kept), repr(selection.pcc_x[mac]), repr(selection.pcc_y[mac])])
+        rows = [(mac, int(mac in kept), selection.pcc_x[mac], selection.pcc_y[mac]) for mac in dataset.ap_columns]
+        _write_rows(opts["output"], ["mac", "kept", "pcc_x", "pcc_y"], rows)
     return 0
 
 
@@ -279,11 +297,7 @@ def cmd_evaluate(opts) -> int:
     dataset = scan_ingest.read_csv(opts["dataset"])
     mae_norm, mean_ft, rows = evaluate_bundle(bundle, dataset)
     if opts.get("output"):
-        with _atomic_output(opts["output"]) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x_true", "y_true", "x_pred", "y_pred"])
-            for row in rows:
-                writer.writerow([repr(float(v)) for v in row])
+        _write_rows(opts["output"], ["x_true", "y_true", "x_pred", "y_pred"], rows)
     print(f"rows: {len(rows)}")
     print(f"normalized MAE: {mae_norm:.4f}")
     print(f"mean error: {mean_ft:.2f} ft")
@@ -314,12 +328,8 @@ def cmd_make_world(opts) -> int:
 
 def cmd_make_dataset(opts) -> int:
     world = _load_world_with_overrides(opts)
-    seed = opts.get("seed")
-    dataset = rfsim.generate_synthetic_dataset(world, resamples=opts["resamples"], seed=seed)
-    with _atomic_output(opts["output"]) as fh:
-        scan_ingest.write_csv(dataset, fh)
-    print(f"wrote {dataset.n_rows} rows x {len(dataset.ap_columns)} access-point columns to {opts['output']}")
-    return 0
+    dataset = rfsim.generate_synthetic_dataset(world, resamples=opts["resamples"], seed=opts.get("seed"))
+    return _write_dataset(dataset, opts["output"])
 
 
 def cmd_simulate(opts) -> int:
@@ -332,17 +342,11 @@ def cmd_simulate(opts) -> int:
         base_seed=opts["seed"],
         start=opts.get("start"),
         goal=opts.get("goal"),
-        nav_config=_nav_config(opts),
-        success_radius=opts["success_radius"],
-        oracle=opts["oracle"],
-        scan_period=opts["scan_period"],
+        **_trial_options(opts),
     )
     if opts.get("output"):
-        with _atomic_output(opts["output"]) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["trial", "seed", "success", "final_error_ft", "reason", "commands", "fixes"])
-            for i, r in enumerate(results):
-                writer.writerow([i, r.seed, int(r.success), repr(r.final_error), r.reason, len(r.commands), len(r.fixes)])
+        rows = [(i, r.seed, int(r.success), r.final_error, r.reason, *map(len, _trial_logs(r))) for i, r in enumerate(results)]
+        _write_rows(opts["output"], ["trial", "seed", "success", "final_error_ft", "reason", "commands", "fixes"], rows)
     successes = sum(r.success for r in results)
     print(f"success rate: {successes}/{len(results)} = {rate:.2f}")
     return 0
@@ -358,28 +362,16 @@ def cmd_navigate(opts) -> int:
         bundle,
         start,
         goal,
-        nav_config=_nav_config(opts),
-        success_radius=opts["success_radius"],
         seed=opts["seed"],
-        oracle=opts["oracle"],
-        scan_period=opts["scan_period"],
+        **_trial_options(opts),
     )
     prefix = opts["out_prefix"]
-    with _atomic_output(f"{prefix}_trajectory.csv") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "heading"])
-        for pose in result.trajectory:
-            writer.writerow([repr(float(v)) for v in pose])
-    with _atomic_output(f"{prefix}_fixes.csv") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_true", "y_true", "x_est", "y_est"])
-        for (tx, ty), fix in result.fixes:
-            est = ["", ""] if fix is None else [repr(float(fix[0])), repr(float(fix[1]))]
-            writer.writerow([repr(float(tx)), repr(float(ty))] + est)
-    with _atomic_output(f"{prefix}_commands.csv") as fh:
-        navctl.write_command_log(result.commands, fh)
+    commands, fixes = _trial_logs(result)
+    _write_rows(f"{prefix}_trajectory.csv", ["x", "y", "heading"], result.trajectory)
+    _write_rows(f"{prefix}_fixes.csv", ["x_true", "y_true", "x_est", "y_est"], fixes)
+    _write_rows(f"{prefix}_commands.csv", ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
     status = "success" if result.success else f"failure ({result.reason})"
-    print(f"{status}: final error {result.final_error:.2f} ft after {len(result.commands)} commands")
+    print(f"{status}: final error {result.final_error:.2f} ft after {len(commands)} commands")
     return 0
 
 

@@ -11,11 +11,9 @@ drive forever.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 from .errors import ToolkitError
 from .planner import Action, Checkpoint
@@ -181,18 +179,3 @@ def nav_step(state: NavState, fix) -> tuple[NavState, DriveCommand | None]:
         return next_state, command
     return replace(state, mode=Mode.ADVANCING, miss_counter=0), forward_command(state.config, state.calibration)
 
-
-def write_command_log(rows, sink) -> None:
-    """Write the audit trail of emitted commands.
-
-    Rows are (timestamp, left_speed, right_speed, duration, reason) - one
-    per command, in emission order.
-    """
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_command_log(rows, fh)
-        return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["timestamp", "left_speed", "right_speed", "duration", "reason"])
-    for t, left, right, duration, reason in rows:
-        writer.writerow([repr(float(t)), repr(float(left)), repr(float(right)), repr(float(duration)), reason])

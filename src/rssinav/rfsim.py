@@ -21,7 +21,7 @@ from .errors import OutOfBounds, ToolkitError
 from .model import ModelBundle, NoKnownAccessPoints, predict_position
 from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
 from .planner import GridMap, MapFormatError, astar, extract_checkpoints, first_segment_heading
-from .scan_ingest import ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
+from .scan_ingest import _MAC_RE, RSSI_FLOOR, ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
 _SEED_MASK = (1 << 63) - 1
@@ -33,8 +33,9 @@ class WorldFormatError(ToolkitError):
 
 @dataclass(frozen=True)
 class AccessPointSim:
-    """A simulated AP: position in feet, p0 dBm at the reference distance,
-    path-loss exponent n and shadowing noise sigma in dB."""
+    """A simulated AP: canonical MAC, position in feet, p0 dBm at the
+    reference distance in [-150, 0], path-loss exponent n in (0, 10] and
+    shadowing noise sigma in [0, 50] dB."""
 
     mac: str
     ssid: str
@@ -44,10 +45,14 @@ class AccessPointSim:
     noise_sigma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be > 0")
+        if not _MAC_RE.match(self.mac):
+            raise ValueError(f"not a canonical MAC address: {self.mac!r}")
+        if not -150.0 <= self.p0 <= 0.0:
+            raise ValueError(f"p0 must be in [-150, 0] dBm, got {self.p0}")
+        if not 0.0 < self.path_loss_exponent <= 10.0:
+            raise ValueError(f"path_loss_exponent must be in (0, 10], got {self.path_loss_exponent}")
+        if not 0.0 <= self.noise_sigma <= 50.0:
+            raise ValueError(f"noise_sigma must be in [0, 50] dB, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,8 @@ def simulate_scan(world: SimWorld, position: tuple[float, float], draw_index: in
     """One scan at a position: an entry per AP, deterministic in (seed, draw_index).
 
     Distances are clamped below at the reference distance; RSSI is rounded
-    to the nearest integer dBm (and capped at 0, the strongest value a scan
-    can report).
+    to the nearest integer dBm and clamped to [RSSI_FLOOR, 0], the levels a
+    scan entry can carry.
     """
     x, y = float(position[0]), float(position[1])
     if not world.grid.contains_point(x, y):
@@ -123,7 +128,7 @@ def simulate_scan(world: SimWorld, position: tuple[float, float], draw_index: in
         d = max(math.hypot(x - ap.position[0], y - ap.position[1]), world.reference_distance)
         level = ap.p0 - 10.0 * ap.path_loss_exponent * math.log10(d / world.reference_distance)
         level += ap.noise_sigma * rng.standard_normal()
-        rssi = min(0, int(math.floor(level + 0.5)))
+        rssi = math.floor(min(0.0, max(RSSI_FLOOR, level + 0.5)))
         entries.append(ScanEntry(ap.mac, ap.ssid, rssi))
     return ScanSnapshot(tuple(entries))
 
@@ -242,17 +247,47 @@ def mean_fix_error(world: SimWorld, bundle: ModelBundle, draws_per_cell: int = 3
 
 @dataclass
 class TrialResult:
-    """Outcome record of one closed-loop navigation trial."""
+    """Outcome record of one closed-loop navigation trial.
+
+    ``robot`` is the drivetrain at its start pose.  ``events`` is the trial's
+    only log, (kind, timestamp, payload) in time order: a ``"fix"`` (or, with
+    no estimate, ``"nofix"``) per scan with payload ((true_x, true_y),
+    estimate or None), and a ``"command"`` per emitted DriveCommand.
+    """
 
     success: bool
     final_error: float
-    trajectory: list = field(default_factory=list)  # (x, y, heading) per integration substep
-    fixes: list = field(default_factory=list)  # (true position, estimate or None)
-    commands: list = field(default_factory=list)  # (timestamp, left, right, duration, reason)
-    events: list = field(default_factory=list)  # ("fix"|"nofix"|"command", timestamp, payload)
+    robot: SimRobot
+    events: list = field(default_factory=list)
     reason: str = ""
     success_radius: float = 0.0
     seed: int = 0
+
+    @property
+    def trajectory(self) -> list[tuple[float, float, float]]:
+        """(x, y, heading): the start pose, then the pose after every
+        integration substep, replayed from the command events."""
+        poses = [self.robot.pose]
+        for kind, _, command in self.events:
+            if kind == "command":
+                poses.extend(_command_poses(self.robot, command, poses[-1]))
+        return poses
+
+
+def _command_poses(robot: SimRobot, command: DriveCommand, pose):
+    """Yield the pose after each substep of at most 0.01 s of ``command``,
+    driven from ``pose`` on ``robot``'s drivetrain; the heading is wrapped to
+    (-pi, pi] after every turning substep."""
+    v, omega = _body_rates(robot, command)
+    x, y, theta = pose
+    remaining = command.duration
+    while remaining > 1e-12:
+        h = min(_SUBSTEP, remaining)
+        x, y, theta = _substep(x, y, theta, v, omega, h)
+        if omega:
+            theta = _wrap_heading(theta)
+        remaining -= h
+        yield x, y, theta
 
 
 def run_trial(
@@ -275,11 +310,11 @@ def run_trial(
     segment.  Each iteration simulates a scan at the true pose, produces a
     fix (the model's estimate, or the true position when ``oracle``), feeds
     it to the navigation state machine and integrates the emitted command in
-    substeps of at most 0.01 s: ``trajectory`` gets one pose per substep after
-    the start pose, its heading wrapped to (-pi, pi] after every turning one.
-    The trial ends on Done, Aborted, or after ``max_fixes`` fixes.  Success
-    means Done with the true position within ``success_radius`` feet of the
-    goal center and a trajectory that never left walkable cells.
+    substeps of at most 0.01 s (``TrialResult.trajectory`` replays them from
+    the event log on demand).  The trial ends on Done, Aborted, or after
+    ``max_fixes`` fixes.  Success means Done with the true position within
+    ``success_radius`` feet of the goal center and no substep off walkable
+    cells.
     """
     if bundle is None and not oracle:
         raise ValueError("a model bundle is required unless oracle localization is enabled")
@@ -296,46 +331,34 @@ def run_trial(
     gx, gy = grid.cell_center(goal)
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
 
-    result = TrialResult(False, 0.0, success_radius=success_radius, seed=seed)
-    result.trajectory.append(robot.pose)
+    events = []
+    x, y, theta = robot.pose
     on_walkable = True
     clock = 0.0
     reason = "fix_budget"
     for draw_index in range(max_fixes):
-        if not grid.contains_point(robot.x, robot.y):
+        if not grid.contains_point(x, y):
             on_walkable = False
             reason = "left_map"
             break
-        snapshot = simulate_scan(world, (robot.x, robot.y), draw_index=draw_index, seed=seed)
+        snapshot = simulate_scan(world, (x, y), draw_index=draw_index, seed=seed)
         clock += scan_period
         if oracle:
-            fix = (robot.x, robot.y)
+            fix = (x, y)
         else:
             try:
                 estimate = predict_position(bundle, snapshot)
                 fix = (estimate.x, estimate.y)
             except NoKnownAccessPoints:
                 fix = None
-        result.fixes.append(((robot.x, robot.y), fix))
-        result.events.append(("fix" if fix is not None else "nofix", clock, fix))
+        events.append(("fix" if fix is not None else "nofix", clock, ((x, y), fix)))
         state, command = nav_step(state, fix)
         if command is not None:
-            result.commands.append((clock, command.left_speed, command.right_speed, command.duration, command.reason))
-            result.events.append(("command", clock, command))
-            v, omega = _body_rates(robot, command)
-            x, y, theta = robot.pose
-            remaining = command.duration
-            while remaining > 1e-12:
-                h = min(_SUBSTEP, remaining)
-                x, y, theta = _substep(x, y, theta, v, omega, h)
-                if omega:
-                    theta = _wrap_heading(theta)
-                remaining -= h
-                result.trajectory.append((x, y, theta))
+            events.append(("command", clock, command))
+            for x, y, theta in _command_poses(robot, command, (x, y, theta)):
                 ix, iy = math.floor(x / grid.cell_size), math.floor(y / grid.cell_size)
                 if not (0 <= ix < grid.width and 0 <= iy < grid.height and walkable[iy][ix]):
                     on_walkable = False
-            robot = replace(robot, x=x, y=y, heading=theta)
             clock += command.duration
         if state.mode is Mode.DONE:
             reason = "done"
@@ -343,12 +366,11 @@ def run_trial(
         if state.mode is Mode.ABORTED:
             reason = "aborted"
             break
-    result.final_error = math.hypot(robot.x - gx, robot.y - gy)
+    final_error = math.hypot(x - gx, y - gy)
     if not on_walkable:
         reason += "+left_walkable"
-    result.reason = reason
-    result.success = reason == "done" and result.final_error <= success_radius
-    return result
+    success = reason == "done" and final_error <= success_radius
+    return TrialResult(success, final_error, robot, events, reason, success_radius, seed)
 
 
 def corner_success_rate(

@@ -60,6 +60,7 @@ class RaggedRow(ToolkitError):
 
 
 MISSING_RSSI = 0.0
+RSSI_FLOOR = -255  # dBm; the weakest level a scan entry may carry
 
 _MAC_RE = re.compile(r"^([0-9A-F]{2}:){5}[0-9A-F]{2}$")
 _CELL_RE = re.compile(r"^\s*Cell\s+(\d+)\s+-\s+Address:\s*(\S+)\s*$")
@@ -79,8 +80,8 @@ class ScanEntry:
     def __post_init__(self) -> None:
         if not _MAC_RE.match(self.mac):
             raise ValueError(f"not a canonical MAC address: {self.mac!r}")
-        if not np.isfinite(self.rssi) or self.rssi > 0:
-            raise ValueError(f"RSSI must be finite and <= 0 dBm, got {self.rssi}")
+        if not RSSI_FLOOR <= self.rssi <= 0:
+            raise ValueError(f"RSSI must be in [{RSSI_FLOOR}, 0] dBm, got {self.rssi}")
 
 
 @dataclass(frozen=True)

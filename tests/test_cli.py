@@ -170,6 +170,37 @@ class TestSimulateNavigate:
         commands = list(csv.reader(open(prefix + "_commands.csv")))
         assert commands[0] == ["timestamp", "left_speed", "right_speed", "duration", "reason"]
         assert commands[-1][4] == "stop"
+        assert commands[-1][1:4] == ["0.0", "0.0", "0.0"]  # floats as repr(float), even whole ones
+        assert all(repr(float(cell)) == cell for row in commands[1:] for cell in row[:4])
+        assert f"after {len(commands) - 1} commands" in capsys.readouterr().out
+        fixes = list(csv.reader(open(prefix + "_fixes.csv")))
+        assert fixes[0] == ["x_true", "y_true", "x_est", "y_est"]
+        assert all(row[:2] == row[2:] for row in fixes[1:])  # an oracle fix is the true position
+        trajectory = list(csv.reader(open(prefix + "_trajectory.csv")))
+        assert trajectory[:2] == [["x", "y", "heading"], ["0.5", "0.5", "0.0"]]  # the start cell, facing east
+
+    @pytest.mark.parametrize("foreign_aps", [False, True])
+    def test_navigate_matches_its_simulate_row(self, workspace, tmp_path, capsys, foreign_aps):
+        _, world, _, model = workspace
+        if foreign_aps:  # APs the model has never seen: every scan is a missed fix, and the run aborts
+            renamed = tmp_path / "foreign_world.txt"
+            renamed.write_text(world.read_text().replace("ap 02:00:00:00:00:0", "ap 02:00:00:00:00:1"))
+            world = renamed
+        table = tmp_path / "trials.csv"
+        assert main(["simulate", str(world), str(model), "--trials", "4", "--seed", "2", "-o", str(table)]) == 0
+        capsys.readouterr()
+        for row in csv.DictReader(table.open()):
+            prefix = str(tmp_path / f"run{row['seed']}")
+            assert main(["navigate", str(world), str(model), "--seed", row["seed"], "--out-prefix", prefix]) == 0
+            status = "success" if row["success"] == "1" else f"failure ({row['reason']})"
+            error = float(row["final_error_ft"])
+            assert capsys.readouterr().out == f"{status}: final error {error:.2f} ft after {row['commands']} commands\n"
+            assert len(list(csv.reader(open(prefix + "_commands.csv")))) - 1 == int(row["commands"])
+            fixes = list(csv.reader(open(prefix + "_fixes.csv")))[1:]
+            assert len(fixes) == int(row["fixes"])
+            assert all((r[2:] == ["", ""]) == foreign_aps for r in fixes)  # a missed fix has empty estimate cells
+            trajectory = {tuple(r[:2]) for r in csv.reader(open(prefix + "_trajectory.csv"))}
+            assert all(tuple(r[:2]) in trajectory for r in fixes)  # every scan is taken on the driven path
 
     def test_unreachable_goal_fails(self, workspace, capsys):
         _, world, _, _ = workspace
@@ -197,6 +228,7 @@ class TestValidationErrors:
             (["navigate", "{world}", "--oracle", "--step-distance", "-1", "--out-prefix", "{out}"], "must be positive"),
             (["train", "{nan_dataset}", "-o", "{out}"], "line 2: non-finite number 'nan'"),
             (["simulate", "{inf_world}", "--oracle", "-o", "{out}"], "non-finite number 'inf'"),
+            (["simulate", "{world}", "--oracle", "--noise-sigma", "1e308", "-o", "{out}"], "noise_sigma must be in"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):

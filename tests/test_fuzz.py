@@ -1,7 +1,7 @@
 """Byte-level fuzzing of the file parsers: any mutation or truncation of a
-valid dataset CSV, world file or model file must either load or raise a
-ToolkitError, never a bare ValueError, UnicodeDecodeError, OverflowError or
-any other exception."""
+valid dataset CSV, world file, model file or scan capture must either load
+or raise a ToolkitError, never a bare ValueError, UnicodeDecodeError,
+OverflowError, TypeError or any other exception."""
 
 import io
 import tempfile
@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from rssinav.errors import ToolkitError
 from rssinav.features import FeatureSelection, NormalizationParams
 from rssinav.model import MlpRegressor, TrainConfig, load_model, save_model, train
-from rssinav.rfsim import load_world, reference_world, save_world
-from rssinav.scan_ingest import FingerprintDataset, read_csv, write_csv
+from rssinav.rfsim import load_world, reference_world, render_scan_text, save_world
+from rssinav.scan_ingest import FingerprintDataset, ScanEntry, ScanSnapshot, parse_scan_text, read_csv, write_csv
 
 # fragments that turn a number into something a naive float() parse accepts
 # or chokes on, plus bytes that break the text layer
-_TOKENS = [b"nan", b"inf", b"-inf", b"1e999", b"-", b".", b"e", b"_", b"9" * 12, b"\xff", b"\xc3", b"\x00", b",", b" ", b"\n", b'"']
+_TOKENS = [b"nan", b"inf", b"-inf", b"1e999", b"-", b".", b"e", b"_", b"9" * 12, b"9" * 24, b"\xff", b"\xc3", b"\x00", b",", b" ", b"\n", b'"']
 
 
 @st.composite
@@ -70,6 +70,7 @@ def _model_file() -> bytes:
 VALID_CSV = _dataset_csv()
 VALID_WORLD = _world_file()
 VALID_MODEL = _model_file()
+VALID_SCAN = render_scan_text(ScanSnapshot((ScanEntry("02:00:00:00:00:01", "LabNet", -61),))).encode("utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,7 @@ def test_valid_inputs_load(scratch_file):
     assert len(load_world(scratch_file).aps) == len(reference_world().aps)
     scratch_file.write_bytes(VALID_MODEL)
     assert load_model(scratch_file).model.input_width == 2
+    assert _parse_scan_bytes(VALID_SCAN) == [ScanEntry("02:00:00:00:00:01", "LabNet", -61)]
 
 
 _FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -114,3 +116,17 @@ def test_mutated_world_file_raises_only_toolkit_errors(scratch_file, data):
 @given(data=mutations(VALID_MODEL))
 def test_mutated_model_file_raises_only_toolkit_errors(scratch_file, data):
     _load_or_toolkit_error(load_model, scratch_file, data)
+
+
+def _parse_scan_bytes(data: bytes):
+    # parse_scan_text takes text: undecodable bytes reach it as U+FFFD
+    return parse_scan_text(data.decode("utf-8", errors="replace"))
+
+
+@_FUZZ
+@given(data=mutations(VALID_SCAN))
+def test_mutated_scan_text_raises_only_toolkit_errors(data):
+    try:
+        _parse_scan_bytes(data)
+    except ToolkitError:
+        pass

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from rssinav.navctl import (
     nav_step,
     stop_command,
     turn_command,
-    write_command_log,
 )
 from rssinav.planner import Action, Checkpoint
 
@@ -180,14 +178,5 @@ class TestProgress:
 
 
 class TestCommandLog:
-    def test_csv_layout(self):
-        rows = [(2.0, 1.0, 0.95, 2.0, "forward"), (4.0, 1.0, 0.0, 1.5, "turn_right_90")]
-        buf = io.StringIO()
-        write_command_log(rows, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "timestamp,left_speed,right_speed,duration,reason"
-        assert lines[1] == "2.0,1.0,0.95,2.0,forward"
-        assert len(lines) == 3
-
     def test_stop_command_is_zero(self):
         assert stop_command() == DriveCommand(0.0, 0.0, 0.0, "stop")

@@ -29,7 +29,7 @@ from rssinav.rfsim import (
     step_robot,
     with_noise_sigma,
 )
-from rssinav.scan_ingest import parse_scan_text
+from rssinav.scan_ingest import RSSI_FLOOR, parse_scan_text
 
 MAC = "02:00:00:00:00:01"
 
@@ -61,6 +61,12 @@ class TestSimulateScan:
         assert simulate_scan(world, (5.0, 5.0), draw_index=4) == simulate_scan(world, (5.0, 5.0), draw_index=4)
         assert simulate_scan(world, (5.0, 5.0), draw_index=4) != simulate_scan(world, (5.0, 5.0), draw_index=5)
         assert simulate_scan(world, (5.0, 5.0), seed=1) != simulate_scan(world, (5.0, 5.0), seed=2)
+
+    def test_weakest_levels_clamp_to_the_rssi_floor(self):
+        # the weakest legal AP, 140 ft away: -150 - 100 log10(140) is about -365 dBm
+        world = open_world([AccessPointSim(MAC, "Net", (0.5, 0.5), p0=-150.0, path_loss_exponent=10.0, noise_sigma=0.0)], size=100)
+        assert simulate_scan(world, (99.5, 99.5)).rssi_by_mac()[MAC] == RSSI_FLOOR
+        assert simulate_scan(world, (3.5, 0.5)).rssi_by_mac()[MAC] == -198  # above the floor: rounded, not clamped
 
     def test_out_of_bounds_position_rejected(self):
         world = open_world([AccessPointSim(MAC, "Net", (2.0, 2.0))])
@@ -168,7 +174,7 @@ class TestTrials:
         a = run_trial(world, bundle, (0, 0), (11, 3), seed=3)
         b = run_trial(world, bundle, (0, 0), (11, 3), seed=3)
         assert a.success == b.success and a.final_error == b.final_error
-        assert a.fixes == b.fixes and a.commands == b.commands and a.trajectory == b.trajectory
+        assert a.robot == b.robot and a.events == b.events
 
     def test_unreachable_goal_raises(self):
         grid = GridMap.from_text("3 1 1\n.#.\n")
@@ -198,16 +204,15 @@ class TestTrials:
 
 
 def replay_substeps(world, result):
-    """Re-integrate result.commands with one step_robot call per 0.01 s substep.
+    """Re-integrate the command events with one step_robot call per 0.01 s substep.
 
     This is the reference integration path run_trial must reproduce bit for bit.
     """
-    x, y, heading = result.trajectory[0]
-    robot = replace(world.robot, x=x, y=y, heading=heading)
+    robot = result.robot
+    assert robot == replace(world.robot, x=robot.x, y=robot.y, heading=robot.heading)
     poses = [robot.pose]
-    for _, left, right, duration, reason in result.commands:
-        command = DriveCommand(left, right, duration, reason)
-        remaining = duration
+    for command in [payload for kind, _, payload in result.events if kind == "command"]:
+        remaining = command.duration
         while remaining > 1e-12:
             h = min(0.01, remaining)
             robot = step_robot(robot, command, h)
@@ -294,6 +299,23 @@ class TestWorldFile:
     def test_bad_grid_header_rejected(self, header):
         with pytest.raises(WorldFormatError):
             load_world(io.StringIO(f"{header}\n..\n..\nrobot 1 1 0 0.4 1 1\n"))
+
+    @pytest.mark.parametrize(
+        "ap, message",
+        [
+            ("02:00:00:00:00:0G Net 1 1 -40 3 2", "canonical MAC"),
+            ("02:00:00:00:00:01 Net 1 1 5 3 2", "p0"),
+            ("02:00:00:00:00:01 Net 1 1 -1e308 3 2", "p0"),
+            ("02:00:00:00:00:01 Net 1 1 -40 0 2", "path_loss_exponent"),
+            ("02:00:00:00:00:01 Net 1 1 -40 1e308 2", "path_loss_exponent"),
+            ("02:00:00:00:00:01 Net 1 1 -40 3 -1", "noise_sigma"),
+            ("02:00:00:00:00:01 Net 1 1 -40 3 1e308", "noise_sigma"),
+        ],
+    )
+    def test_implausible_ap_rejected_naming_the_line(self, ap, message):
+        with pytest.raises(WorldFormatError, match=message) as exc_info:
+            load_world(io.StringIO(f"2 2 1\n..\n..\nap {ap}\nrobot 1 1 0 0.4 1 1\n"))
+        assert ap in str(exc_info.value)
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "world.txt"

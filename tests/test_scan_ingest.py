@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rssinav.errors import ToolkitError
 from rssinav.scan_ingest import (
+    RSSI_FLOOR,
     BadSignalUnit,
     DuplicateMac,
     EmptyInput,
@@ -79,8 +80,14 @@ class TestParse:
             parse_scan_text('Cell 01 - Address: NOT_A_MAC\nESSID:"x"\nSignal level=-61 dBm\n')
 
     def test_positive_rssi_rejected(self):
-        with pytest.raises(MalformedCell):
-            parse_scan_text(ONE_CELL.replace("-61", "5"))
+        for level in ("5", "-99999999999999999999999"):  # the second is beyond int64 and the RSSI floor
+            with pytest.raises(MalformedCell):
+                parse_scan_text(ONE_CELL.replace("-61", level))
+
+    def test_rssi_floor_is_inclusive(self):
+        assert parse_scan_text(ONE_CELL.replace("-61", str(RSSI_FLOOR)))[0].rssi == RSSI_FLOOR
+        with pytest.raises(MalformedCell, match="RSSI must be in"):
+            parse_scan_text(ONE_CELL.replace("-61", str(RSSI_FLOOR - 1)))
 
     def test_duplicate_mac_rejected(self):
         with pytest.raises(DuplicateMac):
