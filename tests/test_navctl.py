@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rssinav.cli import _trial_logs, _write_rows
 from rssinav.navctl import (
     DriveCommand,
     DrivetrainCalibration,
@@ -178,5 +180,19 @@ class TestProgress:
 
 
 class TestCommandLog:
+    def test_csv_layout(self, tmp_path):
+        events = [
+            ("command", 2.0, DriveCommand(1.0, 0.95, 2.0, "forward")),
+            ("fix", 3.0, ((0.5, 0.5), None)),
+            ("command", 4.0, DriveCommand(1.0, 0.0, 1.5, "turn_right_90")),
+        ]
+        commands, _ = _trial_logs(SimpleNamespace(events=events))
+        path = tmp_path / "commands.csv"
+        _write_rows(path, ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "timestamp,left_speed,right_speed,duration,reason"
+        assert lines[1] == "2.0,1.0,0.95,2.0,forward"
+        assert len(lines) == 3
+
     def test_stop_command_is_zero(self):
         assert stop_command() == DriveCommand(0.0, 0.0, 0.0, "stop")
