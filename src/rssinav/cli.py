@@ -50,41 +50,12 @@ def _as_cell(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-# Documented config-file schema: key -> (caster, help).  Unknown keys are errors.
-CONFIG_SCHEMA = {
-    "ssid": (_as_ssid_list, "comma-separated SSID allowlist for ingest"),
-    "aggregate": (_as_bool, "aggregate repeated scans per location (default true)"),
-    "threshold": (float, "correlation threshold for feature selection"),
-    "min_presence": (float, "optional presence-fraction pre-filter (off by default)"),
-    "ratio": (float, "train fraction for the split"),
-    "epochs": (int, "training epochs"),
-    "validation_split": (float, "validation fraction carved from training data"),
-    "batch_size": (int, "minibatch size"),
-    "learning_rate": (float, "optimizer learning rate"),
-    "optimizer": (str, "adam or sgd"),
-    "seed": (int, "seed for split/training/simulation"),
-    "heading": (str, "initial heading letter: E, N, W or S"),
-    "start": (_as_cell, "start cell as ix,iy"),
-    "goal": (_as_cell, "goal cell as ix,iy"),
-    "trials": (int, "number of simulation trials"),
-    "oracle": (_as_bool, "use exact positions instead of the model"),
-    "noise_sigma": (float, "override every AP's shadowing noise, dB"),
-    "success_radius": (float, "success radius around the goal, feet"),
-    "scan_period": (float, "simulated seconds per scan"),
-    "step_distance": (float, "forward step length, feet"),
-    "checkpoint_radius": (float, "checkpoint detection radius, feet"),
-    "max_misses": (int, "consecutive missing fixes before abort"),
-    "resamples": (int, "scans per location for synthetic datasets"),
-    "world_seed": (int, "seed stored in a generated world file"),
-}
-
-
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,9 +64,9 @@ def _parse_config_file(path: str) -> dict:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_SCHEMA:
+        caster = _OPTIONS[key][0] if key in _OPTIONS else None
+        if caster is None:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = CONFIG_SCHEMA[key][0]
         try:
             values[key] = caster(value.strip())
         except ValueError as exc:
@@ -106,7 +77,7 @@ def _parse_config_file(path: str) -> dict:
 def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults <- config file <- explicit flags."""
     merged = dict(defaults)
-    explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+    explicit = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     config_path = getattr(args, "config", None)
     if config_path:
         file_values = _parse_config_file(config_path)
@@ -378,154 +349,100 @@ def cmd_navigate(opts) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-_DEFAULTS = {
-    "ingest": {"ssid": None, "aggregate": True},
-    "select-features": {"threshold": features.DEFAULT_PCC_THRESHOLD, "min_presence": None, "output": None},
-    "train": {
-        "threshold": features.DEFAULT_PCC_THRESHOLD,
-        "min_presence": None,
-        "ratio": features.DEFAULT_TRAIN_RATIO,
-        "epochs": model.DEFAULT_EPOCHS,
-        "validation_split": model.DEFAULT_VALIDATION_SPLIT,
-        "batch_size": model.DEFAULT_BATCH_SIZE,
-        "learning_rate": model.DEFAULT_LEARNING_RATE,
-        "optimizer": "adam",
-        "seed": 0,
-        "report": None,
-    },
-    "evaluate": {"output": None},
-    "plan": {"heading": None, "output": None},
-    "make-world": {"noise_sigma": 2.0, "world_seed": 7},
-    "make-dataset": {"resamples": 3, "seed": None, "noise_sigma": None},
-    "simulate": {
-        "trials": 100,
-        "seed": 0,
-        "oracle": False,
-        "noise_sigma": None,
-        "start": None,
-        "goal": None,
-        "success_radius": 2.0,
-        "scan_period": 2.0,
-        "step_distance": 2.0,
-        "checkpoint_radius": 1.5,
-        "max_misses": 10,
-        "output": None,
-        "model": None,
-    },
-    "navigate": {
-        "seed": 0,
-        "oracle": False,
-        "noise_sigma": None,
-        "start": None,
-        "goal": None,
-        "success_radius": 2.0,
-        "scan_period": 2.0,
-        "step_distance": 2.0,
-        "checkpoint_radius": 1.5,
-        "max_misses": 10,
-        "model": None,
-    },
+# Every option, declared once: name -> (config-file caster, or None for a
+# path flag that is not a config key; help; argparse keywords).  The flag is
+# --name with '-' for '_' unless "flags" overrides it; an "action" flag takes
+# no type.
+_OPTIONS = {
+    "output": (None, "file to write", {"flags": ("-o", "--output")}),
+    "report": (None, "per-epoch loss CSV (default: <model>.report.csv)", {}),
+    "out_prefix": (None, "prefix for the trajectory/fixes/commands CSVs", {}),
+    "ssid": (_as_ssid_list, "SSID allowlist entry (repeatable)", {"action": "append"}),
+    "aggregate": (_as_bool, "keep every resample as its own row instead of the per-location median",
+                  {"flags": ("--no-aggregate",), "action": "store_false"}),
+    "threshold": (float, "correlation threshold for feature selection", {}),
+    "min_presence": (float, "optional presence-fraction pre-filter", {}),
+    "ratio": (float, "train fraction for the split", {}),
+    "epochs": (int, "training epochs", {}),
+    "validation_split": (float, "validation fraction carved from the training rows", {}),
+    "batch_size": (int, "minibatch size", {}),
+    "learning_rate": (float, "optimizer learning rate", {}),
+    "optimizer": (str, "optimizer", {"choices": ("adam", "sgd")}),
+    "seed": (int, "seed of the split and training, the dataset noise (default: the world's) or the first trial", {}),
+    "heading": (str, "initial heading E, N, W or S (default: along the first segment)", {}),
+    "start": (_as_cell, "start cell 'ix,iy' (trials default to the reference corner route)", {}),
+    "goal": (_as_cell, "goal cell 'ix,iy'", {}),
+    "trials": (int, "number of seeded trials", {}),
+    "oracle": (_as_bool, "use exact positions instead of the model", {"action": "store_true"}),
+    "noise_sigma": (float, "every AP's shadowing noise, dB", {}),
+    "success_radius": (float, "success radius around the goal, feet", {}),
+    "scan_period": (float, "simulated seconds per scan", {}),
+    "step_distance": (float, "forward step, feet", {}),
+    "checkpoint_radius": (float, "checkpoint detection radius, feet", {}),
+    "max_misses": (int, "consecutive missing fixes before abort", {}),
+    "resamples": (int, "scans per location", {}),
+    "world_seed": (int, "seed stored in the world file", {}),
 }
 
+_REQUIRED = object()  # the default of a flag that must be given
+_NAV_POSITIONALS = {"world": "world file", "model?": "model file (optional with --oracle)"}
+_NAV_DEFAULTS = {"start": None, "goal": None, "seed": 0, "oracle": False, "noise_sigma": None, "success_radius": 2.0,
+                 "scan_period": 2.0, "step_distance": 2.0, "checkpoint_radius": 1.5, "max_misses": 10}
 
-def _add_nav_options(sub) -> None:
-    sub.add_argument("--start", type=_as_cell, default=_SUPPRESS, help="start cell 'ix,iy' (default: world's corner route)")
-    sub.add_argument("--goal", type=_as_cell, default=_SUPPRESS, help="goal cell 'ix,iy'")
-    sub.add_argument("--seed", type=int, default=_SUPPRESS, help="base seed")
-    sub.add_argument("--oracle", action="store_true", default=_SUPPRESS, help="use exact positions instead of the model")
-    sub.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=_SUPPRESS, help="override AP shadowing noise, dB")
-    sub.add_argument("--success-radius", dest="success_radius", type=float, default=_SUPPRESS, help="success radius, feet")
-    sub.add_argument("--scan-period", dest="scan_period", type=float, default=_SUPPRESS, help="simulated seconds per scan")
-    sub.add_argument("--step-distance", dest="step_distance", type=float, default=_SUPPRESS, help="forward step, feet")
-    sub.add_argument("--checkpoint-radius", dest="checkpoint_radius", type=float, default=_SUPPRESS, help="checkpoint radius, feet")
-    sub.add_argument("--max-misses", dest="max_misses", type=int, default=_SUPPRESS, help="consecutive missing fixes before abort")
+# command -> (function, help, positionals as name -> help with "?" marking an
+# optional one, option defaults); a command has exactly the options it lists.
+_COMMANDS = {
+    "ingest": (cmd_ingest, "compile a directory of scan files into a dataset CSV",
+               {"scan_dir": "directory of <x>_<y>_<rep>.txt scan files"}, {"output": _REQUIRED, "ssid": None, "aggregate": True}),
+    "select-features": (cmd_select_features, "report per-column correlations and the kept set", {"dataset": "dataset CSV"},
+                        {"output": None, "threshold": features.DEFAULT_PCC_THRESHOLD, "min_presence": None}),
+    "train": (cmd_train, "select features, split, normalize and train a position model", {"dataset": "dataset CSV"},
+              {"output": _REQUIRED, "report": None, "threshold": features.DEFAULT_PCC_THRESHOLD, "min_presence": None,
+               "ratio": features.DEFAULT_TRAIN_RATIO, "epochs": model.DEFAULT_EPOCHS,
+               "validation_split": model.DEFAULT_VALIDATION_SPLIT, "batch_size": model.DEFAULT_BATCH_SIZE,
+               "learning_rate": model.DEFAULT_LEARNING_RATE, "optimizer": "adam", "seed": 0}),
+    "evaluate": (cmd_evaluate, "predicted-vs-actual scatter data and metrics for a dataset",
+                 {"model": "model file", "dataset": "labelled dataset CSV"}, {"output": None}),
+    "plan": (cmd_plan, "A* path and checkpoint plan on a grid map", {"map": "grid map text file"},
+             {"start": _REQUIRED, "goal": _REQUIRED, "heading": None, "output": None}),
+    "make-world": (cmd_make_world, "write the built-in reference simulation world", {},
+                   {"output": _REQUIRED, "noise_sigma": 2.0, "world_seed": 7}),
+    "make-dataset": (cmd_make_dataset, "generate a synthetic fingerprint dataset from a world", {"world": "world file"},
+                     {"output": _REQUIRED, "resamples": 3, "seed": None, "noise_sigma": None}),
+    "simulate": (cmd_simulate, "run seeded closed-loop trials and report the success rate", _NAV_POSITIONALS,
+                 {"trials": 100, "output": None, **_NAV_DEFAULTS}),
+    "navigate": (cmd_navigate, "run one closed-loop trial and write full logs", _NAV_POSITIONALS,
+                 {"out_prefix": _REQUIRED, **_NAV_DEFAULTS}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rssinav", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str):
-        sub = subparsers.add_parser(name, help=help_text)
+    for command, (_, summary, positionals, defaults) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary)
         sub.add_argument("--config", help="key = value config file; flags override it")
-        sub.set_defaults(func=func)
-        return sub
-
-    sub = add("ingest", cmd_ingest, "compile a directory of scan files into a dataset CSV")
-    sub.add_argument("scan_dir", help="directory of <x>_<y>_<rep>.txt scan files")
-    sub.add_argument("-o", "--output", required=True, help="dataset CSV to write")
-    sub.add_argument("--ssid", action="append", default=_SUPPRESS, help="SSID allowlist entry (repeatable)")
-    sub.add_argument("--no-aggregate", dest="aggregate", action="store_false", default=_SUPPRESS,
-                     help="keep every resample as its own row instead of the per-location median")
-
-    sub = add("select-features", cmd_select_features, "report per-column correlations and the kept set")
-    sub.add_argument("dataset", help="dataset CSV")
-    sub.add_argument("-o", "--output", default=_SUPPRESS, help="optional selection report CSV")
-    sub.add_argument("--threshold", type=float, default=_SUPPRESS, help="correlation threshold")
-    sub.add_argument("--min-presence", dest="min_presence", type=float, default=_SUPPRESS, help="optional presence pre-filter")
-
-    sub = add("train", cmd_train, "select features, split, normalize and train a position model")
-    sub.add_argument("dataset", help="dataset CSV")
-    sub.add_argument("-o", "--output", required=True, help="model file to write")
-    sub.add_argument("--report", default=_SUPPRESS, help="per-epoch loss CSV (default: <model>.report.csv)")
-    sub.add_argument("--threshold", type=float, default=_SUPPRESS, help="correlation threshold")
-    sub.add_argument("--min-presence", dest="min_presence", type=float, default=_SUPPRESS, help="optional presence pre-filter")
-    sub.add_argument("--ratio", type=float, default=_SUPPRESS, help="train fraction")
-    sub.add_argument("--epochs", type=int, default=_SUPPRESS)
-    sub.add_argument("--validation-split", dest="validation_split", type=float, default=_SUPPRESS)
-    sub.add_argument("--batch-size", dest="batch_size", type=int, default=_SUPPRESS)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float, default=_SUPPRESS)
-    sub.add_argument("--optimizer", choices=("adam", "sgd"), default=_SUPPRESS)
-    sub.add_argument("--seed", type=int, default=_SUPPRESS)
-
-    sub = add("evaluate", cmd_evaluate, "predicted-vs-actual scatter data and metrics for a dataset")
-    sub.add_argument("model", help="model file")
-    sub.add_argument("dataset", help="labelled dataset CSV")
-    sub.add_argument("-o", "--output", default=_SUPPRESS, help="scatter CSV (x_true,y_true,x_pred,y_pred)")
-
-    sub = add("plan", cmd_plan, "A* path and checkpoint plan on a grid map")
-    sub.add_argument("map", help="grid map text file")
-    sub.add_argument("--start", type=_as_cell, required=True, help="start cell 'ix,iy'")
-    sub.add_argument("--goal", type=_as_cell, required=True, help="goal cell 'ix,iy'")
-    sub.add_argument("--heading", default=_SUPPRESS, help="initial heading (E/N/W/S); default: along the first segment")
-    sub.add_argument("-o", "--output", default=_SUPPRESS, help="plan CSV (ix,iy,action)")
-
-    sub = add("make-world", cmd_make_world, "write the built-in reference simulation world")
-    sub.add_argument("-o", "--output", required=True, help="world file to write")
-    sub.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=_SUPPRESS, help="AP shadowing noise, dB")
-    sub.add_argument("--world-seed", dest="world_seed", type=int, default=_SUPPRESS, help="seed stored in the world file")
-
-    sub = add("make-dataset", cmd_make_dataset, "generate a synthetic fingerprint dataset from a world")
-    sub.add_argument("world", help="world file")
-    sub.add_argument("-o", "--output", required=True, help="dataset CSV to write")
-    sub.add_argument("--resamples", type=int, default=_SUPPRESS, help="scans per location")
-    sub.add_argument("--seed", type=int, default=_SUPPRESS, help="noise seed (default: the world's seed)")
-    sub.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=_SUPPRESS, help="override AP noise, dB")
-
-    sub = add("simulate", cmd_simulate, "run seeded closed-loop trials and report the success rate")
-    sub.add_argument("world", help="world file")
-    sub.add_argument("model", nargs="?", default=_SUPPRESS, help="model file (optional with --oracle)")
-    sub.add_argument("--trials", type=int, default=_SUPPRESS)
-    sub.add_argument("-o", "--output", default=_SUPPRESS, help="per-trial results CSV")
-    _add_nav_options(sub)
-
-    sub = add("navigate", cmd_navigate, "run one closed-loop trial and write full logs")
-    sub.add_argument("world", help="world file")
-    sub.add_argument("model", nargs="?", default=_SUPPRESS, help="model file (optional with --oracle)")
-    sub.add_argument("--out-prefix", dest="out_prefix", required=True, help="prefix for trajectory/fixes/commands CSVs")
-    _add_nav_options(sub)
+        for name, help_text in positionals.items():
+            sub.add_argument(name.rstrip("?"), nargs="?" if name.endswith("?") else None, default=_SUPPRESS, help=help_text)
+        for name, default in defaults.items():
+            caster, help_text, keywords = _OPTIONS[name]
+            keywords = dict(keywords)
+            flags = keywords.pop("flags", ("--" + name.replace("_", "-"),))
+            if "action" not in keywords:
+                keywords["type"] = caster
+            sub.add_argument(*flags, dest=name, required=default is _REQUIRED, default=_SUPPRESS, help=help_text, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, _, _, defaults = _COMMANDS[args.command]
     try:
-        opts = _merge_options(args, _DEFAULTS.get(args.command, {}))
+        opts = _merge_options(args, defaults)
         if args.command in ("simulate", "navigate") and not opts.get("oracle") and not opts.get("model"):
             print("error: a model file is required unless --oracle is given", file=sys.stderr)
             return 2
-        return args.func(opts)
+        return func(opts)
     except (ToolkitError, OSError, ValueError) as exc:  # ValueError: option and dataclass validation
         print(f"error: {exc}", file=sys.stderr)
         return 1

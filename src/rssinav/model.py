@@ -357,11 +357,7 @@ class TrainReport:
 
 
 def write_report_csv(report: TrainReport, sink) -> None:
-    """Export per-epoch losses as CSV rows of (epoch, train_loss, val_loss)."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_report_csv(report, fh)
-        return
+    """Export per-epoch losses to an open text file as CSV rows of (epoch, train_loss, val_loss)."""
     sink.write("epoch,train_loss,val_loss\n")
     for i, (tr, va) in enumerate(zip(report.train_loss, report.val_loss), start=1):
         sink.write(f"{i},{tr!r},{va!r}\n")

@@ -23,6 +23,13 @@ class InvalidState(ToolkitError):
     """nav_step was called on a finished (Done/Aborted) state."""
 
 
+def require_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and positive."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NavConfig:
     """Navigation loop parameters; wheel speeds are nominal feet per second."""
@@ -33,10 +40,11 @@ class NavConfig:
     forward_speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.step_distance <= 0 or self.checkpoint_radius <= 0:
-            raise ValueError("step_distance and checkpoint_radius must be positive")
-        if self.forward_speed <= 0:
-            raise ValueError("forward_speed must be positive")
+        require_positive(
+            step_distance=self.step_distance, checkpoint_radius=self.checkpoint_radius, forward_speed=self.forward_speed
+        )
+        if not self.max_consecutive_misses >= 0:
+            raise ValueError(f"max_consecutive_misses must be >= 0, got {self.max_consecutive_misses}")
         # a step no longer than the detection band (2 * radius) cannot jump
         # over a checkpoint along its approach axis
 
@@ -57,13 +65,16 @@ class DrivetrainCalibration:
     turn_90_duration: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.turn_speed <= 0 or self.turn_90_duration <= 0:
-            raise ValueError("turn_speed and turn_90_duration must be positive")
+        require_positive(turn_speed=self.turn_speed, turn_90_duration=self.turn_90_duration)
+        if not math.isfinite(self.veer_bias):
+            raise ValueError(f"veer_bias must be finite, got {self.veer_bias}")
 
 
 @dataclass(frozen=True)
 class DriveCommand:
-    """One wheel-speed command: speeds in nominal ft/s, duration in seconds."""
+    """One wheel-speed command: speeds in nominal ft/s, duration in seconds,
+    at most an hour (a longer or non-finite one could not be integrated in
+    substeps)."""
 
     left_speed: float
     right_speed: float
@@ -71,8 +82,8 @@ class DriveCommand:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+        if not 0 <= self.duration <= 3600:
+            raise ValueError(f"duration must be in [0, 3600] s, got {self.duration}")
 
 
 class Mode(Enum):

@@ -164,7 +164,11 @@ class GridMap:
 
     @classmethod
     def load(cls, path) -> "GridMap":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MapFormatError(f"map file {path} is not UTF-8 text: {exc}") from exc
+        return cls.from_text(text)
 
 
 @dataclass(frozen=True)
@@ -292,11 +296,7 @@ def extract_checkpoints(path: PlannedPath, initial_heading: Heading) -> tuple[Ch
 
 
 def write_plan_csv(checkpoints, sink) -> None:
-    """Export a checkpoint plan as CSV rows of (ix, iy, action)."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_plan_csv(checkpoints, fh)
-        return
+    """Export a checkpoint plan to an open text file as CSV rows of (ix, iy, action)."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["ix", "iy", "action"])
     for cp in checkpoints:

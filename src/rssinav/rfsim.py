@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OutOfBounds, ToolkitError
 from .model import ModelBundle, NoKnownAccessPoints, predict_position
-from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
+from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, require_positive
 from .planner import GridMap, MapFormatError, astar, extract_checkpoints, first_segment_heading
 from .scan_ingest import _MAC_RE, RSSI_FLOOR, ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
 
@@ -314,8 +314,9 @@ def run_trial(
     the event log on demand).  The trial ends on Done, Aborted, or after
     ``max_fixes`` fixes.  Success means Done with the true position within
     ``success_radius`` feet of the goal center and no substep off walkable
-    cells.
+    cells.  ``success_radius`` and ``scan_period`` must be finite and positive.
     """
+    require_positive(success_radius=success_radius, scan_period=scan_period)
     if bundle is None and not oracle:
         raise ValueError("a model bundle is required unless oracle localization is enabled")
     config = nav_config or NavConfig()

@@ -344,7 +344,8 @@ def read_scan_directory(
     Files are named ``<x>_<y>_<rep>.txt``; repeated scans of one location are
     aggregated unless ``aggregate`` is False.  Returns the snapshots (ordered
     by location, then repetition) together with a list of per-file errors;
-    files that fail to parse are reported, not silently dropped.
+    files that fail to parse or are not UTF-8 text are reported, not
+    silently dropped.
     """
     directory = Path(directory)
     groups: dict[tuple[float, float], list[tuple[int, Path]]] = {}
@@ -363,6 +364,9 @@ def read_scan_directory(
                 entries = parse_scan_text(path.read_text(encoding="utf-8"))
             except ToolkitError as exc:
                 errors.append((path, exc))
+                continue
+            except UnicodeDecodeError as exc:
+                errors.append((path, ToolkitError(f"scan file is not UTF-8 text: {exc}")))
                 continue
             if allowlist is not None:
                 entries = filter_by_ssid(entries, allowlist)

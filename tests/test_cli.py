@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 
 import pytest
 
@@ -71,10 +72,14 @@ class TestIngest:
     def test_malformed_file_named_in_diagnostics(self, tmp_path, capsys):
         scans = write_scan_dir(tmp_path)
         bad = scans / "1_1_0.txt"
-        bad.write_text(ONE_CELL.format(i=1, level=-50) * 2)  # duplicate MAC
-        assert main(["ingest", str(scans), "-o", str(tmp_path / "ds.csv")]) == 1
-        assert "1_1_0.txt" in capsys.readouterr().err
-        assert not (tmp_path / "ds.csv").exists()
+        duplicate_mac = ONE_CELL.format(i=1, level=-50) * 2
+        latin1_essid = ONE_CELL.format(i=1, level=-50).replace("CSU Net", "CSU\xffNet")
+        for content in (duplicate_mac.encode(), latin1_essid.encode("latin-1")):
+            bad.write_bytes(content)
+            assert main(["ingest", str(scans), "-o", str(tmp_path / "ds.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(str(bad) + ": ")  # listed with the per-file errors
+            assert not (tmp_path / "ds.csv").exists()
 
 
 class TestTrainEvaluate:
@@ -229,6 +234,11 @@ class TestValidationErrors:
             (["train", "{nan_dataset}", "-o", "{out}"], "line 2: non-finite number 'nan'"),
             (["simulate", "{inf_world}", "--oracle", "-o", "{out}"], "non-finite number 'inf'"),
             (["simulate", "{world}", "--oracle", "--noise-sigma", "1e308", "-o", "{out}"], "noise_sigma must be in"),
+            (["simulate", "{world}", "--oracle", "--success-radius", "nan", "-o", "{out}"], "success_radius must be positive"),
+            (["simulate", "{world}", "--oracle", "--checkpoint-radius", "nan", "-o", "{out}"], "checkpoint_radius must be positive"),
+            (["navigate", "{world}", "--oracle", "--scan-period", "nan", "--out-prefix", "{out}"], "scan_period must be positive"),
+            (["navigate", "{world}", "--oracle", "--max-misses", "-1", "--out-prefix", "{out}"], "max_consecutive_misses must be"),
+            (["plan", "{latin1_map}", "--start", "0,0", "--goal", "1,0", "-o", "{out}"], "map file {latin1_map} is not UTF-8"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):
@@ -239,24 +249,45 @@ class TestValidationErrors:
         nan_dataset.write_text("\n".join([lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:]) + "\n")
         inf_world = root / "inf_world.txt"
         inf_world.write_text(world.read_text().replace(" -40 3 2\n", " inf 3 2\n", 1))
-        paths = dict(world=world, dataset=dataset, out=out, nan_dataset=nan_dataset, inf_world=inf_world)
+        latin1_map = root / "latin1_map.txt"
+        latin1_map.write_bytes(b"2 1 1\n..\n# caf\xe9\n")
+        paths = dict(world=world, dataset=dataset, out=out, nan_dataset=nan_dataset, inf_world=inf_world, latin1_map=latin1_map)
         argv = [a.format(**paths) for a in args]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert err.startswith("error: ") and message.format(**paths) in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 
+_NAV_FLAGS = ["--checkpoint-radius", "--config", "--goal", "--max-misses", "--noise-sigma", "--oracle", "--scan-period", "--seed"]
+_NAV_FLAGS += ["--start", "--step-distance", "--success-radius"]
+
+# each subcommand's long flags, as its --help lists them
+LONG_FLAGS = {
+    "ingest": ["--config", "--no-aggregate", "--output", "--ssid"],
+    "select-features": ["--config", "--min-presence", "--output", "--threshold"],
+    "train": ["--batch-size", "--config", "--epochs", "--learning-rate", "--min-presence", "--optimizer", "--output", "--ratio"]
+    + ["--report", "--seed", "--threshold", "--validation-split"],
+    "evaluate": ["--config", "--output"],
+    "plan": ["--config", "--goal", "--heading", "--output", "--start"],
+    "make-world": ["--config", "--noise-sigma", "--output", "--world-seed"],
+    "make-dataset": ["--config", "--noise-sigma", "--output", "--resamples", "--seed"],
+    "simulate": sorted(_NAV_FLAGS + ["--output", "--trials"]),
+    "navigate": sorted(_NAV_FLAGS + ["--out-prefix"]),
+}
+
+
 class TestHelp:
-    @pytest.mark.parametrize(
-        "command",
-        ["ingest", "select-features", "train", "evaluate", "plan", "make-world", "make-dataset", "simulate", "navigate"],
-    )
+    @pytest.mark.parametrize("command", list(LONG_FLAGS))
     def test_every_subcommand_documents_its_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main([command, "--help"])
         assert exc_info.value.code == 0
-        assert "--config" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--config" in out
+        invocations = re.findall(r"^  (-\S.*?)(?: {2,}|$)", out, re.M)  # the option lines, without their help
+        flags = {flag for line in invocations for flag in re.findall(r"--[a-z][a-z-]*", line)} - {"--help"}
+        assert sorted(flags) == LONG_FLAGS[command]
 
 
 class TestConfigFile:
@@ -275,3 +306,49 @@ class TestConfigFile:
         config.write_text("epohcs = 10\n")
         assert main(["train", str(dataset), "-o", str(tmp_path / "m.bin"), "--config", str(config)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, setting, flags",
+        [
+            ("simulate", "oracle = yes", ["--oracle"]),
+            ("ingest", "aggregate = no", ["--no-aggregate"]),
+            ("ingest", "ssid = CSU Net, Other", ["--ssid", "CSU Net", "--ssid", "Other"]),
+            ("train", "trials = 5\nepochs = 3", ["--epochs", "3"]),  # trials is simulate's key: train ignores it
+        ],
+    )
+    def test_config_key_acts_like_its_flag(self, workspace, tmp_path, capsys, command, setting, flags):
+        _, world, dataset, _ = workspace
+        scans = write_scan_dir(tmp_path)
+        for ssid, mac in (("Hotspot", "99:00:00:00:00:01"), ("Other", "99:00:00:00:00:02")):
+            (scans / f"9_9_{mac[-1]}.txt").write_text(f'Cell 01 - Address: {mac}\nESSID:"{ssid}"\nSignal level=-30 dBm\n')
+        config = tmp_path / "run.conf"
+        config.write_text(setting + "\n")
+        out = tmp_path / "out.csv"
+        argv = {"simulate": [str(world), "--trials", "2"], "ingest": [str(scans)], "train": [str(dataset)]}[command]
+
+        def run(extra):
+            out.unlink(missing_ok=True)
+            code = main([command, *argv, "-o", str(out), *extra])
+            return code, capsys.readouterr().out, out.read_bytes() if out.exists() else None
+
+        from_config = run(["--config", str(config)])
+        assert from_config[0] == 0
+        assert from_config == run(flags)
+        assert from_config != run([])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"output = x\n", "unknown config key 'output'"),  # a path flag, not a key
+            (b"# setup\nepochs = ten\n", "{config}:2: bad value for epochs"),
+            (b"epochs = 3 # caf\xe9\n", "cannot read config file {config}"),
+        ],
+    )
+    def test_bad_config_is_one_error_line(self, workspace, tmp_path, capsys, text, message):
+        _, _, dataset, _ = workspace
+        config = tmp_path / "bad.conf"
+        config.write_bytes(text)
+        assert main(["train", str(dataset), "-o", str(tmp_path / "m.bin"), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message.format(config=config) in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.conf"]

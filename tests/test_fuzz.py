@@ -1,7 +1,7 @@
 """Byte-level fuzzing of the file parsers: any mutation or truncation of a
-valid dataset CSV, world file, model file or scan capture must either load
-or raise a ToolkitError, never a bare ValueError, UnicodeDecodeError,
-OverflowError, TypeError or any other exception."""
+valid dataset CSV, world file, model file, scan capture or CLI config file
+must either load or raise a ToolkitError, never a bare ValueError,
+UnicodeDecodeError, OverflowError, TypeError or any other exception."""
 
 import io
 import tempfile
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rssinav.cli import _parse_config_file
 from rssinav.errors import ToolkitError
 from rssinav.features import FeatureSelection, NormalizationParams
 from rssinav.model import MlpRegressor, TrainConfig, load_model, save_model, train
@@ -70,6 +71,33 @@ def _model_file() -> bytes:
 VALID_CSV = _dataset_csv()
 VALID_WORLD = _world_file()
 VALID_MODEL = _model_file()
+# sets every config key once
+VALID_CONFIG = b"""# every key
+ssid = CSU Net, CSU Visitor
+aggregate = no
+threshold = 0.24
+min_presence = 0.5
+ratio = 0.75
+epochs = 700
+validation_split = 0.1
+batch_size = 16
+learning_rate = 0.001
+optimizer = adam
+seed = 3
+heading = E
+start = 0,0
+goal = 11,3
+trials = 100
+oracle = yes
+noise_sigma = 2
+success_radius = 2
+scan_period = 2
+step_distance = 2
+checkpoint_radius = 1.5
+max_misses = 10
+resamples = 3
+world_seed = 7
+"""
 VALID_SCAN = render_scan_text(ScanSnapshot((ScanEntry("02:00:00:00:00:01", "LabNet", -61),))).encode("utf-8")
 
 
@@ -95,6 +123,8 @@ def test_valid_inputs_load(scratch_file):
     scratch_file.write_bytes(VALID_MODEL)
     assert load_model(scratch_file).model.input_width == 2
     assert _parse_scan_bytes(VALID_SCAN) == [ScanEntry("02:00:00:00:00:01", "LabNet", -61)]
+    scratch_file.write_bytes(VALID_CONFIG)
+    assert len(_parse_config_file(str(scratch_file))) == VALID_CONFIG.count(b"=") == 24
 
 
 _FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -116,6 +146,12 @@ def test_mutated_world_file_raises_only_toolkit_errors(scratch_file, data):
 @given(data=mutations(VALID_MODEL))
 def test_mutated_model_file_raises_only_toolkit_errors(scratch_file, data):
     _load_or_toolkit_error(load_model, scratch_file, data)
+
+
+@_FUZZ
+@given(data=mutations(VALID_CONFIG))
+def test_mutated_config_file_raises_only_toolkit_errors(scratch_file, data):
+    _load_or_toolkit_error(lambda path: _parse_config_file(str(path)), scratch_file, data)
 
 
 def _parse_scan_bytes(data: bytes):

@@ -127,6 +127,40 @@ class TestNavStep:
             NavState.initial((Checkpoint((0, 0), Action.TURN_LEFT_90),), NavConfig(), DrivetrainCalibration())
 
 
+class TestParameterBounds:
+    @pytest.mark.parametrize(
+        "make, kwargs, message",
+        [
+            (NavConfig, dict(step_distance=math.inf), "step_distance must be positive and finite"),
+            (NavConfig, dict(step_distance=math.nan), "step_distance must be positive and finite"),
+            (NavConfig, dict(checkpoint_radius=math.nan), "checkpoint_radius must be positive and finite"),
+            (NavConfig, dict(forward_speed=0.0), "forward_speed must be positive and finite"),
+            (NavConfig, dict(max_consecutive_misses=-1), "max_consecutive_misses must be >= 0"),
+            (DrivetrainCalibration, dict(turn_speed=math.inf), "turn_speed must be positive and finite"),
+            (DrivetrainCalibration, dict(turn_90_duration=math.nan), "turn_90_duration must be positive and finite"),
+            (DrivetrainCalibration, dict(veer_bias=math.inf), "veer_bias must be finite"),
+            (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=math.inf), "duration must be in"),
+            (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=math.nan), "duration must be in"),
+            (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=3600.5), "duration must be in"),
+            (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=-0.5), "duration must be in"),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, make, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make(**kwargs)
+
+    def test_commands_too_long_to_integrate_rejected(self):
+        # finite, but about 1e300 s: too long to integrate in 0.01 s substeps
+        with pytest.raises(ValueError, match="duration must be in"):
+            forward_command(NavConfig(step_distance=1e300), DrivetrainCalibration())
+        with pytest.raises(ValueError, match="duration must be in"):
+            turn_command("left", DrivetrainCalibration(turn_90_duration=1e300))
+
+    def test_bounds_are_inclusive(self):
+        assert DriveCommand(1.0, 1.0, 3600.0).duration == 3600.0
+        assert NavConfig(max_consecutive_misses=0).max_consecutive_misses == 0
+
+
 def run_ideal(plan, start, heading, config=None, max_steps=500):
     """Oracle executor: exact fixes, exact kinematics (unit gains)."""
     config = config or NavConfig()

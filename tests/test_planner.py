@@ -94,6 +94,13 @@ class TestGridMap:
         with pytest.raises(MapFormatError):
             GridMap.from_text("2 1 1\n.x\n")
 
+    def test_non_utf8_file_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_bytes(b"2 1 1\n.\xff\n")
+        with pytest.raises(MapFormatError, match="not UTF-8") as exc_info:
+            GridMap.load(path)
+        assert str(path) in str(exc_info.value)
+
     def test_cell_geometry(self):
         grid = GridMap(4, 4, 2.0)
         assert grid.cell_center((1, 2)) == (3.0, 5.0)

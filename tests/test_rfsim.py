@@ -7,7 +7,7 @@ import pytest
 
 from rssinav.errors import OutOfBounds
 from rssinav.model import TrainConfig
-from rssinav.navctl import DriveCommand, DrivetrainCalibration, NavConfig
+from rssinav.navctl import DriveCommand, DrivetrainCalibration, NavConfig, turn_command
 from rssinav.planner import GridMap, NoPath
 from rssinav.rfsim import (
     REFERENCE_GOAL,
@@ -185,6 +185,25 @@ class TestTrials:
     def test_zero_trials_rejected(self, ref_world):
         with pytest.raises(ValueError):
             corner_success_rate(ref_world, None, trials=0, oracle=True)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(success_radius=math.nan), "success_radius must be positive and finite"),
+            (dict(success_radius=0.0), "success_radius must be positive and finite"),
+            (dict(scan_period=math.inf), "scan_period must be positive and finite"),
+            (dict(scan_period=math.nan), "scan_period must be positive and finite"),
+        ],
+    )
+    def test_invalid_trial_parameters_rejected(self, ref_world, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_trial(ref_world, None, REFERENCE_START, REFERENCE_GOAL, oracle=True, **kwargs)
+
+    def test_huge_wheel_base_turn_is_rejected(self, ref_world):
+        # a 90-degree pivot of about 1.6e300 s, too long to integrate in 0.01 s substeps
+        calibration = default_calibration(replace(ref_world.robot, wheel_base=1e300))
+        with pytest.raises(ValueError, match="duration must be in"):
+            turn_command("left", calibration)
 
     def test_oracle_corner_rate_high(self, ref_world):
         rate, results = corner_success_rate(ref_world, None, trials=3, base_seed=0, oracle=True)

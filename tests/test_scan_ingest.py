@@ -298,3 +298,11 @@ class TestScanDirectory:
         assert len(errors) == 1 and errors[0][0].name == "0_0_0.txt"
         assert isinstance(errors[0][1], DuplicateMac)
         assert [s.location for s in snapshots] == [(1.0, 0.0)]
+
+    def test_non_utf8_file_is_a_per_file_error(self, tmp_path):
+        (tmp_path / "0_0_0.txt").write_bytes(ONE_CELL.replace("CSU Net", "CSU\xffNet").encode("latin-1"))  # a Latin-1 ESSID
+        (tmp_path / "1_0_0.txt").write_text(ONE_CELL)
+        snapshots, errors = read_scan_directory(tmp_path)
+        assert len(errors) == 1 and errors[0][0].name == "0_0_0.txt"
+        assert isinstance(errors[0][1], ToolkitError) and "not UTF-8" in str(errors[0][1])
+        assert [s.location for s in snapshots] == [(1.0, 0.0)]
