@@ -75,13 +75,20 @@ class FeatureSelection:
     threshold: float
 
 
+def _require_fraction(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is a number in [0, 1] (NaN is not)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
 def select_features(dataset: FingerprintDataset, threshold: float = DEFAULT_PCC_THRESHOLD) -> FeatureSelection:
     """Keep column c iff |pcc(c, x)| or |pcc(c, y)| reaches the threshold.
 
     Correlations are recorded for every column, kept or not.  Constant
     columns (including the all-zero missing-AP sentinel columns) correlate
-    at 0 and are dropped for any threshold > 0.
+    at 0 and are dropped for any threshold > 0.  The threshold must be in [0, 1].
     """
+    _require_fraction("threshold", threshold)
     if dataset.n_rows < 2:
         raise TooFewSamples("feature selection needs at least 2 rows")
     pcc_x: dict[str, float] = {}
@@ -102,7 +109,9 @@ def columns_with_presence(dataset: FingerprintDataset, min_fraction: float) -> t
     """Columns observed (non-sentinel) in at least ``min_fraction`` of rows.
 
     Optional pre-filter; correlation selection is the default path.
+    ``min_fraction`` must be in [0, 1].
     """
+    _require_fraction("min_presence", min_fraction)
     if dataset.n_rows == 0:
         raise EmptyDataset("presence filter needs rows")
     present = (dataset.rssi != 0.0).mean(axis=0)

@@ -342,6 +342,8 @@ class TrainConfig:
             raise ValueError("validation_split must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -418,6 +420,7 @@ def validation_counts(n: int, fraction: float) -> tuple[int, int]:
     return n - n_val, n_val
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run ends on DivergenceDetected alone
 def train(model: MlpRegressor, inputs, targets, config: TrainConfig) -> TrainReport:
     """Seeded minibatch training on normalized data.
 

@@ -209,9 +209,9 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> PlannedPath:
             raise OutOfBounds(f"{name} cell {cell} is outside the {grid.width}x{grid.height} grid")
         if not grid.is_walkable(cell):
             raise BlockedEndpoint(f"{name} cell {cell} is not walkable")
-    start = (int(start[0]), int(start[1]))
-    goal = (int(goal[0]), int(goal[1]))
+    start, goal = (int(start[0]), int(start[1])), (int(goal[0]), int(goal[1]))
 
+    walkable, width, height = grid.walkable.tolist(), grid.width, grid.height
     counter = 0
     h0 = manhattan(start, goal)
     frontier: list[tuple[int, int, int, Cell]] = [(h0, h0, counter, start)]
@@ -230,11 +230,11 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> PlannedPath:
                 cells.append(current)
             return PlannedPath(tuple(reversed(cells)))
         for dx, dy in _NEIGHBORS:
-            neighbor = (current[0] + dx, current[1] + dy)
-            if not grid.is_walkable(neighbor) or neighbor in closed:
+            nx, ny = neighbor = (current[0] + dx, current[1] + dy)
+            if not (0 <= nx < width and 0 <= ny < height and walkable[ny][nx]) or neighbor in closed:
                 continue
             tentative = g_score[current] + 1
-            if tentative < g_score.get(neighbor, np.iinfo(np.int64).max):
+            if tentative < g_score.get(neighbor, math.inf):
                 g_score[neighbor] = tentative
                 came_from[neighbor] = current
                 h = manhattan(neighbor, goal)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +109,6 @@ def with_noise_sigma(world: SimWorld, sigma: float) -> SimWorld:
     return replace(world, aps=tuple(replace(ap, noise_sigma=sigma) for ap in world.aps))
 
 
-def _scan_rng(seed: int, draw_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed & _SEED_MASK, draw_index & _SEED_MASK])
-
-
 def simulate_scan(world: SimWorld, position: tuple[float, float], draw_index: int = 0, seed: int | None = None) -> ScanSnapshot:
     """One scan at a position: an entry per AP, deterministic in (seed, draw_index).
 
@@ -122,12 +119,13 @@ def simulate_scan(world: SimWorld, position: tuple[float, float], draw_index: in
     x, y = float(position[0]), float(position[1])
     if not world.grid.contains_point(x, y):
         raise OutOfBounds(f"scan position ({x}, {y}) is outside the map")
-    rng = _scan_rng(world.rng_seed if seed is None else seed, draw_index)
+    seeds = [(world.rng_seed if seed is None else seed) & _SEED_MASK, draw_index & _SEED_MASK]  # default_rng(seeds)'s stream
+    noise = np.random.Generator(np.random.PCG64(seeds)).standard_normal(len(world.aps)).tolist()
     entries = []
-    for ap in world.aps:
+    for ap, z in zip(world.aps, noise):
         d = max(math.hypot(x - ap.position[0], y - ap.position[1]), world.reference_distance)
         level = ap.p0 - 10.0 * ap.path_loss_exponent * math.log10(d / world.reference_distance)
-        level += ap.noise_sigma * rng.standard_normal()
+        level += ap.noise_sigma * z
         rssi = math.floor(min(0.0, max(RSSI_FLOOR, level + 0.5)))
         entries.append(ScanEntry(ap.mac, ap.ssid, rssi))
     return ScanSnapshot(tuple(entries))
@@ -265,29 +263,44 @@ class TrialResult:
 
     @property
     def trajectory(self) -> list[tuple[float, float, float]]:
-        """(x, y, heading): the start pose, then the pose after every
-        integration substep, replayed from the command events."""
+        """(x, y, heading): the start pose, then the pose after every integration
+        substep, replayed from the command events through ``_command_poses``."""
         poses = [self.robot.pose]
         for kind, _, command in self.events:
             if kind == "command":
-                poses.extend(_command_poses(self.robot, command, poses[-1]))
+                poses.extend(zip(*_command_poses(self.robot, command, poses[-1])[:, 1:].tolist()))
         return poses
 
 
-def _command_poses(robot: SimRobot, command: DriveCommand, pose):
-    """Yield the pose after each substep of at most 0.01 s of ``command``,
-    driven from ``pose`` on ``robot``'s drivetrain; the heading is wrapped to
-    (-pi, pi] after every turning substep."""
+@lru_cache(maxsize=8)
+def _substep_lengths(duration: float) -> np.ndarray:
+    """The substeps of a ``duration``-second command: 0.01 s each, then the remainder."""
+    steps, remaining = [], duration
+    while remaining > 1e-12:
+        steps.append(min(_SUBSTEP, remaining))
+        remaining -= steps[-1]
+    return np.frombuffer(np.array(steps).tobytes())  # read-only: the cache hands it to every caller
+
+
+def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
+    """Rows x, y, heading: ``pose``, then the pose after each substep of ``command``.
+    A straight command (omega == 0) is one ``np.add.accumulate`` along the rows
+    [x0, (v*h) cos(theta), ...] and [y0, (v*h) sin(theta), ...]: it adds in the order
+    of per-substep ``step_robot``, bit for bit.  A turn wraps the heading every substep."""
     v, omega = _body_rates(robot, command)
     x, y, theta = pose
-    remaining = command.duration
-    while remaining > 1e-12:
-        h = min(_SUBSTEP, remaining)
-        x, y, theta = _substep(x, y, theta, v, omega, h)
-        if omega:
-            theta = _wrap_heading(theta)
-        remaining -= h
-        yield x, y, theta
+    h = _substep_lengths(command.duration)
+    if not omega:
+        poses = np.array([[x], [y], [theta]]).repeat(len(h) + 1, axis=1)
+        np.multiply.outer((math.cos(theta), math.sin(theta)), v * h, out=poses[:2, 1:])
+        np.add.accumulate(poses[:2], axis=1, out=poses[:2])
+        return poses
+    poses = [pose]
+    for dt in h.tolist():
+        x, y, theta = _substep(x, y, theta, v, omega, dt)
+        theta = _wrap_heading(theta)
+        poses.append((x, y, theta))
+    return np.array(poses).T
 
 
 def run_trial(
@@ -310,11 +323,12 @@ def run_trial(
     segment.  Each iteration simulates a scan at the true pose, produces a
     fix (the model's estimate, or the true position when ``oracle``), feeds
     it to the navigation state machine and integrates the emitted command in
-    substeps of at most 0.01 s (``TrialResult.trajectory`` replays them from
-    the event log on demand).  The trial ends on Done, Aborted, or after
-    ``max_fixes`` fixes.  Success means Done with the true position within
-    ``success_radius`` feet of the goal center and no substep off walkable
-    cells.  ``success_radius`` and ``scan_period`` must be finite and positive.
+    substeps of at most 0.01 s with ``_command_poses`` (a straight one in one
+    accumulate, bit-identical to the per-substep loop), checking them all for
+    walkable cells at once.  The trial ends on Done, Aborted, or after ``max_fixes``
+    fixes.  Success means Done with the true position within ``success_radius`` ft
+    of the goal center and no substep off walkable cells; ``success_radius`` and
+    ``scan_period`` must be finite and positive.
     """
     require_positive(success_radius=success_radius, scan_period=scan_period)
     if bundle is None and not oracle:
@@ -327,7 +341,7 @@ def run_trial(
     state = NavState.initial(checkpoints, config, cal, world.grid.cell_size)
 
     grid = world.grid
-    walkable = grid.walkable.tolist()
+    limits = np.array([[grid.width], [grid.height]])
     sx, sy = grid.cell_center(start)
     gx, gy = grid.cell_center(goal)
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
@@ -356,10 +370,11 @@ def run_trial(
         state, command = nav_step(state, fix)
         if command is not None:
             events.append(("command", clock, command))
-            for x, y, theta in _command_poses(robot, command, (x, y, theta)):
-                ix, iy = math.floor(x / grid.cell_size), math.floor(y / grid.cell_size)
-                if not (0 <= ix < grid.width and 0 <= iy < grid.height and walkable[iy][ix]):
-                    on_walkable = False
+            poses = _command_poses(robot, command, (x, y, theta))
+            x, y, theta = poses[:, -1].tolist()
+            cells = np.floor(poses[:2] / grid.cell_size)
+            if not (((cells >= 0) & (cells < limits)).all() and grid.walkable[cells[1].astype(int), cells[0].astype(int)].all()):
+                on_walkable = False
             clock += command.duration
         if state.mode is Mode.DONE:
             reason = "done"

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import os
 import re
+import warnings
 
 import pytest
 
@@ -239,6 +241,13 @@ class TestValidationErrors:
             (["navigate", "{world}", "--oracle", "--scan-period", "nan", "--out-prefix", "{out}"], "scan_period must be positive"),
             (["navigate", "{world}", "--oracle", "--max-misses", "-1", "--out-prefix", "{out}"], "max_consecutive_misses must be"),
             (["plan", "{latin1_map}", "--start", "0,0", "--goal", "1,0", "-o", "{out}"], "map file {latin1_map} is not UTF-8"),
+            (["train", "{dataset}", "--learning-rate", "-1", "-o", "{out}"], "learning_rate must be positive and finite, got -1.0"),
+            # diverges at once; numpy's overflow warnings would be errors here
+            (["train", "{dataset}", "--learning-rate", "1e308", "--epochs", "5", "-o", "{out}"], "training loss became non-finite"),
+            (["train", "{dataset}", "--min-presence", "nan", "-o", "{out}"], "min_presence must be in [0, 1], got nan"),
+            (["select-features", "{dataset}", "--min-presence", "1.5", "-o", "{out}"], "min_presence must be in [0, 1], got 1.5"),
+            (["train", "{dataset}", "--threshold", "nan", "-o", "{out}"], "threshold must be in [0, 1], got nan"),
+            (["select-features", "{dataset}", "--threshold", "-0.1", "-o", "{out}"], "threshold must be in [0, 1], got -0.1"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):
@@ -253,10 +262,30 @@ class TestValidationErrors:
         latin1_map.write_bytes(b"2 1 1\n..\n# caf\xe9\n")
         paths = dict(world=world, dataset=dataset, out=out, nan_dataset=nan_dataset, inf_world=inf_world, latin1_map=latin1_map)
         argv = [a.format(**paths) for a in args]
-        assert main(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message.format(**paths) in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestGoldenOutputs:
+    """SHA-256 digests of oracle runs, recorded from the per-substep
+    integration loop that the straight-command accumulate reproduces bit for
+    bit: a change that moves one bit of the kinematics fails here.  Oracle
+    runs use no trained model, so no BLAS result enters them."""
+
+    def test_oracle_simulate_and_navigate_digests(self, tmp_path):
+        world = str(tmp_path / "world.txt")
+        assert main(["make-world", "-o", world]) == 0
+        assert main(["simulate", world, "--oracle", "--trials", "20", "--seed", "0", "-o", str(tmp_path / "sim.csv")]) == 0
+        assert main(["navigate", world, "--oracle", "--seed", "3", "--out-prefix", str(tmp_path / "nav")]) == 0
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("sim.csv", "nav_trajectory.csv")}
+        assert digest == {
+            "sim.csv": "93d8d94b82ac4be557be128d3b094bffbf8435050b39c44cf57f52b31246922c",
+            "nav_trajectory.csv": "7ed51a6420fb9335e3b6aa4fb30c3ca3cc54a0ccf1e74fd29d451f4422967b62",
+        }
 
 
 _NAV_FLAGS = ["--checkpoint-radius", "--config", "--goal", "--max-misses", "--noise-sigma", "--oracle", "--scan-period", "--seed"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,9 +92,19 @@ class TestSelect:
         sel = select_features(ds, threshold=0.0)
         assert sel.kept_columns == (M1, M2)  # constant column has r = 0 >= 0
 
-    def test_threshold_above_one_keeps_none(self):
+    def test_threshold_above_one_rejected(self):
         ds = make_dataset([M1], [[-50], [-60], [-40]], [0, 1, 2], [2, 1, 0])
-        assert select_features(ds, threshold=1.01).kept_columns == ()
+        assert select_features(ds, threshold=1.0).kept_columns == ()  # |r| = 0.5
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got 1.01"):
+            select_features(ds, threshold=1.01)
+
+    @pytest.mark.parametrize("value", [math.nan, -0.01, 1.5, math.inf])
+    def test_fractions_outside_zero_one_rejected(self, value):
+        ds = make_dataset([M1], [[-50], [-60], [-40]], [0, 1, 2], [2, 1, 0])
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            select_features(ds, threshold=value)
+        with pytest.raises(ValueError, match=r"min_presence must be in \[0, 1\]"):
+            columns_with_presence(ds, value)
 
     def test_correlation_with_either_axis_suffices(self):
         ys = [0.0, 1.0, 2.0, 3.0]

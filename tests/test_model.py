@@ -423,6 +423,11 @@ class TestTrain:
                 train(model, X, T, TrainConfig(epochs=50, learning_rate=1e308, optimizer="sgd", seed=0))
         assert isinstance(exc_info.value.report, TrainReport)
 
+    @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            TrainConfig(learning_rate=learning_rate)
+
     def test_sgd_optimizer_also_learns(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, (32, 2))

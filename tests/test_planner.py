@@ -138,6 +138,14 @@ class TestAstar:
         with pytest.raises(OutOfBounds):
             astar(GridMap(3, 3), (0, 0), (3, 0))
 
+    @pytest.mark.parametrize("goal", [(0, 2), (2, 0)])
+    def test_neighbors_past_the_edge_do_not_wrap(self, goal):
+        # (0, 0) is walled in; read as list index -1, its west (south) neighbor
+        # would be the open far column (row) leading round to the goal
+        grid = GridMap.from_text("3 3 1\n.#.\n##.\n...\n")
+        with pytest.raises(NoPath):
+            astar(grid, (0, 0), goal)
+
     def test_blocked_endpoint(self):
         grid = GridMap.from_text("2 1 1\n.#\n")
         with pytest.raises(BlockedEndpoint):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rssinav.errors import OutOfBounds
 from rssinav.model import TrainConfig
@@ -29,6 +31,7 @@ from rssinav.rfsim import (
     step_robot,
     with_noise_sigma,
 )
+from rssinav.rfsim import _body_rates, _command_poses
 from rssinav.scan_ingest import RSSI_FLOOR, parse_scan_text
 
 MAC = "02:00:00:00:00:01"
@@ -77,6 +80,19 @@ class TestSimulateScan:
         world = open_world([AccessPointSim(MAC, "Net", (0.5, 0.5), p0=-40.0, path_loss_exponent=3.0, noise_sigma=0.0)])
         levels = [simulate_scan(world, (0.5 + d, 0.5)).rssi_by_mac()[MAC] for d in (1.5, 3.0, 5.0, 7.5, 9.0)]
         assert all(a > b for a, b in zip(levels, levels[1:]))
+
+    @pytest.mark.parametrize("seed, draw_index", [(0, 0), (7, 41), (2**63 + 5, 3), (2**64 - 1, 2**70), (123, -1), (-9, -200)])
+    def test_noise_is_one_scalar_draw_per_ap(self, seed, draw_index):
+        aps = [AccessPointSim(f"02:00:00:00:00:0{i}", "Net", (1.0 + i, 2.0), p0=-100.0, noise_sigma=20.0) for i in range(1, 7)]
+        world = open_world(aps)
+        mask = (1 << 63) - 1
+        rng = np.random.default_rng([seed & mask, draw_index & mask])
+        expected = []
+        for ap in aps:
+            d = max(math.hypot(5.0 - ap.position[0], 5.0 - ap.position[1]), 1.0)
+            level = ap.p0 - 10.0 * ap.path_loss_exponent * math.log10(d) + ap.noise_sigma * rng.standard_normal()
+            expected.append(math.floor(min(0.0, max(RSSI_FLOOR, level + 0.5))))
+        assert [entry.rssi for entry in simulate_scan(world, (5.0, 5.0), draw_index, seed).entries] == expected
 
     def test_rendered_text_parses_back_to_the_snapshot(self):
         world = open_world(
@@ -135,6 +151,45 @@ class TestRobotKinematics:
         moved = step_robot(robot, cmd, dt=4.0)
         assert moved.heading == pytest.approx(0.0, abs=1e-9)
         assert moved.y == pytest.approx(0.0, abs=1e-9)
+
+
+def substep_poses(robot, command):
+    """One step_robot call per substep of at most 0.01 s of ``command``: the
+    reference integration path.  Returns the final robot and the poses."""
+    poses = []
+    remaining = command.duration
+    while remaining > 1e-12:
+        h = min(0.01, remaining)
+        robot = step_robot(robot, command, h)
+        remaining -= h
+        poses.append(robot.pose)
+    return robot, poses
+
+
+def bits(poses):
+    return [tuple(value.hex() for value in pose) for pose in poses]
+
+
+class TestStraightIntegrator:
+    # 0.1234 s ends on a 0.0034 s substep; 1e-13 s and 0 s have no substeps
+    @pytest.mark.parametrize("duration", [2.0, 0.37, 0.005, 1e-13, 0.0, 0.1234, None])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=st.floats(-100.0, 100.0),
+        y=st.floats(-100.0, 100.0),
+        heading=st.floats(-math.pi, math.pi),
+        speed=st.floats(-5.0, 5.0),
+        left=st.floats(0.5, 1.5),
+        right=st.floats(0.5, 1.5),
+        drawn=st.floats(0.0, 3.0),
+    )
+    def test_accumulate_matches_per_substep_step_robot(self, duration, x, y, heading, speed, left, right, drawn):
+        robot = SimRobot(x, y, heading, wheel_base=0.4, left_scale=left, right_scale=right)
+        veer = default_calibration(robot).veer_bias
+        command = DriveCommand(speed, speed * (1.0 + veer), drawn if duration is None else duration, "forward")
+        assert _body_rates(robot, command)[1] == 0.0  # veer-compensated, so the straight branch
+        _, expected = substep_poses(robot, command)
+        assert bits(zip(*_command_poses(robot, command, robot.pose).tolist())) == bits([robot.pose] + expected)
 
 
 class TestSyntheticDataset:
@@ -231,12 +286,8 @@ def replay_substeps(world, result):
     assert robot == replace(world.robot, x=robot.x, y=robot.y, heading=robot.heading)
     poses = [robot.pose]
     for command in [payload for kind, _, payload in result.events if kind == "command"]:
-        remaining = command.duration
-        while remaining > 1e-12:
-            h = min(0.01, remaining)
-            robot = step_robot(robot, command, h)
-            remaining -= h
-            poses.append(robot.pose)
+        robot, substeps = substep_poses(robot, command)
+        poses.extend(substeps)
     return robot, poses
 
 
@@ -273,6 +324,52 @@ class TestTrialReplay:
         _, poses = replay_substeps(world, result)
         assert result.trajectory == poses
         assert any(not grid.is_walkable(grid.cell_of(x, y)) for x, y, _ in poses) == reason.endswith("+left_walkable")
+
+    @staticmethod
+    def l_route(turn_scale, pillar=False):
+        """An oracle run east along row 0 and north up column 8 (the only
+        route) to (8, 9); column 7 is open beside it from row 2, except for
+        (7, 5) when ``pillar``.  A turn ``turn_scale`` times the calibrated one
+        sends the straight legs after it north-west into column 7."""
+        rows = ["." * 9, "#" * 8 + "."] + ["#" * 7 + ".."] * 8
+        if pillar:
+            rows[5] = "#" * 8 + "."
+        grid = GridMap.from_text("9 10 1\n" + "\n".join(rows) + "\n")
+        robot = SimRobot(wheel_base=0.4)
+        world = SimWorld(grid, (AccessPointSim(MAC, "Net", (4.5, 0.5)),), robot)
+        cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=turn_scale * default_calibration(robot).turn_90_duration)
+        result = run_trial(world, None, (0, 0), (8, 9), oracle=True, calibration=cal)
+        for command in [payload for kind, _, payload in result.events if kind == "command"]:
+            assert command.reason != "forward" or _body_rates(robot, command)[1] == 0.0
+        _, poses = replay_substeps(world, result)
+        assert result.trajectory == poses
+        return grid, result
+
+    def test_pillar_crossed_inside_a_straight_leg(self):
+        grid, result = self.l_route(1.1)
+        assert result.reason == "done"
+        assert (7, 5) in {grid.cell_of(x, y) for x, y, _ in result.trajectory}
+        grid, result = self.l_route(1.1, pillar=True)
+        assert result.reason == "done+left_walkable"
+        # every leg starts and ends on a walkable cell: only its inside crosses the pillar
+        assert all(grid.is_walkable(grid.cell_of(*payload[0])) for kind, _, payload in result.events if kind == "fix")
+        assert grid.is_walkable(grid.cell_of(*result.trajectory[-1][:2]))
+
+    def test_straight_leg_off_the_map(self):
+        grid, result = self.l_route(1.2)
+        assert result.reason == "left_map+left_walkable"
+        assert result.trajectory[-1][1] > grid.height
+
+    def test_veering_leg_off_the_map(self):
+        # a one-row corridor and an uncompensated right veer: a turning-branch
+        # leg drifts south off the map, into row -1
+        grid = GridMap.from_text("10 1 1\n..........\n")
+        robot = SimRobot(wheel_base=0.4, right_scale=0.98)
+        world = SimWorld(grid, (AccessPointSim(MAC, "Net", (5.0, 0.5)),), robot)
+        cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=default_calibration(robot).turn_90_duration)
+        result = run_trial(world, None, (0, 0), (8, 0), oracle=True, calibration=cal)
+        assert result.reason == "left_map+left_walkable"
+        assert result.trajectory[-1][1] < 0.0
 
 
 class TestWorldFile:
