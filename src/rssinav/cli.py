@@ -4,24 +4,22 @@ Subcommands: ingest, select-features, train, evaluate, plan, simulate,
 navigate, plus make-world / make-dataset to produce synthetic inputs.
 Options may come from a ``key = value`` config file (``--config``); explicit
 command-line flags win.  Every command is deterministic given its inputs
-and seeds, and primary outputs are written atomically (temp file + rename)
-so a failed run leaves nothing half-written.
+and seeds; every output goes through the file layer (``fileio``), which
+writes atomically (temp file + rename), so a failed run leaves nothing
+half-written.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import features, model, navctl, planner, rfsim, scan_ingest
 from .errors import ToolkitError
+from .fileio import write_rows
 
 _SUPPRESS = argparse.SUPPRESS
 
@@ -84,33 +82,6 @@ def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
         merged.update({k: v for k, v in file_values.items() if k in defaults})
     merged.update(explicit)
     return merged
-
-
-@contextlib.contextmanager
-def _atomic_output(path, binary: bool = False):
-    """Write to a unique temp file next to ``path`` (mode 0o666 less the umask) and rename on success."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    umask = os.umask(0)
-    os.umask(umask)
-    mode = "wb" if binary else "w"
-    try:
-        with open(fd, mode, encoding=None if binary else "utf-8", newline=None if binary else "") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-
-
-def _write_rows(path, header, rows) -> None:
-    """Atomically write a CSV of a header and rows; floats (numpy's too) are
-    written as repr(float), so they round-trip, and None as an empty cell."""
-    with _atomic_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def run_training_pipeline(
@@ -194,8 +165,7 @@ def _trial_options(opts) -> dict:
 
 
 def _write_dataset(dataset: scan_ingest.FingerprintDataset, path) -> int:
-    with _atomic_output(path) as fh:
-        scan_ingest.write_csv(dataset, fh)
+    scan_ingest.write_csv(dataset, path)
     print(f"wrote {dataset.n_rows} rows x {len(dataset.ap_columns)} access-point columns to {path}")
     return 0
 
@@ -232,7 +202,7 @@ def cmd_select_features(opts) -> int:
         print(f" {marker} {mac}  pcc_x={selection.pcc_x[mac]:+.4f}  pcc_y={selection.pcc_y[mac]:+.4f}")
     if opts.get("output"):
         rows = [(mac, int(mac in kept), selection.pcc_x[mac], selection.pcc_y[mac]) for mac in dataset.ap_columns]
-        _write_rows(opts["output"], ["mac", "kept", "pcc_x", "pcc_y"], rows)
+        write_rows(opts["output"], ["mac", "kept", "pcc_x", "pcc_y"], rows)
     return 0
 
 
@@ -249,11 +219,9 @@ def cmd_train(opts) -> int:
     bundle, report, _ = run_training_pipeline(
         dataset, threshold=opts["threshold"], ratio=opts["ratio"], train_config=config, min_presence=opts.get("min_presence")
     )
-    with _atomic_output(opts["output"], binary=True) as fh:
-        model.save_model(bundle.model, bundle.selection, bundle.params, fh)
-    report_path = opts.get("report") or str(opts["output"]) + ".report.csv"
-    with _atomic_output(report_path) as fh:
-        model.write_report_csv(report, fh)
+    model.save_model(bundle.model, bundle.selection, bundle.params, opts["output"])
+    losses = [(i, *pair) for i, pair in enumerate(zip(report.train_loss, report.val_loss), start=1)]
+    write_rows(opts.get("report") or str(opts["output"]) + ".report.csv", ["epoch", "train_loss", "val_loss"], losses)
     print(f"kept columns: {len(bundle.selection.kept_columns)}; epochs: {config.epochs}")
     if report.test_mae_norm is not None:
         print(f"test normalized MAE: {report.test_mae_norm:.4f}")
@@ -268,7 +236,7 @@ def cmd_evaluate(opts) -> int:
     dataset = scan_ingest.read_csv(opts["dataset"])
     mae_norm, mean_ft, rows = evaluate_bundle(bundle, dataset)
     if opts.get("output"):
-        _write_rows(opts["output"], ["x_true", "y_true", "x_pred", "y_pred"], rows)
+        write_rows(opts["output"], ["x_true", "y_true", "x_pred", "y_pred"], rows)
     print(f"rows: {len(rows)}")
     print(f"normalized MAE: {mae_norm:.4f}")
     print(f"mean error: {mean_ft:.2f} ft")
@@ -281,8 +249,7 @@ def cmd_plan(opts) -> int:
     heading = planner.Heading.from_letter(opts["heading"]) if opts.get("heading") else planner.first_segment_heading(path)
     checkpoints = planner.extract_checkpoints(path, heading)
     if opts.get("output"):
-        with _atomic_output(opts["output"]) as fh:
-            planner.write_plan_csv(checkpoints, fh)
+        write_rows(opts["output"], ["ix", "iy", "action"], [(*cp.cell, cp.action.value) for cp in checkpoints])
     print(f"path: {len(path.cells)} cells, cost {path.cost}")
     for cp in checkpoints:
         print(f"  {cp.cell[0]},{cp.cell[1]}  {cp.action.value}")
@@ -291,8 +258,7 @@ def cmd_plan(opts) -> int:
 
 def cmd_make_world(opts) -> int:
     world = rfsim.reference_world(noise_sigma=opts["noise_sigma"], rng_seed=opts["world_seed"])
-    with _atomic_output(opts["output"]) as fh:
-        rfsim.save_world(world, fh)
+    rfsim.save_world(world, opts["output"])
     print(f"wrote reference world ({len(world.grid.walkable_cells())} walkable cells, {len(world.aps)} APs) to {opts['output']}")
     return 0
 
@@ -317,7 +283,7 @@ def cmd_simulate(opts) -> int:
     )
     if opts.get("output"):
         rows = [(i, r.seed, int(r.success), r.final_error, r.reason, *map(len, _trial_logs(r))) for i, r in enumerate(results)]
-        _write_rows(opts["output"], ["trial", "seed", "success", "final_error_ft", "reason", "commands", "fixes"], rows)
+        write_rows(opts["output"], ["trial", "seed", "success", "final_error_ft", "reason", "commands", "fixes"], rows)
     successes = sum(r.success for r in results)
     print(f"success rate: {successes}/{len(results)} = {rate:.2f}")
     return 0
@@ -326,21 +292,14 @@ def cmd_simulate(opts) -> int:
 def cmd_navigate(opts) -> int:
     world = _load_world_with_overrides(opts)
     bundle = None if opts["oracle"] else model.load_model(opts["model"])
-    start = opts.get("start") or rfsim.REFERENCE_START
-    goal = opts.get("goal") or rfsim.REFERENCE_GOAL
-    result = rfsim.run_trial(
-        world,
-        bundle,
-        start,
-        goal,
-        seed=opts["seed"],
-        **_trial_options(opts),
+    _, (result,) = rfsim.corner_success_rate(
+        world, bundle, 1, opts["seed"], opts.get("start"), opts.get("goal"), **_trial_options(opts)
     )
     prefix = opts["out_prefix"]
     commands, fixes = _trial_logs(result)
-    _write_rows(f"{prefix}_trajectory.csv", ["x", "y", "heading"], result.trajectory)
-    _write_rows(f"{prefix}_fixes.csv", ["x_true", "y_true", "x_est", "y_est"], fixes)
-    _write_rows(f"{prefix}_commands.csv", ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
+    write_rows(f"{prefix}_trajectory.csv", ["x", "y", "heading"], result.trajectory)
+    write_rows(f"{prefix}_fixes.csv", ["x_true", "y_true", "x_est", "y_est"], fixes)
+    write_rows(f"{prefix}_commands.csv", ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
     status = "success" if result.success else f"failure ({result.reason})"
     print(f"{status}: final error {result.final_error:.2f} ft after {len(commands)} commands")
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToolkitError
-from .scan_ingest import FingerprintDataset, finite_floats, format_number
+from .scan_ingest import MISSING_RSSI, FingerprintDataset, finite_floats, format_number
 
 DEFAULT_PCC_THRESHOLD = 0.24
 DEFAULT_TRAIN_RATIO = 0.75
@@ -114,7 +114,7 @@ def columns_with_presence(dataset: FingerprintDataset, min_fraction: float) -> t
     _require_fraction("min_presence", min_fraction)
     if dataset.n_rows == 0:
         raise EmptyDataset("presence filter needs rows")
-    present = (dataset.rssi != 0.0).mean(axis=0)
+    present = (dataset.rssi != MISSING_RSSI).mean(axis=0)
     return tuple(mac for j, mac in enumerate(dataset.ap_columns) if present[j] >= min_fraction)
 
 

@@ -1,0 +1,59 @@
+"""The file layer: every output path is written atomically (a unique temp
+file beside it, renamed into place on success, so a failed write leaves any
+old file untouched), and the world, map, dataset and scan text formats are
+decoded from UTF-8 here, with errors that name the file."""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import os
+import tempfile
+from pathlib import Path
+
+
+@contextlib.contextmanager
+def atomic_output(path, binary: bool = False):
+    """Write to a unique temp file next to ``path`` (mode 0o666 less the umask) and rename on success."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = "wb" if binary else "w"
+    try:
+        with open(fd, mode, encoding=None if binary else "utf-8", newline=None if binary else "") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def open_sink(sink, binary: bool = False):
+    """A context manager writing to ``sink``: a path through atomic_output, an open file as is."""
+    return atomic_output(sink, binary) if isinstance(sink, (str, Path)) else contextlib.nullcontext(sink)
+
+
+def write_rows(path, header, rows) -> None:
+    """Atomically write a CSV of a header and rows; floats (numpy's too) are
+    written as repr(float), so they round-trip, and None as an empty cell."""
+    with atomic_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def read_text(source, error, what: str) -> str:
+    """The UTF-8 text of a path with its line endings as written, or what an
+    open text file reads; text that is not UTF-8 raises ``error`` naming
+    ``what`` and the file."""
+    is_path = isinstance(source, (str, Path))
+    try:
+        if not is_path:
+            return source.read()
+        with open(source, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = source if is_path else getattr(source, "name", "stream")
+        raise error(f"{what} {name} is not UTF-8 text: {exc}") from exc

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ToolkitError
+from .fileio import open_sink
 from .features import (
     EmptyDataset,
     FeatureSelection,
@@ -31,7 +32,7 @@ from .features import (
     sidecar_dumps,
     sidecar_loads,
 )
-from .scan_ingest import ScanSnapshot
+from .scan_ingest import MISSING_RSSI, ScanSnapshot
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -358,13 +359,6 @@ class TrainReport:
     test_mean_error_ft: float | None = None
 
 
-def write_report_csv(report: TrainReport, sink) -> None:
-    """Export per-epoch losses to an open text file as CSV rows of (epoch, train_loss, val_loss)."""
-    sink.write("epoch,train_loss,val_loss\n")
-    for i, (tr, va) in enumerate(zip(report.train_loss, report.val_loss), start=1):
-        sink.write(f"{i},{tr!r},{va!r}\n")
-
-
 def _param_names(layer) -> tuple[str, str]:
     """A layer's trainable arrays; in layer order they lay out the flat buffers."""
     return ("weights", "biases") if isinstance(layer, DenseLayer) else ("gamma", "beta")
@@ -516,7 +510,7 @@ def predict_position(bundle: ModelBundle, snapshot: ScanSnapshot) -> PositionEst
     kept = bundle.selection.kept_columns
     if not any(mac in observed for mac in kept):
         raise NoKnownAccessPoints("snapshot contains none of the model's access points")
-    vector = np.array([float(observed.get(mac, 0.0)) for mac in kept])
+    vector = np.array([float(observed.get(mac, MISSING_RSSI)) for mac in kept])
     out = forward(bundle.model, prepare_features(bundle, vector), mode="infer")
     x, y = denormalize_coords(bundle.params, out)
     return PositionEstimate(float(x), float(y))
@@ -547,10 +541,6 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
     selection/normalization sidecar text, and a SHA-256 checksum over
     everything before it.
     """
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as fh:
-            save_model(model, selection, params, fh)
-        return
     header = json.dumps(
         {"arch": _arch_descriptor(model), "input_width": model.input_width, "output_width": model.output_width},
         sort_keys=True,
@@ -566,15 +556,13 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
             body += np.ascontiguousarray(block, dtype="<f8").tobytes()
     body += struct.pack("<I", len(sidecar)) + sidecar
     body += hashlib.sha256(bytes(body)).digest()
-    sink.write(bytes(body))
+    with open_sink(sink, binary=True) as fh:
+        fh.write(bytes(body))
 
 
 def load_model(source) -> ModelBundle:
     """Read a model file back; forward outputs are bit-identical to save time."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return load_model(fh)
-    data = source.read()
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
 
     if len(data) < len(_MAGIC) + 2 or not data.startswith(_MAGIC):
         raise CorruptFile("not a model file (bad magic)")

@@ -10,16 +10,15 @@ east, north, west, south) so plans are reproducible.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import OutOfBounds, ToolkitError
+from .fileio import read_text
 
 Cell = tuple[int, int]
 
@@ -164,11 +163,7 @@ class GridMap:
 
     @classmethod
     def load(cls, path) -> "GridMap":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise MapFormatError(f"map file {path} is not UTF-8 text: {exc}") from exc
-        return cls.from_text(text)
+        return cls.from_text(read_text(path, MapFormatError, "map file"))
 
 
 @dataclass(frozen=True)
@@ -293,11 +288,3 @@ def extract_checkpoints(path: PlannedPath, initial_heading: Heading) -> tuple[Ch
             checkpoints.append(Checkpoint(path.cells[i], _turn_action(directions[i - 1], directions[i])))
     checkpoints.append(Checkpoint(path.cells[-1], Action.STOP))
     return tuple(checkpoints)
-
-
-def write_plan_csv(checkpoints, sink) -> None:
-    """Export a checkpoint plan to an open text file as CSV rows of (ix, iy, action)."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["ix", "iy", "action"])
-    for cp in checkpoints:
-        writer.writerow([cp.cell[0], cp.cell[1], cp.action.value])

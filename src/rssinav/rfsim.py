@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .errors import OutOfBounds, ToolkitError
+from .fileio import open_sink, read_text
 from .model import ModelBundle, NoKnownAccessPoints, predict_position
 from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, require_positive
 from .planner import GridMap, MapFormatError, astar, extract_checkpoints, first_segment_heading
@@ -320,14 +320,15 @@ def run_trial(
     """One closed-loop navigation trial: scan, predict, step, drive.
 
     The robot starts at the start cell center facing along the first path
-    segment.  Each iteration simulates a scan at the true pose, produces a
-    fix (the model's estimate, or the true position when ``oracle``), feeds
-    it to the navigation state machine and integrates the emitted command in
-    substeps of at most 0.01 s with ``_command_poses`` (a straight one in one
-    accumulate, bit-identical to the per-substep loop), checking them all for
-    walkable cells at once.  The trial ends on Done, Aborted, or after ``max_fixes``
-    fixes.  Success means Done with the true position within ``success_radius`` ft
-    of the goal center and no substep off walkable cells; ``success_radius`` and
+    segment.  Each iteration produces a fix (the model's estimate from a scan
+    simulated at the true pose, or the true position when ``oracle``, which
+    simulates no scan), feeds it to the navigation state machine and
+    integrates the emitted command in substeps of at most 0.01 s with
+    ``_command_poses`` (a straight one in one accumulate, bit-identical to the
+    per-substep loop), checking them all for walkable cells at once.  The
+    trial ends on Done, Aborted, or after ``max_fixes`` fixes.  Success means
+    Done with the true position within ``success_radius`` ft of the goal
+    center and no substep off walkable cells; ``success_radius`` and
     ``scan_period`` must be finite and positive.
     """
     require_positive(success_radius=success_radius, scan_period=scan_period)
@@ -356,13 +357,12 @@ def run_trial(
             on_walkable = False
             reason = "left_map"
             break
-        snapshot = simulate_scan(world, (x, y), draw_index=draw_index, seed=seed)
         clock += scan_period
         if oracle:
             fix = (x, y)
         else:
             try:
-                estimate = predict_position(bundle, snapshot)
+                estimate = predict_position(bundle, simulate_scan(world, (x, y), draw_index=draw_index, seed=seed))
                 fix = (estimate.x, estimate.y)
             except NoKnownAccessPoints:
                 fix = None
@@ -376,11 +376,8 @@ def run_trial(
             if not (((cells >= 0) & (cells < limits)).all() and grid.walkable[cells[1].astype(int), cells[0].astype(int)].all()):
                 on_walkable = False
             clock += command.duration
-        if state.mode is Mode.DONE:
-            reason = "done"
-            break
-        if state.mode is Mode.ABORTED:
-            reason = "aborted"
+        if state.mode in (Mode.DONE, Mode.ABORTED):
+            reason = state.mode.value
             break
     final_error = math.hypot(x - gx, y - gy)
     if not on_walkable:
@@ -448,32 +445,27 @@ def reference_world(noise_sigma: float = 2.0, rng_seed: int = 7) -> SimWorld:
 
 
 def save_world(world: SimWorld, sink) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            save_world(world, fh)
-        return
-    sink.write(world.grid.to_text())
-    for ap in world.aps:
-        sink.write(
-            f"ap {ap.mac} {ap.ssid} {format_number(ap.position[0])} {format_number(ap.position[1])} "
-            f"{format_number(ap.p0)} {format_number(ap.path_loss_exponent)} {format_number(ap.noise_sigma)}\n"
+    """Write a world file to an open text file, or atomically to a path."""
+    with open_sink(sink) as fh:
+        fh.write(world.grid.to_text())
+        for ap in world.aps:
+            fh.write(
+                f"ap {ap.mac} {ap.ssid} {format_number(ap.position[0])} {format_number(ap.position[1])} "
+                f"{format_number(ap.p0)} {format_number(ap.path_loss_exponent)} {format_number(ap.noise_sigma)}\n"
+            )
+        r = world.robot
+        fh.write(
+            f"robot {format_number(r.x)} {format_number(r.y)} {r.heading!r} "
+            f"{format_number(r.wheel_base)} {format_number(r.left_scale)} {format_number(r.right_scale)}\n"
         )
-    r = world.robot
-    sink.write(
-        f"robot {format_number(r.x)} {format_number(r.y)} {r.heading!r} "
-        f"{format_number(r.wheel_base)} {format_number(r.left_scale)} {format_number(r.right_scale)}\n"
-    )
-    sink.write(f"seed {world.rng_seed}\n")
-    sink.write(f"refdist {format_number(world.reference_distance)}\n")
+        fh.write(f"seed {world.rng_seed}\n")
+        fh.write(f"refdist {format_number(world.reference_distance)}\n")
 
 
 def load_world(source) -> SimWorld:
-    """Parse a world file; any malformed, non-UTF-8 or non-finite input raises WorldFormatError."""
-    try:
-        text = Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path)) else source.read()
-    except UnicodeDecodeError as exc:
-        raise WorldFormatError(f"world file is not UTF-8 text: {exc}") from exc
-    return _parse_world(text)
+    """Parse a world file from a path or an open text file; any malformed,
+    non-UTF-8 or non-finite input raises WorldFormatError."""
+    return _parse_world(read_text(source, WorldFormatError, "world file"))
 
 
 def _parse_world(text: str) -> SimWorld:

@@ -17,6 +17,7 @@ downstream feature selection has to cope with the sentinel).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ToolkitError
+from .fileio import open_sink, read_text
 
 
 class MalformedCell(ToolkitError):
@@ -272,15 +274,12 @@ def finite_floats(cells) -> list[float]:
 
 
 def write_csv(dataset: FingerprintDataset, sink) -> None:
-    """Write the dataset as CSV: MAC columns, then literal ``x``, ``y``."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_csv(dataset, fh)
-        return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(list(dataset.ap_columns) + ["x", "y"])
-    for vector, x, y in dataset.rows():
-        writer.writerow([format_number(v) for v in vector] + [format_number(x), format_number(y)])
+    """Write the dataset as CSV: MAC columns, then literal ``x``, ``y``; a path is written atomically."""
+    with open_sink(sink) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(dataset.ap_columns) + ["x", "y"])
+        for vector, x, y in dataset.rows():
+            writer.writerow([format_number(v) for v in vector] + [format_number(x), format_number(y)])
 
 
 def read_csv(source) -> FingerprintDataset:
@@ -290,8 +289,7 @@ def read_csv(source) -> FingerprintDataset:
     including text that is not UTF-8, raises SchemaMismatch or RaggedRow.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_csv(fh)
+        source = io.StringIO(read_text(source, SchemaMismatch, "dataset"), newline="")
     try:
         rows = list(csv.reader(source))
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -361,12 +359,9 @@ def read_scan_directory(
         resamples: list[ScanSnapshot] = []
         for _, path in sorted(groups[location]):
             try:
-                entries = parse_scan_text(path.read_text(encoding="utf-8"))
+                entries = parse_scan_text(read_text(path, ToolkitError, "scan file"))
             except ToolkitError as exc:
                 errors.append((path, exc))
-                continue
-            except UnicodeDecodeError as exc:
-                errors.append((path, ToolkitError(f"scan file is not UTF-8 text: {exc}")))
                 continue
             if allowlist is not None:
                 entries = filter_by_ssid(entries, allowlist)

@@ -241,6 +241,8 @@ class TestValidationErrors:
             (["navigate", "{world}", "--oracle", "--scan-period", "nan", "--out-prefix", "{out}"], "scan_period must be positive"),
             (["navigate", "{world}", "--oracle", "--max-misses", "-1", "--out-prefix", "{out}"], "max_consecutive_misses must be"),
             (["plan", "{latin1_map}", "--start", "0,0", "--goal", "1,0", "-o", "{out}"], "map file {latin1_map} is not UTF-8"),
+            (["simulate", "{latin1_world}", "--oracle", "-o", "{out}"], "world file {latin1_world} is not UTF-8"),
+            (["train", "{latin1_dataset}", "-o", "{out}"], "dataset {latin1_dataset} is not UTF-8"),
             (["train", "{dataset}", "--learning-rate", "-1", "-o", "{out}"], "learning_rate must be positive and finite, got -1.0"),
             # diverges at once; numpy's overflow warnings would be errors here
             (["train", "{dataset}", "--learning-rate", "1e308", "--epochs", "5", "-o", "{out}"], "training loss became non-finite"),
@@ -260,7 +262,12 @@ class TestValidationErrors:
         inf_world.write_text(world.read_text().replace(" -40 3 2\n", " inf 3 2\n", 1))
         latin1_map = root / "latin1_map.txt"
         latin1_map.write_bytes(b"2 1 1\n..\n# caf\xe9\n")
+        latin1_world = root / "latin1_world.txt"
+        latin1_world.write_bytes(world.read_bytes().replace(b"LabNet", b"LabN\xe9t", 1))
+        latin1_dataset = root / "latin1_dataset.csv"
+        latin1_dataset.write_bytes(dataset.read_bytes().replace(b"\n", b"\n\xe9", 1))
         paths = dict(world=world, dataset=dataset, out=out, nan_dataset=nan_dataset, inf_world=inf_world, latin1_map=latin1_map)
+        paths.update(latin1_world=latin1_world, latin1_dataset=latin1_dataset)
         argv = [a.format(**paths) for a in args]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -1,0 +1,127 @@
+"""The file layer: library writers leave an existing file untouched when they
+fail, decode errors name the file, and no module but ``fileio`` opens files
+or renames temp files into place."""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rssinav
+from rssinav import rfsim, scan_ingest
+from rssinav.errors import ToolkitError
+from rssinav.features import FeatureSelection
+from rssinav.fileio import read_text
+from rssinav.model import save_model
+from rssinav.rfsim import load_world, reference_world, save_world
+from rssinav.scan_ingest import FingerprintDataset, SchemaMismatch, read_csv, write_csv
+
+from test_model import small_bundle
+
+SRC = Path(rssinav.__file__).parent
+
+
+def raising_after(calls, original):
+    """``original`` for the first ``calls`` calls, then a RuntimeError."""
+    count = [0]
+
+    def wrapper(*args):
+        count[0] += 1
+        if count[0] > calls:
+            raise RuntimeError("formatting failed partway")
+        return original(*args)
+
+    return wrapper
+
+
+def assert_untouched(path, before):
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left beside it
+
+
+class TestFailedWritesLeaveTheOldFile:
+    def test_save_model(self, tmp_path):
+        bundle = small_bundle()
+        path = tmp_path / "model.bin"
+        save_model(bundle.model, bundle.selection, bundle.params, path)
+        before = path.read_bytes()
+        selection = bundle.selection
+        two_kept = FeatureSelection(selection.kept_columns[:2], selection.pcc_x, selection.pcc_y, selection.threshold)
+        assert len(bundle.params.feature_min) == 3
+        with pytest.raises(ValueError, match="not aligned to kept columns"):
+            save_model(bundle.model, two_kept, bundle.params, path)
+        assert_untouched(path, before)
+
+    def test_save_world(self, tmp_path, monkeypatch):
+        path = tmp_path / "world.txt"
+        save_world(reference_world(), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(rfsim, "format_number", raising_after(12, rfsim.format_number))
+        with pytest.raises(RuntimeError, match="partway"):
+            save_world(reference_world(rng_seed=9), path)
+        assert_untouched(path, before)
+
+    def test_write_csv(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        dataset = FingerprintDataset(("AA:00:00:00:00:01",), np.array([[-50.0], [-60.0], [-70.0]]), [1, 2, 3], [4, 5, 6])
+        write_csv(dataset, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(scan_ingest, "format_number", raising_after(4, scan_ingest.format_number))
+        with pytest.raises(RuntimeError, match="partway"):
+            write_csv(dataset, path)
+        assert_untouched(path, before)
+
+
+class TestDecodeErrorsNameTheFile:
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_world(self, tmp_path, as_file):
+        path = tmp_path / "world.txt"
+        path.write_bytes(b"2 2 1\n..\n..\nrobot 1 1 0 0.4 1 1\nap 02:00:00:00:00:01 caf\xe9 1 1 -40 3 2\n")
+        with pytest.raises(rfsim.WorldFormatError, match=re.escape(f"world file {path} is not UTF-8 text")):
+            if as_file:
+                with open(path, encoding="utf-8") as fh:
+                    load_world(fh)
+            else:
+                load_world(path)
+
+    def test_dataset(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"AA:00:00:00:00:01,x,y\n-50,3,\xe97\n")
+        with pytest.raises(SchemaMismatch, match=re.escape(f"dataset {path} is not UTF-8 text")):
+            read_csv(path)
+
+    def test_line_endings_are_kept(self, tmp_path):
+        path = tmp_path / "text"
+        path.write_bytes(b"a\r\nb\rc\n")
+        assert read_text(path, ToolkitError, "text") == "a\r\nb\rc\n"
+
+
+def _file_layer_bypasses(tree: ast.Module) -> list[str]:
+    """Each call of ``open`` or ``os.replace`` and each import of ``tempfile`` in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                found.append(f"line {node.lineno}: open(")
+            if isinstance(func, ast.Attribute) and func.attr == "replace" and isinstance(func.value, ast.Name) and func.value.id == "os":
+                found.append(f"line {node.lineno}: os.replace(")
+        elif isinstance(node, ast.Import) and any(alias.name == "tempfile" for alias in node.names):
+            found.append(f"line {node.lineno}: import tempfile")
+        elif isinstance(node, ast.ImportFrom) and node.module == "tempfile":
+            found.append(f"line {node.lineno}: from tempfile import")
+    return found
+
+
+def test_only_the_file_layer_opens_files():
+    modules = sorted(SRC.glob("*.py"))
+    assert SRC / "fileio.py" in modules and len(modules) > 5
+    bypasses = {p.name: _file_layer_bypasses(ast.parse(p.read_text(encoding="utf-8"))) for p in modules if p.name != "fileio.py"}
+    assert {name: found for name, found in bypasses.items() if found} == {}
+
+
+def test_the_check_sees_each_bypass():
+    source = "import os, tempfile\nfrom tempfile import mkstemp\nopen('x')\nos.replace('a', 'b')\n"
+    assert len(_file_layer_bypasses(ast.parse(source))) == 4

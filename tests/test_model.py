@@ -27,9 +27,9 @@ from rssinav.model import (
     save_model,
     train,
     validation_counts,
-    write_report_csv,
 )
 from rssinav.errors import ToolkitError
+from rssinav.fileio import write_rows
 from rssinav.features import FeatureSelection, NormalizationParams, SidecarFormatError
 from rssinav.scan_ingest import ScanEntry, ScanSnapshot
 
@@ -485,11 +485,12 @@ class TestTrain:
             assert np.array_equal(forward(model, X, mode="train"), _pass(model, X, True, []))
             assert np.allclose(forward(model, X, mode="train"), ref_forward(model, X, "train"), rtol=0, atol=1e-12)
 
-    def test_report_csv_layout(self):
+    def test_report_csv_layout(self, tmp_path):
         report = TrainReport(train_loss=[0.5, 0.25], val_loss=[0.6, 0.3])
-        buf = io.StringIO()
-        write_report_csv(report, buf)
-        lines = buf.getvalue().splitlines()
+        path = tmp_path / "report.csv"
+        losses = [(i, *pair) for i, pair in enumerate(zip(report.train_loss, report.val_loss), start=1)]  # as cmd_train writes them
+        write_rows(path, ["epoch", "train_loss", "val_loss"], losses)
+        lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert lines[1].startswith("1,0.5") and lines[2].startswith("2,0.25")
 

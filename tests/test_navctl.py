@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rssinav.cli import _trial_logs, _write_rows
+from rssinav.cli import _trial_logs
+from rssinav.fileio import write_rows
 from rssinav.navctl import (
     DriveCommand,
     DrivetrainCalibration,
@@ -222,7 +223,7 @@ class TestCommandLog:
         ]
         commands, _ = _trial_logs(SimpleNamespace(events=events))
         path = tmp_path / "commands.csv"
-        _write_rows(path, ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
+        write_rows(path, ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
         lines = path.read_text().splitlines()
         assert lines[0] == "timestamp,left_speed,right_speed,duration,reason"
         assert lines[1] == "2.0,1.0,0.95,2.0,forward"

@@ -1,4 +1,3 @@
-import io
 from collections import deque
 
 import numpy as np
@@ -19,8 +18,8 @@ from rssinav.planner import (
     astar,
     extract_checkpoints,
     manhattan,
-    write_plan_csv,
 )
+from rssinav.fileio import write_rows
 
 
 def bfs_cost(grid, start, goal):
@@ -235,8 +234,8 @@ class TestCheckpoints:
             assert all(cp.action is not Action.STOP for cp in cps[:-1])
             counted += 1
 
-    def test_plan_csv_layout(self):
+    def test_plan_csv_layout(self, tmp_path):
         cps = (Checkpoint((2, 0), Action.TURN_LEFT_90), Checkpoint((2, 2), Action.STOP))
-        buf = io.StringIO()
-        write_plan_csv(cps, buf)
-        assert buf.getvalue() == "ix,iy,action\n2,0,turn_left_90\n2,2,stop\n"
+        path = tmp_path / "plan.csv"
+        write_rows(path, ["ix", "iy", "action"], [(*cp.cell, cp.action.value) for cp in cps])  # as cmd_plan writes them
+        assert path.read_bytes().decode() == "ix,iy,action\n2,0,turn_left_90\n2,2,stop\n"
