@@ -346,7 +346,8 @@ _OPTIONS = {
 _REQUIRED = object()  # the default of a flag that must be given
 _NAV_POSITIONALS = {"world": "world file", "model?": "model file (optional with --oracle)"}
 _NAV_DEFAULTS = {"start": None, "goal": None, "seed": 0, "oracle": False, "noise_sigma": None, "success_radius": 2.0,
-                 "scan_period": 2.0, "step_distance": 2.0, "checkpoint_radius": 1.5, "max_misses": 10}
+                 "scan_period": 2.0, "step_distance": navctl.NavConfig.step_distance,
+                 "checkpoint_radius": navctl.NavConfig.checkpoint_radius, "max_misses": navctl.NavConfig.max_consecutive_misses}
 
 # command -> (function, help, positionals as name -> help with "?" marking an
 # optional one, option defaults); a command has exactly the options it lists.
@@ -359,7 +360,8 @@ _COMMANDS = {
               {"output": _REQUIRED, "report": None, "threshold": features.DEFAULT_PCC_THRESHOLD, "min_presence": None,
                "ratio": features.DEFAULT_TRAIN_RATIO, "epochs": model.DEFAULT_EPOCHS,
                "validation_split": model.DEFAULT_VALIDATION_SPLIT, "batch_size": model.DEFAULT_BATCH_SIZE,
-               "learning_rate": model.DEFAULT_LEARNING_RATE, "optimizer": "adam", "seed": 0}),
+               "learning_rate": model.DEFAULT_LEARNING_RATE, "optimizer": model.TrainConfig.optimizer,
+               "seed": model.TrainConfig.seed}),
     "evaluate": (cmd_evaluate, "predicted-vs-actual scatter data and metrics for a dataset",
                  {"model": "model file", "dataset": "labelled dataset CSV"}, {"output": None}),
     "plan": (cmd_plan, "A* path and checkpoint plan on a grid map", {"map": "grid map text file"},

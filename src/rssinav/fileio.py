@@ -44,10 +44,10 @@ def write_rows(path, header, rows) -> None:
         writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def read_text(source, error, what: str) -> str:
+def read_text(source, error, what: str | None) -> str:
     """The UTF-8 text of a path with its line endings as written, or what an
     open text file reads; text that is not UTF-8 raises ``error`` naming
-    ``what`` and the file."""
+    ``what`` and the file (neither if ``what`` is None)."""
     is_path = isinstance(source, (str, Path))
     try:
         if not is_path:
@@ -56,4 +56,4 @@ def read_text(source, error, what: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         name = source if is_path else getattr(source, "name", "stream")
-        raise error(f"{what} {name} is not UTF-8 text: {exc}") from exc
+        raise error(f"{what} {name} is not UTF-8 text: {exc}" if what else f"not UTF-8 text: {exc}") from exc

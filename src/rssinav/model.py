@@ -129,8 +129,8 @@ class BatchNormLayer:
         self.running_var = np.asarray(self.running_var, dtype=float).reshape(-1)
         if not (len(self.gamma) == len(self.beta) == len(self.running_mean) == len(self.running_var)):
             raise ShapeMismatch("batch-norm parameter widths differ")
-        if self.epsilon <= 0 or not 0 < self.momentum < 1:
-            raise ValueError("epsilon must be > 0 and momentum in (0, 1)")
+        if not (0 < self.epsilon < np.inf and 0 < self.momentum < 1):
+            raise ValueError("epsilon must be positive and finite and momentum in (0, 1)")
         if np.any(self.running_var < 0):
             raise ValueError("running variance must be non-negative")
 
@@ -582,15 +582,11 @@ def load_model(source) -> ModelBundle:
     if len(data) < offset + 4 + 32:
         raise CorruptFile("model file is truncated")
     (header_len,) = struct.unpack("<I", take(4))
+    layers = []
+    # UnicodeDecodeError is a ValueError, int(inf) an OverflowError, JSON nested too deep a RecursionError
     try:
         header = json.loads(take(header_len).decode("utf-8"))
-        arch = header["arch"]
-    except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
-        raise CorruptFile(f"bad architecture header: {exc}") from exc
-
-    layers = []
-    for descriptor in arch:
-        try:
+        for descriptor in header["arch"]:
             kind = descriptor["kind"]
             if kind == "dense":
                 rows, cols = int(descriptor["out"]), int(descriptor["in"])
@@ -607,8 +603,8 @@ def load_model(source) -> ModelBundle:
                 )
             else:
                 raise CorruptFile(f"unknown layer kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptFile(f"bad layer descriptor: {exc}") from exc
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise CorruptFile(f"bad architecture header: {exc}") from exc
     (sidecar_len,) = struct.unpack("<I", take(4))
     sidecar_text = take(sidecar_len).decode("utf-8", errors="replace")  # bad bytes fail the checksum below
     if offset != len(data) - 32:

@@ -21,10 +21,11 @@ from .errors import OutOfBounds, ToolkitError
 from .fileio import open_sink, read_text
 from .model import ModelBundle, NoKnownAccessPoints, predict_position
 from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, require_positive
-from .planner import GridMap, MapFormatError, astar, extract_checkpoints, first_segment_heading
+from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkpoints, first_segment_heading
 from .scan_ingest import _MAC_RE, RSSI_FLOOR, ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
+_MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
 _SEED_MASK = (1 << 63) - 1
 
 
@@ -306,36 +307,33 @@ def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
 def run_trial(
     world: SimWorld,
     bundle: ModelBundle | None,
-    start,
-    goal,
+    path: PlannedPath,
     nav_config: NavConfig | None = None,
     success_radius: float = 2.0,
     seed: int = 0,
     *,
     oracle: bool = False,
     calibration: DrivetrainCalibration | None = None,
-    max_fixes: int = 500,
     scan_period: float = 2.0,
 ) -> TrialResult:
-    """One closed-loop navigation trial: scan, predict, step, drive.
+    """One closed-loop navigation trial on a planned path: scan, predict, step, drive.
 
-    The robot starts at the start cell center facing along the first path
-    segment.  Each iteration produces a fix (the model's estimate from a scan
-    simulated at the true pose, or the true position when ``oracle``, which
-    simulates no scan), feeds it to the navigation state machine and
-    integrates the emitted command in substeps of at most 0.01 s with
-    ``_command_poses`` (a straight one in one accumulate, bit-identical to the
-    per-substep loop), checking them all for walkable cells at once.  The
-    trial ends on Done, Aborted, or after ``max_fixes`` fixes.  Success means
-    Done with the true position within ``success_radius`` ft of the goal
-    center and no substep off walkable cells; ``success_radius`` and
-    ``scan_period`` must be finite and positive.
+    The trial plans nothing: the robot starts at the center of the path's
+    first cell facing along its first segment, and the goal is its last cell.
+    Each iteration produces a fix (the model's estimate from a scan simulated
+    at the true pose, or the true position when ``oracle``, which simulates
+    no scan), feeds it to the navigation state machine and integrates the
+    emitted command in substeps of at most 0.01 s with ``_command_poses``,
+    checking them all for walkable cells at once.  The trial ends on Done,
+    Aborted, or after ``_MAX_FIXES`` fixes.  Success means Done with the true
+    position within ``success_radius`` ft of the goal center and no substep
+    off walkable cells; ``success_radius`` and ``scan_period`` must be finite
+    and positive, and an empty path raises EmptyPath.
     """
     require_positive(success_radius=success_radius, scan_period=scan_period)
     if bundle is None and not oracle:
         raise ValueError("a model bundle is required unless oracle localization is enabled")
     config = nav_config or NavConfig()
-    path = astar(world.grid, start, goal)
     heading = first_segment_heading(path)
     checkpoints = extract_checkpoints(path, heading)
     cal = calibration or default_calibration(world.robot)
@@ -343,8 +341,8 @@ def run_trial(
 
     grid = world.grid
     limits = np.array([[grid.width], [grid.height]])
-    sx, sy = grid.cell_center(start)
-    gx, gy = grid.cell_center(goal)
+    sx, sy = grid.cell_center(path.cells[0])
+    gx, gy = grid.cell_center(path.cells[-1])
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
 
     events = []
@@ -352,7 +350,7 @@ def run_trial(
     on_walkable = True
     clock = 0.0
     reason = "fix_budget"
-    for draw_index in range(max_fixes):
+    for draw_index in range(_MAX_FIXES):
         if not grid.contains_point(x, y):
             on_walkable = False
             reason = "left_map"
@@ -395,16 +393,17 @@ def corner_success_rate(
     goal=None,
     **trial_kwargs,
 ) -> tuple[float, list[TrialResult]]:
-    """Success fraction over seeded trials on a corner route.
+    """Success fraction over seeded trials on one route, planned once with A*.
 
-    Trials use seeds base_seed .. base_seed + trials - 1; the default route
-    is the reference world's corner run.
+    Every trial drives that one path; trials use seeds base_seed .. base_seed
+    + trials - 1, and the default route is the reference world's corner run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     start = REFERENCE_START if start is None else start
     goal = REFERENCE_GOAL if goal is None else goal
-    results = [run_trial(world, bundle, start, goal, seed=base_seed + i, **trial_kwargs) for i in range(trials)]
+    path = astar(world.grid, start, goal)
+    results = [run_trial(world, bundle, path, seed=base_seed + i, **trial_kwargs) for i in range(trials)]
     rate = sum(r.success for r in results) / trials
     return rate, results
 

@@ -359,7 +359,7 @@ def read_scan_directory(
         resamples: list[ScanSnapshot] = []
         for _, path in sorted(groups[location]):
             try:
-                entries = parse_scan_text(read_text(path, ToolkitError, "scan file"))
+                entries = parse_scan_text(read_text(path, ToolkitError, None))  # the error list names the file
             except ToolkitError as exc:
                 errors.append((path, exc))
                 continue

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import os
 import re
+import struct
 import warnings
 
 import pytest
@@ -82,6 +83,15 @@ class TestIngest:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith(str(bad) + ": ")  # listed with the per-file errors
             assert not (tmp_path / "ds.csv").exists()
+
+    def test_each_failing_capture_named_once(self, tmp_path, capsys):
+        scans = write_scan_dir(tmp_path)
+        latin1, duplicate_mac = scans / "1.5_0.5_0.txt", scans / "2_2_0.txt"
+        latin1.write_bytes(ONE_CELL.format(i=1, level=-50).replace("CSU Net", "CSU\xe9Net").encode("latin-1"))
+        duplicate_mac.write_text(ONE_CELL.format(i=1, level=-50) * 2)
+        assert main(["ingest", str(scans), "-o", str(tmp_path / "ds.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and err.count(str(latin1)) == err.count(str(duplicate_mac)) == 1
 
 
 class TestTrainEvaluate:
@@ -250,10 +260,11 @@ class TestValidationErrors:
             (["select-features", "{dataset}", "--min-presence", "1.5", "-o", "{out}"], "min_presence must be in [0, 1], got 1.5"),
             (["train", "{dataset}", "--threshold", "nan", "-o", "{out}"], "threshold must be in [0, 1], got nan"),
             (["select-features", "{dataset}", "--threshold", "-0.1", "-o", "{out}"], "threshold must be in [0, 1], got -0.1"),
+            (["evaluate", "{null_arch_model}", "{dataset}", "-o", "{out}"], "bad architecture header: 'NoneType' object is not iterable"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):
-        root, world, dataset, _ = workspace
+        root, world, dataset, model = workspace
         out = tmp_path / "out"
         lines = dataset.read_text().splitlines()
         nan_dataset = root / "nan_dataset.csv"
@@ -266,8 +277,14 @@ class TestValidationErrors:
         latin1_world.write_bytes(world.read_bytes().replace(b"LabNet", b"LabN\xe9t", 1))
         latin1_dataset = root / "latin1_dataset.csv"
         latin1_dataset.write_bytes(dataset.read_bytes().replace(b"\n", b"\n\xe9", 1))
+        data = model.read_bytes()[:-32]  # a model whose header has "arch": null, re-signed
+        header_end = 16 + struct.unpack_from("<I", data, 12)[0]
+        header = data[16:header_end].replace(b'"arch":[', b'"arch":null,"layers":[', 1)
+        body = data[:12] + struct.pack("<I", len(header)) + header + data[header_end:]
+        null_arch_model = root / "null_arch_model.bin"
+        null_arch_model.write_bytes(body + hashlib.sha256(body).digest())
         paths = dict(world=world, dataset=dataset, out=out, nan_dataset=nan_dataset, inf_world=inf_world, latin1_map=latin1_map)
-        paths.update(latin1_world=latin1_world, latin1_dataset=latin1_dataset)
+        paths.update(latin1_world=latin1_world, latin1_dataset=latin1_dataset, null_arch_model=null_arch_model)
         argv = [a.format(**paths) for a in args]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

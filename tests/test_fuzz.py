@@ -1,9 +1,15 @@
 """Byte-level fuzzing of the file parsers: any mutation or truncation of a
 valid dataset CSV, world file, model file, scan capture or CLI config file
 must either load or raise a ToolkitError, never a bare ValueError,
-UnicodeDecodeError, OverflowError, TypeError or any other exception."""
+UnicodeDecodeError, OverflowError, TypeError or any other exception.  The
+model header is also fuzzed as structured JSON under a valid checksum,
+which byte mutations almost never reach."""
 
+import copy
+import hashlib
 import io
+import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -164,5 +170,37 @@ def _parse_scan_bytes(data: bytes):
 def test_mutated_scan_text_raises_only_toolkit_errors(data):
     try:
         _parse_scan_bytes(data)
+    except ToolkitError:
+        pass
+
+
+# any JSON value: null, bools, ints, floats (+-inf and nan included), text, lists and objects
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+(_HEADER_LEN,) = struct.unpack_from("<I", VALID_MODEL, 12)
+VALID_HEADER = json.loads(VALID_MODEL[16 : 16 + _HEADER_LEN])
+
+
+def _resigned_model(header: dict) -> bytes:
+    """The valid model file with its JSON header replaced and its checksum recomputed."""
+    encoded = json.dumps(header).encode("utf-8")
+    body = VALID_MODEL[:12] + struct.pack("<I", len(encoded)) + encoded + VALID_MODEL[16 + _HEADER_LEN : -32]
+    return body + hashlib.sha256(body).digest()
+
+
+@_FUZZ
+@given(data=st.data(), value=_JSON_VALUES)
+def test_model_header_values_raise_only_toolkit_errors(data, value):
+    header = copy.deepcopy(VALID_HEADER)
+    if data.draw(st.booleans(), label="replace arch"):
+        header["arch"] = value
+    else:
+        layer = data.draw(st.sampled_from(header["arch"]), label="layer")
+        layer[data.draw(st.sampled_from(sorted(layer)), label="field")] = value
+    try:
+        load_model(io.BytesIO(_resigned_model(header)))
     except ToolkitError:
         pass

@@ -582,6 +582,34 @@ class TestPersistence:
             load_model(io.BytesIO(body + hashlib.sha256(body).digest()))
         assert isinstance(exc_info.value, ToolkitError)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"arch":[', '"arch":5,"layers":['),  # not iterable
+            ('"arch":[', '"arch":null,"layers":['),
+            ('"in":3,', '"in":1e400,'),  # int(inf) overflows
+            ('"width":4}', '"width":1e400}'),
+            ('"arch":[', '"arch":' + "[" * 100_000 + "]" * 100_000 + ',"layers":['),  # too deep for json.loads
+            ('"epsilon":1e-05,', '"epsilon":NaN,'),
+        ],
+        ids=["arch-int", "arch-null", "dense-in-inf", "batchnorm-width-inf", "arch-deep", "epsilon-nan"],
+    )
+    def test_bad_header_with_valid_checksum_rejected(self, old, new):
+        import hashlib
+        import struct
+
+        bundle = small_bundle()
+        buf = io.BytesIO()
+        save_model(bundle.model, bundle.selection, bundle.params, buf)
+        data = buf.getvalue()[:-32]
+        (length,) = struct.unpack_from("<I", data, 12)
+        header = data[16 : 16 + length].decode("utf-8")
+        assert old in header
+        edited = header.replace(old, new, 1).encode("utf-8")
+        body = data[:12] + struct.pack("<I", len(edited)) + edited + data[16 + length :]
+        with pytest.raises(CorruptFile):
+            load_model(io.BytesIO(body + hashlib.sha256(body).digest()))
+
 
 class TestPredict:
     def test_missing_every_kept_ap_refused(self):

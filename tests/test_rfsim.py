@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rssinav import rfsim
 from rssinav.errors import OutOfBounds
 from rssinav.model import TrainConfig
 from rssinav.navctl import DriveCommand, DrivetrainCalibration, NavConfig, turn_command
-from rssinav.planner import GridMap, NoPath
+from rssinav.planner import EmptyPath, GridMap, NoPath, PlannedPath, astar
 from rssinav.rfsim import (
     REFERENCE_GOAL,
     REFERENCE_START,
@@ -219,15 +220,15 @@ class TestTrials:
     def test_oracle_zero_veer_straight_run_succeeds(self):
         world = reference_world(noise_sigma=0.0)
         world = SimWorld(world.grid, world.aps, SimRobot(x=0.5, y=0.5, wheel_base=0.4), world.rng_seed)
-        result = run_trial(world, None, (0, 0), (8, 0), seed=0, oracle=True)
+        result = run_trial(world, None, astar(world.grid, (0, 0), (8, 0)), seed=0, oracle=True)
         assert result.success
         assert result.final_error < 0.5
 
     def test_same_seed_identical_results(self, ref_world, trained):
         bundle, _, _ = trained
         world = with_noise_sigma(ref_world, 2.0)
-        a = run_trial(world, bundle, (0, 0), (11, 3), seed=3)
-        b = run_trial(world, bundle, (0, 0), (11, 3), seed=3)
+        a = run_trial(world, bundle, astar(world.grid, (0, 0), (11, 3)), seed=3)
+        b = run_trial(world, bundle, astar(world.grid, (0, 0), (11, 3)), seed=3)
         assert a.success == b.success and a.final_error == b.final_error
         assert a.robot == b.robot and a.events == b.events
 
@@ -235,7 +236,17 @@ class TestTrials:
         grid = GridMap.from_text("3 1 1\n.#.\n")
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (0.5, 0.5)),), SimRobot(x=0.5, y=0.5))
         with pytest.raises(NoPath):
-            run_trial(world, None, (0, 0), (2, 0), oracle=True)
+            corner_success_rate(world, None, 1, start=(0, 0), goal=(2, 0), oracle=True)
+
+    def test_a_run_plans_its_route_once(self, ref_world, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rfsim, "astar", lambda *args: calls.append(args) or astar(*args))
+        corner_success_rate(ref_world, None, 5, oracle=True)
+        assert calls == [(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)]
+
+    def test_empty_path_raises(self, ref_world):
+        with pytest.raises(EmptyPath):
+            run_trial(ref_world, None, PlannedPath(()), oracle=True)
 
     def test_zero_trials_rejected(self, ref_world):
         with pytest.raises(ValueError):
@@ -252,7 +263,7 @@ class TestTrials:
     )
     def test_invalid_trial_parameters_rejected(self, ref_world, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            run_trial(ref_world, None, REFERENCE_START, REFERENCE_GOAL, oracle=True, **kwargs)
+            run_trial(ref_world, None, astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL), oracle=True, **kwargs)
 
     def test_huge_wheel_base_turn_is_rejected(self, ref_world):
         # a 90-degree pivot of about 1.6e300 s, too long to integrate in 0.01 s substeps
@@ -269,7 +280,7 @@ class TestTrials:
     def test_fix_and_command_events_alternate(self, ref_world, trained):
         bundle, _, _ = trained
         world = with_noise_sigma(ref_world, 2.0)
-        result = run_trial(world, bundle, (0, 0), (11, 3), seed=1)
+        result = run_trial(world, bundle, astar(world.grid, (0, 0), (11, 3)), seed=1)
         previous = None
         for kind, _, _ in result.events:
             if kind == "command":
@@ -300,7 +311,8 @@ class TestTrialReplay:
     )
     def test_trajectory_matches_per_substep_step_robot(self, ref_world, trained, seed, oracle, reason):
         bundle, _, _ = trained
-        result = run_trial(ref_world, None if oracle else bundle, REFERENCE_START, REFERENCE_GOAL, seed=seed, oracle=oracle)
+        path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
+        result = run_trial(ref_world, None if oracle else bundle, path, seed=seed, oracle=oracle)
         assert result.reason == reason
         start = ref_world.grid.cell_center(REFERENCE_START)
         assert result.trajectory[0] == (start[0], start[1], 0.0)  # the route's first segment runs east
@@ -319,7 +331,7 @@ class TestTrialReplay:
         robot = SimRobot(wheel_base=0.4, left_scale=0.98)
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (5.0, 1.5)),), robot)
         cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=default_calibration(robot).turn_90_duration)
-        result = run_trial(world, None, (0, 1), goal, oracle=True, calibration=cal)
+        result = run_trial(world, None, astar(grid, (0, 1), goal), oracle=True, calibration=cal)
         assert result.reason == reason
         _, poses = replay_substeps(world, result)
         assert result.trajectory == poses
@@ -338,7 +350,7 @@ class TestTrialReplay:
         robot = SimRobot(wheel_base=0.4)
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (4.5, 0.5)),), robot)
         cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=turn_scale * default_calibration(robot).turn_90_duration)
-        result = run_trial(world, None, (0, 0), (8, 9), oracle=True, calibration=cal)
+        result = run_trial(world, None, astar(grid, (0, 0), (8, 9)), oracle=True, calibration=cal)
         for command in [payload for kind, _, payload in result.events if kind == "command"]:
             assert command.reason != "forward" or _body_rates(robot, command)[1] == 0.0
         _, poses = replay_substeps(world, result)
@@ -367,7 +379,7 @@ class TestTrialReplay:
         robot = SimRobot(wheel_base=0.4, right_scale=0.98)
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (5.0, 0.5)),), robot)
         cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=default_calibration(robot).turn_90_duration)
-        result = run_trial(world, None, (0, 0), (8, 0), oracle=True, calibration=cal)
+        result = run_trial(world, None, astar(grid, (0, 0), (8, 0)), oracle=True, calibration=cal)
         assert result.reason == "left_map+left_walkable"
         assert result.trajectory[-1][1] < 0.0
 
