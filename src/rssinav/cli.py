@@ -131,7 +131,7 @@ def evaluate_bundle(bundle: model.ModelBundle, dataset: scan_ingest.FingerprintD
     inputs = model.prepare_features(bundle, reduced.rssi)
     truth_ft = np.stack([reduced.x, reduced.y], axis=1)
     truth = features.normalize_coords(bundle.params, truth_ft)
-    pred = model.forward(bundle.model, inputs, mode="infer")
+    pred = model.forward(bundle.model, inputs)
     mae_norm = model.mae_loss(pred, truth)
     per_row_norm = np.linalg.norm(pred - truth, axis=1)
     mean_ft = features.error_feet(bundle.params, float(per_row_norm.mean()))

@@ -35,10 +35,11 @@ def open_sink(sink, binary: bool = False):
     return atomic_output(sink, binary) if isinstance(sink, (str, Path)) else contextlib.nullcontext(sink)
 
 
-def write_rows(path, header, rows) -> None:
-    """Atomically write a CSV of a header and rows; floats (numpy's too) are
-    written as repr(float), so they round-trip, and None as an empty cell."""
-    with atomic_output(path) as fh:
+def write_rows(sink, header, rows) -> None:
+    """Write a CSV of a header and rows to an open file or, atomically, a path;
+    floats (numpy's too) are written as repr(float), so they round-trip, and
+    None as an empty cell."""
+    with open_sink(sink) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,9 +84,22 @@ class NoKnownAccessPoints(ToolkitError):
     """A snapshot contains none of the model's feature APs; no estimate."""
 
 
+def _field(descriptor: dict, name: str, kind: type):
+    """A layer descriptor's field as a JSON value of ``kind``: a bool is no number, an int is a size (>= 0)."""
+    value = descriptor[name]
+    typed = isinstance(value, (int, float) if kind is float else kind) and isinstance(value, bool) == (kind is bool)
+    if not typed or (kind is int and value < 0):
+        what = {int: "a non-negative integer", float: "a number", str: "a string", bool: "a boolean"}[kind]
+        raise CorruptFile(f"bad layer descriptor: {name!r} must be {what}, not {value!r:.40}")
+    return value
+
+
 @dataclass
 class DenseLayer:
     """Fully connected layer: out = activation(W @ x + b), W is (out, in)."""
+
+    KIND = "dense"
+    BLOCKS = ("weights", "biases")  # the model file's arrays in order; the first two are trained
 
     weights: np.ndarray
     biases: np.ndarray
@@ -107,12 +121,29 @@ class DenseLayer:
     def out_width(self) -> int:
         return self.weights.shape[0]
 
+    def descriptor(self) -> dict:
+        return {"kind": self.KIND, "in": self.in_width, "out": self.out_width, "activation": self.activation}
+
+    @classmethod
+    def from_descriptor(cls, descriptor: dict, read) -> "DenseLayer":
+        rows, cols, activation = _field(descriptor, "out", int), _field(descriptor, "in", int), _field(descriptor, "activation", str)
+        return cls(read(rows, cols), read(rows), activation)
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Seeded uniform fan-in weights and zero biases."""
+        bound = 1.0 / np.sqrt(self.in_width)
+        self.weights = rng.uniform(-bound, bound, self.weights.shape)
+        self.biases = np.zeros_like(self.biases)
+
 
 @dataclass
 class BatchNormLayer:
     """Per-feature standardization: batch statistics while training, running
     statistics at inference (so inference output never depends on batch
     composition)."""
+
+    KIND = "batchnorm"
+    BLOCKS = ("gamma", "beta", "running_mean", "running_var")
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -129,7 +160,7 @@ class BatchNormLayer:
         self.running_var = np.asarray(self.running_var, dtype=float).reshape(-1)
         if not (len(self.gamma) == len(self.beta) == len(self.running_mean) == len(self.running_var)):
             raise ShapeMismatch("batch-norm parameter widths differ")
-        if not (0 < self.epsilon < np.inf and 0 < self.momentum < 1):
+        if not (0 < float(self.epsilon) < np.inf and 0 < self.momentum < 1):
             raise ValueError("epsilon must be positive and finite and momentum in (0, 1)")
         if np.any(self.running_var < 0):
             raise ValueError("running variance must be non-negative")
@@ -141,6 +172,19 @@ class BatchNormLayer:
     @property
     def width(self) -> int:
         return len(self.gamma)
+
+    def descriptor(self) -> dict:
+        return {"kind": self.KIND, **{name: getattr(self, name) for name in ("width", "epsilon", "momentum", "initialized")}}
+
+    @classmethod
+    def from_descriptor(cls, descriptor: dict, read) -> "BatchNormLayer":
+        width, epsilon = _field(descriptor, "width", int), _field(descriptor, "epsilon", float)
+        momentum, initialized = _field(descriptor, "momentum", float), _field(descriptor, "initialized", bool)
+        return cls(*[read(width) for _ in cls.BLOCKS], epsilon, momentum, initialized)
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Back to a fresh layer's neutral values and no running statistics; nothing is drawn from ``rng``."""
+        vars(self).update(vars(self.fresh(self.width, self.epsilon, self.momentum)))
 
     def update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         if not self.initialized:
@@ -204,16 +248,7 @@ class MlpRegressor:
 def initialize_parameters(model: MlpRegressor, rng: np.random.Generator) -> None:
     """Seeded uniform fan-in init for dense layers; batch norm reset to neutral."""
     for layer in model.layers:
-        if isinstance(layer, DenseLayer):
-            bound = 1.0 / np.sqrt(layer.in_width)
-            layer.weights = rng.uniform(-bound, bound, layer.weights.shape)
-            layer.biases = np.zeros_like(layer.biases)
-        else:
-            layer.gamma = np.ones(layer.width)
-            layer.beta = np.zeros(layer.width)
-            layer.running_mean = np.zeros(layer.width)
-            layer.running_var = np.ones(layer.width)
-            layer.initialized = False
+        layer.reset(rng)
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -225,19 +260,12 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise ShapeMismatch(f"expected a vector or matrix, got ndim={arr.ndim}")
 
 
-def forward(model: MlpRegressor, x, mode: str = "infer") -> np.ndarray:
-    """Run the network on one vector or a batch.
-
-    Train mode normalizes with batch statistics exactly as a training step
-    does (running statistics untouched); inference mode uses running
-    statistics and so gives the same answer for a sample alone or in a batch.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+def forward(model: MlpRegressor, x) -> np.ndarray:
+    """Inference on one vector or a batch: batch norm uses running statistics, so no row depends on its batch."""
     batch, single = _as_batch(x)
     if batch.shape[1] != model.input_width:
         raise ShapeMismatch(f"input width {batch.shape[1]} != model width {model.input_width}")
-    out = _pass(model, batch, mode == "train")
+    out = _pass(model, batch, False)
     return out[0] if single else out
 
 
@@ -281,7 +309,7 @@ def mae_loss(pred, truth) -> float:
 
 
 def _backward(model: MlpRegressor, cache: list, g: np.ndarray) -> np.ndarray:
-    """Flat gradient (``_param_names`` order) from a cached pass and dLoss/dOutput ``g``."""
+    """Flat gradient (the layers' trained ``BLOCKS`` in order) from a cached pass and dLoss/dOutput ``g``."""
     parts = []  # filled back to front, reversed at the end
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -359,16 +387,11 @@ class TrainReport:
     test_mean_error_ft: float | None = None
 
 
-def _param_names(layer) -> tuple[str, str]:
-    """A layer's trainable arrays; in layer order they lay out the flat buffers."""
-    return ("weights", "biases") if isinstance(layer, DenseLayer) else ("gamma", "beta")
-
-
 def _unflatten(model: MlpRegressor, flat: np.ndarray) -> list[dict]:
-    """Per-layer dicts of views into ``flat``, shaped like the layers' arrays."""
+    """Per-layer dicts of views into ``flat``, shaped like the layers' trained arrays."""
     views, offset = [{} for _ in model.layers], 0
     for layer, named in zip(model.layers, views):
-        for name in _param_names(layer):
+        for name in layer.BLOCKS[:2]:
             param = getattr(layer, name)
             named[name] = flat[offset : offset + param.size].reshape(param.shape)
             offset += param.size
@@ -377,7 +400,7 @@ def _unflatten(model: MlpRegressor, flat: np.ndarray) -> list[dict]:
 
 def _flatten_parameters(model: MlpRegressor) -> np.ndarray:
     """Copy every trainable array into one buffer and rebind the layers to views of it."""
-    flat = np.concatenate([getattr(layer, name).ravel() for layer in model.layers for name in _param_names(layer)])
+    flat = np.concatenate([getattr(layer, name).ravel() for layer in model.layers for name in layer.BLOCKS[:2]])
     for layer, views in zip(model.layers, _unflatten(model, flat)):
         for name, view in views.items():
             setattr(layer, name, view)
@@ -463,7 +486,7 @@ def train(model: MlpRegressor, inputs, targets, config: TrainConfig) -> TrainRep
             total_abs += loss * batch_idx.size
         epoch_train = total_abs / len(Xtr)
         if len(Xva):
-            epoch_val = mae_loss(forward(model, Xva, mode="infer"), Tva)
+            epoch_val = mae_loss(forward(model, Xva), Tva)
         else:
             epoch_val = epoch_train  # no validation rows carved out
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
@@ -511,26 +534,9 @@ def predict_position(bundle: ModelBundle, snapshot: ScanSnapshot) -> PositionEst
     if not any(mac in observed for mac in kept):
         raise NoKnownAccessPoints("snapshot contains none of the model's access points")
     vector = np.array([float(observed.get(mac, MISSING_RSSI)) for mac in kept])
-    out = forward(bundle.model, prepare_features(bundle, vector), mode="infer")
+    out = forward(bundle.model, prepare_features(bundle, vector))
     x, y = denormalize_coords(bundle.params, out)
     return PositionEstimate(float(x), float(y))
-
-
-def _arch_descriptor(model: MlpRegressor) -> list[dict]:
-    arch = []
-    for layer in model.layers:
-        if isinstance(layer, DenseLayer):
-            arch.append({"kind": "dense", "in": layer.in_width, "out": layer.out_width, "activation": layer.activation})
-        else:
-            fields = ("width", "epsilon", "momentum", "initialized")
-            arch.append({"kind": "batchnorm", **{name: getattr(layer, name) for name in fields}})
-    return arch
-
-
-def _parameter_blocks(layer) -> list[np.ndarray]:
-    if isinstance(layer, DenseLayer):
-        return [layer.weights, layer.biases]
-    return [layer.gamma, layer.beta, layer.running_mean, layer.running_var]
 
 
 def save_model(model: MlpRegressor, selection: FeatureSelection, params: NormalizationParams, sink) -> None:
@@ -541,19 +547,17 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
     selection/normalization sidecar text, and a SHA-256 checksum over
     everything before it.
     """
-    header = json.dumps(
-        {"arch": _arch_descriptor(model), "input_width": model.input_width, "output_width": model.output_width},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    arch = [layer.descriptor() for layer in model.layers]
+    fields = {"arch": arch, "input_width": model.input_width, "output_width": model.output_width}
+    header = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
     sidecar = sidecar_dumps(selection, params).encode("utf-8")
     body = bytearray()
     body += _MAGIC
     body += struct.pack("<H", _FORMAT_VERSION)
     body += struct.pack("<I", len(header)) + header
     for layer in model.layers:
-        for block in _parameter_blocks(layer):
-            body += np.ascontiguousarray(block, dtype="<f8").tobytes()
+        for name in layer.BLOCKS:
+            body += np.ascontiguousarray(getattr(layer, name), dtype="<f8").tobytes()
     body += struct.pack("<I", len(sidecar)) + sidecar
     body += hashlib.sha256(bytes(body)).digest()
     with open_sink(sink, binary=True) as fh:
@@ -579,30 +583,19 @@ def load_model(source) -> ModelBundle:
         offset += count
         return chunk
 
-    if len(data) < offset + 4 + 32:
-        raise CorruptFile("model file is truncated")
+    def read(*shape: int) -> np.ndarray:
+        return np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+
     (header_len,) = struct.unpack("<I", take(4))
     layers = []
-    # UnicodeDecodeError is a ValueError, int(inf) an OverflowError, JSON nested too deep a RecursionError
+    kinds = {cls.KIND: cls for cls in (DenseLayer, BatchNormLayer)}
+    # UnicodeDecodeError is a ValueError, float(huge int) an OverflowError, JSON nested too deep a RecursionError
     try:
         header = json.loads(take(header_len).decode("utf-8"))
         for descriptor in header["arch"]:
-            kind = descriptor["kind"]
-            if kind == "dense":
-                rows, cols = int(descriptor["out"]), int(descriptor["in"])
-                weights = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
-                biases = np.frombuffer(take(rows * 8), dtype="<f8").copy()
-                layers.append(DenseLayer(weights, biases, descriptor["activation"]))
-            elif kind == "batchnorm":
-                width = int(descriptor["width"])
-                blocks = [np.frombuffer(take(width * 8), dtype="<f8").copy() for _ in range(4)]
-                layers.append(
-                    BatchNormLayer(
-                        *blocks, float(descriptor["epsilon"]), float(descriptor["momentum"]), bool(descriptor["initialized"])
-                    )
-                )
-            else:
-                raise CorruptFile(f"unknown layer kind {kind!r}")
+            if descriptor["kind"] not in kinds:
+                raise CorruptFile(f"unknown layer kind {descriptor['kind']!r}")
+            layers.append(kinds[descriptor["kind"]].from_descriptor(descriptor, read))
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CorruptFile(f"bad architecture header: {exc}") from exc
     (sidecar_len,) = struct.unpack("<I", take(4))

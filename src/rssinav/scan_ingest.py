@@ -20,13 +20,14 @@ import csv
 import io
 import math
 import re
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ToolkitError
-from .fileio import open_sink, read_text
+from .fileio import read_text, write_rows
 
 
 class MalformedCell(ToolkitError):
@@ -207,11 +208,6 @@ def filter_by_ssid(entries: list[ScanEntry], allowlist: set[str]) -> list[ScanEn
     return [e for e in entries if e.ssid in allowlist]
 
 
-def _low_median(values: list[int]) -> int:
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def aggregate_resamples(snapshots: list[ScanSnapshot]) -> ScanSnapshot:
     """Merge repeated scans of one location into a single snapshot.
 
@@ -231,7 +227,7 @@ def aggregate_resamples(snapshots: list[ScanSnapshot]) -> ScanSnapshot:
         for entry in snap.entries:
             values.setdefault(entry.mac, []).append(entry.rssi)
             ssids.setdefault(entry.mac, entry.ssid)
-    merged = tuple(ScanEntry(mac, ssids[mac], _low_median(values[mac])) for mac in sorted(values))
+    merged = tuple(ScanEntry(mac, ssids[mac], statistics.median_low(values[mac])) for mac in sorted(values))
     return ScanSnapshot(merged, snapshots[0].location)
 
 
@@ -275,11 +271,8 @@ def finite_floats(cells) -> list[float]:
 
 def write_csv(dataset: FingerprintDataset, sink) -> None:
     """Write the dataset as CSV: MAC columns, then literal ``x``, ``y``; a path is written atomically."""
-    with open_sink(sink) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.ap_columns) + ["x", "y"])
-        for vector, x, y in dataset.rows():
-            writer.writerow([format_number(v) for v in vector] + [format_number(x), format_number(y)])
+    rows = ([format_number(v) for v in (*vector, x, y)] for vector, x, y in dataset.rows())
+    write_rows(sink, [*dataset.ap_columns, "x", "y"], rows)
 
 
 def read_csv(source) -> FingerprintDataset:

@@ -3,6 +3,7 @@ fail, decode errors name the file, and no module but ``fileio`` opens files
 or renames temp files into place."""
 
 import ast
+import io
 import re
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import rssinav
 from rssinav import rfsim, scan_ingest
 from rssinav.errors import ToolkitError
 from rssinav.features import FeatureSelection
-from rssinav.fileio import read_text
+from rssinav.fileio import read_text, write_rows
 from rssinav.model import save_model
 from rssinav.rfsim import load_world, reference_world, save_world
 from rssinav.scan_ingest import FingerprintDataset, SchemaMismatch, read_csv, write_csv
@@ -72,6 +73,14 @@ class TestFailedWritesLeaveTheOldFile:
         with pytest.raises(RuntimeError, match="partway"):
             write_csv(dataset, path)
         assert_untouched(path, before)
+
+
+def test_write_rows_takes_an_open_file_or_a_path(tmp_path):
+    rows = [("a", 0.1, None, 3), ("b", np.float64(-0.0), "", 4)]
+    buf = io.StringIO()
+    write_rows(buf, ["name", "value", "note", "n"], rows)
+    write_rows(tmp_path / "rows.csv", ["name", "value", "note", "n"], rows)
+    assert buf.getvalue() == (tmp_path / "rows.csv").read_text() == "name,value,note,n\na,0.1,,3\nb,-0.0,,4\n"
 
 
 class TestDecodeErrorsNameTheFile:

@@ -1,7 +1,11 @@
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rssinav.model import (
     BatchNormLayer,
@@ -18,6 +22,7 @@ from rssinav.model import (
     TrainReport,
     UninitializedStatistics,
     VersionMismatch,
+    _pass,
     backward,
     forward,
     initialize_parameters,
@@ -83,8 +88,6 @@ def random_model_and_batch(rng, with_batchnorm=None, margin=0.02):
     O(step * fan-in), about 1e-3 here) never straddles a non-differentiable
     point.
     """
-    from rssinav.model import _pass
-
     while True:
         widths = [int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 4)))]
         use_bn = bool(rng.integers(0, 2)) if with_batchnorm is None else with_batchnorm
@@ -271,7 +274,7 @@ class TestForward:
     def test_neutral_batchnorm_is_identity_up_to_epsilon(self):
         bn = BatchNormLayer(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         model = MlpRegressor([DenseLayer(np.eye(2), np.zeros(2), "identity"), bn, DenseLayer(np.eye(2), np.zeros(2), "identity")])
-        out = forward(model, [0.5, -1.5], mode="infer")
+        out = forward(model, [0.5, -1.5])
         assert out == pytest.approx([0.5, -1.5], abs=1e-4)
 
     def test_infer_without_statistics_rejected(self):
@@ -279,8 +282,8 @@ class TestForward:
             [DenseLayer(np.eye(2), np.zeros(2), "identity"), BatchNormLayer.fresh(2), DenseLayer(np.eye(2), np.zeros(2), "identity")]
         )
         with pytest.raises(UninitializedStatistics):
-            forward(model, [1.0, 2.0], mode="infer")
-        forward(model, np.ones((3, 2)), mode="train")  # train mode needs no history
+            forward(model, [1.0, 2.0])
+        _pass(model, np.ones((3, 2)), True)  # train mode needs no history
 
     def test_infer_output_independent_of_batch_composition(self):
         rng = np.random.default_rng(5)
@@ -292,10 +295,10 @@ class TestForward:
         # the same row gives bit-identical output no matter who shares the batch
         companions_a = np.vstack([X[0], rng.uniform(-1, 1, (4, X.shape[1]))])
         companions_b = np.vstack([X[0], rng.uniform(5, 9, (4, X.shape[1]))])
-        assert np.array_equal(forward(model, companions_a, mode="infer")[0], forward(model, companions_b, mode="infer")[0])
+        assert np.array_equal(forward(model, companions_a)[0], forward(model, companions_b)[0])
         # and evaluating it alone agrees (up to BLAS kernel rounding)
-        alone = forward(model, X[0], mode="infer")
-        assert np.allclose(alone, forward(model, companions_a, mode="infer")[0], rtol=0, atol=1e-12)
+        alone = forward(model, X[0])
+        assert np.allclose(alone, forward(model, companions_a)[0], rtol=0, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
@@ -477,13 +480,11 @@ class TestTrain:
             assert all(np.array_equal(g[k], e[k]) for g, e in zip(got, expected) for k in e)
 
     def test_train_mode_forward_equals_cached_pass(self):
-        from rssinav.model import _pass
-
         rng = np.random.default_rng(12)
         for _ in range(10):
             model, X, _ = random_model_and_batch(rng, with_batchnorm=True)
-            assert np.array_equal(forward(model, X, mode="train"), _pass(model, X, True, []))
-            assert np.allclose(forward(model, X, mode="train"), ref_forward(model, X, "train"), rtol=0, atol=1e-12)
+            assert np.array_equal(_pass(model, X, True), _pass(model, X, True, []))
+            assert np.allclose(_pass(model, X, True), ref_forward(model, X, "train"), rtol=0, atol=1e-12)
 
     def test_report_csv_layout(self, tmp_path):
         report = TrainReport(train_loss=[0.5, 0.25], val_loss=[0.6, 0.3])
@@ -583,18 +584,43 @@ class TestPersistence:
         assert isinstance(exc_info.value, ToolkitError)
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, message",
         [
-            ('"arch":[', '"arch":5,"layers":['),  # not iterable
-            ('"arch":[', '"arch":null,"layers":['),
-            ('"in":3,', '"in":1e400,'),  # int(inf) overflows
-            ('"width":4}', '"width":1e400}'),
-            ('"arch":[', '"arch":' + "[" * 100_000 + "]" * 100_000 + ',"layers":['),  # too deep for json.loads
-            ('"epsilon":1e-05,', '"epsilon":NaN,'),
+            ('"arch":[', '"arch":5,"layers":[', "bad architecture header"),  # not iterable
+            ('"arch":[', '"arch":null,"layers":[', "bad architecture header"),
+            ('"in":3,', '"in":1e400,', "'in' must be a non-negative integer"),  # JSON reads it as inf
+            ('"width":4}', '"width":1e400}', "'width' must be a non-negative integer"),
+            ('"arch":[', '"arch":' + "[" * 100_000 + "]" * 100_000 + ',"layers":[', "bad architecture header"),  # too deep
+            ('"epsilon":1e-05,', '"epsilon":NaN,', "epsilon must be positive and finite"),
+            ('"in":3,', '"in":6.9,', "'in' must be a non-negative integer, not 6.9"),
+            ('"in":3,', '"in":true,', "'in' must be a non-negative integer, not True"),
+            ('"out":4}', '"out":"32"}', "'out' must be a non-negative integer, not '32'"),
+            ('"out":4}', '"out":-1}', "'out' must be a non-negative integer, not -1"),
+            ('"width":4}', '"width":-1}', "'width' must be a non-negative integer, not -1"),
+            ('"activation":"relu","in":3', '"activation":1,"in":3', "'activation' must be a string"),
+            ('"epsilon":1e-05,', '"epsilon":"1e-5",', "'epsilon' must be a number, not '1e-5'"),
+            ('"momentum":0.9,', '"momentum":true,', "'momentum' must be a number, not True"),
+            ('"initialized":true,', '"initialized":"false",', "'initialized' must be a boolean, not 'false'"),
         ],
-        ids=["arch-int", "arch-null", "dense-in-inf", "batchnorm-width-inf", "arch-deep", "epsilon-nan"],
+        ids=[
+            "arch-int",
+            "arch-null",
+            "dense-in-inf",
+            "batchnorm-width-inf",
+            "arch-deep",
+            "epsilon-nan",
+            "dense-in-float",
+            "dense-in-bool",
+            "dense-out-string",
+            "dense-out-negative",
+            "batchnorm-width-negative",
+            "activation-int",
+            "epsilon-string",
+            "momentum-bool",
+            "initialized-string",
+        ],
     )
-    def test_bad_header_with_valid_checksum_rejected(self, old, new):
+    def test_bad_header_with_valid_checksum_rejected(self, old, new, message):
         import hashlib
         import struct
 
@@ -607,8 +633,103 @@ class TestPersistence:
         assert old in header
         edited = header.replace(old, new, 1).encode("utf-8")
         body = data[:12] + struct.pack("<I", len(edited)) + edited + data[16 + length :]
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CorruptFile) as exc_info:
             load_model(io.BytesIO(body + hashlib.sha256(body).digest()))
+        assert message in str(exc_info.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_stacks_resave_byte_identically(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        width = first = data.draw(st.integers(1, 8), label="input width")
+        layers, initialized = [], True
+        outs = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3), label="dense widths")
+        for i, out in enumerate(outs):
+            last = i == len(outs) - 1
+            layers.append(DenseLayer(rng.normal(size=(out, width)), rng.normal(size=out), "identity" if last else "relu"))
+            width = out
+            if not last and data.draw(st.booleans(), label="batch norm"):
+                epsilon = data.draw(st.one_of(st.integers(1, 3), st.floats(1e-9, 1.0)), label="epsilon")
+                momentum = data.draw(st.floats(0.01, 0.99), label="momentum")
+                statistics = data.draw(st.booleans(), label="initialized")
+                initialized = initialized and statistics
+                layers.append(BatchNormLayer(*rng.normal(size=(3, width)), rng.uniform(0, 2, width), epsilon, momentum, statistics))
+        model = MlpRegressor(layers)
+        macs = tuple(f"AA:00:00:00:00:{i:02X}" for i in range(first))
+        selection = FeatureSelection(macs, {m: 0.5 for m in macs}, {m: -0.4 for m in macs}, 0.24)
+        params = NormalizationParams(np.full(first, -90.0), np.full(first, -30.0), 0.0, 0.0, 11.0)
+        saved, resaved = io.BytesIO(), io.BytesIO()
+        save_model(model, selection, params, saved)
+        loaded = load_model(io.BytesIO(saved.getvalue())).model
+        save_model(loaded, selection, params, resaved)
+        assert resaved.getvalue() == saved.getvalue()
+        if initialized:
+            X = rng.uniform(0, 1, (5, first))
+            assert np.array_equal(forward(loaded, X), forward(model, X))
+
+
+_DISPATCH_ALLOWED = {"MlpRegressor.__post_init__", "_pass", "_backward", "train"}
+_LAYER_CLASSES = {"DenseLayer", "BatchNormLayer"}
+
+
+def _kind_dispatch_sites(tree: ast.Module) -> list[str]:
+    """Each type test of a layer and each comparison with a layer kind, outside
+    the layer classes and the functions allowed to dispatch on the kind."""
+
+    def dispatches(node) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+            targets = [node.args[1]]
+        elif isinstance(node, ast.Compare):
+            targets = [node.left, *node.comparators]
+        else:
+            return False
+        for sub in (n for target in targets for n in ast.walk(target)):
+            if isinstance(sub, ast.Name) and sub.id in _LAYER_CLASSES:
+                return True
+            if isinstance(sub, ast.Attribute) and sub.attr == "KIND":
+                return True
+            if isinstance(node, ast.Compare) and isinstance(sub, ast.Constant) and sub.value in ("dense", "batchnorm"):
+                return True
+        return False
+
+    units = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            if node.name not in _LAYER_CLASSES:
+                units += [(f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef)]
+        else:
+            units.append((getattr(node, "name", "<module>"), node))
+    return [
+        f"{name}: line {sub.lineno}" for name, unit in units if name not in _DISPATCH_ALLOWED for sub in ast.walk(unit) if dispatches(sub)
+    ]
+
+
+def test_only_the_layer_loops_dispatch_on_layer_kind():
+    import rssinav.model
+
+    tree = ast.parse(Path(rssinav.model.__file__).read_text(encoding="utf-8"))
+    assert _kind_dispatch_sites(tree) == []
+
+
+def test_the_dispatch_check_sees_each_form():
+    source = """
+def f(layer, d):
+    isinstance(layer, (DenseLayer, int))
+    type(layer) is BatchNormLayer
+    d["kind"] == "dense"
+    d["kind"] in ("batchnorm",)
+    d["kind"] == DenseLayer.KIND
+    isinstance(d, dict) and d.get("kind") in kinds
+class Net:
+    def method(self, layer):
+        return isinstance(layer, BatchNormLayer)
+class DenseLayer:
+    def own(self, other):
+        return isinstance(other, DenseLayer)
+def train(layer):
+    return isinstance(layer, BatchNormLayer)
+"""
+    assert _kind_dispatch_sites(ast.parse(source)) == [f"f: line {n}" for n in range(3, 8)] + ["Net.method: line 11"]
 
 
 class TestPredict:
