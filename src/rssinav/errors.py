@@ -12,3 +12,7 @@ class ToolkitError(Exception):
 
 class OutOfBounds(ToolkitError):
     """A cell index or position lies outside the map."""
+
+
+class CorruptFile(ToolkitError):
+    """The model file is truncated or structurally invalid."""

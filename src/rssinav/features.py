@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import CorruptFile, ToolkitError
 from .scan_ingest import MISSING_RSSI, FingerprintDataset, finite_floats, format_number
 
 DEFAULT_PCC_THRESHOLD = 0.24
@@ -41,8 +41,8 @@ class DegenerateCoordinates(ToolkitError):
     """All training locations coincide; no coordinate scale exists."""
 
 
-class SidecarFormatError(ToolkitError):
-    """A selection/normalization sidecar file is malformed."""
+class SidecarFormatError(CorruptFile):
+    """A model file's selection/normalization sidecar is malformed or disagrees with its network."""
 
 
 def _round_half_up(v: float) -> int:

@@ -16,7 +16,10 @@ from pathlib import Path
 def atomic_output(path, binary: bool = False):
     """Write to a unique temp file next to ``path`` (mode 0o666 less the umask) and rename on success."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    except OSError as exc:  # the error names the target, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     umask = os.umask(0)
     os.umask(umask)
     mode = "wb" if binary else "w"
@@ -24,7 +27,10 @@ def atomic_output(path, binary: bool = False):
         with open(fd, mode, encoding=None if binary else "utf-8", newline=None if binary else "") as fh:
             os.chmod(tmp, 0o666 & ~umask)
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise

@@ -22,12 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import CorruptFile, ToolkitError
 from .fileio import open_sink
 from .features import (
     EmptyDataset,
     FeatureSelection,
     NormalizationParams,
+    SidecarFormatError,
     denormalize_coords,
     normalize_features,
     sidecar_dumps,
@@ -70,10 +71,6 @@ class DivergenceDetected(ToolkitError):
 
 class VersionMismatch(ToolkitError):
     """The model file was written by an unknown format version."""
-
-
-class CorruptFile(ToolkitError):
-    """The model file is truncated or structurally invalid."""
 
 
 class ChecksumFailure(ToolkitError):
@@ -373,6 +370,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -551,6 +550,8 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
     fields = {"arch": arch, "input_width": model.input_width, "output_width": model.output_width}
     header = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
     sidecar = sidecar_dumps(selection, params).encode("utf-8")
+    if len(selection.kept_columns) != model.input_width:
+        raise ShapeMismatch(f"selection keeps {len(selection.kept_columns)} columns, model input width is {model.input_width}")
     body = bytearray()
     body += _MAGIC
     body += struct.pack("<H", _FORMAT_VERSION)
@@ -609,4 +610,9 @@ def load_model(source) -> ModelBundle:
         model = MlpRegressor(layers)
     except ToolkitError as exc:
         raise CorruptFile(f"inconsistent architecture: {exc}") from exc
+    for name, width in (("input_width", model.input_width), ("output_width", model.output_width)):
+        if type(header.get(name)) is not int or header[name] != width:
+            raise CorruptFile(f"header {name} {header.get(name)!r:.40} does not match the architecture's {width}")
+    if len(selection.kept_columns) != model.input_width:
+        raise SidecarFormatError(f"sidecar keeps {len(selection.kept_columns)} columns, model input width is {model.input_width}")
     return ModelBundle(model, selection, params)

@@ -120,8 +120,8 @@ def simulate_scan(world: SimWorld, position: tuple[float, float], draw_index: in
     x, y = float(position[0]), float(position[1])
     if not world.grid.contains_point(x, y):
         raise OutOfBounds(f"scan position ({x}, {y}) is outside the map")
-    seeds = [(world.rng_seed if seed is None else seed) & _SEED_MASK, draw_index & _SEED_MASK]  # default_rng(seeds)'s stream
-    noise = np.random.Generator(np.random.PCG64(seeds)).standard_normal(len(world.aps)).tolist()
+    seeds = [(world.rng_seed if seed is None else seed) & _SEED_MASK, draw_index & _SEED_MASK]
+    noise = np.random.default_rng(seeds).standard_normal(len(world.aps)).tolist()
     entries = []
     for ap, z in zip(world.aps, noise):
         d = max(math.hypot(x - ap.position[0], y - ap.position[1]), world.reference_distance)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
 import statistics
@@ -155,52 +156,42 @@ class FingerprintDataset:
 def parse_scan_text(text: str) -> list[ScanEntry]:
     """Parse scan-tool output into entries, in document order.
 
-    Unknown lines inside a cell block are skipped.  A cell missing its
-    address, ESSID or signal level is rejected with MalformedCell; a signal
-    not expressed in dBm raises BadSignalUnit; a repeated MAC raises
-    DuplicateMac.
+    Unknown lines inside a cell block are skipped; the ESSID and Signal lines
+    may come in either order.  A cell missing its address, ESSID or signal
+    level is rejected with MalformedCell; a signal not expressed in dBm raises
+    BadSignalUnit; a repeated MAC raises DuplicateMac.  Cells are checked in
+    document order, so the first faulty one is reported.
     """
-    entries: list[ScanEntry] = []
-    current: dict | None = None
-    seen_macs: set[str] = set()
-
-    def finalize(cell: dict | None) -> None:
-        if cell is None:
-            return
-        if cell["ssid"] is None or cell["rssi"] is None:
-            missing = "ESSID" if cell["ssid"] is None else "Signal"
-            raise MalformedCell(f"cell {cell['label']} is missing its {missing} line")
-        if cell["mac"] in seen_macs:
-            raise DuplicateMac(f"MAC {cell['mac']} appears twice in one scan")
-        seen_macs.add(cell["mac"])
-        try:
-            entries.append(ScanEntry(cell["mac"], cell["ssid"], cell["rssi"]))
-        except ValueError as exc:
-            raise MalformedCell(str(exc)) from exc
-
-    for line in text.splitlines():
-        cell_match = _CELL_RE.match(line)
-        if cell_match:
-            finalize(current)
-            mac = cell_match.group(2).upper()
-            if not _MAC_RE.match(mac):
-                raise MalformedCell(f"cell {cell_match.group(1)} has a malformed address {cell_match.group(2)!r}")
-            current = {"label": cell_match.group(1), "mac": mac, "ssid": None, "rssi": None}
-            continue
-        if current is None:
+    entries: dict[str, ScanEntry] = {}
+    cell = None  # the open block: [label, mac, ssid, rssi]
+    for line in [*text.splitlines(), None]:  # None: the end of the text closes the last cell
+        header = _CELL_RE.match(line) if line is not None and "Address" in line else None
+        if header or line is None:
+            if cell is not None:
+                label, mac, ssid, rssi = cell
+                if ssid is None or rssi is None:
+                    raise MalformedCell(f"cell {label} is missing its {'ESSID' if ssid is None else 'Signal'} line")
+                if mac in entries:
+                    raise DuplicateMac(f"MAC {mac} appears twice in one scan")
+                try:
+                    entries[mac] = ScanEntry(mac, ssid, rssi)
+                except ValueError as exc:
+                    raise MalformedCell(str(exc)) from exc
+            if header:
+                cell = [header.group(1), header.group(2).upper(), None, None]
+                if not _MAC_RE.match(cell[1]):
+                    raise MalformedCell(f"cell {cell[0]} has a malformed address {header.group(2)!r}")
+        elif cell is None:
             continue  # preamble before the first cell
-        essid_match = _ESSID_RE.search(line)
-        if essid_match and current["ssid"] is None:
-            current["ssid"] = essid_match.group(1)
-            continue
-        if "Signal level" in line:
-            signal_match = _SIGNAL_RE.search(line)
-            if not signal_match or signal_match.group(2) != "dBm":
+        elif cell[2] is None and "ESSID" in line and (essid := _ESSID_RE.search(line)):
+            cell[2] = essid.group(1)
+        elif "Signal level" in line:
+            signal = _SIGNAL_RE.search(line)
+            if not signal or signal.group(2) != "dBm":
                 raise BadSignalUnit(f"signal not expressed in dBm: {line.strip()!r}")
-            if current["rssi"] is None:
-                current["rssi"] = int(signal_match.group(1))
-    finalize(current)
-    return entries
+            if cell[3] is None:
+                cell[3] = int(signal.group(1))
+    return list(entries.values())
 
 
 def filter_by_ssid(entries: list[ScanEntry], allowlist: set[str]) -> list[ScanEntry]:
@@ -237,15 +228,14 @@ def build_dataset(samples: list[ScanSnapshot]) -> FingerprintDataset:
     Columns are the sorted union of all observed MACs; APs missing from a
     snapshot become 0; row order follows the input order.
     """
-    for i, snap in enumerate(samples):
-        if snap.location is None:
-            raise UnlabeledSnapshot(f"snapshot {i} has no location label")
     columns = tuple(sorted({e.mac for s in samples for e in s.entries}))
     index = {mac: j for j, mac in enumerate(columns)}
     rssi = np.full((len(samples), len(columns)), MISSING_RSSI, dtype=float)
     xs = np.zeros(len(samples))
     ys = np.zeros(len(samples))
     for i, snap in enumerate(samples):
+        if snap.location is None:
+            raise UnlabeledSnapshot(f"snapshot {i} has no location label")
         for entry in snap.entries:
             rssi[i, index[entry.mac]] = float(entry.rssi)
         xs[i], ys[i] = snap.location
@@ -338,19 +328,12 @@ def read_scan_directory(
     files that fail to parse or are not UTF-8 text are reported, not
     silently dropped.
     """
-    directory = Path(directory)
-    groups: dict[tuple[float, float], list[tuple[int, Path]]] = {}
-    for path in sorted(directory.iterdir()):
-        label = scan_file_label(path.name)
-        if label is None:
-            continue
-        x, y, rep = label
-        groups.setdefault((x, y), []).append((rep, path))
+    captures = sorted((label, path) for path in Path(directory).iterdir() if (label := scan_file_label(path.name)))
     snapshots: list[ScanSnapshot] = []
     errors: list[tuple[Path, ToolkitError]] = []
-    for location in sorted(groups):
+    for location, group in itertools.groupby(captures, key=lambda capture: capture[0][:2]):
         resamples: list[ScanSnapshot] = []
-        for _, path in sorted(groups[location]):
+        for _, path in group:
             try:
                 entries = parse_scan_text(read_text(path, ToolkitError, None))  # the error list names the file
             except ToolkitError as exc:

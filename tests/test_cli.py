@@ -261,6 +261,10 @@ class TestValidationErrors:
             (["train", "{dataset}", "--threshold", "nan", "-o", "{out}"], "threshold must be in [0, 1], got nan"),
             (["select-features", "{dataset}", "--threshold", "-0.1", "-o", "{out}"], "threshold must be in [0, 1], got -0.1"),
             (["evaluate", "{null_arch_model}", "{dataset}", "-o", "{out}"], "bad architecture header: 'NoneType' object is not iterable"),
+            (["train", "{dataset}", "--seed", "-1", "-o", "{out}"], "seed must be >= 0, got -1"),
+            # an output error names the target, not the temp file beside it
+            (["make-world", "-o", "{out}/w.txt"], "No such file or directory: '{out}/w.txt'"),
+            (["make-world", "-o", "{world.parent}"], "Is a directory: '{world.parent}'"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):

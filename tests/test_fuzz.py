@@ -105,6 +105,29 @@ resamples = 3
 world_seed = 7
 """
 VALID_SCAN = render_scan_text(ScanSnapshot((ScanEntry("02:00:00:00:00:01", "LabNet", -61),))).encode("utf-8")
+# the cell layout of a real `iwlist scan`: Signal before ESSID, among lines the parser skips
+VALID_IWLIST = b"""wlan0     Scan completed :
+          Cell 01 - Address: 02:00:00:00:00:01
+                    Channel:6
+                    Frequency:2.437 GHz (Channel 6)
+                    Quality=49/70  Signal level=-61 dBm
+                    Encryption key:on
+                    ESSID:"LabNet"
+                    Bit Rates:1 Mb/s; 2 Mb/s; 5.5 Mb/s; 11 Mb/s; 6 Mb/s
+                              9 Mb/s; 12 Mb/s; 18 Mb/s; 24 Mb/s; 36 Mb/s
+                    Mode:Master
+                    IE: Unknown: 00064C61624E6574
+                    IE: IEEE 802.11i/WPA2 Version 1
+                        Group Cipher : CCMP
+          Cell 02 - Address: 02:00:00:00:00:02
+                    Channel:11
+                    Frequency:2.462 GHz (Channel 11)
+                    Quality=30/70  Signal level=-80 dBm
+                    Encryption key:off
+                    ESSID:"LabGuest"
+                    Bit Rates:6 Mb/s; 9 Mb/s; 12 Mb/s; 18 Mb/s
+                    IE: Unknown: 00084C61624775657374
+"""
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +191,19 @@ def _parse_scan_bytes(data: bytes):
 @_FUZZ
 @given(data=mutations(VALID_SCAN))
 def test_mutated_scan_text_raises_only_toolkit_errors(data):
+    try:
+        _parse_scan_bytes(data)
+    except ToolkitError:
+        pass
+
+
+def test_valid_iwlist_capture_parses():
+    assert _parse_scan_bytes(VALID_IWLIST) == [ScanEntry("02:00:00:00:00:01", "LabNet", -61), ScanEntry("02:00:00:00:00:02", "LabGuest", -80)]
+
+
+@_FUZZ
+@given(data=mutations(VALID_IWLIST))
+def test_mutated_iwlist_capture_raises_only_toolkit_errors(data):
     try:
         _parse_scan_bytes(data)
     except ToolkitError:

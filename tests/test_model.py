@@ -431,6 +431,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
             TrainConfig(learning_rate=learning_rate)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
     def test_sgd_optimizer_also_learns(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, (32, 2))
@@ -521,6 +525,13 @@ class TestPersistence:
         inputs = rng.uniform(0, 1, (100, 3))
         assert np.array_equal(forward(loaded.model, inputs), forward(bundle.model, inputs))
 
+    def test_save_refuses_a_selection_of_another_width(self, tmp_path):
+        bundle = small_bundle()
+        model = MlpRegressor.default(2, hidden=(4, 5))  # the selection keeps 3 columns
+        with pytest.raises(ShapeMismatch, match="selection keeps 3 columns, model input width is 2"):
+            save_model(model, bundle.selection, bundle.params, tmp_path / "model.bin")
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_file_rejected(self):
         bundle = small_bundle()
         buf = io.BytesIO()
@@ -563,6 +574,7 @@ class TestPersistence:
             (",-90,-30", ",-90,1e999"),  # rssi_max overflows to inf
             (",-90,-30", ",-90,-95"),  # max below min
             ("extent = 11", "extent = nan"),
+            (",-85,-40\n", ",-85,-40\nAA:00:00:00:00:04,1,0.5,-0.4,-70,-20\n"),  # 4 kept columns, input width 3
         ],
     )
     def test_bad_sidecar_with_valid_checksum_rejected(self, old, new):
@@ -601,6 +613,8 @@ class TestPersistence:
             ('"epsilon":1e-05,', '"epsilon":"1e-5",', "'epsilon' must be a number, not '1e-5'"),
             ('"momentum":0.9,', '"momentum":true,', "'momentum' must be a number, not True"),
             ('"initialized":true,', '"initialized":"false",', "'initialized' must be a boolean, not 'false'"),
+            ('"input_width":3', '"input_width":99', "header input_width 99 does not match the architecture's 3"),
+            ('"output_width":2', '"output_width":"x"', "header output_width 'x' does not match the architecture's 2"),
         ],
         ids=[
             "arch-int",
@@ -618,6 +632,8 @@ class TestPersistence:
             "epsilon-string",
             "momentum-bool",
             "initialized-string",
+            "input-width-99",
+            "output-width-string",
         ],
     )
     def test_bad_header_with_valid_checksum_rejected(self, old, new, message):

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,10 @@ TWO_CELLS = (
     '          ESSID:"CSU Visitor"\n'
     "          Signal level=-72 dBm\n"
 )
+
+CELL_A = "Cell 01 - Address: AA:BB:CC:DD:EE:FF\n"
+CELL_B = "Cell 02 - Address: 11:22:33:44:55:66\n"
+ENTRY_A = ScanEntry("AA:BB:CC:DD:EE:FF", "CSU Net", -61)
 
 
 class TestParse:
@@ -98,6 +103,27 @@ class TestParse:
             parse_scan_text(ONE_CELL.replace("-61 dBm", "70/100"))
         with pytest.raises(BadSignalUnit):
             parse_scan_text(ONE_CELL.replace("-61 dBm", "-61 mW"))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (CELL_A + "Quality=50/70  Signal level=-61 dBm\nEncryption key:on\n" + 'ESSID:"CSU Net"\n', [ENTRY_A]),
+            (CELL_A + 'ESSID:"CSU Net"\nESSID:"Other"\n' + 'ESSID:"Other"  Signal level=-61 dBm\n', [ENTRY_A]),
+            (CELL_A + "Signal level=-61 dBm\n" + CELL_B + 'ESSID:"x"\nSignal level=-61 mW\n', MalformedCell("cell 01 is missing its ESSID line")),
+            (ONE_CELL + ONE_CELL + "Cell 03 - Address: NOT_A_MAC\n", DuplicateMac("MAC AA:BB:CC:DD:EE:FF appears twice in one scan")),
+            ("wlan0     Signal level=-61 mW\n" + ONE_CELL, [ENTRY_A]),
+            (ONE_CELL.replace("\n", "\r\n"), [ENTRY_A]),
+            (ONE_CELL.replace("\n", "\r"), [ENTRY_A]),
+            (ONE_CELL.replace("\n", "\u2028"), [ENTRY_A]),
+        ],
+        ids=["signal-before-essid", "second-essid", "first-fault-missing-essid", "first-fault-duplicate", "preamble-mw", "crlf", "cr", "u2028"],
+    )
+    def test_cell_block_semantics(self, text, expected):
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+                parse_scan_text(text)
+        else:
+            assert parse_scan_text(text) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=400))
