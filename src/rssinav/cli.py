@@ -81,6 +81,9 @@ def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
         file_values = _parse_config_file(config_path)
         merged.update({k: v for k, v in file_values.items() if k in defaults})
     merged.update(explicit)
+    for key in ("seed", "world_seed"):
+        if merged.get(key) is not None:
+            model.check_seed(merged[key])
     return merged
 
 

@@ -213,12 +213,6 @@ def normalize_features(params: NormalizationParams, values) -> np.ndarray:
     return np.where(span == 0.0, 0.0, out)
 
 
-def denormalize_features(params: NormalizationParams, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    span = params.feature_max - params.feature_min
-    return values * span + params.feature_min
-
-
 def normalize_coords(params: NormalizationParams, xy) -> np.ndarray:
     """Map (x, y) feet onto the shared normalized frame."""
     xy = np.asarray(xy, dtype=float)

@@ -350,6 +350,12 @@ def _loss_and_grads(model: MlpRegressor, inputs, targets):
     return loss, _backward(model, cache, np.sign(err) / err.size), cache
 
 
+def check_seed(seed: int) -> None:
+    """The one check every seed option shares: seeds are non-negative."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class TrainConfig:
     """Training hyperparameters; every value is recorded for reproducibility."""
@@ -370,8 +376,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

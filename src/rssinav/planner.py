@@ -5,7 +5,8 @@ Motion is 4-connected with unit step cost, matching a robot that drives
 straight hallway segments and makes 90-degree turns only; the Manhattan
 distance is therefore an admissible, consistent heuristic.  Tie-breaking is
 fixed (lower f, then lower h, then insertion order with neighbors expanded
-east, north, west, south) so plans are reproducible.
+east, north, west, south) so plans are reproducible.  A* runs on flat cell
+indices of the grid padded with one wall cell per side: no bounds checks.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ class Heading(Enum):
             raise ValueError(f"heading must be one of E, N, W, S, got {letter!r}") from None
 
 
-# neighbor expansion order: east, north, west, south
-_NEIGHBORS = (Heading.EAST.value, Heading.NORTH.value, Heading.WEST.value, Heading.SOUTH.value)
-
-
 class Action(Enum):
     TURN_LEFT_90 = "turn_left_90"
     TURN_RIGHT_90 = "turn_right_90"
@@ -111,9 +108,6 @@ class GridMap:
 
     def contains_point(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width * self.cell_size and 0.0 <= y <= self.height * self.cell_size
-
-    def cell_of(self, x: float, y: float) -> Cell:
-        return int(np.floor(x / self.cell_size)), int(np.floor(y / self.cell_size))
 
     def cell_center(self, cell: Cell) -> tuple[float, float]:
         ix, iy = cell
@@ -197,7 +191,9 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> PlannedPath:
     """Minimum-length 4-connected path from start to goal.
 
     Expansion order is deterministic: lowest f, then lowest heuristic, then
-    push order (neighbors pushed east, north, west, south).
+    push order (neighbors pushed east, north, west, south).  A cell is the
+    flat index ``(iy + 1) * stride + ix + 1`` of the wall-padded grid, and
+    ``closed`` starts set on every wall, so one byte test rejects a neighbor.
     """
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.in_bounds(cell):
@@ -205,34 +201,35 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> PlannedPath:
         if not grid.is_walkable(cell):
             raise BlockedEndpoint(f"{name} cell {cell} is not walkable")
     start, goal = (int(start[0]), int(start[1])), (int(goal[0]), int(goal[1]))
-
-    walkable, width, height = grid.walkable.tolist(), grid.width, grid.height
+    stride = grid.width + 2
+    closed = bytearray(np.pad(~grid.walkable, 1, constant_values=True).tobytes())
+    gx, gy = goal[0] + 1, goal[1] + 1
+    source, target = (start[1] + 1) * stride + start[0] + 1, gy * stride + gx
+    g_score = [len(closed)] * len(closed)  # longer than any path
+    came_from = [-1] * len(closed)
+    g_score[source] = 0
     counter = 0
     h0 = manhattan(start, goal)
-    frontier: list[tuple[int, int, int, Cell]] = [(h0, h0, counter, start)]
-    came_from: dict[Cell, Cell] = {}
-    g_score: dict[Cell, int] = {start: 0}
-    closed: set[Cell] = set()
+    frontier: list[tuple[int, int, int, int]] = [(h0, h0, counter, source)]
     while frontier:
-        _, _, _, current = heapq.heappop(frontier)
-        if current in closed:
+        current = heapq.heappop(frontier)[3]
+        if closed[current]:
             continue
-        closed.add(current)
-        if current == goal:
-            cells = [current]
-            while current in came_from:
+        closed[current] = 1
+        if current == target:
+            cells = []
+            while current >= 0:
+                iy, ix = divmod(current, stride)
+                cells.append((ix - 1, iy - 1))
                 current = came_from[current]
-                cells.append(current)
             return PlannedPath(tuple(reversed(cells)))
-        for dx, dy in _NEIGHBORS:
-            nx, ny = neighbor = (current[0] + dx, current[1] + dy)
-            if not (0 <= nx < width and 0 <= ny < height and walkable[ny][nx]) or neighbor in closed:
-                continue
-            tentative = g_score[current] + 1
-            if tentative < g_score.get(neighbor, math.inf):
+        tentative = g_score[current] + 1
+        for neighbor in (current + 1, current + stride, current - 1, current - stride):
+            if not closed[neighbor] and tentative < g_score[neighbor]:
                 g_score[neighbor] = tentative
                 came_from[neighbor] = current
-                h = manhattan(neighbor, goal)
+                iy, ix = divmod(neighbor, stride)
+                h = abs(ix - gx) + abs(iy - gy)
                 counter += 1
                 heapq.heappush(frontier, (tentative + h, h, counter, neighbor))
     raise NoPath(f"no route from {start} to {goal}")

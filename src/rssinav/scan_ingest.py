@@ -190,7 +190,11 @@ def parse_scan_text(text: str) -> list[ScanEntry]:
             if not signal or signal.group(2) != "dBm":
                 raise BadSignalUnit(f"signal not expressed in dBm: {line.strip()!r}")
             if cell[3] is None:
-                cell[3] = int(signal.group(1))
+                try:
+                    cell[3] = int(signal.group(1))
+                except ValueError:  # more digits than int() converts: far outside the RSSI range
+                    digits = len(signal.group(1).lstrip("-"))
+                    raise MalformedCell(f"cell {cell[0]} has a signal level of {digits} digits") from None
     return list(entries.values())
 
 

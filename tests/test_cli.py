@@ -84,6 +84,16 @@ class TestIngest:
             assert err.count("\n") == 1 and err.startswith(str(bad) + ": ")  # listed with the per-file errors
             assert not (tmp_path / "ds.csv").exists()
 
+    def test_signal_level_too_long_for_int_is_listed(self, tmp_path, capsys):
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        (scans / "0_0_0.txt").write_text(ONE_CELL.format(i=1, level=-50))
+        bad = scans / "1_0_0.txt"
+        bad.write_text(ONE_CELL.format(i=1, level="-" + "9" * 4301))  # more digits than int() converts
+        assert main(["ingest", str(scans), "-o", str(tmp_path / "ds.csv")]) == 1
+        assert capsys.readouterr().err == f"{bad}: cell 01 has a signal level of 4301 digits\n"
+        assert not (tmp_path / "ds.csv").exists()
+
     def test_each_failing_capture_named_once(self, tmp_path, capsys):
         scans = write_scan_dir(tmp_path)
         latin1, duplicate_mac = scans / "1.5_0.5_0.txt", scans / "2_2_0.txt"
@@ -265,6 +275,11 @@ class TestValidationErrors:
             # an output error names the target, not the temp file beside it
             (["make-world", "-o", "{out}/w.txt"], "No such file or directory: '{out}/w.txt'"),
             (["make-world", "-o", "{world.parent}"], "Is a directory: '{world.parent}'"),
+            # every seed option shares TrainConfig's check
+            (["simulate", "{world}", "--oracle", "--seed", "-1", "-o", "{out}"], "seed must be >= 0, got -1"),
+            (["navigate", "{world}", "--oracle", "--seed", "-1", "--out-prefix", "{out}"], "seed must be >= 0, got -1"),
+            (["make-dataset", "{world}", "--seed", "-1", "-o", "{out}"], "seed must be >= 0, got -1"),
+            (["make-world", "--world-seed", "-1", "-o", "{out}"], "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):

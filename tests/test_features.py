@@ -13,7 +13,6 @@ from rssinav.features import (
     TooFewSamples,
     columns_with_presence,
     denormalize_coords,
-    denormalize_features,
     error_feet,
     fit_normalizer,
     normalize_coords,
@@ -176,14 +175,16 @@ class TestNormalizer:
         ds = make_dataset([M1], [[-50], [-50]], [0, 1], [0, 2])
         params = fit_normalizer(ds)
         assert normalize_features(params, [-50.0])[0] == 0.0
-        assert denormalize_features(params, normalize_features(params, [-50.0]))[0] == -50.0
+        # the hand inverse, value * (max - min) + min, gives the constant back
+        assert (params.feature_min[0], params.feature_max[0]) == (-50.0, -50.0)
 
     def test_round_trip_within_1e9(self):
         ds = make_dataset([M1, M2], [[-90, -70], [-30, -20], [-55, -44]], [0, 3, 9], [0, 6, 12])
         params = fit_normalizer(ds)
         rng = np.random.default_rng(0)
         vectors = rng.uniform([-90, -70], [-30, -20], size=(50, 2))
-        assert np.allclose(denormalize_features(params, normalize_features(params, vectors)), vectors, atol=1e-9)
+        # the hand inverse: min (-90, -70) plus the normalized value times the span (60, 50)
+        assert np.allclose(normalize_features(params, vectors) * [60.0, 50.0] + [-90.0, -70.0], vectors, atol=1e-9)
         coords = rng.uniform([0, 0], [9, 12], size=(50, 2))
         assert np.allclose(denormalize_coords(params, normalize_coords(params, coords)), coords, atol=1e-9)
 

@@ -1,12 +1,17 @@
+import heapq
+import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rssinav.errors import OutOfBounds
+from rssinav.errors import OutOfBounds, ToolkitError
 from rssinav.planner import (
     Action,
     BlockedEndpoint,
+    Cell,
     Checkpoint,
     EmptyPath,
     GridMap,
@@ -103,7 +108,6 @@ class TestGridMap:
     def test_cell_geometry(self):
         grid = GridMap(4, 4, 2.0)
         assert grid.cell_center((1, 2)) == (3.0, 5.0)
-        assert grid.cell_of(3.0, 5.0) == (1, 2)
         assert grid.walkable_cells()[0] == (0, 0)
 
 
@@ -166,6 +170,93 @@ class TestAstar:
             assert all(grid.is_walkable(c) for c in path.cells)
             assert all(manhattan(a, b) == 1 for a, b in zip(path.cells, path.cells[1:]))
             checked += 1
+
+
+# The tuple-key A* that the flat-index one replaced, kept verbatim as the
+# reference: every plan and every error message must stay the same.
+_NEIGHBORS = (Heading.EAST.value, Heading.NORTH.value, Heading.WEST.value, Heading.SOUTH.value)
+
+
+def reference_astar(grid: GridMap, start: Cell, goal: Cell) -> PlannedPath:
+    """Minimum-length 4-connected path from start to goal.
+
+    Expansion order is deterministic: lowest f, then lowest heuristic, then
+    push order (neighbors pushed east, north, west, south).
+    """
+    for name, cell in (("start", start), ("goal", goal)):
+        if not grid.in_bounds(cell):
+            raise OutOfBounds(f"{name} cell {cell} is outside the {grid.width}x{grid.height} grid")
+        if not grid.is_walkable(cell):
+            raise BlockedEndpoint(f"{name} cell {cell} is not walkable")
+    start, goal = (int(start[0]), int(start[1])), (int(goal[0]), int(goal[1]))
+
+    walkable, width, height = grid.walkable.tolist(), grid.width, grid.height
+    counter = 0
+    h0 = manhattan(start, goal)
+    frontier: list[tuple[int, int, int, Cell]] = [(h0, h0, counter, start)]
+    came_from: dict[Cell, Cell] = {}
+    g_score: dict[Cell, int] = {start: 0}
+    closed: set[Cell] = set()
+    while frontier:
+        _, _, _, current = heapq.heappop(frontier)
+        if current in closed:
+            continue
+        closed.add(current)
+        if current == goal:
+            cells = [current]
+            while current in came_from:
+                current = came_from[current]
+                cells.append(current)
+            return PlannedPath(tuple(reversed(cells)))
+        for dx, dy in _NEIGHBORS:
+            nx, ny = neighbor = (current[0] + dx, current[1] + dy)
+            if not (0 <= nx < width and 0 <= ny < height and walkable[ny][nx]) or neighbor in closed:
+                continue
+            tentative = g_score[current] + 1
+            if tentative < g_score.get(neighbor, math.inf):
+                g_score[neighbor] = tentative
+                came_from[neighbor] = current
+                h = manhattan(neighbor, goal)
+                counter += 1
+                heapq.heappush(frontier, (tentative + h, h, counter, neighbor))
+    raise NoPath(f"no route from {start} to {goal}")
+
+
+@st.composite
+def planning_problems(draw):
+    """A grid of 1x1 to 30x30 cells and two endpoints, one in ten drawn up to 2 cells past its edges."""
+    width, height = draw(st.integers(1, 30), label="width"), draw(st.integers(1, 30), label="height")
+    layout = draw(st.sampled_from(["open", "random", "corridors", "wall"]), label="layout")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    mask = np.ones((height, width), dtype=bool)  # "open": every tie is an equal-cost path
+    if layout == "random":
+        mask = rng.random((height, width)) >= draw(st.sampled_from([0.1, 0.3, 0.45]), label="density")
+    elif layout == "corridors":  # 1-wide serpentine: wall rows with a door at alternating ends
+        mask[1::2] = False
+        mask[1::4, -1] = mask[3::4, 0] = True
+    elif layout == "wall":  # a full wall column, with a door half the time, else the goal may be cut off
+        ix = rng.integers(width)
+        mask[:, ix] = False
+        mask[rng.integers(height), ix] = draw(st.booleans(), label="door")
+
+    def endpoint(label):
+        margin = 2 if draw(st.integers(0, 9), label=f"{label} off the grid") == 0 else 0
+        return draw(st.tuples(st.integers(-margin, width - 1 + margin), st.integers(-margin, height - 1 + margin)), label=label)
+
+    return GridMap(width, height, 1.0, mask), endpoint("start"), endpoint("goal")
+
+
+def plan_outcome(planner, grid, start, goal):
+    try:
+        return planner(grid, start, goal).cells
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(problem=planning_problems())
+def test_astar_returns_the_reference_path_or_error(problem):
+    assert plan_outcome(astar, *problem) == plan_outcome(reference_astar, *problem)
 
 
 class TestCheckpoints:

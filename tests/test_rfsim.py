@@ -288,6 +288,11 @@ class TestTrials:
             previous = kind
 
 
+def cell_of(grid, x, y):
+    """The grid cell holding the point (x, y) feet."""
+    return math.floor(x / grid.cell_size), math.floor(y / grid.cell_size)
+
+
 def replay_substeps(world, result):
     """Re-integrate the command events with one step_robot call per 0.01 s substep.
 
@@ -320,7 +325,7 @@ class TestTrialReplay:
         assert result.trajectory == poses
         goal = ref_world.grid.cell_center(REFERENCE_GOAL)
         assert result.final_error == math.hypot(robot.x - goal[0], robot.y - goal[1])
-        left_walkable = any(not ref_world.grid.is_walkable(ref_world.grid.cell_of(x, y)) for x, y, _ in poses[1:])
+        left_walkable = any(not ref_world.grid.is_walkable(cell_of(ref_world.grid, x, y)) for x, y, _ in poses[1:])
         assert ("+left_walkable" in result.reason) == left_walkable
 
     @pytest.mark.parametrize("goal, reason", [((5, 1), "done"), ((7, 1), "done+left_walkable")])
@@ -335,7 +340,7 @@ class TestTrialReplay:
         assert result.reason == reason
         _, poses = replay_substeps(world, result)
         assert result.trajectory == poses
-        assert any(not grid.is_walkable(grid.cell_of(x, y)) for x, y, _ in poses) == reason.endswith("+left_walkable")
+        assert any(not grid.is_walkable(cell_of(grid, x, y)) for x, y, _ in poses) == reason.endswith("+left_walkable")
 
     @staticmethod
     def l_route(turn_scale, pillar=False):
@@ -360,12 +365,12 @@ class TestTrialReplay:
     def test_pillar_crossed_inside_a_straight_leg(self):
         grid, result = self.l_route(1.1)
         assert result.reason == "done"
-        assert (7, 5) in {grid.cell_of(x, y) for x, y, _ in result.trajectory}
+        assert (7, 5) in {cell_of(grid, x, y) for x, y, _ in result.trajectory}
         grid, result = self.l_route(1.1, pillar=True)
         assert result.reason == "done+left_walkable"
         # every leg starts and ends on a walkable cell: only its inside crosses the pillar
-        assert all(grid.is_walkable(grid.cell_of(*payload[0])) for kind, _, payload in result.events if kind == "fix")
-        assert grid.is_walkable(grid.cell_of(*result.trajectory[-1][:2]))
+        assert all(grid.is_walkable(cell_of(grid, *payload[0])) for kind, _, payload in result.events if kind == "fix")
+        assert grid.is_walkable(cell_of(grid, *result.trajectory[-1][:2]))
 
     def test_straight_leg_off_the_map(self):
         grid, result = self.l_route(1.2)

@@ -115,8 +115,10 @@ class TestParse:
             (ONE_CELL.replace("\n", "\r\n"), [ENTRY_A]),
             (ONE_CELL.replace("\n", "\r"), [ENTRY_A]),
             (ONE_CELL.replace("\n", "\u2028"), [ENTRY_A]),
+            (CELL_B + 'ESSID:"x"\nSignal level=-61 dBm\n' + ONE_CELL.replace("-61", "-" + "9" * 5000), MalformedCell("cell 01 has a signal level of 5000 digits")),
         ],
-        ids=["signal-before-essid", "second-essid", "first-fault-missing-essid", "first-fault-duplicate", "preamble-mw", "crlf", "cr", "u2028"],
+        ids=["signal-before-essid", "second-essid", "first-fault-missing-essid", "first-fault-duplicate", "preamble-mw", "crlf", "cr", "u2028",
+             "signal-too-long-for-int"],
     )
     def test_cell_block_semantics(self, text, expected):
         if isinstance(expected, Exception):

@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Byte-identity check: build every primary output in a parent tree and in
+this tree, and print each output's SHA-256 and whether the two agree.
+
+    python3 tools/bytediff.py PARENT [--keep DIR]
+
+PARENT is a source checkout (a directory holding ``src/rssinav``) or a git
+revision of this repository, which is exported with ``git archive``.  The
+script writes one set of shared inputs (scan captures in two SSIDs and a
+120x100 grid map with walls), then runs the same CLI pipeline in each tree,
+each in its own directory, with every output path relative to it:
+
+    make-world, make-dataset, ingest (plain, --no-aggregate, --ssid),
+    train --seed 0 (model file and report), evaluate, select-features,
+    simulate --trials 100 -o, navigate (three CSVs), plan -o
+
+Each command's stdout is compared too.  The exit status is 0 when every
+output exists in both trees and matches, else 1.  Model-based digests
+depend on the BLAS build, so compare two trees on one machine; this check
+is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import math
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (label, argv, output files); "{captures}" and "{map}" name the shared inputs
+STEPS = [
+    ("make-world", ["make-world", "-o", "world.txt"], ["world.txt"]),
+    ("make-dataset", ["make-dataset", "world.txt", "-o", "dataset.csv"], ["dataset.csv"]),
+    ("ingest", ["ingest", "{captures}", "-o", "ingest.csv"], ["ingest.csv"]),
+    ("ingest --no-aggregate", ["ingest", "{captures}", "-o", "ingest_resamples.csv", "--no-aggregate"], ["ingest_resamples.csv"]),
+    ("ingest --ssid", ["ingest", "{captures}", "-o", "ingest_ssid.csv", "--ssid", "LabNet"], ["ingest_ssid.csv"]),
+    ("train", ["train", "dataset.csv", "-o", "model.bin", "--seed", "0"], ["model.bin", "model.bin.report.csv"]),
+    ("evaluate", ["evaluate", "model.bin", "dataset.csv", "-o", "evaluate.csv"], ["evaluate.csv"]),
+    ("select-features", ["select-features", "dataset.csv", "-o", "features.csv"], ["features.csv"]),
+    ("simulate", ["simulate", "world.txt", "model.bin", "--trials", "100", "-o", "trials.csv"], ["trials.csv"]),
+    ("navigate", ["navigate", "world.txt", "model.bin", "--out-prefix", "nav"],
+     ["nav_trajectory.csv", "nav_fixes.csv", "nav_commands.csv"]),
+    ("plan", ["plan", "{map}", "--start", "0,0", "--goal", "119,99", "-o", "plan.csv"], ["plan.csv"]),
+]
+
+
+def write_captures(directory: Path) -> None:
+    """Seeded scan captures: 6x4 locations x 3 scans of 9 APs, a third of them on SSID Guest."""
+    directory.mkdir()
+    rnd = random.Random(2026)
+    aps = [(f"02:00:00:00:01:{i:02X}", "Guest" if i % 3 == 0 else "LabNet", rnd.uniform(0, 30), rnd.uniform(0, 20)) for i in range(9)]
+    for x in range(0, 30, 5):
+        for y in range(0, 20, 5):
+            for rep in range(3):
+                lines = []
+                for cell, (mac, ssid, ax, ay) in enumerate(aps, start=1):
+                    rssi = round(-40 - 30 * math.log10(max(1.0, math.hypot(ax - x, ay - y))) + rnd.gauss(0, 2))
+                    lines += [f"Cell {cell:02d} - Address: {mac}", f'          ESSID:"{ssid}"', f"          Signal level={rssi} dBm"]
+                (directory / f"{x}_{y}_{rep}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_map(path: Path, width: int = 120, height: int = 100) -> None:
+    """Rooms behind walls on every 15th column and 10th row, with one door in each wall segment."""
+    rnd = random.Random(7)
+    rows = [["."] * width for _ in range(height)]
+    for wy in range(10, height, 10):
+        rows[wy] = ["#"] * width
+        for x0 in range(0, width, 15):
+            rows[wy][rnd.randrange(x0 + 1 if x0 else 0, min(x0 + 15, width))] = "."
+    for wx in range(15, width, 15):
+        for y0 in range(0, height, 10):
+            band = range(y0 + 1 if y0 else 0, min(y0 + 10, height))
+            for y in band:
+                rows[y][wx] = "#"
+            rows[rnd.choice(band)][wx] = "."
+    path.write_text(f"{width} {height} 1\n" + "".join("".join(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def export_revision(revision: str, dest: Path) -> Path:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", revision], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return dest
+
+
+def run_tree(tree: Path, work: Path, inputs: dict[str, str]) -> dict[str, str]:
+    """Run every step in ``work`` with ``tree``'s source; return output name -> SHA-256 (or a failure note)."""
+    work.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    digests = {}
+    for label, argv, outputs in STEPS:
+        argv = [arg.format(**inputs) for arg in argv]
+        done = subprocess.run([sys.executable, "-m", "rssinav", *argv], cwd=work, env=env, capture_output=True)
+        digests[f"{label}: stdout"] = hashlib.sha256(done.stdout).hexdigest() if done.returncode == 0 else f"exit {done.returncode}"
+        for name in outputs:
+            path = work / name
+            digests[f"{label}: {name}"] = hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else "missing"
+    return digests
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", help="parent source checkout (directory) or git revision")
+    parser.add_argument("--keep", help="build in this new directory and keep it, instead of a temporary one")
+    args = parser.parse_args(argv)
+    work = Path(args.keep) if args.keep else Path(tempfile.mkdtemp(prefix="bytediff-"))
+    try:
+        if args.keep:
+            work.mkdir(parents=True)
+        parent = Path(args.parent)
+        if not (parent / "src" / "rssinav").is_dir():
+            parent = export_revision(args.parent, work / "parent-tree")
+        write_captures(work / "captures")
+        write_map(work / "map.txt")
+        inputs = {"captures": str(work / "captures"), "map": str(work / "map.txt")}
+        before = run_tree(parent.resolve(), work / "parent", inputs)
+        after = run_tree(ROOT, work / "change", inputs)
+    finally:
+        if not args.keep:
+            shutil.rmtree(work, ignore_errors=True)
+    width = max(map(len, after))
+    same = 0
+    for name, digest in after.items():
+        if digest == before[name] and len(digest) == 64:
+            same += 1
+            print(f"{name:<{width}}  same       {digest}")
+        else:
+            print(f"{name:<{width}}  DIFFERENT  {digest}  parent: {before[name]}")
+    print(f"{same} of {len(after)} outputs identical")
+    return 0 if same == len(after) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
