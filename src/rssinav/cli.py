@@ -19,7 +19,7 @@ import numpy as np
 
 from . import features, model, navctl, planner, rfsim, scan_ingest
 from .errors import ToolkitError
-from .fileio import write_rows
+from .fileio import read_bytes, write_rows
 
 _SUPPRESS = argparse.SUPPRESS
 
@@ -51,7 +51,7 @@ def _as_cell(text: str) -> tuple[int, int]:
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_bytes(Path(path)).decode("utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):

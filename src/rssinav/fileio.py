@@ -1,7 +1,8 @@
 """The file layer: every output path is written atomically (a unique temp
 file beside it, renamed into place on success, so a failed write leaves any
-old file untouched), and the world, map, dataset and scan text formats are
-decoded from UTF-8 here, with errors that name the file."""
+old file untouched), every input path is read here, and the world, map,
+dataset and scan text formats are decoded from UTF-8 here, with errors that
+name the file."""
 
 from __future__ import annotations
 
@@ -51,16 +52,21 @@ def write_rows(sink, header, rows) -> None:
         writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
+def read_bytes(source) -> bytes:
+    """The bytes of a path, or what an open binary file reads."""
+    if not isinstance(source, (str, Path)):
+        return source.read()
+    with open(source, "rb") as fh:
+        return fh.read()
+
+
 def read_text(source, error, what: str | None) -> str:
     """The UTF-8 text of a path with its line endings as written, or what an
     open text file reads; text that is not UTF-8 raises ``error`` naming
     ``what`` and the file (neither if ``what`` is None)."""
     is_path = isinstance(source, (str, Path))
     try:
-        if not is_path:
-            return source.read()
-        with open(source, encoding="utf-8", newline="") as fh:
-            return fh.read()
+        return read_bytes(source).decode("utf-8") if is_path else source.read()
     except UnicodeDecodeError as exc:
         name = source if is_path else getattr(source, "name", "stream")
         raise error(f"{what} {name} is not UTF-8 text: {exc}" if what else f"not UTF-8 text: {exc}") from exc

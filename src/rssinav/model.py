@@ -17,13 +17,12 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CorruptFile, ToolkitError
-from .fileio import open_sink
+from .fileio import open_sink, read_bytes
 from .features import (
     EmptyDataset,
     FeatureSelection,
@@ -572,7 +571,7 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
 
 def load_model(source) -> ModelBundle:
     """Read a model file back; forward outputs are bit-identical to save time."""
-    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    data = read_bytes(source)
 
     if len(data) < len(_MAGIC) + 2 or not data.startswith(_MAGIC):
         raise CorruptFile("not a model file (bad magic)")

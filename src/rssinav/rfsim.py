@@ -12,6 +12,9 @@ rounded to integer dBm to match real scan granularity.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import OutOfBounds, ToolkitError
 from .fileio import open_sink, read_text
-from .model import ModelBundle, NoKnownAccessPoints, predict_position
+from .model import ModelBundle, NoKnownAccessPoints, check_seed, predict_position
 from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, require_positive
 from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkpoints, first_segment_heading
 from .scan_ingest import _MAC_RE, RSSI_FLOOR, ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
@@ -397,15 +400,54 @@ def corner_success_rate(
 
     Every trial drives that one path; trials use seeds base_seed .. base_seed
     + trials - 1, and the default route is the reference world's corner run.
+    Trials run side by side on the CPUs in the affinity mask (``_map_trials``);
+    the results are byte-identical to a serial run's, and so is every output.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     start = REFERENCE_START if start is None else start
     goal = REFERENCE_GOAL if goal is None else goal
     path = astar(world.grid, start, goal)
-    results = [run_trial(world, bundle, path, seed=base_seed + i, **trial_kwargs) for i in range(trials)]
+    results = _map_trials(lambda i: run_trial(world, bundle, path, seed=base_seed + i, **trial_kwargs), trials)
     rate = sum(r.success for r in results) / trials
     return rate, results
+
+
+def _map_trials(trial, count: int) -> list:
+    """``[trial(i) for i in range(count)]`` in contiguous shares, one per CPU in the
+    affinity mask.  This process runs the first; a forked child per other share
+    pipes back one pickle and ends in ``os._exit``, never returning into the caller.
+    A failed child's share is rerun here, so errors are the serial loop's."""
+    workers = min(count, len(os.sched_getaffinity(0))) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    shares = [range(count * k // workers, count * (k + 1) // workers) for k in range(workers)]
+    fds, pids = [], []  # open pipe ends, then one read end per forked share; children not yet reaped
+    try:
+        for share in shares[1:]:
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    view = memoryview(pickle.dumps([trial(i) for i in share]))
+                    while view:
+                        view = view[os.write(fds[-1], view) :]
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            os.close(fds.pop())  # the write end: EOF comes when the child exits
+        results = [trial(i) for i in shares[0]]
+        for share, pid, read_end in zip(shares[1:], pids[:], fds):
+            data = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))  # to EOF before waitpid: it can outgrow the pipe buffer
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            results += pickle.loads(data) if status == 0 else [trial(i) for i in share]
+        return results
+    finally:  # on every exit path: no open pipe end, no unreaped child
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +537,7 @@ def _parse_world(text: str) -> SimWorld:
                 robot = SimRobot(x, y, heading, wheel_base, left, right)
             elif kind == "seed":
                 seed = int(fields[1])
+                check_seed(seed)
             elif kind == "refdist":
                 (refdist,) = finite_floats(fields[1:2])
             else:

@@ -3,6 +3,7 @@ import hashlib
 import os
 import re
 import struct
+import sys
 import warnings
 
 import pytest
@@ -181,6 +182,23 @@ class TestSimulateNavigate:
         for out in (a, b):
             assert main(["simulate", str(world), str(model), "--trials", "1", "--seed", "7", "-o", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_simulate_prints_its_rate_once(self, workspace, tmp_path, monkeypatch, oracle):
+        # stdout is a block-buffered file, as in `rssinav simulate ... > out.txt`; two forked
+        # children share the trials, and neither flushes the copy of the buffer it inherits
+        _, world, _, model = workspace
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        stdout = tmp_path / "stdout.txt"
+        argv = ["simulate", str(world), *(["--oracle"] if oracle else [str(model)]), "--trials", "7"]
+        with open(stdout, "w", encoding="utf-8") as fh:
+            monkeypatch.setattr(sys, "stdout", fh)
+            print("before the run, unflushed")
+            assert main([*argv, "-o", str(tmp_path / "trials.csv")]) == 0
+            monkeypatch.undo()
+        assert re.fullmatch(r"before the run, unflushed\nsuccess rate: \d/7 = \d\.\d\d\n", stdout.read_text())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_model_required_without_oracle(self, workspace, capsys):
         _, world, _, _ = workspace
@@ -424,3 +442,28 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message.format(config=config) in err and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.conf"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin1"])
+    def test_unreadable_config_keeps_the_read_text_message(self, workspace, tmp_path, capsys, kind):
+        _, _, dataset, _ = workspace
+        config = tmp_path / "bad.conf"
+        if kind == "directory":
+            config.mkdir()
+        elif kind == "latin1":
+            config.write_bytes(b"epochs = 3\n" * 1000 + b"# caf\xe9\n")
+        with pytest.raises((OSError, UnicodeDecodeError)) as reading:
+            config.read_text(encoding="utf-8")  # the read the config parser used to make
+        assert main(["train", str(dataset), "-o", str(tmp_path / "m.bin"), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read config file {config}: {reading.value}\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_model_keeps_the_read_bytes_message(workspace, tmp_path, capsys, kind):
+    _, world, _, _ = workspace
+    model = tmp_path / "model.bin"
+    if kind == "directory":
+        model.mkdir()
+    with pytest.raises(OSError) as reading:
+        model.read_bytes()  # the read load_model used to make
+    assert main(["simulate", str(world), str(model), "--trials", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {reading.value}\n"

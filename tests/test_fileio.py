@@ -107,16 +107,24 @@ class TestDecodeErrorsNameTheFile:
         assert read_text(path, ToolkitError, "text") == "a\r\nb\rc\n"
 
 
+_PATH_IO = ("read_text", "read_bytes", "write_text", "write_bytes")
+
+
 def _file_layer_bypasses(tree: ast.Module) -> list[str]:
-    """Each call of ``open`` or ``os.replace`` and each import of ``tempfile`` in a module."""
+    """Each call of ``open``, ``os.replace`` or a ``Path`` read/write method (any
+    ``x.read_text(`` and the like but ``fileio``'s own) and each import of
+    ``tempfile`` in a module."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
+            owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
             if isinstance(func, ast.Name) and func.id == "open":
                 found.append(f"line {node.lineno}: open(")
-            if isinstance(func, ast.Attribute) and func.attr == "replace" and isinstance(func.value, ast.Name) and func.value.id == "os":
+            if isinstance(func, ast.Attribute) and func.attr == "replace" and owner == "os":
                 found.append(f"line {node.lineno}: os.replace(")
+            if isinstance(func, ast.Attribute) and func.attr in _PATH_IO and owner != "fileio":
+                found.append(f"line {node.lineno}: .{func.attr}(")
         elif isinstance(node, ast.Import) and any(alias.name == "tempfile" for alias in node.names):
             found.append(f"line {node.lineno}: import tempfile")
         elif isinstance(node, ast.ImportFrom) and node.module == "tempfile":
@@ -133,4 +141,10 @@ def test_only_the_file_layer_opens_files():
 
 def test_the_check_sees_each_bypass():
     source = "import os, tempfile\nfrom tempfile import mkstemp\nopen('x')\nos.replace('a', 'b')\n"
-    assert len(_file_layer_bypasses(ast.parse(source))) == 4
+    source += "Path(p).read_text()\np.read_bytes()\nPath(p).write_text('')\nself.path.write_bytes(b'')\n"
+    assert len(_file_layer_bypasses(ast.parse(source))) == 8
+
+
+def test_the_check_allows_the_file_layer_and_its_helpers():
+    source = "fileio.read_text(p, E, 'x')\nfileio.read_bytes(p)\nread_bytes(p)\nread_text(p, E, None)\n"
+    assert _file_layer_bypasses(ast.parse(source)) == []

@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +291,97 @@ class TestTrials:
             previous = kind
 
 
+def serial_trials(world, bundle, trials, base_seed=0, **kwargs):
+    """The reference: corner_success_rate's trials one after another, or the exception the first failing one raises."""
+    path = astar(world.grid, REFERENCE_START, REFERENCE_GOAL)
+    try:
+        return [rfsim.run_trial(world, bundle, path, seed=base_seed + i, **kwargs) for i in range(trials)]
+    except Exception as exc:
+        return exc
+
+
+class TestParallelTrials:
+    """Trials run in shares on forked children; three CPUs are claimed, so a
+    run of 7 splits 2 + 2 + 3 and two children are forked whatever the host."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus_and_nothing_left(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        yield
+        with pytest.raises(ChildProcessError):  # neither a running child nor a zombie
+            os.waitpid(-1, os.WNOHANG)
+        assert fds is None or sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end left open
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7, 100])
+    def test_results_match_the_serial_loop(self, ref_world, trained, trials, oracle):
+        world, bundle = with_noise_sigma(ref_world, 2.0), None if oracle else trained[0]
+        rate, results = corner_success_rate(world, bundle, trials, base_seed=11, oracle=oracle)
+        expected = serial_trials(world, bundle, trials, base_seed=11, oracle=oracle)
+        assert results == expected and [repr(r) for r in results] == [repr(r) for r in expected]  # repr tells -0.0 from 0.0
+        assert rate == sum(r.success for r in expected) / trials
+
+    @pytest.mark.parametrize("first_failure", [1, 2, 3, 6])  # the parent's share is seeds 0-1, the children's 2-3 and 4-6
+    @pytest.mark.parametrize("error", [ValueError, NoPath, OutOfBounds])
+    def test_the_first_failing_trial_raises_as_in_the_serial_loop(self, ref_world, monkeypatch, first_failure, error):
+        def trial(world, bundle, path, seed, **kwargs):
+            if seed >= first_failure:
+                raise error(f"trial {seed} failed")
+            return run_trial(world, bundle, path, seed=seed, **kwargs)
+
+        monkeypatch.setattr(rfsim, "run_trial", trial)
+        expected = serial_trials(ref_world, None, 7, oracle=True)
+        assert type(expected) is error and str(expected) == f"trial {first_failure} failed"
+        with pytest.raises(error) as raised:
+            corner_success_rate(ref_world, None, 7, oracle=True)
+        assert str(raised.value) == str(expected)
+
+    def test_a_share_larger_than_the_pipe_buffer(self, ref_world, monkeypatch):
+        def trial(world, bundle, path, seed, **kwargs):
+            result = run_trial(world, bundle, path, seed=seed, **kwargs)
+            result.events.append(("padding", 0.0, bytes(100_000)))  # a child's pickle passes 64 KiB
+            return result
+
+        monkeypatch.setattr(rfsim, "run_trial", trial)
+        _, results = corner_success_rate(ref_world, None, 7, oracle=True)
+        assert results == serial_trials(ref_world, None, 7, oracle=True)
+
+    def test_a_child_killed_midway_has_its_share_rerun(self, ref_world, monkeypatch):
+        parent = os.getpid()
+
+        def trial(world, bundle, path, seed, **kwargs):
+            if seed == 5 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_trial(world, bundle, path, seed=seed, **kwargs)
+
+        monkeypatch.setattr(rfsim, "run_trial", trial)
+        _, results = corner_success_rate(ref_world, None, 7, oracle=True)
+        assert results == serial_trials(ref_world, None, 7, oracle=True)
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, ValueError])
+    def test_the_parent_stopping_kills_and_reaps_every_child(self, ref_world, monkeypatch, interrupt):
+        def trial(world, bundle, path, seed, **kwargs):
+            if seed == 0:
+                raise interrupt("stop")
+            time.sleep(60)  # the children's shares: only a kill ends them in time
+
+        monkeypatch.setattr(rfsim, "run_trial", trial)
+        started = time.monotonic()
+        with pytest.raises(interrupt):
+            corner_success_rate(ref_world, None, 7, oracle=True)
+        assert time.monotonic() - started < 30
+
+    @pytest.mark.parametrize("trials, has_fork", [(1, True), (7, False)])
+    def test_one_trial_or_no_os_fork_runs_serially(self, ref_world, monkeypatch, trials, has_fork):
+        if has_fork:  # navigate runs one trial
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one trial"))
+        else:
+            monkeypatch.delattr(os, "fork")
+        _, results = corner_success_rate(ref_world, None, trials, base_seed=4, oracle=True)
+        assert results == serial_trials(ref_world, None, trials, base_seed=4, oracle=True)
+
+
 def cell_of(grid, x, y):
     """The grid cell holding the point (x, y) feet."""
     return math.floor(x / grid.cell_size), math.floor(y / grid.cell_size)
@@ -449,6 +543,11 @@ class TestWorldFile:
         with pytest.raises(WorldFormatError, match=message) as exc_info:
             load_world(io.StringIO(f"2 2 1\n..\n..\nap {ap}\nrobot 1 1 0 0.4 1 1\n"))
         assert ap in str(exc_info.value)
+
+    def test_negative_seed_rejected_naming_the_line(self):
+        with pytest.raises(WorldFormatError, match="seed must be >= 0, got -1") as exc_info:
+            load_world(io.StringIO("2 2 1\n..\n..\nrobot 1 1 0 0.4 1 1\nseed -1\n"))
+        assert "'seed -1'" in str(exc_info.value)
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "world.txt"

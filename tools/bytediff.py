@@ -12,7 +12,9 @@ each in its own directory, with every output path relative to it:
 
     make-world, make-dataset, ingest (plain, --no-aggregate, --ssid),
     train --seed 0 (model file and report), evaluate, select-features,
-    simulate --trials 100 -o, navigate (three CSVs), plan -o
+    simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
+    split evenly across CPUs), simulate --oracle --trials 50 -o,
+    navigate (three CSVs), plan -o
 
 Each command's stdout is compared too.  The exit status is 0 when every
 output exists in both trees and matches, else 1.  Model-based digests
@@ -48,6 +50,8 @@ STEPS = [
     ("evaluate", ["evaluate", "model.bin", "dataset.csv", "-o", "evaluate.csv"], ["evaluate.csv"]),
     ("select-features", ["select-features", "dataset.csv", "-o", "features.csv"], ["features.csv"]),
     ("simulate", ["simulate", "world.txt", "model.bin", "--trials", "100", "-o", "trials.csv"], ["trials.csv"]),
+    ("simulate --trials 7", ["simulate", "world.txt", "model.bin", "--trials", "7", "-o", "trials_7.csv"], ["trials_7.csv"]),
+    ("simulate --oracle", ["simulate", "world.txt", "--oracle", "--trials", "50", "-o", "trials_oracle.csv"], ["trials_oracle.csv"]),
     ("navigate", ["navigate", "world.txt", "model.bin", "--out-prefix", "nav"],
      ["nav_trajectory.csv", "nav_fixes.csv", "nav_commands.csv"]),
     ("plan", ["plan", "{map}", "--start", "0,0", "--goal", "119,99", "-o", "plan.csv"], ["plan.csv"]),
