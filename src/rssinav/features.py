@@ -173,12 +173,18 @@ class NormalizationParams:
     extent: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "feature_min", np.asarray(self.feature_min, dtype=float).reshape(-1))
-        object.__setattr__(self, "feature_max", np.asarray(self.feature_max, dtype=float).reshape(-1))
+        for name in ("feature_min", "feature_max"):  # read-only copies, so the values derived below cannot go stale
+            array = np.array(getattr(self, name), dtype=float).reshape(-1)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if np.any(self.feature_max < self.feature_min):
             raise ValueError("feature max below min")
         if not self.extent > 0:
             raise ValueError("extent must be positive")
+        span = self.feature_max - self.feature_min  # derived once: the scaling functions run once per fix
+        object.__setattr__(self, "_constant", span == 0.0)
+        object.__setattr__(self, "_safe_span", np.where(self._constant, 1.0, span))
+        object.__setattr__(self, "_origin", np.array([self.origin_x, self.origin_y]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormalizationParams):
@@ -207,23 +213,17 @@ def fit_normalizer(train: FingerprintDataset) -> NormalizationParams:
 def normalize_features(params: NormalizationParams, values) -> np.ndarray:
     """Map each RSSI column onto [0, 1] (constant columns map to 0)."""
     values = np.asarray(values, dtype=float)
-    span = params.feature_max - params.feature_min
-    safe = np.where(span == 0.0, 1.0, span)
-    out = (values - params.feature_min) / safe
-    return np.where(span == 0.0, 0.0, out)
+    return np.where(params._constant, 0.0, (values - params.feature_min) / params._safe_span)
 
 
 def normalize_coords(params: NormalizationParams, xy) -> np.ndarray:
     """Map (x, y) feet onto the shared normalized frame."""
     xy = np.asarray(xy, dtype=float)
-    origin = np.array([params.origin_x, params.origin_y])
-    return (xy - origin) / params.extent
+    return (xy - params._origin) / params.extent
 
 
 def denormalize_coords(params: NormalizationParams, xy) -> np.ndarray:
-    xy = np.asarray(xy, dtype=float)
-    origin = np.array([params.origin_x, params.origin_y])
-    return xy * params.extent + origin
+    return np.asarray(xy, dtype=float) * params.extent + params._origin
 
 
 def error_feet(params: NormalizationParams, normalized_error: float) -> float:

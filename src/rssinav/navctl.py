@@ -12,7 +12,7 @@ drive forever.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ToolkitError
@@ -159,6 +159,11 @@ class NavState:
         return (ix + 0.5) * self.cell_size, (iy + 0.5) * self.cell_size
 
 
+def _successor(state: NavState, mode: Mode, index: int, misses: int) -> NavState:
+    """``state`` with a new mode, checkpoint index and miss count; cheaper than ``dataclasses.replace``."""
+    return NavState(state.plan, state.config, state.calibration, state.cell_size, mode, index, misses)
+
+
 def nav_step(state: NavState, fix) -> tuple[NavState, DriveCommand | None]:
     """Advance the state machine by one fix event.
 
@@ -171,22 +176,19 @@ def nav_step(state: NavState, fix) -> tuple[NavState, DriveCommand | None]:
     if state.mode in (Mode.DONE, Mode.ABORTED):
         raise InvalidState(f"nav_step called in terminal mode {state.mode.value}")
     fx, fy = (math.nan, math.nan) if fix is None else (float(fix[0]), float(fix[1]))
+    index = state.next_checkpoint_index
     if not (math.isfinite(fx) and math.isfinite(fy)):
         misses = state.miss_counter + 1
         if misses > state.config.max_consecutive_misses:
-            return replace(state, mode=Mode.ABORTED, miss_counter=misses), None
-        return replace(state, mode=Mode.AWAITING_FIX, miss_counter=misses), None
+            return _successor(state, Mode.ABORTED, index, misses), None
+        return _successor(state, Mode.AWAITING_FIX, index, misses), None
 
-    cx, cy = state.checkpoint_center(state.next_checkpoint_index)
+    cx, cy = state.checkpoint_center(index)
     if math.hypot(fx - cx, fy - cy) <= state.config.checkpoint_radius:
-        checkpoint = state.plan[state.next_checkpoint_index]
+        checkpoint = state.plan[index]
         if checkpoint.action is Action.STOP:
-            command = stop_command()
-            mode = Mode.DONE
-        else:
-            command = turn_command("left" if checkpoint.action is Action.TURN_LEFT_90 else "right", state.calibration)
-            mode = Mode.TURNING
-        next_state = replace(state, mode=mode, next_checkpoint_index=state.next_checkpoint_index + 1, miss_counter=0)
-        return next_state, command
-    return replace(state, mode=Mode.ADVANCING, miss_counter=0), forward_command(state.config, state.calibration)
+            return _successor(state, Mode.DONE, index + 1, 0), stop_command()
+        command = turn_command("left" if checkpoint.action is Action.TURN_LEFT_90 else "right", state.calibration)
+        return _successor(state, Mode.TURNING, index + 1, 0), command
+    return _successor(state, Mode.ADVANCING, index, 0), forward_command(state.config, state.calibration)
 

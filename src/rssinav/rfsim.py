@@ -25,7 +25,7 @@ from .fileio import open_sink, read_text
 from .model import ModelBundle, NoKnownAccessPoints, check_seed, predict_position
 from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, require_positive
 from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkpoints, first_segment_heading
-from .scan_ingest import _MAC_RE, RSSI_FLOOR, ScanEntry, ScanSnapshot, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
+from .scan_ingest import RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
@@ -50,7 +50,7 @@ class AccessPointSim:
     noise_sigma: float = 2.0
 
     def __post_init__(self) -> None:
-        if not _MAC_RE.match(self.mac):
+        if not _canonical_mac(self.mac):
             raise ValueError(f"not a canonical MAC address: {self.mac!r}")
         if not -150.0 <= self.p0 <= 0.0:
             raise ValueError(f"p0 must be in [-150, 0] dBm, got {self.p0}")
@@ -159,16 +159,20 @@ def _substep(x: float, y: float, theta: float, v: float, omega: float, h: float)
     """One integration substep of h seconds: a straight segment, or an exact circular arc."""
     if not omega:
         return x + v * h * math.cos(theta), y + v * h * math.sin(theta), theta
+    return _arc(x, y, theta, v, omega, h)[:3]
+
+
+def _arc(x: float, y: float, theta: float, v: float, omega: float, h: float) -> tuple[float, float, float, float, float]:
+    """An exact arc of h seconds at omega != 0: x, y, the new heading, and its sine and cosine."""
     theta_next = theta + omega * h
     radius = v / omega
-    x += radius * (math.sin(theta_next) - math.sin(theta))
-    y -= radius * (math.cos(theta_next) - math.cos(theta))
-    return x, y, theta_next
+    sin_next, cos_next = math.sin(theta_next), math.cos(theta_next)
+    return x + radius * (sin_next - math.sin(theta)), y - radius * (cos_next - math.cos(theta)), theta_next, sin_next, cos_next
 
 
-def _wrap_heading(theta: float) -> float:
-    """Wrap a heading to (-pi, pi]."""
-    theta = math.atan2(math.sin(theta), math.cos(theta))
+def _wrap_heading(sin_theta: float, cos_theta: float) -> float:
+    """The heading in (-pi, pi] with this sine and cosine."""
+    theta = math.atan2(sin_theta, cos_theta)
     return math.pi if theta <= -math.pi else theta
 
 
@@ -190,10 +194,11 @@ def step_robot(robot: SimRobot, command: DriveCommand, dt: float) -> SimRobot:
         x, y, theta = _substep(x, y, theta, v, omega, h)
         remaining -= h
     if omega:  # straight motion keeps the heading bit-exactly
-        theta = _wrap_heading(theta)
+        theta = _wrap_heading(math.sin(theta), math.cos(theta))
     return replace(robot, x=x, y=y, heading=theta)
 
 
+@lru_cache(maxsize=8)  # run_trial asks once per trial for the same frozen robot
 def default_calibration(robot: SimRobot, turn_speed: float = 1.0) -> DrivetrainCalibration:
     """Calibration a bench procedure would produce for this drivetrain.
 
@@ -299,12 +304,21 @@ def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
         np.multiply.outer((math.cos(theta), math.sin(theta)), v * h, out=poses[:2, 1:])
         np.add.accumulate(poses[:2], axis=1, out=poses[:2])
         return poses
-    poses = [pose]
+    xs, ys, thetas = [x], [y], [theta]
     for dt in h.tolist():
-        x, y, theta = _substep(x, y, theta, v, omega, dt)
-        theta = _wrap_heading(theta)
-        poses.append((x, y, theta))
-    return np.array(poses).T
+        x, y, theta, sin_theta, cos_theta = _arc(x, y, theta, v, omega, dt)
+        theta = _wrap_heading(sin_theta, cos_theta)
+        xs.append(x)
+        ys.append(y)
+        thetas.append(theta)
+    return np.array((xs, ys, thetas))
+
+
+@lru_cache(maxsize=8)
+def _route(path: PlannedPath) -> tuple:
+    """The path's first-segment heading and its checkpoints from it, once per frozen path."""
+    heading = first_segment_heading(path)
+    return heading, extract_checkpoints(path, heading)
 
 
 def run_trial(
@@ -337,8 +351,7 @@ def run_trial(
     if bundle is None and not oracle:
         raise ValueError("a model bundle is required unless oracle localization is enabled")
     config = nav_config or NavConfig()
-    heading = first_segment_heading(path)
-    checkpoints = extract_checkpoints(path, heading)
+    heading, checkpoints = _route(path)
     cal = calibration or default_calibration(world.robot)
     state = NavState.initial(checkpoints, config, cal, world.grid.cell_size)
 
@@ -518,31 +531,34 @@ def _parse_world(text: str) -> SimWorld:
     robot: SimRobot | None = None
     seed = 0
     refdist = 1.0
+    counts = {"ap": 7, "robot": 6, "seed": 1, "refdist": 1}  # fields after the directive word
+    seen = set()
     for line in rest:
         fields = line.split()
         if not fields:
             continue
         kind = fields[0]
+        if kind not in counts:
+            raise WorldFormatError(f"unknown directive {kind!r}")
+        if len(fields) != counts[kind] + 1:
+            raise WorldFormatError(f"{kind} line needs {counts[kind]} field{'s' if counts[kind] > 1 else ''}: {line!r}")
+        if kind != "ap" and kind in seen:  # any number of APs, every other directive at most once
+            raise WorldFormatError(f"bad world line {line!r}: a second {kind} line")
+        seen.add(kind)
         try:
             if kind == "ap":
-                if len(fields) != 8:
-                    raise WorldFormatError(f"ap line needs 7 fields: {line!r}")
                 mac, ssid = fields[1].upper(), fields[2]
                 x, y, p0, n, sigma = finite_floats(fields[3:8])
                 aps.append(AccessPointSim(mac, ssid, (x, y), p0, n, sigma))
             elif kind == "robot":
-                if len(fields) != 7:
-                    raise WorldFormatError(f"robot line needs 6 fields: {line!r}")
                 x, y, heading, wheel_base, left, right = finite_floats(fields[1:7])
                 robot = SimRobot(x, y, heading, wheel_base, left, right)
             elif kind == "seed":
                 seed = int(fields[1])
                 check_seed(seed)
-            elif kind == "refdist":
-                (refdist,) = finite_floats(fields[1:2])
             else:
-                raise WorldFormatError(f"unknown directive {kind!r}")
-        except (ValueError, IndexError) as exc:
+                (refdist,) = finite_floats(fields[1:2])
+        except ValueError as exc:
             raise WorldFormatError(f"bad world line {line!r}: {exc}") from exc
     if robot is None:
         raise WorldFormatError("world file has no robot line")

@@ -23,6 +23,7 @@ import math
 import re
 import statistics
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,12 @@ _SIGNAL_RE = re.compile(r"Signal level\s*=\s*(-?\d+)\s*(\S*)")
 _SCAN_FILE_RE = re.compile(r"^(-?[0-9](?:[0-9.]*))_(-?[0-9](?:[0-9.]*))_(\d+)\.txt$")
 
 
+@lru_cache(maxsize=4096)
+def _canonical_mac(mac: str) -> bool:
+    """Whether ``mac`` is six upper-case hex pairs joined by colons; memoized, as scans repeat MACs."""
+    return _MAC_RE.match(mac) is not None
+
+
 @dataclass(frozen=True)
 class ScanEntry:
     """One access point's observation: MAC, network name, RSSI in dBm."""
@@ -82,7 +89,7 @@ class ScanEntry:
     rssi: int
 
     def __post_init__(self) -> None:
-        if not _MAC_RE.match(self.mac):
+        if not _canonical_mac(self.mac):
             raise ValueError(f"not a canonical MAC address: {self.mac!r}")
         if not RSSI_FLOOR <= self.rssi <= 0:
             raise ValueError(f"RSSI must be in [{RSSI_FLOOR}, 0] dBm, got {self.rssi}")
@@ -179,7 +186,7 @@ def parse_scan_text(text: str) -> list[ScanEntry]:
                     raise MalformedCell(str(exc)) from exc
             if header:
                 cell = [header.group(1), header.group(2).upper(), None, None]
-                if not _MAC_RE.match(cell[1]):
+                if not _canonical_mac(cell[1]):
                     raise MalformedCell(f"cell {cell[0]} has a malformed address {header.group(2)!r}")
         elif cell is None:
             continue  # preamble before the first cell

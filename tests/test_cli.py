@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from rssinav.cli import main
+from rssinav.cli import build_parser, main
 
 ONE_CELL = (
     "Cell 01 - Address: AA:BB:CC:DD:EE:0{i}\n"
@@ -467,3 +467,34 @@ def test_unreadable_model_keeps_the_read_bytes_message(workspace, tmp_path, caps
         model.read_bytes()  # the read load_model used to make
     assert main(["simulate", str(world), str(model), "--trials", "1"]) == 1
     assert capsys.readouterr().err == f"error: {reading.value}\n"
+
+
+def test_main_reuses_one_parser_across_calls(workspace, tmp_path, capsys):
+    """Runs in one process, a usage error among them, print and exit exactly as
+    runs that each build a fresh parser."""
+    _, world, _, model = workspace
+    runs = [
+        ["simulate", str(world), str(model), "--trials", "2", "--seed", "4"],
+        ["plan", str(world)],  # no --start: a usage error, exit 2
+        ["navigate", "--help"],
+        ["simulate", str(world), "--oracle", "--trials", "3", "-o", str(tmp_path / "trials.csv")],
+        ["make-world", "-o", str(tmp_path / "world.txt"), "--world-seed", "x"],
+        ["simulate", str(world), str(model), "--trials", "2", "--seed", "4"],
+    ]
+
+    def outcomes(fresh: bool) -> list:
+        seen = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr(), (tmp_path / "trials.csv").read_bytes() if argv[-1].endswith(".csv") else b""))
+        return seen
+
+    reused = outcomes(fresh=False)
+    assert [code for code, *_ in reused] == [0, 2, 0, 0, 2, 0]
+    assert reused == outcomes(fresh=True)
+    assert build_parser() is build_parser()

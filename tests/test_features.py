@@ -211,6 +211,73 @@ class TestNormalizer:
             fit_normalizer(ds)
 
 
+def reference_normalize_features(params, values):
+    """The per-call formula normalize_features replaces, kept as the bit reference."""
+    values = np.asarray(values, dtype=float)
+    span = params.feature_max - params.feature_min
+    safe = np.where(span == 0.0, 1.0, span)
+    out = (values - params.feature_min) / safe
+    return np.where(span == 0.0, 0.0, out)
+
+
+def reference_normalize_coords(params, xy):
+    xy = np.asarray(xy, dtype=float)
+    origin = np.array([params.origin_x, params.origin_y])
+    return (xy - origin) / params.extent
+
+
+def reference_denormalize_coords(params, xy):
+    xy = np.asarray(xy, dtype=float)
+    origin = np.array([params.origin_x, params.origin_y])
+    return xy * params.extent + origin
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# levels a fitted column can hold, and inputs beyond them: signed zeros, the sentinel, out-of-range readings
+LEVELS = st.sampled_from([-255.0, -90.0, -61.5, -30.0, -1e-300, -0.0, 0.0, 1e-300, 12.0])
+VALUES = st.one_of(LEVELS, st.floats(-400.0, 50.0), st.sampled_from([math.inf, -math.inf, math.nan]))
+COORDS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, math.nan, math.inf]))
+
+
+class TestScalingMatchesTheReferenceBits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bounds=st.lists(st.tuples(LEVELS, LEVELS, st.booleans()), min_size=1, max_size=6),
+        rows=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_normalize_features(self, bounds, rows, data):
+        # the flag makes a column constant (min == max), which maps to 0
+        mins = [min(a, b) for a, b, _ in bounds]
+        maxs = [lo if constant else max(a, b) for (a, b, constant), lo in zip(bounds, mins)]
+        params = NormalizationParams(np.array(mins), np.array(maxs), 0.0, 0.0, 1.0)
+        vector = data.draw(st.lists(VALUES, min_size=len(mins), max_size=len(mins)))
+        matrix = [data.draw(st.lists(VALUES, min_size=len(mins), max_size=len(mins))) for _ in range(rows)]
+        for values in (vector, np.array(matrix).reshape(rows, len(mins)), *([matrix] if matrix else [])):
+            assert same_bits(normalize_features(params, values), reference_normalize_features(params, values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        origin=st.tuples(COORDS.filter(math.isfinite), COORDS.filter(math.isfinite)),
+        extent=st.floats(1e-300, 1e300),
+        xy=st.tuples(COORDS, COORDS),
+        rows=st.lists(st.tuples(COORDS, COORDS), max_size=4),
+    )
+    def test_coordinate_scaling(self, origin, extent, xy, rows):
+        params = NormalizationParams(np.zeros(1), np.zeros(1), *origin, extent)
+        for values in (xy, np.array(rows).reshape(len(rows), 2), *([rows] if rows else [])):
+            assert same_bits(normalize_coords(params, values), reference_normalize_coords(params, values))
+            assert same_bits(denormalize_coords(params, values), reference_denormalize_coords(params, values))
+
+    def test_parameters_are_read_only(self):
+        params = NormalizationParams(np.array([-90.0]), np.array([-30.0]), 0.0, 0.0, 12.0)
+        with pytest.raises(ValueError, match="read-only"):
+            params.feature_max[0] = -90.0  # would leave the derived span stale
+
+
 class TestSidecar:
     def test_round_trip(self):
         ds = make_dataset(

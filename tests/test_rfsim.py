@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import signal
 import time
 from dataclasses import replace
@@ -194,6 +195,68 @@ class TestStraightIntegrator:
         assert _body_rates(robot, command)[1] == 0.0  # veer-compensated, so the straight branch
         _, expected = substep_poses(robot, command)
         assert bits(zip(*_command_poses(robot, command, robot.pose).tolist())) == bits([robot.pose] + expected)
+
+
+def reference_substep(x, y, theta, v, omega, h):
+    """The integration substep before the arc shared its sines, verbatim: the bit reference."""
+    if not omega:
+        return x + v * h * math.cos(theta), y + v * h * math.sin(theta), theta
+    theta_next = theta + omega * h
+    radius = v / omega
+    x += radius * (math.sin(theta_next) - math.sin(theta))
+    y -= radius * (math.cos(theta_next) - math.cos(theta))
+    return x, y, theta_next
+
+
+def reference_wrap_heading(theta):
+    theta = math.atan2(math.sin(theta), math.cos(theta))
+    return math.pi if theta <= -math.pi else theta
+
+
+def reference_turn_poses(robot, command, pose):
+    """The turn loop of _command_poses before the arc shared its sines, verbatim."""
+    v, omega = _body_rates(robot, command)
+    x, y, theta = pose
+    poses = [pose]
+    remaining = command.duration
+    while remaining > 1e-12:
+        h = min(0.01, remaining)
+        remaining -= h
+        x, y, theta = reference_substep(x, y, theta, v, omega, h)
+        theta = reference_wrap_heading(theta)
+        poses.append((x, y, theta))
+    return np.array(poses).T
+
+
+class TestTurnIntegrator:
+    # 0.6314 s is about a calibrated 90-degree pivot: 63 full substeps and a short one
+    @pytest.mark.parametrize("duration", [0.6314, 0.01, 0.1234, 1e-13, 0.0, None])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pose=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-10.0, 10.0)),
+        speeds=st.one_of(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+            st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (0.0, -1.0)]),  # pivots and spins
+        ),
+        gains=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+        drawn=st.floats(0.0, 3.0),
+    )
+    def test_turn_poses_match_the_reference_loop(self, duration, pose, speeds, gains, drawn):
+        robot = SimRobot(*pose, wheel_base=0.4, left_scale=gains[0], right_scale=gains[1])
+        command = DriveCommand(*speeds, drawn if duration is None else duration, "turn")
+        if _body_rates(robot, command)[1] == 0.0:
+            return  # a straight command: TestStraightIntegrator covers it
+        poses = _command_poses(robot, command, pose)
+        expected = reference_turn_poses(robot, command, pose)
+        assert poses.shape == expected.shape
+        assert bits(zip(*poses.tolist())) == bits(zip(*expected.tolist()))
+
+    def test_a_heading_of_minus_pi_wraps_to_pi(self):
+        # theta_next is exactly -pi with sin(-pi) < 0 and cos(-pi) == -1, so atan2 gives -pi
+        robot = SimRobot(wheel_base=1.0)
+        command = DriveCommand(1.0, 0.0, 0.01, "turn")
+        start = (0.0, 0.0, -math.pi + 0.01)
+        assert _command_poses(robot, command, start)[2, -1] == reference_turn_poses(robot, command, start)[2, -1] == math.pi
 
 
 class TestSyntheticDataset:
@@ -548,6 +611,26 @@ class TestWorldFile:
         with pytest.raises(WorldFormatError, match="seed must be >= 0, got -1") as exc_info:
             load_world(io.StringIO("2 2 1\n..\n..\nrobot 1 1 0 0.4 1 1\nseed -1\n"))
         assert "'seed -1'" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("seed 7 junk", "seed line needs 1 field: 'seed 7 junk'"),
+            ("refdist 1 2 3", "refdist line needs 1 field: 'refdist 1 2 3'"),
+            ("seed", "seed line needs 1 field: 'seed'"),
+            ("seed 7\nseed 8", "bad world line 'seed 8': a second seed line"),
+            ("refdist 1\nrefdist 1", "bad world line 'refdist 1': a second refdist line"),
+            ("robot 0.5 0.5 0 0.4 1 1", "bad world line 'robot 0.5 0.5 0 0.4 1 1': a second robot line"),
+        ],
+    )
+    def test_malformed_or_repeated_directive_rejected_naming_the_line(self, extra, message):
+        with pytest.raises(WorldFormatError, match=f"^{re.escape(message)}$"):
+            load_world(io.StringIO(f"2 2 1\n..\n..\nrobot 1 1 0 0.4 1 1\n{extra}\n"))
+
+    def test_each_directive_once_and_any_number_of_aps_load(self):
+        world = load_world(io.StringIO(f"2 2 1\n..\n..\nseed 7\nap {MAC} Net 1 1 -40 3 2\nrobot 1 1 0 0.4 1 1\n"
+                                       f"ap 02:00:00:00:00:02 Net 0.5 0.5 -40 3 2\nrefdist 2\n"))
+        assert (world.rng_seed, world.reference_distance, len(world.aps)) == (7, 2.0, 2)
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "world.txt"

@@ -64,8 +64,23 @@ class TestParse:
         assert [e.ssid for e in entries] == ["CSU Net", "CSU Visitor"]
 
     def test_lowercase_mac_is_canonicalized(self):
-        entries = parse_scan_text(ONE_CELL.replace("AA:BB", "aa:bb"))
-        assert entries[0].mac == "AA:BB:CC:DD:EE:FF"
+        for _ in range(3):  # the MAC check is memoized: repeats take the same path
+            entries = parse_scan_text(ONE_CELL.replace("AA:BB", "aa:bb"))
+            assert entries[0].mac == "AA:BB:CC:DD:EE:FF"
+
+    @pytest.mark.parametrize(
+        "mac", ["aa:bb:cc:dd:ee:ff", "Aa:BB:CC:DD:EE:FF", "02:00:00:00:00:0G", "02-00-00-00-00-01", "02:00:00:00:00", ""]
+    )
+    def test_non_canonical_mac_fails_on_every_call(self, mac):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=re.escape(f"not a canonical MAC address: {mac!r}")):
+                ScanEntry(mac, "CSU Net", -61)
+        if mac.upper() != mac:
+            return  # the parser upper-cases a header's address before checking it
+        text = ONE_CELL.replace("AA:BB:CC:DD:EE:FF", mac or "-")
+        for _ in range(3):
+            with pytest.raises(MalformedCell, match=re.escape(f"cell 01 has a malformed address {mac or '-'!r}")):
+                parse_scan_text(text)
 
     def test_preamble_lines_are_skipped(self):
         assert parse_scan_text("wlan0     Scan completed :\n" + ONE_CELL)[0].rssi == -61

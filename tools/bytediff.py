@@ -14,7 +14,8 @@ each in its own directory, with every output path relative to it:
     train --seed 0 (model file and report), evaluate, select-features,
     simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
     split evenly across CPUs), simulate --oracle --trials 50 -o,
-    navigate (three CSVs), plan -o
+    navigate (three CSVs), navigate --oracle on the reverse route and on a
+    route with right turns (three CSVs each), plan -o
 
 Each command's stdout is compared too.  The exit status is 0 when every
 output exists in both trees and matches, else 1.  Model-based digests
@@ -54,6 +55,12 @@ STEPS = [
     ("simulate --oracle", ["simulate", "world.txt", "--oracle", "--trials", "50", "-o", "trials_oracle.csv"], ["trials_oracle.csv"]),
     ("navigate", ["navigate", "world.txt", "model.bin", "--out-prefix", "nav"],
      ["nav_trajectory.csv", "nav_fixes.csv", "nav_commands.csv"]),
+    # the oracle reverse of the reference route turns left, as the forward one does; the
+    # staircase route from the north leg's far end turns right twice and left once
+    ("navigate reverse", ["navigate", "world.txt", "--oracle", "--start", "11,3", "--goal", "0,0", "--out-prefix", "nav_rev"],
+     ["nav_rev_trajectory.csv", "nav_rev_fixes.csv", "nav_rev_commands.csv"]),
+    ("navigate right turns", ["navigate", "world.txt", "--oracle", "--start", "3,11", "--goal", "11,3", "--out-prefix", "nav_right"],
+     ["nav_right_trajectory.csv", "nav_right_fixes.csv", "nav_right_commands.csv"]),
     ("plan", ["plan", "{map}", "--start", "0,0", "--goal", "119,99", "-o", "plan.csv"], ["plan.csv"]),
 ]
 
