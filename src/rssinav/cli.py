@@ -196,6 +196,7 @@ def cmd_ingest(opts) -> int:
 
 def cmd_select_features(opts) -> int:
     dataset = scan_ingest.read_csv(opts["dataset"])
+    features.check_ranges(dataset)
     if opts.get("min_presence") is not None:
         dataset = features.reduce_columns(dataset, features.columns_with_presence(dataset, opts["min_presence"]))
     selection = features.select_features(dataset, opts["threshold"])
@@ -212,6 +213,7 @@ def cmd_select_features(opts) -> int:
 
 def cmd_train(opts) -> int:
     dataset = scan_ingest.read_csv(opts["dataset"])
+    features.check_ranges(dataset)
     config = model.TrainConfig(
         epochs=opts["epochs"],
         validation_split=opts["validation_split"],
@@ -238,6 +240,7 @@ def cmd_train(opts) -> int:
 def cmd_evaluate(opts) -> int:
     bundle = model.load_model(opts["model"])
     dataset = scan_ingest.read_csv(opts["dataset"])
+    features.check_ranges(dataset)
     mae_norm, mean_ft, rows = evaluate_bundle(bundle, dataset)
     if opts.get("output"):
         write_rows(opts["output"], ["x_true", "y_true", "x_pred", "y_pred"], rows)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptFile, ToolkitError
-from .scan_ingest import MISSING_RSSI, FingerprintDataset, finite_floats, format_number
+from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, FingerprintDataset, SchemaMismatch, finite_floats, format_number
 
 DEFAULT_PCC_THRESHOLD = 0.24
 DEFAULT_TRAIN_RATIO = 0.75
+COORDINATE_LIMIT = 1e9  # feet; far beyond any floor, and far below where a squared spread overflows
 
 _SIDECAR_FORMAT = "rssinav-sidecar-v1"
 
@@ -79,6 +80,14 @@ def _require_fraction(name: str, value: float) -> None:
     """Raise ValueError unless ``value`` is a number in [0, 1] (NaN is not)."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def check_ranges(dataset: FingerprintDataset) -> None:
+    """SchemaMismatch unless RSSI is in [RSSI_FLOOR, 0] dBm and coordinates within +-COORDINATE_LIMIT ft."""
+    xy, limit = np.stack([dataset.x, dataset.y], axis=1), COORDINATE_LIMIT
+    for values, names, low, high, unit in ((dataset.rssi, dataset.ap_columns, RSSI_FLOOR, 0, "dBm"), (xy, "xy", -limit, limit, "ft")):
+        for row, col in np.argwhere(~((values >= low) & (values <= high)))[:1]:
+            raise SchemaMismatch(f"dataset row {row + 1}, column {names[col]}: {values[row, col]:g} {unit} is outside [{low:g}, {high:g}]")
 
 
 def select_features(dataset: FingerprintDataset, threshold: float = DEFAULT_PCC_THRESHOLD) -> FeatureSelection:
@@ -179,9 +188,12 @@ class NormalizationParams:
             object.__setattr__(self, name, array)
         if np.any(self.feature_max < self.feature_min):
             raise ValueError("feature max below min")
-        if not self.extent > 0:
-            raise ValueError("extent must be positive")
-        span = self.feature_max - self.feature_min  # derived once: the scaling functions run once per fix
+        if not 0 < self.extent < np.inf:
+            raise ValueError("extent must be positive and finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows is refused below
+            span = self.feature_max - self.feature_min  # derived once: the scaling functions run once per fix
+        if not np.isfinite(span).all():
+            raise ValueError("feature spans must be finite")
         object.__setattr__(self, "_constant", span == 0.0)
         object.__setattr__(self, "_safe_span", np.where(self._constant, 1.0, span))
         object.__setattr__(self, "_origin", np.array([self.origin_x, self.origin_y]))

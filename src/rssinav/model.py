@@ -7,7 +7,8 @@ backpropagation, a seeded training loop (plain gradient descent or
 adaptive-moment), and a self-describing binary model file that bundles the
 network with its feature selection and normalization parameters.  Training
 keeps every trainable array in one contiguous buffer that the layers view,
-so an optimizer step is a few whole-buffer operations.
+and each step's gradient in one buffer of the same layout, so an optimizer
+step is a few whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -182,6 +183,13 @@ class BatchNormLayer:
         """Back to a fresh layer's neutral values and no running statistics; nothing is drawn from ``rng``."""
         vars(self).update(vars(self.fresh(self.width, self.epsilon, self.momentum)))
 
+    def running_root(self) -> np.ndarray:
+        """``np.sqrt(running_var + epsilon)``, derived on first use for each ``running_var`` array and ``epsilon``."""
+        cached = vars(self).get("_root")
+        if cached is None or cached[0] is not self.running_var or cached[1] != self.epsilon:
+            cached = self._root = (self.running_var, self.epsilon, np.sqrt(self.running_var + self.epsilon))
+        return cached[2]
+
     def update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         if not self.initialized:
             self.running_mean = mean.copy()
@@ -278,9 +286,9 @@ def _pass(model: MlpRegressor, batch: np.ndarray, batch_stats: bool, cache: list
             out = np.maximum(z, 0.0) if layer.activation == RELU else z
         elif batch_stats:
             # bit-for-bit what ndarray.mean / ndarray.var compute, without their Python wrappers
-            mean = out.sum(axis=0) / out.shape[0]
+            mean = np.add.reduce(out, axis=0) / out.shape[0]
             centered = out - mean
-            var = (centered * centered).sum(axis=0) / out.shape[0]
+            var = np.add.reduce(centered * centered, axis=0) / out.shape[0]
             ivar = 1.0 / np.sqrt(var + layer.epsilon)
             xhat = centered * ivar
             if cache is not None:
@@ -289,7 +297,7 @@ def _pass(model: MlpRegressor, batch: np.ndarray, batch_stats: bool, cache: list
         else:
             if not layer.initialized:
                 raise UninitializedStatistics("batch norm has no running statistics yet")
-            out = layer.gamma * (out - layer.running_mean) / np.sqrt(layer.running_var + layer.epsilon) + layer.beta
+            out = layer.gamma * (out - layer.running_mean) / layer.running_root() + layer.beta
     return out
 
 
@@ -304,25 +312,25 @@ def mae_loss(pred, truth) -> float:
     return float(np.abs(pred - truth).mean())
 
 
-def _backward(model: MlpRegressor, cache: list, g: np.ndarray) -> np.ndarray:
-    """Flat gradient (the layers' trained ``BLOCKS`` in order) from a cached pass and dLoss/dOutput ``g``."""
-    parts = []  # filled back to front, reversed at the end
+def _backward(model: MlpRegressor, cache: list, g: np.ndarray, grads: list[dict]) -> None:
+    """Write the gradient of a cached pass and dLoss/dOutput ``g`` into ``grads``, views from ``_unflatten``."""
     for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
+        layer, named = model.layers[i], grads[i]
         if isinstance(layer, DenseLayer):
             inputs, z = cache[i]
             dz = g * (z > 0.0) if layer.activation == RELU else g
-            parts += [dz.sum(axis=0), (dz.T @ inputs).ravel()]
+            np.add.reduce(dz, axis=0, out=named["biases"])  # ndarray.sum without its Python wrapper
+            np.matmul(dz.T, inputs, out=named["weights"])
             if i:  # the network input needs no gradient
                 g = dz @ layer.weights
         else:
             _, _, xhat, ivar = cache[i]
             m = xhat.shape[0]
-            parts += [g.sum(axis=0), (g * xhat).sum(axis=0)]
+            np.add.reduce(g, axis=0, out=named["beta"])
+            np.add.reduce(g * xhat, axis=0, out=named["gamma"])
             dxhat = g * layer.gamma
             # batch statistics (population variance) participate in the gradient
-            g = (ivar / m) * (m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-    return np.concatenate(parts[::-1])
+            g = (ivar / m) * (m * dxhat - np.add.reduce(dxhat, axis=0) - xhat * np.add.reduce(dxhat * xhat, axis=0))
 
 
 def backward(model: MlpRegressor, inputs, targets):
@@ -343,10 +351,18 @@ def _loss_and_grads(model: MlpRegressor, inputs, targets):
         raise ShapeMismatch("batch and target shapes do not match the model")
     if batch.shape[0] == 0:
         raise EmptyBatch("gradient over an empty batch")
+    grad = np.empty(sum(getattr(layer, name).size for layer in model.layers for name in layer.BLOCKS[:2]))
+    loss, cache = _step(model, batch, truth, _unflatten(model, grad))
+    return loss, grad, cache
+
+
+def _step(model: MlpRegressor, batch: np.ndarray, truth: np.ndarray, grads: list[dict]) -> tuple[float, list]:
+    """(loss, cache) of one unchecked training pass; the gradient goes into ``grads``."""
     cache = []
     err = _pass(model, batch, True, cache) - truth
-    loss = float(np.abs(err).sum() / err.size)  # == ndarray.mean
-    return loss, _backward(model, cache, np.sign(err) / err.size), cache
+    loss = float(np.add.reduce(np.abs(err), axis=None) / err.size)  # == ndarray.mean
+    _backward(model, cache, np.sign(err) / err.size, grads)
+    return loss, cache
 
 
 def check_seed(seed: int) -> None:
@@ -367,6 +383,9 @@ class TrainConfig:
     optimizer: str = "adam"  # "adam" (adaptive-moment) or "sgd" (plain gradient descent)
 
     def __post_init__(self) -> None:
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.validation_split < 1.0:
@@ -466,33 +485,32 @@ def train(model: MlpRegressor, inputs, targets, config: TrainConfig) -> TrainRep
     n = X.shape[0]
     perm = rng.permutation(n)
     n_train, n_val = validation_counts(n, config.validation_split)
-    train_idx = perm[:n_train]
-    val_idx = perm[n_train:]
-    Xtr, Ttr = X[train_idx], T[train_idx]
-    Xva, Tva = X[val_idx], T[val_idx]
+    Xtr, Ttr = X[perm[:n_train]], T[perm[:n_train]]
+    Xva, Tva = X[perm[n_train:]], T[perm[n_train:]]
 
     theta = _flatten_parameters(model)
+    grad = np.empty_like(theta)  # every step writes it whole, through the per-layer views
+    grads = _unflatten(model, grad)
     optimizer = _Adam(theta, config.learning_rate) if config.optimizer == "adam" else _Sgd(theta, config.learning_rate)
     report = TrainReport()
+    size, norms = config.batch_size, [(i, layer) for i, layer in enumerate(model.layers) if isinstance(layer, BatchNormLayer)]
     for _ in range(config.epochs):
-        order = rng.permutation(len(Xtr))
+        order = rng.permutation(n_train)
+        Xep, Tep = Xtr[order], Ttr[order]  # one gather per epoch; batches are contiguous slices of it
         total_abs = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            loss, grad, cache = _loss_and_grads(model, Xtr[batch_idx], Ttr[batch_idx])
-            if not np.isfinite(loss):
+        for start in range(0, n_train, size):
+            batch = Xep[start : start + size]
+            loss, cache = _step(model, batch, Tep[start : start + size], grads)
+            if not math.isfinite(loss):
                 raise DivergenceDetected("training loss became non-finite", report)
-            for layer, entry in zip(model.layers, cache):
-                if isinstance(layer, BatchNormLayer):
-                    layer.update_running(entry[0], entry[1])
+            for i, layer in norms:
+                layer.update_running(cache[i][0], cache[i][1])
             optimizer.step(grad)
-            total_abs += loss * batch_idx.size
-        epoch_train = total_abs / len(Xtr)
-        if len(Xva):
-            epoch_val = mae_loss(forward(model, Xva), Tva)
-        else:
-            epoch_val = epoch_train  # no validation rows carved out
-        if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
+            total_abs += loss * len(batch)
+        epoch_train = total_abs / n_train
+        # mae_loss(forward(model, Xva), Tva) without their checks, or the training loss if no rows were carved out
+        epoch_val = float(np.add.reduce(np.abs(_pass(model, Xva, False) - Tva), axis=None) / Tva.size) if n_val else epoch_train
+        if not (math.isfinite(epoch_train) and math.isfinite(epoch_val)):
             raise DivergenceDetected("training loss became non-finite", report)
         report.train_loss.append(float(epoch_train))
         report.val_loss.append(float(epoch_val))

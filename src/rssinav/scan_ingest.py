@@ -57,7 +57,7 @@ class UnlabeledSnapshot(ToolkitError):
 
 
 class SchemaMismatch(ToolkitError):
-    """A dataset CSV violates the expected column layout."""
+    """A dataset CSV violates the expected column layout or value ranges."""
 
 
 class RaggedRow(ToolkitError):

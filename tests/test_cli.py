@@ -298,6 +298,12 @@ class TestValidationErrors:
             (["navigate", "{world}", "--oracle", "--seed", "-1", "--out-prefix", "{out}"], "seed must be >= 0, got -1"),
             (["make-dataset", "{world}", "--seed", "-1", "-o", "{out}"], "seed must be >= 0, got -1"),
             (["make-world", "--world-seed", "-1", "-o", "{out}"], "seed must be >= 0, got -1"),
+            # finite, so the CSV reader takes them, but statistics over them would overflow
+            (["train", "{huge_x}", "--threshold", "0", "-o", "{out}"], "dataset row 1, column x: 1e+308 ft is outside [-1e+09, 1e+09]"),
+            (["select-features", "{huge_x}", "-o", "{out}"], "dataset row 1, column x: 1e+308 ft is outside [-1e+09, 1e+09]"),
+            (["evaluate", "{model}", "{huge_x}", "-o", "{out}"], "dataset row 1, column x: 1e+308 ft is outside [-1e+09, 1e+09]"),
+            (["train", "{huge_rssi}", "--threshold", "0", "-o", "{out}"], "row 1, column 02:00:00:00:00:01: 1e+308 dBm is outside [-255, 0]"),
+            (["select-features", "{huge_rssi}", "-o", "{out}"], "row 1, column 02:00:00:00:00:01: 1e+308 dBm is outside [-255, 0]"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):
@@ -320,8 +326,14 @@ class TestValidationErrors:
         body = data[:12] + struct.pack("<I", len(header)) + header + data[header_end:]
         null_arch_model = root / "null_arch_model.bin"
         null_arch_model.write_bytes(body + hashlib.sha256(body).digest())
+        huge = {}
+        for name, column in (("huge_x", -2), ("huge_rssi", 0)):  # column 0 is AP 02:00:00:00:00:01
+            rows = [line.split(",") for line in lines]
+            rows[1][column], rows[2][column] = "1e308", "-1e308"
+            huge[name] = root / f"{name}.csv"
+            huge[name].write_text("".join(",".join(row) + "\n" for row in rows))
         paths = dict(world=world, dataset=dataset, out=out, nan_dataset=nan_dataset, inf_world=inf_world, latin1_map=latin1_map)
-        paths.update(latin1_world=latin1_world, latin1_dataset=latin1_dataset, null_arch_model=null_arch_model)
+        paths.update(latin1_world=latin1_world, latin1_dataset=latin1_dataset, null_arch_model=null_arch_model, model=model, **huge)
         argv = [a.format(**paths) for a in args]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

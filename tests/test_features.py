@@ -11,6 +11,7 @@ from rssinav.features import (
     LengthMismatch,
     NormalizationParams,
     TooFewSamples,
+    check_ranges,
     columns_with_presence,
     denormalize_coords,
     error_feet,
@@ -24,7 +25,7 @@ from rssinav.features import (
     sidecar_loads,
     split,
 )
-from rssinav.scan_ingest import FingerprintDataset
+from rssinav.scan_ingest import FingerprintDataset, SchemaMismatch
 
 # independent evaluation of the correlation definition for a=[1,2,3], b=[1,2,4]:
 # covariance 1, std_a = sqrt(2/3), std_b = sqrt(14/9) -> r = sqrt(27/28)
@@ -164,7 +165,42 @@ class TestSplit:
             split(ds, 0.75, 0)
 
 
+class TestCheckRanges:
+    def test_levels_and_locations_a_scan_can_have_pass(self):
+        check_ranges(make_dataset([M1, M2], [[-255, 0], [-61.5, -0.0]], [-1e9, 1e9], [0, 3.5]))
+        check_ranges(make_dataset([], np.zeros((2, 0)), [0, 1], [1, 0]))
+
+    @pytest.mark.parametrize(
+        "rssi, xs, ys, message",
+        [
+            ([[-50, -40], [-60, 1e308]], [0, 1], [0, 1], f"dataset row 2, column {M2}: 1e+308 dBm is outside [-255, 0]"),
+            ([[-50, -40], [-256, 0]], [0, 1], [0, 1], f"dataset row 2, column {M1}: -256 dBm is outside [-255, 0]"),
+            ([[-50, 0.5], [-60, 0]], [0, 1], [0, 1], f"dataset row 1, column {M2}: 0.5 dBm is outside [-255, 0]"),
+            ([[-50, -40], [-60, -30]], [1e308, -1e308], [0, 1], "dataset row 1, column x: 1e+308 ft is outside [-1e+09, 1e+09]"),
+            ([[-50, -40], [-60, -30]], [0, 1], [0, -2e9], "dataset row 2, column y: -2e+09 ft is outside [-1e+09, 1e+09]"),
+            ([[-50, math.nan], [-60, -30]], [0, 1], [0, 1], f"dataset row 1, column {M2}: nan dBm is outside [-255, 0]"),
+        ],
+    )
+    def test_out_of_range_value_named_by_row_and_column(self, rssi, xs, ys, message):
+        with pytest.raises(SchemaMismatch) as exc_info:
+            check_ranges(make_dataset([M1, M2], rssi, xs, ys))
+        assert str(exc_info.value) == message
+
+
 class TestNormalizer:
+    @pytest.mark.parametrize(
+        "bounds, extent, message",
+        [
+            (([-1e308], [1e308]), 1.0, "feature spans must be finite"),
+            (([-90.0], [math.inf]), 1.0, "feature spans must be finite"),
+            (([-90.0], [-30.0]), math.inf, "extent must be positive and finite"),
+            (([-90.0], [-30.0]), math.nan, "extent must be positive and finite"),
+        ],
+    )
+    def test_non_finite_span_or_extent_rejected(self, bounds, extent, message):
+        with pytest.raises(ValueError, match=message):
+            NormalizationParams(np.array(bounds[0]), np.array(bounds[1]), 0.0, 0.0, extent)
+
     def test_feature_endpoints(self):
         ds = make_dataset([M1], [[-90], [-30], [-60]], [0, 1, 2], [0, 2, 4])
         params = fit_normalizer(ds)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssinav.model import (
@@ -435,6 +435,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("name, value", [("epochs", 2.5), ("batch_size", 4.0), ("seed", 1.5), ("epochs", True), ("seed", "1")])
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            TrainConfig(**{name: value})
+
     def test_sgd_optimizer_also_learns(self):
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, (32, 2))
@@ -448,6 +453,32 @@ class TestTrain:
         X, T = oracle_data()
         # batch size 5 over 24 training rows: batch-norm statistics over 5 and 4 rows
         config = TrainConfig(epochs=25, batch_size=5, learning_rate=learning_rate, optimizer=optimizer, seed=6)
+        model, ref_model = oracle_model(with_batchnorm), oracle_model(with_batchnorm)
+        report = train(model, X, T, config)
+        ref_report = ref_train(ref_model, X, T, config)
+        assert np.array_equal(report.train_loss, ref_report.train_loss)
+        assert np.array_equal(report.val_loss, ref_report.val_loss)
+        assert all(np.array_equal(a, b) for a, b in zip(layer_arrays(model), layer_arrays(ref_model)))
+        assert [getattr(l, "initialized", True) for l in model.layers] == [getattr(l, "initialized", True) for l in ref_model.layers]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(2, 30),
+        batch_size=st.integers(1, 9),
+        epochs=st.integers(1, 6),
+        validation_split=st.sampled_from([0.0, 0.2, 0.5]),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+        with_batchnorm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=8, batch_size=7, epochs=2, validation_split=0.0, optimizer="sgd", with_batchnorm=True, seed=0)  # a last batch of 1 row
+    def test_any_shape_is_bit_identical_to_per_array_reference(
+        self, rows, batch_size, epochs, validation_split, optimizer, with_batchnorm, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X, T = rng.uniform(0, 1, (rows, 3)), rng.uniform(0, 1, (rows, 2))
+        learning_rate = 1e-2 if optimizer == "adam" else 0.05
+        config = TrainConfig(epochs, validation_split, batch_size, learning_rate, seed, optimizer)
         model, ref_model = oracle_model(with_batchnorm), oracle_model(with_batchnorm)
         report = train(model, X, T, config)
         ref_report = ref_train(ref_model, X, T, config)
@@ -498,6 +529,41 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert lines[1].startswith("1,0.5") and lines[2].startswith("2,0.25")
+
+
+class TestBatchNormInference:
+    def test_forward_follows_every_change_of_running_statistics(self):
+        # the formula recomputed from scratch (ref_forward) after each way the statistics change
+        rng = np.random.default_rng(17)
+        X = rng.uniform(-1, 1, (6, 3))
+        bn = BatchNormLayer(rng.uniform(0.5, 1.5, 4), rng.uniform(-0.5, 0.5, 4), rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))
+        model = MlpRegressor([DenseLayer(rng.uniform(-1, 1, (4, 3)), np.zeros(4), "identity"), bn, DenseLayer(np.eye(2, 4), np.zeros(2), "identity")])
+
+        def agrees():
+            return np.array_equal(forward(model, X), ref_forward(model, X, "infer"))
+
+        assert agrees()  # direct construction
+        before = forward(model, X)
+        bn.update_running(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))
+        assert agrees() and not np.array_equal(forward(model, X), before)
+        bn.running_var = rng.uniform(0.5, 2, 4)
+        assert agrees()
+        bn.epsilon = 0.5
+        assert agrees()
+        bn.reset(rng)
+        with pytest.raises(UninitializedStatistics):
+            forward(model, X)
+        bn.update_running(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))  # the first update copies
+        assert agrees()
+        macs = ("AA:00:00:00:00:01", "AA:00:00:00:00:02", "AA:00:00:00:00:03")
+        selection = FeatureSelection(macs, {m: 0.5 for m in macs}, {m: -0.4 for m in macs}, 0.24)
+        params = NormalizationParams(np.full(3, -90.0), np.full(3, -30.0), 0.0, 0.0, 11.0)
+        buf = io.BytesIO()
+        save_model(model, selection, params, buf)
+        model = load_model(io.BytesIO(buf.getvalue())).model
+        assert agrees()
+        train(model, X, rng.uniform(0, 1, (6, 2)), TrainConfig(epochs=3, batch_size=4, seed=2))
+        assert agrees()
 
 
 def small_bundle(rng=None):

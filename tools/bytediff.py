@@ -11,7 +11,8 @@ script writes one set of shared inputs (scan captures in two SSIDs and a
 each in its own directory, with every output path relative to it:
 
     make-world, make-dataset, ingest (plain, --no-aggregate, --ssid),
-    train --seed 0 (model file and report), evaluate, select-features,
+    train --seed 0 and train --optimizer sgd --batch-size 7
+    --validation-split 0 (model file and report each), evaluate, select-features,
     simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
     split evenly across CPUs), simulate --oracle --trials 50 -o,
     navigate (three CSVs), navigate --oracle on the reverse route and on a
@@ -48,6 +49,9 @@ STEPS = [
     ("ingest --no-aggregate", ["ingest", "{captures}", "-o", "ingest_resamples.csv", "--no-aggregate"], ["ingest_resamples.csv"]),
     ("ingest --ssid", ["ingest", "{captures}", "-o", "ingest_ssid.csv", "--ssid", "LabNet"], ["ingest_ssid.csv"]),
     ("train", ["train", "dataset.csv", "-o", "model.bin", "--seed", "0"], ["model.bin", "model.bin.report.csv"]),
+    # SGD, a ragged last batch (71 training rows in batches of 7) and no validation rows
+    ("train --optimizer sgd", ["train", "dataset.csv", "-o", "model_sgd.bin", "--optimizer", "sgd", "--batch-size", "7"]
+     + ["--validation-split", "0", "--epochs", "50", "--seed", "3"], ["model_sgd.bin", "model_sgd.bin.report.csv"]),
     ("evaluate", ["evaluate", "model.bin", "dataset.csv", "-o", "evaluate.csv"], ["evaluate.csv"]),
     ("select-features", ["select-features", "dataset.csv", "-o", "features.csv"], ["features.csv"]),
     ("simulate", ["simulate", "world.txt", "model.bin", "--trials", "100", "-o", "trials.csv"], ["trials.csv"]),
