@@ -6,7 +6,7 @@ regressor, A* checkpoint planning, a stop-and-wait navigation state
 machine, and a seeded RF/robot simulator that closes the loop end to end.
 """
 
-from .errors import OutOfBounds, ToolkitError
+from .errors import InvalidParameter, OutOfBounds, ToolkitError
 from .features import (
     FeatureSelection,
     NormalizationParams,

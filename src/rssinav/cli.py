@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, model, navctl, planner, rfsim, scan_ingest
-from .errors import ToolkitError
+from .errors import InvalidParameter, ToolkitError, check_seed
 from .fileio import read_bytes, write_rows
 
 _SUPPRESS = argparse.SUPPRESS
@@ -35,7 +35,7 @@ def _as_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise InvalidParameter(f"not a boolean: {text!r}")
 
 
 def _as_ssid_list(text: str) -> list[str]:
@@ -45,7 +45,7 @@ def _as_ssid_list(text: str) -> list[str]:
 def _as_cell(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected 'ix,iy', got {text!r}")
+        raise InvalidParameter(f"expected 'ix,iy', got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
@@ -84,7 +84,7 @@ def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
     merged.update(explicit)
     for key in ("seed", "world_seed"):
         if merged.get(key) is not None:
-            model.check_seed(merged[key])
+            check_seed(merged[key])
     return merged
 
 
@@ -189,8 +189,7 @@ def cmd_ingest(opts) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
         return 1
     if not snapshots:
-        print(f"no scan files found in {directory}", file=sys.stderr)
-        return 1
+        raise CliError(f"no scan files found in {directory}")
     return _write_dataset(scan_ingest.build_dataset(snapshots), opts["output"])
 
 
@@ -412,7 +411,7 @@ def main(argv=None) -> int:
             print("error: a model file is required unless --oracle is given", file=sys.stderr)
             return 2
         return func(opts)
-    except (ToolkitError, OSError, ValueError) as exc:  # ValueError: option and dataclass validation
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

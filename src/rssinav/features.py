@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFile, ToolkitError
+from .errors import CorruptFile, InvalidParameter, ToolkitError, require_positive
 from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, FingerprintDataset, SchemaMismatch, finite_floats, format_number
 
 DEFAULT_PCC_THRESHOLD = 0.24
@@ -77,9 +77,9 @@ class FeatureSelection:
 
 
 def _require_fraction(name: str, value: float) -> None:
-    """Raise ValueError unless ``value`` is a number in [0, 1] (NaN is not)."""
+    """Raise InvalidParameter unless ``value`` is a number in [0, 1] (NaN is not)."""
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+        raise InvalidParameter(f"{name} must be in [0, 1], got {value}")
 
 
 def check_ranges(dataset: FingerprintDataset) -> None:
@@ -151,7 +151,7 @@ def split(dataset: FingerprintDataset, ratio: float = DEFAULT_TRAIN_RATIO, seed:
     same seed always yields the identical partition.
     """
     if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+        raise InvalidParameter(f"ratio must be in (0, 1), got {ratio}")
     n = dataset.n_rows
     if n == 0:
         raise EmptyDataset("cannot split an empty dataset")
@@ -187,13 +187,12 @@ class NormalizationParams:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         if np.any(self.feature_max < self.feature_min):
-            raise ValueError("feature max below min")
-        if not 0 < self.extent < np.inf:
-            raise ValueError("extent must be positive and finite")
+            raise InvalidParameter("feature max below min")
+        require_positive(extent=self.extent)
         with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows is refused below
             span = self.feature_max - self.feature_min  # derived once: the scaling functions run once per fix
         if not np.isfinite(span).all():
-            raise ValueError("feature spans must be finite")
+            raise InvalidParameter("feature spans must be finite")
         object.__setattr__(self, "_constant", span == 0.0)
         object.__setattr__(self, "_safe_span", np.where(self._constant, 1.0, span))
         object.__setattr__(self, "_origin", np.array([self.origin_x, self.origin_y]))
@@ -251,7 +250,7 @@ def sidecar_dumps(selection: FeatureSelection, params: NormalizationParams) -> s
     RSSI min/max used for scaling.
     """
     if len(params.feature_min) != len(selection.kept_columns):
-        raise ValueError("normalization params not aligned to kept columns")
+        raise InvalidParameter("normalization params not aligned to kept columns")
     buf = io.StringIO()
     buf.write(f"format = {_SIDECAR_FORMAT}\n")
     buf.write(f"threshold = {format_number(selection.threshold)}\n")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CorruptFile, ToolkitError
+from .errors import CorruptFile, InvalidParameter, ToolkitError, check_seed, require_positive
 from .fileio import open_sink, read_bytes
 from .features import (
     EmptyDataset,
@@ -108,7 +108,7 @@ class DenseLayer:
         if self.weights.ndim != 2 or self.weights.shape[0] != self.biases.shape[0]:
             raise ShapeMismatch("weights must be (out, in) with matching biases")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise InvalidParameter(f"unknown activation {self.activation!r}")
 
     @property
     def in_width(self) -> int:
@@ -158,9 +158,9 @@ class BatchNormLayer:
         if not (len(self.gamma) == len(self.beta) == len(self.running_mean) == len(self.running_var)):
             raise ShapeMismatch("batch-norm parameter widths differ")
         if not (0 < float(self.epsilon) < np.inf and 0 < self.momentum < 1):
-            raise ValueError("epsilon must be positive and finite and momentum in (0, 1)")
+            raise InvalidParameter("epsilon must be positive and finite and momentum in (0, 1)")
         if np.any(self.running_var < 0):
-            raise ValueError("running variance must be non-negative")
+            raise InvalidParameter("running variance must be non-negative")
 
     @classmethod
     def fresh(cls, width: int, epsilon: float = 1e-5, momentum: float = 0.9) -> "BatchNormLayer":
@@ -347,7 +347,7 @@ def backward(model: MlpRegressor, inputs, targets):
 def _loss_and_grads(model: MlpRegressor, inputs, targets):
     batch, _ = _as_batch(inputs)
     truth, _ = _as_batch(targets)
-    if batch.shape[0] != truth.shape[0] or truth.shape[1] != model.output_width:
+    if batch.shape[0] != truth.shape[0] or batch.shape[1] != model.input_width or truth.shape[1] != model.output_width:
         raise ShapeMismatch("batch and target shapes do not match the model")
     if batch.shape[0] == 0:
         raise EmptyBatch("gradient over an empty batch")
@@ -365,12 +365,6 @@ def _step(model: MlpRegressor, batch: np.ndarray, truth: np.ndarray, grads: list
     return loss, cache
 
 
-def check_seed(seed: int) -> None:
-    """The one check every seed option shares: seeds are non-negative."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 @dataclass
 class TrainConfig:
     """Training hyperparameters; every value is recorded for reproducibility."""
@@ -385,18 +379,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0.0 <= self.validation_split < 1.0:
-            raise ValueError("validation_split must be in [0, 1)")
+            raise InvalidParameter("epochs must be >= 1")
+        if isinstance(self.validation_split, bool) or not 0.0 <= self.validation_split < 1.0:
+            raise InvalidParameter(f"validation_split must be in [0, 1), got {self.validation_split!r}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+            raise InvalidParameter("batch_size must be >= 1")
+        require_positive(learning_rate=self.learning_rate)
         check_seed(self.seed)
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise InvalidParameter(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass

@@ -15,19 +15,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ToolkitError
+from .errors import InvalidParameter, ToolkitError, require_positive
 from .planner import Action, Checkpoint
 
 
 class InvalidState(ToolkitError):
     """nav_step was called on a finished (Done/Aborted) state."""
-
-
-def require_positive(**values: float) -> None:
-    """Raise ValueError naming the first value that is not finite and positive."""
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +37,7 @@ class NavConfig:
             step_distance=self.step_distance, checkpoint_radius=self.checkpoint_radius, forward_speed=self.forward_speed
         )
         if not self.max_consecutive_misses >= 0:
-            raise ValueError(f"max_consecutive_misses must be >= 0, got {self.max_consecutive_misses}")
+            raise InvalidParameter(f"max_consecutive_misses must be >= 0, got {self.max_consecutive_misses}")
         # a step no longer than the detection band (2 * radius) cannot jump
         # over a checkpoint along its approach axis
 
@@ -67,7 +60,7 @@ class DrivetrainCalibration:
     def __post_init__(self) -> None:
         require_positive(turn_speed=self.turn_speed, turn_90_duration=self.turn_90_duration)
         if not math.isfinite(self.veer_bias):
-            raise ValueError(f"veer_bias must be finite, got {self.veer_bias}")
+            raise InvalidParameter(f"veer_bias must be finite, got {self.veer_bias}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +76,7 @@ class DriveCommand:
 
     def __post_init__(self) -> None:
         if not 0 <= self.duration <= 3600:
-            raise ValueError(f"duration must be in [0, 3600] s, got {self.duration}")
+            raise InvalidParameter(f"duration must be in [0, 3600] s, got {self.duration}")
 
 
 class Mode(Enum):
@@ -111,7 +104,7 @@ def turn_command(direction: str, cal: DrivetrainCalibration) -> DriveCommand:
         return DriveCommand(cal.turn_speed, 0.0, cal.turn_90_duration, reason="turn_right_90")
     if direction == "left":
         return DriveCommand(0.0, cal.turn_speed, cal.turn_90_duration, reason="turn_left_90")
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    raise InvalidParameter(f"direction must be 'left' or 'right', got {direction!r}")
 
 
 def stop_command() -> DriveCommand:
@@ -134,13 +127,13 @@ class NavState:
         object.__setattr__(self, "plan", tuple(self.plan))
         if self.plan:
             if self.plan[-1].action is not Action.STOP:
-                raise ValueError("the final checkpoint must be a Stop")
+                raise InvalidParameter("the final checkpoint must be a Stop")
             if any(cp.action is Action.STOP for cp in self.plan[:-1]):
-                raise ValueError("only the final checkpoint may be a Stop")
+                raise InvalidParameter("only the final checkpoint may be a Stop")
         if not 0 <= self.next_checkpoint_index <= len(self.plan):
-            raise ValueError("checkpoint index out of range")
+            raise InvalidParameter("checkpoint index out of range")
         if (self.mode is Mode.DONE) != (self.next_checkpoint_index == len(self.plan)) and self.mode is not Mode.ABORTED:
-            raise ValueError("Done mode must coincide with an exhausted plan")
+            raise InvalidParameter("Done mode must coincide with an exhausted plan")
 
     @classmethod
     def initial(

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import OutOfBounds, ToolkitError
+from .errors import InvalidParameter, OutOfBounds, ToolkitError
 from .fileio import read_text
 
 Cell = tuple[int, int]
@@ -59,7 +59,7 @@ class Heading(Enum):
         try:
             return {"E": cls.EAST, "N": cls.NORTH, "W": cls.WEST, "S": cls.SOUTH}[letter.upper()]
         except KeyError:
-            raise ValueError(f"heading must be one of E, N, W, S, got {letter!r}") from None
+            raise InvalidParameter(f"heading must be one of E, N, W, S, got {letter!r}") from None
 
 
 class Action(Enum):

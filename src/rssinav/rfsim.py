@@ -20,10 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfBounds, ToolkitError
+from .errors import InvalidParameter, OutOfBounds, ToolkitError, check_seed, require_positive
 from .fileio import open_sink, read_text
-from .model import ModelBundle, NoKnownAccessPoints, check_seed, predict_position
-from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, require_positive
+from .model import ModelBundle, NoKnownAccessPoints, predict_position
+from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
 from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkpoints, first_segment_heading
 from .scan_ingest import RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
 
@@ -51,13 +51,13 @@ class AccessPointSim:
 
     def __post_init__(self) -> None:
         if not _canonical_mac(self.mac):
-            raise ValueError(f"not a canonical MAC address: {self.mac!r}")
+            raise InvalidParameter(f"not a canonical MAC address: {self.mac!r}")
         if not -150.0 <= self.p0 <= 0.0:
-            raise ValueError(f"p0 must be in [-150, 0] dBm, got {self.p0}")
+            raise InvalidParameter(f"p0 must be in [-150, 0] dBm, got {self.p0}")
         if not 0.0 < self.path_loss_exponent <= 10.0:
-            raise ValueError(f"path_loss_exponent must be in (0, 10], got {self.path_loss_exponent}")
+            raise InvalidParameter(f"path_loss_exponent must be in (0, 10], got {self.path_loss_exponent}")
         if not 0.0 <= self.noise_sigma <= 50.0:
-            raise ValueError(f"noise_sigma must be in [0, 50] dB, got {self.noise_sigma}")
+            raise InvalidParameter(f"noise_sigma must be in [0, 50] dB, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,7 @@ class SimRobot:
     right_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.wheel_base <= 0:
-            raise ValueError("wheel_base must be positive")
-        if self.left_scale <= 0 or self.right_scale <= 0:
-            raise ValueError("actuation gains must be positive")
+        require_positive(wheel_base=self.wheel_base, left_scale=self.left_scale, right_scale=self.right_scale)
 
     @property
     def pose(self) -> tuple[float, float, float]:
@@ -100,12 +97,11 @@ class SimWorld:
         object.__setattr__(self, "aps", tuple(self.aps))
         macs = [ap.mac for ap in self.aps]
         if len(set(macs)) != len(macs):
-            raise ValueError("duplicate AP MAC addresses")
+            raise InvalidParameter("duplicate AP MAC addresses")
         for ap in self.aps:
             if not self.grid.contains_point(*ap.position):
-                raise ValueError(f"AP {ap.mac} at {ap.position} is outside the map")
-        if self.reference_distance <= 0:
-            raise ValueError("reference_distance must be positive")
+                raise InvalidParameter(f"AP {ap.mac} at {ap.position} is outside the map")
+        require_positive(reference_distance=self.reference_distance)
 
 
 def with_noise_sigma(world: SimWorld, sigma: float) -> SimWorld:
@@ -184,8 +180,7 @@ def step_robot(robot: SimRobot, command: DriveCommand, dt: float) -> SimRobot:
     integrated exactly along circular arcs in substeps of at most 0.01 s.
     Turns wrap the heading to (-pi, pi] once, at the end; straight motion keeps it.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    require_positive(dt=dt)
     v, omega = _body_rates(robot, command)
     x, y, theta = robot.pose
     remaining = dt
@@ -223,7 +218,7 @@ def generate_synthetic_dataset(world: SimWorld, cells=None, resamples: int = 3, 
     Rows follow row-major cell order.
     """
     if resamples < 1:
-        raise ValueError("resamples must be >= 1")
+        raise InvalidParameter("resamples must be >= 1")
     if cells is None:
         cells = world.grid.walkable_cells()
     samples = []
@@ -349,7 +344,7 @@ def run_trial(
     """
     require_positive(success_radius=success_radius, scan_period=scan_period)
     if bundle is None and not oracle:
-        raise ValueError("a model bundle is required unless oracle localization is enabled")
+        raise InvalidParameter("a model bundle is required unless oracle localization is enabled")
     config = nav_config or NavConfig()
     heading, checkpoints = _route(path)
     cal = calibration or default_calibration(world.robot)
@@ -417,7 +412,7 @@ def corner_success_rate(
     the results are byte-identical to a serial run's, and so is every output.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParameter("trials must be >= 1")
     start = REFERENCE_START if start is None else start
     goal = REFERENCE_GOAL if goal is None else goal
     path = astar(world.grid, start, goal)
@@ -564,5 +559,5 @@ def _parse_world(text: str) -> SimWorld:
         raise WorldFormatError("world file has no robot line")
     try:
         return SimWorld(grid, tuple(aps), robot, seed, refdist)
-    except ValueError as exc:
+    except InvalidParameter as exc:
         raise WorldFormatError(str(exc)) from exc

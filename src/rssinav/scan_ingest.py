@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import InvalidParameter, ToolkitError
 from .fileio import read_text, write_rows
 
 
@@ -90,9 +90,9 @@ class ScanEntry:
 
     def __post_init__(self) -> None:
         if not _canonical_mac(self.mac):
-            raise ValueError(f"not a canonical MAC address: {self.mac!r}")
+            raise InvalidParameter(f"not a canonical MAC address: {self.mac!r}")
         if not RSSI_FLOOR <= self.rssi <= 0:
-            raise ValueError(f"RSSI must be in [{RSSI_FLOOR}, 0] dBm, got {self.rssi}")
+            raise InvalidParameter(f"RSSI must be in [{RSSI_FLOOR}, 0] dBm, got {self.rssi}")
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def finite_floats(cells) -> list[float]:
     values = [float(cell) for cell in cells]
     for cell, value in zip(cells, values):
         if not math.isfinite(value):
-            raise ValueError(f"non-finite number {cell!r}")
+            raise InvalidParameter(f"non-finite number {cell!r}")
     return values
 
 

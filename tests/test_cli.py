@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import re
 import struct
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rssinav.cli import build_parser, main
 
@@ -390,6 +396,64 @@ class TestHelp:
         invocations = re.findall(r"^  (-\S.*?)(?: {2,}|$)", out, re.M)  # the option lines, without their help
         flags = {flag for line in invocations for flag in re.findall(r"--[a-z][a-z-]*", line)} - {"--help"}
         assert sorted(flags) == LONG_FLAGS[command]
+
+
+# Flag values at the edges of every caster and check.  A count flag never gets a
+# large valid value: 5,000 digits exceed int()'s conversion limit, so argparse
+# refuses them, and the base argv keeps --epochs, --trials and --resamples small
+# (huge counts are valid inputs that only run long).
+_EDGE_VALUES = ["-1", "0", "nan", "inf", "1e400", "9" * 5000, "", "a,b", "empty_dir", "missing/nothing.txt", "latin1.txt"]
+_VALUELESS_FLAGS = {"--oracle", "--no-aggregate"}
+
+# each subcommand's valid positionals and required options; "{...}" names a workspace file
+_FUZZ_BASE = {
+    "ingest": ["-o", "out.csv"],  # the scan directory is drawn
+    "select-features": ["{dataset}"],
+    "train": ["{dataset}", "-o", "model.bin", "--epochs", "2"],
+    "evaluate": ["{model}", "{dataset}"],
+    "plan": ["map.txt", "--start", "0,0", "--goal", "1,0"],
+    "make-world": ["-o", "world.txt"],
+    "make-dataset": ["{world}", "-o", "dataset.csv", "--resamples", "1"],
+    "simulate": ["{world}", "{model}", "--trials", "2"],
+    "navigate": ["{world}", "{model}", "--out-prefix", "nav"],
+}
+
+
+@st.composite
+def _edge_argv(draw) -> tuple[str, list[str], list[str]]:
+    """(subcommand, its drawn positionals, its drawn flags)."""
+    command = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    positionals = [draw(st.sampled_from(["scans", "bad_scans", "empty_dir"]))] if command == "ingest" else []
+    flags = draw(st.lists(st.sampled_from(LONG_FLAGS[command]), min_size=1, max_size=3, unique=True))
+    return command, positionals, [f if f in _VALUELESS_FLAGS else f"{f}={draw(st.sampled_from(_EDGE_VALUES))}" for f in flags]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_edge_argv())
+    def test_edge_flags_exit_cleanly(self, workspace, drawn):
+        """Any subcommand with one to three edge-valued flags exits 0, 1 or 2 and prints
+        no traceback; exit 1 is one ``error:`` line, or ingest's per-file report."""
+        _, world, dataset, model = workspace
+        command, positionals, flags = drawn
+        argv = [command, *positionals, *(a.format(world=world, dataset=dataset, model=model) for a in _FUZZ_BASE[command]), *flags]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as work, contextlib.chdir(work), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            write_scan_dir(Path(work))
+            os.mkdir("bad_scans")
+            Path("bad_scans/0_0_0.txt").write_text("Cell 01 - Address: AA:BB:CC:DD:EE:01\n")  # no ESSID or Signal line
+            os.mkdir("empty_dir")
+            Path("latin1.txt").write_bytes(b"epochs = 3 # caf\xe9\n")
+            Path("map.txt").write_text("2 1 1\n..\n")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == 1 and lines != ["bad_scans/0_0_0.txt: cell 01 is missing its ESSID line"]:  # not ingest's per-file report
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
 
 
 class TestConfigFile:

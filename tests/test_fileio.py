@@ -1,6 +1,7 @@
 """The file layer: library writers leave an existing file untouched when they
 fail, decode errors name the file, and no module but ``fileio`` opens files
-or renames temp files into place."""
+or renames temp files into place.  Beside it, a structure test keeps the one
+error path: the library raises no bare ValueError or TypeError."""
 
 import ast
 import io
@@ -148,3 +149,29 @@ def test_the_check_sees_each_bypass():
 def test_the_check_allows_the_file_layer_and_its_helpers():
     source = "fileio.read_text(p, E, 'x')\nfileio.read_bytes(p)\nread_bytes(p)\nread_text(p, E, None)\n"
     assert _file_layer_bypasses(ast.parse(source)) == []
+
+
+def _bare_raises(tree: ast.Module) -> list[str]:
+    """Each ``raise ValueError`` or ``raise TypeError`` in a module, with or without arguments."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                found.append(f"line {node.lineno}: raise {exc.id}")
+    return found
+
+
+def test_one_error_path_to_the_cli():
+    """The library raises ToolkitError subclasses only, so ``cli.main`` catches
+    ToolkitError and OSError and lets any other exception show as a bug."""
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, tree in modules.items() if (found := _bare_raises(tree))} == {}
+    main = next(node for node in modules["cli.py"].body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert [{name.id for name in ast.walk(h.type) if isinstance(name, ast.Name)} for h in handlers] == [{"ToolkitError", "OSError"}]
+
+
+def test_the_raise_check_sees_each_bare_raise():
+    source = "raise ValueError('x')\nraise TypeError\nraise ValueError from None\nraise InvalidParameter('x')\nraise\n"
+    assert _bare_raises(ast.parse(source)) == ["line 1: raise ValueError", "line 2: raise TypeError", "line 3: raise ValueError"]

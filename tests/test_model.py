@@ -1,5 +1,6 @@
 import ast
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from rssinav.model import (
     train,
     validation_counts,
 )
-from rssinav.errors import ToolkitError
+from rssinav.errors import InvalidParameter, ToolkitError
 from rssinav.fileio import write_rows
 from rssinav.features import FeatureSelection, NormalizationParams, SidecarFormatError
 from rssinav.scan_ingest import ScanEntry, ScanSnapshot
@@ -361,6 +362,10 @@ class TestBackward:
             numeric = numeric_gradients(model, X, T)
             assert max_relative_error(analytic, numeric) < 1e-4
 
+    def test_input_width_must_match_the_model(self):
+        with pytest.raises(ShapeMismatch, match="batch and target shapes do not match the model"):
+            backward(MlpRegressor.default(3), np.ones((4, 5)), np.ones((4, 2)))
+
 
 class TestTrain:
     def test_validation_counts(self):
@@ -430,6 +435,18 @@ class TestTrain:
     def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
             TrainConfig(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(learning_rate=True), "learning_rate must be positive and finite, got True"),
+            (dict(validation_split=False), "validation_split must be in [0, 1), got False"),
+            (dict(validation_split=1.0), "validation_split must be in [0, 1), got 1.0"),
+        ],
+    )
+    def test_rate_and_split_refuse_a_bool_and_name_the_value(self, kwargs, message):
+        with pytest.raises(InvalidParameter, match=re.escape(message)):
+            TrainConfig(**kwargs)
 
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

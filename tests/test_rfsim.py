@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rssinav import rfsim
-from rssinav.errors import OutOfBounds
+from rssinav.errors import InvalidParameter, OutOfBounds
 from rssinav.model import TrainConfig
 from rssinav.navctl import DriveCommand, DrivetrainCalibration, NavConfig, turn_command
 from rssinav.planner import EmptyPath, GridMap, NoPath, PlannedPath, astar
@@ -156,6 +156,25 @@ class TestRobotKinematics:
         moved = step_robot(robot, cmd, dt=4.0)
         assert moved.heading == pytest.approx(0.0, abs=1e-9)
         assert moved.y == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0, True])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        # substeps of an infinite dt never run out, and a nan dt runs none
+        with pytest.raises(InvalidParameter, match=re.escape(f"dt must be positive and finite, got {dt}")):
+            step_robot(SimRobot(), DriveCommand(1.0, 1.0, 1.0), dt)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(wheel_base=math.nan), dict(wheel_base=0.0), dict(left_scale=math.nan), dict(right_scale=math.inf), dict(left_scale=-1.0)]
+    )
+    def test_drivetrain_must_be_positive_and_finite(self, kwargs):
+        ((name, value),) = kwargs.items()
+        with pytest.raises(InvalidParameter, match=re.escape(f"{name} must be positive and finite, got {value}")):
+            SimRobot(**kwargs)
+
+    @pytest.mark.parametrize("reference_distance", [math.nan, math.inf, 0.0])
+    def test_reference_distance_must_be_positive_and_finite(self, reference_distance):
+        with pytest.raises(InvalidParameter, match=re.escape(f"reference_distance must be positive and finite, got {reference_distance}")):
+            SimWorld(GridMap(2, 2, 1.0), (), SimRobot(), reference_distance=reference_distance)
 
 
 def substep_poses(robot, command):

@@ -18,10 +18,11 @@ each in its own directory, with every output path relative to it:
     navigate (three CSVs), navigate --oracle on the reverse route and on a
     route with right turns (three CSVs each), plan -o
 
-Each command's stdout is compared too.  The exit status is 0 when every
-output exists in both trees and matches, else 1.  Model-based digests
-depend on the BLAS build, so compare two trees on one machine; this check
-is not part of the test suite.
+Each command's stdout is compared too, and so are the exit status and
+stderr of a few runs that must fail with one error line (FAILURES).  The
+exit status is 0 when every output exists in both trees and matches, else
+1.  Model-based digests depend on the BLAS build, so compare two trees on
+one machine; this check is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -68,6 +69,15 @@ STEPS = [
     ("plan", ["plan", "{map}", "--start", "0,0", "--goal", "119,99", "-o", "plan.csv"], ["plan.csv"]),
 ]
 
+# (label, argv) of runs that must fail; their messages must not change
+FAILURES = [
+    ("train --epochs 0", ["train", "dataset.csv", "-o", "failed.bin", "--epochs", "0"]),
+    ("simulate --oracle --max-misses -1", ["simulate", "world.txt", "--oracle", "--max-misses", "-1"]),
+    ("plan --heading Q", ["plan", "{map}", "--start", "0,0", "--goal", "119,99", "--heading", "Q"]),
+    ("make-dataset --resamples 0", ["make-dataset", "world.txt", "-o", "failed.csv", "--resamples", "0"]),
+    ("simulate --oracle --seed -1", ["simulate", "world.txt", "--oracle", "--seed", "-1"]),
+]
+
 
 def write_captures(directory: Path) -> None:
     """Seeded scan captures: 6x4 locations x 3 scans of 9 APs, a third of them on SSID Guest."""
@@ -109,17 +119,25 @@ def export_revision(revision: str, dest: Path) -> Path:
 
 
 def run_tree(tree: Path, work: Path, inputs: dict[str, str]) -> dict[str, str]:
-    """Run every step in ``work`` with ``tree``'s source; return output name -> SHA-256 (or a failure note)."""
+    """Run every step, then every failing run, in ``work`` with ``tree``'s source;
+    return output name -> SHA-256 (or a failure note)."""
     work.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-m", "rssinav", *(arg.format(**inputs) for arg in argv)], cwd=work, env=env, capture_output=True)
+
     digests = {}
     for label, argv, outputs in STEPS:
-        argv = [arg.format(**inputs) for arg in argv]
-        done = subprocess.run([sys.executable, "-m", "rssinav", *argv], cwd=work, env=env, capture_output=True)
+        done = run(argv)
         digests[f"{label}: stdout"] = hashlib.sha256(done.stdout).hexdigest() if done.returncode == 0 else f"exit {done.returncode}"
         for name in outputs:
             path = work / name
             digests[f"{label}: {name}"] = hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else "missing"
+    for label, argv in FAILURES:
+        done = run(argv)
+        digest = hashlib.sha256(b"exit %d\n" % done.returncode + done.stderr).hexdigest()
+        digests[f"{label}: exit and stderr"] = digest if done.returncode else "exit 0, not a failure"
     return digests
 
 
