@@ -190,7 +190,11 @@ def cmd_ingest(opts) -> int:
         return 1
     if not snapshots:
         raise CliError(f"no scan files found in {directory}")
-    return _write_dataset(scan_ingest.build_dataset(snapshots), opts["output"])
+    dataset = scan_ingest.build_dataset(snapshots)
+    if not dataset.ap_columns:
+        on = f" on SSID {', '.join(map(repr, sorted(allowlist)))}" if allowlist else ""
+        raise CliError(f"no access point{on} in the scans of {directory}; nothing to write")
+    return _write_dataset(dataset, opts["output"])
 
 
 def cmd_select_features(opts) -> int:

@@ -29,7 +29,6 @@ from .features import (
     FeatureSelection,
     NormalizationParams,
     SidecarFormatError,
-    denormalize_coords,
     normalize_features,
     sidecar_dumps,
     sidecar_loads,
@@ -124,7 +123,7 @@ class DenseLayer:
     @classmethod
     def from_descriptor(cls, descriptor: dict, read) -> "DenseLayer":
         rows, cols, activation = _field(descriptor, "out", int), _field(descriptor, "in", int), _field(descriptor, "activation", str)
-        return cls(read(rows, cols), read(rows), activation)
+        return cls(read("weights", rows, cols), read("biases", rows), activation)
 
     def reset(self, rng: np.random.Generator) -> None:
         """Seeded uniform fan-in weights and zero biases."""
@@ -177,7 +176,7 @@ class BatchNormLayer:
     def from_descriptor(cls, descriptor: dict, read) -> "BatchNormLayer":
         width, epsilon = _field(descriptor, "width", int), _field(descriptor, "epsilon", float)
         momentum, initialized = _field(descriptor, "momentum", float), _field(descriptor, "initialized", bool)
-        return cls(*[read(width) for _ in cls.BLOCKS], epsilon, momentum, initialized)
+        return cls(*[read(name, width) for name in cls.BLOCKS], epsilon, momentum, initialized)
 
     def reset(self, rng: np.random.Generator) -> None:
         """Back to a fresh layer's neutral values and no running statistics; nothing is drawn from ``rng``."""
@@ -547,10 +546,25 @@ def predict_position(bundle: ModelBundle, snapshot: ScanSnapshot) -> PositionEst
     kept = bundle.selection.kept_columns
     if not any(mac in observed for mac in kept):
         raise NoKnownAccessPoints("snapshot contains none of the model's access points")
-    vector = np.array([float(observed.get(mac, MISSING_RSSI)) for mac in kept])
-    out = forward(bundle.model, prepare_features(bundle, vector))
-    x, y = denormalize_coords(bundle.params, out)
-    return PositionEstimate(float(x), float(y))
+    return PositionEstimate(*_predict_vector(bundle, np.array([float(observed.get(mac, MISSING_RSSI)) for mac in kept])))
+
+
+def _predict_vector(bundle: ModelBundle, vector: np.ndarray) -> tuple[float, float]:
+    """(x, y) in feet from raw RSSI values in kept-column order: the prediction core.
+
+    Denormalization runs on Python floats, the same IEEE multiply and add
+    per coordinate as ``denormalize_coords``.
+    """
+    x, y = forward(bundle.model, prepare_features(bundle, vector)).tolist()
+    params = bundle.params
+    return x * params.extent + params.origin_x, y * params.extent + params.origin_y
+
+
+def _finite_block(block: np.ndarray, index: int, name: str, error: type) -> np.ndarray:
+    """``block`` if every value in it is finite, else ``error`` naming the layer and the block."""
+    if not np.isfinite(block).all():
+        raise error(f"layer {index} {name} holds a non-finite value")
+    return block
 
 
 def save_model(model: MlpRegressor, selection: FeatureSelection, params: NormalizationParams, sink) -> None:
@@ -559,7 +573,8 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
     Layout: magic, format version, JSON architecture header, parameter
     blocks as little-endian float64 in declared order, the
     selection/normalization sidecar text, and a SHA-256 checksum over
-    everything before it.
+    everything before it.  A block holding a NaN or an infinity is refused
+    (InvalidParameter), as load_model would refuse it.
     """
     arch = [layer.descriptor() for layer in model.layers]
     fields = {"arch": arch, "input_width": model.input_width, "output_width": model.output_width}
@@ -571,9 +586,9 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
     body += _MAGIC
     body += struct.pack("<H", _FORMAT_VERSION)
     body += struct.pack("<I", len(header)) + header
-    for layer in model.layers:
+    for index, layer in enumerate(model.layers):
         for name in layer.BLOCKS:
-            body += np.ascontiguousarray(getattr(layer, name), dtype="<f8").tobytes()
+            body += _finite_block(np.ascontiguousarray(getattr(layer, name), dtype="<f8"), index, name, InvalidParameter).tobytes()
     body += struct.pack("<I", len(sidecar)) + sidecar
     body += hashlib.sha256(bytes(body)).digest()
     with open_sink(sink, binary=True) as fh:
@@ -581,7 +596,8 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
 
 
 def load_model(source) -> ModelBundle:
-    """Read a model file back; forward outputs are bit-identical to save time."""
+    """Read a model file back; forward outputs are bit-identical to save time.
+    A parameter block holding a NaN or an infinity is a CorruptFile naming it."""
     data = read_bytes(source)
 
     if len(data) < len(_MAGIC) + 2 or not data.startswith(_MAGIC):
@@ -599,8 +615,10 @@ def load_model(source) -> ModelBundle:
         offset += count
         return chunk
 
-    def read(*shape: int) -> np.ndarray:
-        return np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+    def read(name: str, *shape: int) -> np.ndarray:
+        """The next parameter block, ``name`` of the layer being read."""
+        block = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        return _finite_block(block, len(layers), name, CorruptFile)
 
     (header_len,) = struct.unpack("<I", take(4))
     layers = []

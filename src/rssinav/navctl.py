@@ -18,6 +18,8 @@ from enum import Enum
 from .errors import InvalidParameter, ToolkitError, require_positive
 from .planner import Action, Checkpoint
 
+MAX_DURATION = 3600  # seconds; the longest command, or step_robot interval, integrated in 0.01 s substeps
+
 
 class InvalidState(ToolkitError):
     """nav_step was called on a finished (Done/Aborted) state."""
@@ -75,8 +77,8 @@ class DriveCommand:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 <= self.duration <= 3600:
-            raise InvalidParameter(f"duration must be in [0, 3600] s, got {self.duration}")
+        if not 0 <= self.duration <= MAX_DURATION:
+            raise InvalidParameter(f"duration must be in [0, {MAX_DURATION}] s, got {self.duration}")
 
 
 class Mode(Enum):

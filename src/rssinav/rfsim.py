@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import InvalidParameter, OutOfBounds, ToolkitError, check_seed, require_positive
 from .fileio import open_sink, read_text
-from .model import ModelBundle, NoKnownAccessPoints, predict_position
-from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
+from .model import ModelBundle, _predict_vector, predict_position
+from .navctl import MAX_DURATION, DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
 from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkpoints, first_segment_heading
-from .scan_ingest import RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
+from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
@@ -119,16 +119,20 @@ def simulate_scan(world: SimWorld, position: tuple[float, float], draw_index: in
     x, y = float(position[0]), float(position[1])
     if not world.grid.contains_point(x, y):
         raise OutOfBounds(f"scan position ({x}, {y}) is outside the map")
-    seeds = [(world.rng_seed if seed is None else seed) & _SEED_MASK, draw_index & _SEED_MASK]
-    noise = np.random.default_rng(seeds).standard_normal(len(world.aps)).tolist()
-    entries = []
+    levels = _scan_levels(world, x, y, draw_index, world.rng_seed if seed is None else seed)
+    return ScanSnapshot(tuple(ScanEntry(ap.mac, ap.ssid, rssi) for ap, rssi in zip(world.aps, levels)))
+
+
+def _scan_levels(world: SimWorld, x: float, y: float, draw_index: int, seed: int) -> list[int]:
+    """The RSSI formula: each AP's level in integer dBm at (x, y), in ``world.aps`` order."""
+    noise = np.random.default_rng([seed & _SEED_MASK, draw_index & _SEED_MASK]).standard_normal(len(world.aps)).tolist()
+    levels = []
     for ap, z in zip(world.aps, noise):
         d = max(math.hypot(x - ap.position[0], y - ap.position[1]), world.reference_distance)
         level = ap.p0 - 10.0 * ap.path_loss_exponent * math.log10(d / world.reference_distance)
         level += ap.noise_sigma * z
-        rssi = math.floor(min(0.0, max(RSSI_FLOOR, level + 0.5)))
-        entries.append(ScanEntry(ap.mac, ap.ssid, rssi))
-    return ScanSnapshot(tuple(entries))
+        levels.append(math.floor(min(0.0, max(RSSI_FLOOR, level + 0.5))))
+    return levels
 
 
 def render_scan_text(snapshot: ScanSnapshot) -> str:
@@ -179,15 +183,15 @@ def step_robot(robot: SimRobot, command: DriveCommand, dt: float) -> SimRobot:
     wheel speeds: v = (vl + vr) / 2, omega = (vr - vl) / wheel_base,
     integrated exactly along circular arcs in substeps of at most 0.01 s.
     Turns wrap the heading to (-pi, pi] once, at the end; straight motion keeps it.
+    ``dt`` may not exceed MAX_DURATION, a DriveCommand's longest duration.
     """
     require_positive(dt=dt)
+    if dt > MAX_DURATION:
+        raise InvalidParameter(f"dt must be at most {MAX_DURATION} s, got {dt}")
     v, omega = _body_rates(robot, command)
     x, y, theta = robot.pose
-    remaining = dt
-    while remaining > 1e-12:
-        h = min(_SUBSTEP, remaining)
+    for h in _substep_lengths(dt).tolist():
         x, y, theta = _substep(x, y, theta, v, omega, h)
-        remaining -= h
     if omega:  # straight motion keeps the heading bit-exactly
         theta = _wrap_heading(math.sin(theta), math.cos(theta))
     return replace(robot, x=x, y=y, heading=theta)
@@ -356,6 +360,15 @@ def run_trial(
     gx, gy = grid.cell_center(path.cells[-1])
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
 
+    # The kept columns as indices into world.aps (None: not in this world), found once.
+    # Each fix feeds _scan_levels straight to _predict_vector without the ScanEntry and
+    # ScanSnapshot checks, which hold already: AccessPointSim checks its MAC, SimWorld
+    # refuses duplicate MACs and _scan_levels clamps each level to [RSSI_FLOOR, 0].  With
+    # no kept column in the world every fix is a "nofix", as predict_position refuses it.
+    index = {ap.mac: i for i, ap in enumerate(world.aps)}
+    columns = [] if oracle else [index.get(mac) for mac in bundle.selection.kept_columns]
+    known = any(i is not None for i in columns)
+
     events = []
     x, y, theta = robot.pose
     on_walkable = True
@@ -369,12 +382,11 @@ def run_trial(
         clock += scan_period
         if oracle:
             fix = (x, y)
+        elif known:
+            levels = _scan_levels(world, x, y, draw_index, seed)
+            fix = _predict_vector(bundle, np.array([MISSING_RSSI if i is None else float(levels[i]) for i in columns]))
         else:
-            try:
-                estimate = predict_position(bundle, simulate_scan(world, (x, y), draw_index=draw_index, seed=seed))
-                fix = (estimate.x, estimate.y)
-            except NoKnownAccessPoints:
-                fix = None
+            fix = None
         events.append(("fix" if fix is not None else "nofix", clock, ((x, y), fix)))
         state, command = nav_step(state, fix)
         if command is not None:

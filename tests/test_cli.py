@@ -72,6 +72,23 @@ class TestIngest:
         header = next(csv.reader(out.open()))
         assert "99:00:00:00:00:01" not in header
 
+    @pytest.mark.parametrize("ssids", [["Nope"], ["Nope", "CSU Visitor"]])
+    def test_ssid_allowlist_matching_no_access_point_fails(self, tmp_path, capsys, ssids):
+        scans = write_scan_dir(tmp_path)
+        out = tmp_path / "ds.csv"
+        assert main(["ingest", str(scans), "-o", str(out), *(arg for ssid in ssids for arg in ("--ssid", ssid))]) == 1
+        named = ", ".join(repr(ssid) for ssid in sorted(ssids))
+        assert capsys.readouterr().err == f"error: no access point on SSID {named} in the scans of {scans}; nothing to write\n"
+        assert not out.exists()
+
+    def test_captures_without_cells_fail(self, tmp_path, capsys):
+        scans = tmp_path / "scans"
+        scans.mkdir()
+        (scans / "0_0_0.txt").write_text("wlan0     No scan results\n")
+        assert main(["ingest", str(scans), "-o", str(tmp_path / "ds.csv")]) == 1
+        assert capsys.readouterr().err == f"error: no access point in the scans of {scans}; nothing to write\n"
+        assert not (tmp_path / "ds.csv").exists()
+
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

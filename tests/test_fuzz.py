@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rssinav.cli import _parse_config_file
-from rssinav.errors import ToolkitError
+from rssinav.errors import CorruptFile, ToolkitError
 from rssinav.features import FeatureSelection, NormalizationParams
 from rssinav.model import MlpRegressor, TrainConfig, load_model, save_model, train
 from rssinav.rfsim import load_world, reference_world, render_scan_text, save_world
@@ -240,3 +240,53 @@ def test_model_header_values_raise_only_toolkit_errors(data, value):
         load_model(io.BytesIO(_resigned_model(header)))
     except ToolkitError:
         pass
+
+
+def _parameter_blocks() -> list[tuple[int, str, int]]:
+    """(layer index, block name, values) of VALID_MODEL's parameter blocks, in file order."""
+    blocks = []
+    for index, layer in enumerate(VALID_HEADER["arch"]):
+        if layer["kind"] == "dense":
+            blocks += [(index, "weights", layer["out"] * layer["in"]), (index, "biases", layer["out"])]
+        else:
+            blocks += [(index, name, layer["width"]) for name in ("gamma", "beta", "running_mean", "running_var")]
+    return blocks
+
+
+def _resigned_parameter(block: int, element: int, value: bytes) -> bytes:
+    """The valid model file with one float64 of one parameter block replaced and its checksum recomputed."""
+    offset = 16 + _HEADER_LEN + 8 * (sum(size for _, _, size in _parameter_blocks()[:block]) + element)
+    body = VALID_MODEL[:offset] + value + VALID_MODEL[offset + 8 : -32]
+    return body + hashlib.sha256(body).digest()
+
+
+def _float_bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+# NaNs of both signs and with a payload, and both infinities
+_NON_FINITE = [_float_bits(float("nan")), _float_bits(-float("nan")), struct.pack("<Q", 0x7FF0_0000_DEAD_BEEF), _float_bits(float("inf")), _float_bits(-float("inf"))]
+# extreme finite values: the largest magnitudes, the smallest subnormal, a negative zero
+_EXTREME = [1e308, -1e308, 5e-324, -5e-324, -0.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value=st.sampled_from(_NON_FINITE))
+def test_a_non_finite_parameter_is_refused_naming_its_block(data, value):
+    block = data.draw(st.integers(0, len(_parameter_blocks()) - 1), label="block")
+    index, name, size = _parameter_blocks()[block]
+    element = data.draw(st.integers(0, size - 1), label="element")
+    with pytest.raises(CorruptFile, match=f"^layer {index} {name} holds a non-finite value$"):
+        load_model(io.BytesIO(_resigned_parameter(block, element, value)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value=st.sampled_from(_EXTREME))
+def test_extreme_finite_parameters_load_bit_exactly(data, value):
+    block = data.draw(st.integers(0, len(_parameter_blocks()) - 1), label="block")
+    index, name, size = _parameter_blocks()[block]
+    if name == "running_var" and value < 0:
+        value = -0.0  # a negative running variance is refused on its own
+    element = data.draw(st.integers(0, size - 1), label="element")
+    loaded = getattr(load_model(io.BytesIO(_resigned_parameter(block, element, _float_bits(value)))).model.layers[index], name)
+    assert _float_bits(loaded.flat[element]) == _float_bits(value)

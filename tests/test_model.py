@@ -1,6 +1,7 @@
 import ast
 import io
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from rssinav.model import (
     UninitializedStatistics,
     VersionMismatch,
     _pass,
+    _predict_vector,
     backward,
     forward,
     initialize_parameters,
@@ -36,7 +38,8 @@ from rssinav.model import (
 )
 from rssinav.errors import InvalidParameter, ToolkitError
 from rssinav.fileio import write_rows
-from rssinav.features import FeatureSelection, NormalizationParams, SidecarFormatError
+from rssinav import model as model_module
+from rssinav.features import FeatureSelection, NormalizationParams, SidecarFormatError, denormalize_coords
 from rssinav.scan_ingest import ScanEntry, ScanSnapshot
 
 # ---------------------------------------------------------------------------
@@ -615,6 +618,15 @@ class TestPersistence:
             save_model(model, bundle.selection, bundle.params, tmp_path / "model.bin")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index, name", [(0, "weights"), (0, "biases"), (1, "gamma"), (1, "running_var"), (3, "biases")])
+    def test_save_refuses_a_non_finite_block(self, tmp_path, index, name, value):
+        bundle = small_bundle()
+        getattr(bundle.model.layers[index], name).flat[-1] = value
+        with pytest.raises(InvalidParameter, match=f"^layer {index} {name} holds a non-finite value$"):
+            save_model(bundle.model, bundle.selection, bundle.params, tmp_path / "model.bin")
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_file_rejected(self):
         bundle = small_bundle()
         buf = io.BytesIO()
@@ -847,6 +859,18 @@ class TestPredict:
             )
         )
         assert predict_position(bundle, snapshot) == predict_position(bundle, snapshot)
+
+    @pytest.mark.parametrize("out", [(0.0, -0.0), (-0.0, 0.0), (np.inf, -np.inf), (-np.inf, np.nan), (np.nan, -np.nan), (0.25, 1e308)])
+    @pytest.mark.parametrize("origin, extent", [((0.0, 0.0), 11.0), ((-0.0, -0.0), 1e-300), ((-3.5, 2.25), 0.1), ((1e308, -1e308), 10.0)])
+    def test_float_denormalization_matches_denormalize_coords(self, monkeypatch, out, origin, extent):
+        bundle = small_bundle()
+        bundle = ModelBundle(bundle.model, bundle.selection, NormalizationParams(bundle.params.feature_min, bundle.params.feature_max, *origin, extent))
+        monkeypatch.setattr(model_module, "forward", lambda model, x: np.array(out))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and 1e308 * 11
+            expected = denormalize_coords(bundle.params, np.array(out)).tolist()
+            got = _predict_vector(bundle, np.zeros(3))
+        assert all(type(v) is float for v in got)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in expected]
 
     def test_concurrent_inference_is_safe(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from rssinav import rfsim
 from rssinav.errors import InvalidParameter, OutOfBounds
-from rssinav.model import TrainConfig
-from rssinav.navctl import DriveCommand, DrivetrainCalibration, NavConfig, turn_command
+from rssinav.features import denormalize_coords
+from rssinav.model import NoKnownAccessPoints, PositionEstimate, TrainConfig, forward, prepare_features
+from rssinav.navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, turn_command
 from rssinav.planner import EmptyPath, GridMap, NoPath, PlannedPath, astar
 from rssinav.rfsim import (
     REFERENCE_GOAL,
@@ -36,8 +37,8 @@ from rssinav.rfsim import (
     step_robot,
     with_noise_sigma,
 )
-from rssinav.rfsim import _body_rates, _command_poses
-from rssinav.scan_ingest import RSSI_FLOOR, parse_scan_text
+from rssinav.rfsim import _MAX_FIXES, _body_rates, _command_poses, _route, _substep
+from rssinav.scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, parse_scan_text
 
 MAC = "02:00:00:00:00:01"
 
@@ -107,6 +108,42 @@ class TestSimulateScan:
         entries = parse_scan_text(render_scan_text(snap))
         assert tuple(entries) == snap.entries
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        aps=st.lists(
+            st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(-150.0, 0.0), st.floats(0.1, 10.0), st.floats(0.0, 50.0)),
+            min_size=0,
+            max_size=6,
+        ),
+        position=st.tuples(st.floats(0.0, 10.0, exclude_max=True), st.floats(0.0, 10.0, exclude_max=True)),
+        draw_index=st.integers(-(2**70), 2**70),
+        seed=st.none() | st.integers(0, 2**70),
+        reference_distance=st.floats(0.1, 20.0),
+    )
+    def test_matches_the_verbatim_old_formula(self, aps, position, draw_index, seed, reference_distance):
+        aps = [AccessPointSim(f"02:00:00:00:00:{i:02X}", "Net", (x, y), p0, n, sigma) for i, (x, y, p0, n, sigma) in enumerate(aps)]
+        world = replace(open_world(aps, seed=3), reference_distance=reference_distance)
+        snapshot = simulate_scan(world, position, draw_index, seed)
+        expected = reference_simulate_scan(world, position, draw_index, seed)
+        assert snapshot == expected and repr(snapshot) == repr(expected)
+
+
+def reference_simulate_scan(world, position, draw_index=0, seed=None):
+    """simulate_scan before its RSSI formula moved into _scan_levels, verbatim."""
+    x, y = float(position[0]), float(position[1])
+    if not world.grid.contains_point(x, y):
+        raise OutOfBounds(f"scan position ({x}, {y}) is outside the map")
+    seeds = [(world.rng_seed if seed is None else seed) & rfsim._SEED_MASK, draw_index & rfsim._SEED_MASK]
+    noise = np.random.default_rng(seeds).standard_normal(len(world.aps)).tolist()
+    entries = []
+    for ap, z in zip(world.aps, noise):
+        d = max(math.hypot(x - ap.position[0], y - ap.position[1]), world.reference_distance)
+        level = ap.p0 - 10.0 * ap.path_loss_exponent * math.log10(d / world.reference_distance)
+        level += ap.noise_sigma * z
+        rssi = math.floor(min(0.0, max(RSSI_FLOOR, level + 0.5)))
+        entries.append(ScanEntry(ap.mac, ap.ssid, rssi))
+    return ScanSnapshot(tuple(entries))
+
 
 def straight(speed, duration=1.0):
     return DriveCommand(speed, speed, duration, "forward")
@@ -163,6 +200,32 @@ class TestRobotKinematics:
         with pytest.raises(InvalidParameter, match=re.escape(f"dt must be positive and finite, got {dt}")):
             step_robot(SimRobot(), DriveCommand(1.0, 1.0, 1.0), dt)
 
+    @pytest.mark.parametrize("dt", [1e15, 2e14, 3600.5, math.nextafter(3600.0, math.inf)])
+    def test_dt_above_a_commands_longest_duration_is_refused(self, dt):
+        # from about 2e14 s, 0.01 s substeps no longer reduce the time left
+        with pytest.raises(InvalidParameter, match=re.escape(f"dt must be at most 3600 s, got {dt}")):
+            step_robot(SimRobot(), DriveCommand(1.0, 1.0, 1.0), dt)
+
+    def test_the_longest_dt_matches_the_verbatim_old_loop(self):
+        robot, command = SimRobot(wheel_base=0.4, left_scale=0.99), DriveCommand(1.0, 1.0, 1.0)
+        assert bits([step_robot(robot, command, 3600.0).pose]) == bits([reference_step_robot(robot, command, 3600.0).pose])
+
+    # 0.1234 s ends on a short substep, 1e-13 s has none
+    @pytest.mark.parametrize("dt", [0.1234, 0.01, 1e-13, None])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pose=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-10.0, 10.0)),
+        speeds=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)) | st.sampled_from([(1.0, 1.0), (1.0, 0.0), (-1.0, 1.0)]),
+        gains=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+        drawn=st.floats(1e-6, 5.0),
+    )
+    def test_matches_the_verbatim_old_loop(self, dt, pose, speeds, gains, drawn):
+        robot = SimRobot(*pose, wheel_base=0.4, left_scale=gains[0], right_scale=gains[1])
+        command = DriveCommand(*speeds, 1.0)
+        dt = drawn if dt is None else dt
+        moved, expected = step_robot(robot, command, dt), reference_step_robot(robot, command, dt)
+        assert bits([moved.pose]) == bits([expected.pose])
+
     @pytest.mark.parametrize(
         "kwargs", [dict(wheel_base=math.nan), dict(wheel_base=0.0), dict(left_scale=math.nan), dict(right_scale=math.inf), dict(left_scale=-1.0)]
     )
@@ -175,6 +238,20 @@ class TestRobotKinematics:
     def test_reference_distance_must_be_positive_and_finite(self, reference_distance):
         with pytest.raises(InvalidParameter, match=re.escape(f"reference_distance must be positive and finite, got {reference_distance}")):
             SimWorld(GridMap(2, 2, 1.0), (), SimRobot(), reference_distance=reference_distance)
+
+
+def reference_step_robot(robot, command, dt):
+    """step_robot's substep loop before it iterated _substep_lengths, verbatim."""
+    v, omega = _body_rates(robot, command)
+    x, y, theta = robot.pose
+    remaining = dt
+    while remaining > 1e-12:
+        h = min(0.01, remaining)
+        x, y, theta = _substep(x, y, theta, v, omega, h)
+        remaining -= h
+    if omega:  # straight motion keeps the heading bit-exactly
+        theta = rfsim._wrap_heading(math.sin(theta), math.cos(theta))
+    return replace(robot, x=x, y=y, heading=theta)
 
 
 def substep_poses(robot, command):
@@ -462,6 +539,106 @@ class TestParallelTrials:
             monkeypatch.delattr(os, "fork")
         _, results = corner_success_rate(ref_world, None, trials, base_seed=4, oracle=True)
         assert results == serial_trials(ref_world, None, trials, base_seed=4, oracle=True)
+
+
+def reference_predict_position(bundle, snapshot):
+    """predict_position before its prediction core moved into _predict_vector, verbatim."""
+    observed = snapshot.rssi_by_mac()
+    kept = bundle.selection.kept_columns
+    if not any(mac in observed for mac in kept):
+        raise NoKnownAccessPoints("snapshot contains none of the model's access points")
+    vector = np.array([float(observed.get(mac, MISSING_RSSI)) for mac in kept])
+    out = forward(bundle.model, prepare_features(bundle, vector))
+    x, y = denormalize_coords(bundle.params, out)
+    return PositionEstimate(float(x), float(y))
+
+
+def reference_run_trial(world, bundle, path, nav_config=None, success_radius=2.0, seed=0, *, oracle=False, calibration=None, scan_period=2.0):
+    """run_trial when each fix went through simulate_scan and predict_position, verbatim
+    but for the reference copies of those two."""
+    config = nav_config or NavConfig()
+    heading, checkpoints = _route(path)
+    cal = calibration or default_calibration(world.robot)
+    state = NavState.initial(checkpoints, config, cal, world.grid.cell_size)
+
+    grid = world.grid
+    limits = np.array([[grid.width], [grid.height]])
+    sx, sy = grid.cell_center(path.cells[0])
+    gx, gy = grid.cell_center(path.cells[-1])
+    robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
+
+    events = []
+    x, y, theta = robot.pose
+    on_walkable = True
+    clock = 0.0
+    reason = "fix_budget"
+    for draw_index in range(_MAX_FIXES):
+        if not grid.contains_point(x, y):
+            on_walkable = False
+            reason = "left_map"
+            break
+        clock += scan_period
+        if oracle:
+            fix = (x, y)
+        else:
+            try:
+                estimate = reference_predict_position(bundle, reference_simulate_scan(world, (x, y), draw_index=draw_index, seed=seed))
+                fix = (estimate.x, estimate.y)
+            except NoKnownAccessPoints:
+                fix = None
+        events.append(("fix" if fix is not None else "nofix", clock, ((x, y), fix)))
+        state, command = nav_step(state, fix)
+        if command is not None:
+            events.append(("command", clock, command))
+            poses = _command_poses(robot, command, (x, y, theta))
+            x, y, theta = poses[:, -1].tolist()
+            cells = np.floor(poses[:2] / grid.cell_size)
+            if not (((cells >= 0) & (cells < limits)).all() and grid.walkable[cells[1].astype(int), cells[0].astype(int)].all()):
+                on_walkable = False
+            clock += command.duration
+        if state.mode in (Mode.DONE, Mode.ABORTED):
+            reason = state.mode.value
+            break
+    final_error = math.hypot(x - gx, y - gy)
+    if not on_walkable:
+        reason += "+left_walkable"
+    success = reason == "done" and final_error <= success_radius
+    return rfsim.TrialResult(success, final_error, robot, events, reason, success_radius, seed)
+
+
+def with_kept_columns(bundle, foreign):
+    """The bundle with the kept columns whose positions are in ``foreign`` renamed to MACs no world AP has."""
+    kept = tuple(f"02:00:00:00:01:{i:02X}" if i in foreign else mac for i, mac in enumerate(bundle.selection.kept_columns))
+    return replace(bundle, selection=replace(bundle.selection, kept_columns=kept))
+
+
+class TestDirectScanPath:
+    """run_trial feeds _scan_levels straight into _predict_vector; it must give the
+    trial that simulate_scan -> predict_position gave, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        sigma=st.sampled_from([0.0, 0.5, 2.0, 8.0]) | st.floats(0.0, 50.0),
+        reversed_aps=st.booleans(),
+        foreign=st.sampled_from([(), (0,), (2, 5), tuple(range(6))]),
+        nav=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 2.0), st.integers(0, 12)),
+        scan_period=st.floats(0.5, 4.0),
+    )
+    def test_trials_match_the_verbatim_old_loop(self, ref_world, trained, seed, sigma, reversed_aps, foreign, nav, scan_period):
+        world = with_noise_sigma(ref_world, sigma)
+        if reversed_aps:  # kept columns map to other AP indices and other noise draws
+            world = replace(world, aps=world.aps[::-1])
+        bundle = trained[0]
+        assert len(bundle.selection.kept_columns) == 6
+        bundle = with_kept_columns(bundle, foreign)  # every kept MAC foreign: every fix is a "nofix"
+        config = NavConfig(step_distance=nav[0], checkpoint_radius=nav[1], max_consecutive_misses=nav[2])
+        path = astar(world.grid, REFERENCE_START, REFERENCE_GOAL)
+        kwargs = dict(nav_config=config, seed=seed, scan_period=scan_period)
+        result, expected = run_trial(world, bundle, path, **kwargs), reference_run_trial(world, bundle, path, **kwargs)
+        assert result == expected and repr(result) == repr(expected)  # repr tells -0.0 from 0.0
+        if len(foreign) == 6:
+            assert {kind for kind, _, _ in result.events} == {"nofix"} and result.reason == "aborted"
 
 
 def cell_of(grid, x, y):

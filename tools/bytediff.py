@@ -76,6 +76,7 @@ FAILURES = [
     ("plan --heading Q", ["plan", "{map}", "--start", "0,0", "--goal", "119,99", "--heading", "Q"]),
     ("make-dataset --resamples 0", ["make-dataset", "world.txt", "-o", "failed.csv", "--resamples", "0"]),
     ("simulate --oracle --seed -1", ["simulate", "world.txt", "--oracle", "--seed", "-1"]),
+    ("ingest --ssid Nope", ["ingest", "{captures}", "-o", "failed_ssid.csv", "--ssid", "Nope"]),
 ]
 
 
