@@ -189,6 +189,8 @@ class NormalizationParams:
         if np.any(self.feature_max < self.feature_min):
             raise InvalidParameter("feature max below min")
         require_positive(extent=self.extent)
+        for name in ("origin_x", "origin_y", "extent"):  # Python floats, so predictions are floats whatever scalars came in
+            object.__setattr__(self, name, float(getattr(self, name)))
         with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows is refused below
             span = self.feature_max - self.feature_min  # derived once: the scaling functions run once per fix
         if not np.isfinite(span).all():

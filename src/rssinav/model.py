@@ -123,7 +123,7 @@ class DenseLayer:
     @classmethod
     def from_descriptor(cls, descriptor: dict, read) -> "DenseLayer":
         rows, cols, activation = _field(descriptor, "out", int), _field(descriptor, "in", int), _field(descriptor, "activation", str)
-        return cls(read("weights", rows, cols), read("biases", rows), activation)
+        return cls(read(rows, cols), read(rows), activation)
 
     def reset(self, rng: np.random.Generator) -> None:
         """Seeded uniform fan-in weights and zero biases."""
@@ -176,7 +176,7 @@ class BatchNormLayer:
     def from_descriptor(cls, descriptor: dict, read) -> "BatchNormLayer":
         width, epsilon = _field(descriptor, "width", int), _field(descriptor, "epsilon", float)
         momentum, initialized = _field(descriptor, "momentum", float), _field(descriptor, "initialized", bool)
-        return cls(*[read(name, width) for name in cls.BLOCKS], epsilon, momentum, initialized)
+        return cls(*[read(width) for _ in cls.BLOCKS], epsilon, momentum, initialized)
 
     def reset(self, rng: np.random.Generator) -> None:
         """Back to a fresh layer's neutral values and no running statistics; nothing is drawn from ``rng``."""
@@ -597,7 +597,7 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
 
 def load_model(source) -> ModelBundle:
     """Read a model file back; forward outputs are bit-identical to save time.
-    A parameter block holding a NaN or an infinity is a CorruptFile naming it."""
+    A signed parameter block holding a NaN or an infinity is a CorruptFile naming it."""
     data = read_bytes(source)
 
     if len(data) < len(_MAGIC) + 2 or not data.startswith(_MAGIC):
@@ -615,10 +615,8 @@ def load_model(source) -> ModelBundle:
         offset += count
         return chunk
 
-    def read(name: str, *shape: int) -> np.ndarray:
-        """The next parameter block, ``name`` of the layer being read."""
-        block = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-        return _finite_block(block, len(layers), name, CorruptFile)
+    def read(*shape: int) -> np.ndarray:
+        return np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
 
     (header_len,) = struct.unpack("<I", take(4))
     layers = []
@@ -638,6 +636,9 @@ def load_model(source) -> ModelBundle:
         raise CorruptFile("trailing bytes before checksum")
     if hashlib.sha256(data[:-32]).digest() != data[-32:]:
         raise ChecksumFailure("model file checksum mismatch")
+    for index, layer in enumerate(layers):  # after the checksum, so a damaged file is still a ChecksumFailure
+        for name in layer.BLOCKS:
+            _finite_block(getattr(layer, name), index, name, CorruptFile)
     selection, params = sidecar_loads(sidecar_text)
     try:
         model = MlpRegressor(layers)

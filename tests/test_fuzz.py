@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from rssinav.cli import _parse_config_file
 from rssinav.errors import CorruptFile, ToolkitError
 from rssinav.features import FeatureSelection, NormalizationParams
-from rssinav.model import MlpRegressor, TrainConfig, load_model, save_model, train
+from rssinav.model import ChecksumFailure, MlpRegressor, TrainConfig, load_model, save_model, train
 from rssinav.rfsim import load_world, reference_world, render_scan_text, save_world
 from rssinav.scan_ingest import FingerprintDataset, ScanEntry, ScanSnapshot, parse_scan_text, read_csv, write_csv
 
@@ -253,9 +253,14 @@ def _parameter_blocks() -> list[tuple[int, str, int]]:
     return blocks
 
 
+def _parameter_offset(block: int, element: int) -> int:
+    """Where one float64 of one parameter block sits in VALID_MODEL."""
+    return 16 + _HEADER_LEN + 8 * (sum(size for _, _, size in _parameter_blocks()[:block]) + element)
+
+
 def _resigned_parameter(block: int, element: int, value: bytes) -> bytes:
     """The valid model file with one float64 of one parameter block replaced and its checksum recomputed."""
-    offset = 16 + _HEADER_LEN + 8 * (sum(size for _, _, size in _parameter_blocks()[:block]) + element)
+    offset = _parameter_offset(block, element)
     body = VALID_MODEL[:offset] + value + VALID_MODEL[offset + 8 : -32]
     return body + hashlib.sha256(body).digest()
 
@@ -276,8 +281,24 @@ def test_a_non_finite_parameter_is_refused_naming_its_block(data, value):
     block = data.draw(st.integers(0, len(_parameter_blocks()) - 1), label="block")
     index, name, size = _parameter_blocks()[block]
     element = data.draw(st.integers(0, size - 1), label="element")
-    with pytest.raises(CorruptFile, match=f"^layer {index} {name} holds a non-finite value$"):
+    message = f"^layer {index} {name} holds a non-finite value$"
+    if name == "running_var" and value == _float_bits(-float("inf")):
+        message = "^bad architecture header: running variance must be non-negative$"  # refused on its own, as the layer is built
+    with pytest.raises(CorruptFile, match=message):
         load_model(io.BytesIO(_resigned_parameter(block, element, value)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_parameter_damaged_to_non_finite_fails_the_checksum(data):
+    block = data.draw(st.integers(0, len(_parameter_blocks()) - 1), label="block")
+    element = data.draw(st.integers(0, _parameter_blocks()[block][2] - 1), label="element")
+    offset = _parameter_offset(block, element)
+    (bits,) = struct.unpack_from("<Q", VALID_MODEL, offset)
+    damaged = bytearray(VALID_MODEL)
+    struct.pack_into("<Q", damaged, offset, bits | 0x7FF0_0000_0000_0000)  # every exponent bit set: ±inf or NaN, same sign
+    with pytest.raises(ChecksumFailure):
+        load_model(io.BytesIO(bytes(damaged)))
 
 
 @settings(max_examples=100, deadline=None)

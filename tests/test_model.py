@@ -861,7 +861,10 @@ class TestPredict:
         assert predict_position(bundle, snapshot) == predict_position(bundle, snapshot)
 
     @pytest.mark.parametrize("out", [(0.0, -0.0), (-0.0, 0.0), (np.inf, -np.inf), (-np.inf, np.nan), (np.nan, -np.nan), (0.25, 1e308)])
-    @pytest.mark.parametrize("origin, extent", [((0.0, 0.0), 11.0), ((-0.0, -0.0), 1e-300), ((-3.5, 2.25), 0.1), ((1e308, -1e308), 10.0)])
+    @pytest.mark.parametrize(
+        "origin, extent",
+        [((0.0, 0.0), 11.0), ((-0.0, -0.0), 1e-300), ((-3.5, 2.25), 0.1), ((1e308, -1e308), 10.0), ((np.float64(10.0), np.float32(-0.5)), np.float64(12.5))],
+    )
     def test_float_denormalization_matches_denormalize_coords(self, monkeypatch, out, origin, extent):
         bundle = small_bundle()
         bundle = ModelBundle(bundle.model, bundle.selection, NormalizationParams(bundle.params.feature_min, bundle.params.feature_max, *origin, extent))

@@ -3,20 +3,19 @@
 this tree, alternating which side goes first, and write every run's metrics
 and their comparison to one JSON file.
 
-    python3 tools/benchpairs.py PARENT --workload W --seed S --pairs N [--seconds 25] [--label L] [--out-dir DIR]
+    python3 tools/benchpairs.py PARENT --workload W --seed S --pairs N [--label L]
 
 PARENT is a source checkout (a directory holding ``src/rssinav``) or a git
 revision of this repository, which is exported with ``git archive`` as in
-``bytediff.py``.  Each pair runs the workload once per side with the same
-seed; even pairs run the parent first, odd pairs this tree first, so a
-machine that drifts over minutes favours neither side.  Naming this tree as
-PARENT (``.``) runs the same code on both sides: an A/A run that records the
-machine's noise floor.
+``bytediff.py``.  Each pair runs the workload once per side for 25 s (the
+benchmark's run length) with the same seed; even pairs run the parent
+first, odd pairs this tree first, so a machine that drifts over minutes
+favours neither side.  Naming this tree as PARENT (``.``) runs the same code
+on both sides: an A/A run that records the machine's noise floor.
 
-The file ``BENCH_<workload>_s<seed>_<label>.json`` (in ``bench/`` unless
-``--out-dir`` says otherwise) holds both revisions, the machine from the
-first run's ``report`` line, every run's end-to-end metrics and operation
-counts, and per metric: each side's median and quartiles, the per-pair
+The file ``bench/BENCH_<workload>_s<seed>_<label>.json`` holds both
+revisions, the machine from the first run's ``report`` line, every run's
+end-to-end metrics and operation counts, and per metric: each side's median and quartiles, the per-pair
 ratios (this tree / parent), the pairs this tree won, and whether the median
 gap exceeds the parent's quartile distance.  ``outputs_match`` says whether
 every run on both sides reported the same ``output_sha256``.  No wall-clock
@@ -39,11 +38,13 @@ from pathlib import Path
 
 from bytediff import ROOT, export_revision
 
+SECONDS = 25  # perfbench --seconds per run, the benchmark's own run length
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+
+def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its final JSON line, plus the ``report`` line as ``report``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py imports the tree's own src/
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode or not lines:
@@ -99,9 +100,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0, help="perfbench --seconds per run (default: 25)")
     parser.add_argument("--label", default="change", help="the file name's last part (default: change)")
-    parser.add_argument("--out-dir", default=str(ROOT / "bench"), help="where the BENCH file goes (default: bench/)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -119,7 +118,7 @@ def main(argv=None) -> int:
         runs = []
         for pair in range(args.pairs):
             for order, name in enumerate(("parent", "change") if pair % 2 == 0 else ("change", "parent")):
-                result = run_perfbench(trees[name], args.workload, args.seed, args.seconds)
+                result = run_perfbench(trees[name], args.workload, args.seed)
                 metrics = {metric: value["value"] for metric, value in result["metrics"].items()}
                 runs.append({
                     "pair": pair,
@@ -140,7 +139,7 @@ def main(argv=None) -> int:
     record = {
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "pairs": args.pairs,
         "label": args.label,
         "revisions": revisions,
@@ -150,7 +149,7 @@ def main(argv=None) -> int:
         "summary": summary,
         "runs": [{k: v for k, v in run.items() if k != "machine"} for run in runs],
     }
-    out = Path(args.out_dir) / f"BENCH_{args.workload}_s{args.seed}_{args.label}.json"
+    out = ROOT / "bench" / f"BENCH_{args.workload}_s{args.seed}_{args.label}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     head = "ops_per_s" if "ops_per_s" in summary else next(iter(summary))
