@@ -44,7 +44,6 @@ from .rfsim import (
     reference_world,
     run_trial,
     simulate_scan,
-    step_robot,
 )
 from .scan_ingest import (
     FingerprintDataset,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptFile, InvalidParameter, ToolkitError, require_positive
-from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, FingerprintDataset, SchemaMismatch, finite_floats, format_number
+from .fileio import finite_floats, format_number
+from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, FingerprintDataset, SchemaMismatch
 
 DEFAULT_PCC_THRESHOLD = 0.24
 DEFAULT_TRAIN_RATIO = 0.75

@@ -2,15 +2,19 @@
 file beside it, renamed into place on success, so a failed write leaves any
 old file untouched), every input path is read here, and the world, map,
 dataset and scan text formats are decoded from UTF-8 here, with errors that
-name the file."""
+name the file.  format_number and finite_floats are the number codec the
+text formats share: exact round-trip text out, finite floats in."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import InvalidParameter
 
 
 @contextlib.contextmanager
@@ -70,3 +74,20 @@ def read_text(source, error, what: str | None) -> str:
     except UnicodeDecodeError as exc:
         name = source if is_path else getattr(source, "name", "stream")
         raise error(f"{what} {name} is not UTF-8 text: {exc}" if what else f"not UTF-8 text: {exc}") from exc
+
+
+def format_number(v: float) -> str:
+    """Decimal text that round-trips exactly (integers rendered bare)."""
+    f = float(v)
+    if f.is_integer():
+        return str(int(f))
+    return repr(f)
+
+
+def finite_floats(cells) -> list[float]:
+    """Parse text cells as floats; ValueError names the first that is not a finite number."""
+    values = [float(cell) for cell in cells]
+    for cell, value in zip(cells, values):
+        if not math.isfinite(value):
+            raise InvalidParameter(f"non-finite number {cell!r}")
+    return values

@@ -233,7 +233,7 @@ class MlpRegressor:
         return self.layers[-1].out_width
 
     @classmethod
-    def default(cls, input_width: int, hidden=(32, 64), output_width: int = 2) -> "MlpRegressor":
+    def default(cls, input_width: int, hidden=(32, 64)) -> "MlpRegressor":
         """Standard architecture: dense(32) -> batch norm -> dense(64) -> dense(2).
 
         Parameters start at zero; train() seeds them from its config.
@@ -243,7 +243,7 @@ class MlpRegressor:
             DenseLayer(np.zeros((first, input_width)), np.zeros(first), RELU),
             BatchNormLayer.fresh(first),
             DenseLayer(np.zeros((second, first)), np.zeros(second), RELU),
-            DenseLayer(np.zeros((output_width, second)), np.zeros(output_width), IDENTITY),
+            DenseLayer(np.zeros((2, second)), np.zeros(2), IDENTITY),
         ]
         return cls(layers)
 
@@ -574,7 +574,8 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
     blocks as little-endian float64 in declared order, the
     selection/normalization sidecar text, and a SHA-256 checksum over
     everything before it.  A block holding a NaN or an infinity is refused
-    (InvalidParameter), as load_model would refuse it.
+    (InvalidParameter), and a network whose output width is not 2
+    (ShapeMismatch), as load_model would refuse either.
     """
     arch = [layer.descriptor() for layer in model.layers]
     fields = {"arch": arch, "input_width": model.input_width, "output_width": model.output_width}
@@ -582,6 +583,8 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
     sidecar = sidecar_dumps(selection, params).encode("utf-8")
     if len(selection.kept_columns) != model.input_width:
         raise ShapeMismatch(f"selection keeps {len(selection.kept_columns)} columns, model input width is {model.input_width}")
+    if model.output_width != 2:
+        raise ShapeMismatch(f"model output width is {model.output_width}, not 2 (x and y)")
     body = bytearray()
     body += _MAGIC
     body += struct.pack("<H", _FORMAT_VERSION)
@@ -597,7 +600,8 @@ def save_model(model: MlpRegressor, selection: FeatureSelection, params: Normali
 
 def load_model(source) -> ModelBundle:
     """Read a model file back; forward outputs are bit-identical to save time.
-    A signed parameter block holding a NaN or an infinity is a CorruptFile naming it."""
+    A signed parameter block holding a NaN or an infinity is a CorruptFile naming it,
+    and so is a network whose output width is not 2."""
     data = read_bytes(source)
 
     if len(data) < len(_MAGIC) + 2 or not data.startswith(_MAGIC):
@@ -647,6 +651,8 @@ def load_model(source) -> ModelBundle:
     for name, width in (("input_width", model.input_width), ("output_width", model.output_width)):
         if type(header.get(name)) is not int or header[name] != width:
             raise CorruptFile(f"header {name} {header.get(name)!r:.40} does not match the architecture's {width}")
+    if model.output_width != 2:
+        raise CorruptFile(f"model output width is {model.output_width}, not 2 (x and y)")
     if len(selection.kept_columns) != model.input_width:
         raise SidecarFormatError(f"sidecar keeps {len(selection.kept_columns)} columns, model input width is {model.input_width}")
     return ModelBundle(model, selection, params)

@@ -18,7 +18,7 @@ from enum import Enum
 from .errors import InvalidParameter, ToolkitError, require_positive
 from .planner import Action, Checkpoint
 
-MAX_DURATION = 3600  # seconds; the longest command, or step_robot interval, integrated in 0.01 s substeps
+MAX_DURATION = 3600  # seconds; the longest command, integrated in 0.01 s substeps
 
 
 class InvalidState(ToolkitError):
@@ -27,17 +27,14 @@ class InvalidState(ToolkitError):
 
 @dataclass(frozen=True)
 class NavConfig:
-    """Navigation loop parameters; wheel speeds are nominal feet per second."""
+    """Navigation loop parameters in feet; a forward step drives both wheels at a nominal 1 ft/s."""
 
     step_distance: float = 2.0
     checkpoint_radius: float = 1.5
     max_consecutive_misses: int = 10
-    forward_speed: float = 1.0
 
     def __post_init__(self) -> None:
-        require_positive(
-            step_distance=self.step_distance, checkpoint_radius=self.checkpoint_radius, forward_speed=self.forward_speed
-        )
+        require_positive(step_distance=self.step_distance, checkpoint_radius=self.checkpoint_radius)
         if not self.max_consecutive_misses >= 0:
             raise InvalidParameter(f"max_consecutive_misses must be >= 0, got {self.max_consecutive_misses}")
         # a step no longer than the detection band (2 * radius) cannot jump
@@ -90,13 +87,8 @@ class Mode(Enum):
 
 
 def forward_command(config: NavConfig, cal: DrivetrainCalibration) -> DriveCommand:
-    """One veer-compensated straight step of step_distance feet."""
-    return DriveCommand(
-        left_speed=config.forward_speed,
-        right_speed=config.forward_speed * (1.0 + cal.veer_bias),
-        duration=config.step_distance / config.forward_speed,
-        reason="forward",
-    )
+    """One veer-compensated straight step of step_distance feet at 1 ft/s."""
+    return DriveCommand(left_speed=1.0, right_speed=1.0 + cal.veer_bias, duration=config.step_distance, reason="forward")
 
 
 def turn_command(direction: str, cal: DrivetrainCalibration) -> DriveCommand:

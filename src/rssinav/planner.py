@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameter, OutOfBounds, ToolkitError
-from .fileio import read_text
+from .fileio import format_number, read_text
 
 Cell = tuple[int, int]
 
@@ -148,8 +148,6 @@ class GridMap:
         return grid
 
     def to_text(self) -> str:
-        from .scan_ingest import format_number
-
         lines = [f"{self.width} {self.height} {format_number(self.cell_size)}"]
         for iy in range(self.height):
             lines.append("".join("." if self.walkable[iy, ix] else "#" for ix in range(self.width)))
@@ -173,9 +171,6 @@ class PlannedPath:
         for a, b in zip(self.cells, self.cells[1:]):
             if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
                 raise ToolkitError(f"cells {a} and {b} are not 4-neighbors")
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
     @property
     def cost(self) -> int:

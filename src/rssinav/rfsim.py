@@ -21,11 +21,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, OutOfBounds, ToolkitError, check_seed, require_positive
-from .fileio import open_sink, read_text
+from .fileio import finite_floats, format_number, open_sink, read_text
 from .model import ModelBundle, _predict_vector, predict_position
-from .navctl import MAX_DURATION, DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
+from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
 from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkpoints, first_segment_heading
-from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, finite_floats, format_number, parse_scan_text
+from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
@@ -155,50 +155,14 @@ def _body_rates(robot: SimRobot, command: DriveCommand) -> tuple[float, float]:
     return 0.5 * (vl + vr), (omega if abs(omega) >= 1e-12 else 0.0)
 
 
-def _substep(x: float, y: float, theta: float, v: float, omega: float, h: float) -> tuple[float, float, float]:
-    """One integration substep of h seconds: a straight segment, or an exact circular arc."""
-    if not omega:
-        return x + v * h * math.cos(theta), y + v * h * math.sin(theta), theta
-    return _arc(x, y, theta, v, omega, h)[:3]
-
-
-def _arc(x: float, y: float, theta: float, v: float, omega: float, h: float) -> tuple[float, float, float, float, float]:
-    """An exact arc of h seconds at omega != 0: x, y, the new heading, and its sine and cosine."""
-    theta_next = theta + omega * h
-    radius = v / omega
-    sin_next, cos_next = math.sin(theta_next), math.cos(theta_next)
-    return x + radius * (sin_next - math.sin(theta)), y - radius * (cos_next - math.cos(theta)), theta_next, sin_next, cos_next
-
-
 def _wrap_heading(sin_theta: float, cos_theta: float) -> float:
     """The heading in (-pi, pi] with this sine and cosine."""
     theta = math.atan2(sin_theta, cos_theta)
     return math.pi if theta <= -math.pi else theta
 
 
-def step_robot(robot: SimRobot, command: DriveCommand, dt: float) -> SimRobot:
-    """Advance the robot dt seconds under a constant wheel command.
-
-    Standard differential-drive kinematics on the effective (gain-scaled)
-    wheel speeds: v = (vl + vr) / 2, omega = (vr - vl) / wheel_base,
-    integrated exactly along circular arcs in substeps of at most 0.01 s.
-    Turns wrap the heading to (-pi, pi] once, at the end; straight motion keeps it.
-    ``dt`` may not exceed MAX_DURATION, a DriveCommand's longest duration.
-    """
-    require_positive(dt=dt)
-    if dt > MAX_DURATION:
-        raise InvalidParameter(f"dt must be at most {MAX_DURATION} s, got {dt}")
-    v, omega = _body_rates(robot, command)
-    x, y, theta = robot.pose
-    for h in _substep_lengths(dt).tolist():
-        x, y, theta = _substep(x, y, theta, v, omega, h)
-    if omega:  # straight motion keeps the heading bit-exactly
-        theta = _wrap_heading(math.sin(theta), math.cos(theta))
-    return replace(robot, x=x, y=y, heading=theta)
-
-
 @lru_cache(maxsize=8)  # run_trial asks once per trial for the same frozen robot
-def default_calibration(robot: SimRobot, turn_speed: float = 1.0) -> DrivetrainCalibration:
+def default_calibration(robot: SimRobot) -> DrivetrainCalibration:
     """Calibration a bench procedure would produce for this drivetrain.
 
     The veer bias equalizes the effective wheel speeds (left gain / right
@@ -209,8 +173,8 @@ def default_calibration(robot: SimRobot, turn_speed: float = 1.0) -> DrivetrainC
     """
     veer_bias = robot.left_scale / robot.right_scale - 1.0
     mean_gain = 0.5 * (robot.left_scale + robot.right_scale)
-    duration = (math.pi / 2.0) * robot.wheel_base / (turn_speed * mean_gain)
-    return DrivetrainCalibration(veer_bias=veer_bias, turn_speed=turn_speed, turn_90_duration=duration)
+    duration = (math.pi / 2.0) * robot.wheel_base / mean_gain
+    return DrivetrainCalibration(veer_bias=veer_bias, turn_speed=1.0, turn_90_duration=duration)
 
 
 def generate_synthetic_dataset(world: SimWorld, cells=None, resamples: int = 3, seed: int | None = None):
@@ -294,7 +258,9 @@ def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
     """Rows x, y, heading: ``pose``, then the pose after each substep of ``command``.
     A straight command (omega == 0) is one ``np.add.accumulate`` along the rows
     [x0, (v*h) cos(theta), ...] and [y0, (v*h) sin(theta), ...]: it adds in the order
-    of per-substep ``step_robot``, bit for bit.  A turn wraps the heading every substep."""
+    of a per-substep loop ``x += (v*h) cos(theta)``, bit for bit, and keeps the heading.
+    A turn moves along an exact circular arc each substep and wraps the heading to
+    (-pi, pi] after each."""
     v, omega = _body_rates(robot, command)
     x, y, theta = pose
     h = _substep_lengths(command.duration)
@@ -305,8 +271,11 @@ def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
         return poses
     xs, ys, thetas = [x], [y], [theta]
     for dt in h.tolist():
-        x, y, theta, sin_theta, cos_theta = _arc(x, y, theta, v, omega, dt)
-        theta = _wrap_heading(sin_theta, cos_theta)
+        theta_next = theta + omega * dt
+        radius = v / omega
+        sin_next, cos_next = math.sin(theta_next), math.cos(theta_next)
+        x, y = x + radius * (sin_next - math.sin(theta)), y - radius * (cos_next - math.cos(theta))
+        theta = _wrap_heading(sin_next, cos_next)
         xs.append(x)
         ys.append(y)
         thetas.append(theta)

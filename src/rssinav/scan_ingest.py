@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 import re
 import statistics
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameter, ToolkitError
-from .fileio import read_text, write_rows
+from .fileio import finite_floats, format_number, read_text, write_rows
 
 
 class MalformedCell(ToolkitError):
@@ -251,23 +250,6 @@ def build_dataset(samples: list[ScanSnapshot]) -> FingerprintDataset:
             rssi[i, index[entry.mac]] = float(entry.rssi)
         xs[i], ys[i] = snap.location
     return FingerprintDataset(columns, rssi, xs, ys)
-
-
-def format_number(v: float) -> str:
-    """Decimal text that round-trips exactly (integers rendered bare)."""
-    f = float(v)
-    if f.is_integer():
-        return str(int(f))
-    return repr(f)
-
-
-def finite_floats(cells) -> list[float]:
-    """Parse text cells as floats; ValueError names the first that is not a finite number."""
-    values = [float(cell) for cell in cells]
-    for cell, value in zip(cells, values):
-        if not math.isfinite(value):
-            raise InvalidParameter(f"non-finite number {cell!r}")
-    return values
 
 
 def write_csv(dataset: FingerprintDataset, sink) -> None:

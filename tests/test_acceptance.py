@@ -85,7 +85,7 @@ def _random_dataset(rng):
 
 
 def _random_bundle(rng):
-    net, X, _ = random_model_and_batch(rng)
+    net, X, _ = random_model_and_batch(rng, output_width=2)  # a model file holds an (x, y) network
     macs = tuple(f"02:00:00:00:{i:02X}:01" for i in range(net.input_width))
     selection = features.FeatureSelection(
         macs,

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import re
 import struct
@@ -560,6 +561,40 @@ def test_unreadable_model_keeps_the_read_bytes_message(workspace, tmp_path, caps
         model.read_bytes()  # the read load_model used to make
     assert main(["simulate", str(world), str(model), "--trials", "1"]) == 1
     assert capsys.readouterr().err == f"error: {reading.value}\n"
+
+
+def with_output_width_3(data: bytes) -> bytes:
+    """A saved model file re-signed with a third output: the last dense layer
+    and the header say 3, and a zero weight row and bias are appended."""
+    body = data[:-32]
+    (length,) = struct.unpack_from("<I", body, 12)
+    header = json.loads(body[16 : 16 + length])
+    last = header["arch"][-1]
+    assert last["kind"] == "dense" and last["out"] == header["output_width"] == 2
+    last["out"] = header["output_width"] = 3
+    edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blocks_end = body.index(b"format = ") - 4  # the sidecar's length field follows the parameter blocks
+    biases = blocks_end - 2 * 8
+    body = (
+        body[:12] + struct.pack("<I", len(edited)) + edited + body[16 + length : biases] + bytes(8 * last["in"])
+        + body[biases:blocks_end] + bytes(8) + body[blocks_end:]
+    )
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("command", ["simulate", "navigate", "evaluate"])
+def test_a_model_with_three_outputs_is_one_error_line(workspace, tmp_path, capsys, command):
+    _, world, dataset, model = workspace
+    crafted = tmp_path / "model.bin"
+    crafted.write_bytes(with_output_width_3(model.read_bytes()))
+    argv = {
+        "simulate": ["simulate", str(world), str(crafted), "--trials", "1"],
+        "navigate": ["navigate", str(world), str(crafted), "--out-prefix", str(tmp_path / "run")],
+        "evaluate": ["evaluate", str(crafted), str(dataset)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: model output width is 3, not 2 (x and y)\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["model.bin"]
 
 
 def test_main_reuses_one_parser_across_calls(workspace, tmp_path, capsys):

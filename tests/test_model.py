@@ -84,8 +84,9 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
-def random_model_and_batch(rng, with_batchnorm=None, margin=0.02):
-    """A random small architecture plus a batch kept away from ReLU/MAE kinks.
+def random_model_and_batch(rng, with_batchnorm=None, margin=0.02, output_width=None):
+    """A random small architecture plus a batch kept away from ReLU/MAE kinks;
+    the last dense layer is ``output_width`` wide, or of a random width in 1-8.
 
     Rejection keeps every pre-activation and residual at least ``margin``
     from zero so the finite-difference window (which moves activations by
@@ -94,6 +95,8 @@ def random_model_and_batch(rng, with_batchnorm=None, margin=0.02):
     """
     while True:
         widths = [int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 4)))]
+        if output_width is not None:
+            widths[-1] = output_width
         use_bn = bool(rng.integers(0, 2)) if with_batchnorm is None else with_batchnorm
         use_bn = use_bn and len(widths) >= 2  # batch norm sits after the first dense layer
         layers = []
@@ -618,6 +621,14 @@ class TestPersistence:
             save_model(model, bundle.selection, bundle.params, tmp_path / "model.bin")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_save_refuses_an_output_width_other_than_2(self, tmp_path, width):
+        bundle = small_bundle()
+        layers = bundle.model.layers[:-1] + [DenseLayer(np.ones((width, 5)), np.zeros(width), "identity")]
+        with pytest.raises(ShapeMismatch, match=f"^model output width is {width}, not 2 \\(x and y\\)$"):
+            save_model(MlpRegressor(layers), bundle.selection, bundle.params, tmp_path / "model.bin")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("index, name", [(0, "weights"), (0, "biases"), (1, "gamma"), (1, "running_var"), (3, "biases")])
     def test_save_refuses_a_non_finite_block(self, tmp_path, index, name, value):
@@ -754,7 +765,8 @@ class TestPersistence:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         width = first = data.draw(st.integers(1, 8), label="input width")
         layers, initialized = [], True
-        outs = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3), label="dense widths")
+        # the last dense layer outputs x and y: save_model refuses any other width
+        outs = data.draw(st.lists(st.integers(1, 8), max_size=2), label="hidden dense widths") + [2]
         for i, out in enumerate(outs):
             last = i == len(outs) - 1
             layers.append(DenseLayer(rng.normal(size=(out, width)), rng.normal(size=out), "identity" if last else "relu"))

@@ -40,9 +40,9 @@ class TestCommands:
         assert cmd.right_speed == pytest.approx(1.05)
         assert cmd.left_speed == 1.0
 
-    def test_forward_duration_is_distance_over_speed(self):
-        cmd = forward_command(NavConfig(step_distance=2.0, forward_speed=1.0), DrivetrainCalibration())
-        assert cmd.duration == pytest.approx(2.0)
+    def test_forward_step_at_one_foot_per_second_lasts_step_distance_seconds(self):
+        cmd = forward_command(NavConfig(step_distance=2.5), DrivetrainCalibration())
+        assert cmd.duration == 2.5
 
     def test_right_turn_pivots_on_right_wheel(self):
         cal = DrivetrainCalibration(turn_speed=0.8, turn_90_duration=1.3)
@@ -135,7 +135,6 @@ class TestParameterBounds:
             (NavConfig, dict(step_distance=math.inf), "step_distance must be positive and finite"),
             (NavConfig, dict(step_distance=math.nan), "step_distance must be positive and finite"),
             (NavConfig, dict(checkpoint_radius=math.nan), "checkpoint_radius must be positive and finite"),
-            (NavConfig, dict(forward_speed=0.0), "forward_speed must be positive and finite"),
             (NavConfig, dict(max_consecutive_misses=-1), "max_consecutive_misses must be >= 0"),
             (DrivetrainCalibration, dict(turn_speed=math.inf), "turn_speed must be positive and finite"),
             (DrivetrainCalibration, dict(turn_90_duration=math.nan), "turn_90_duration must be positive and finite"),

@@ -34,10 +34,9 @@ from rssinav.rfsim import (
     run_trial,
     save_world,
     simulate_scan,
-    step_robot,
     with_noise_sigma,
 )
-from rssinav.rfsim import _MAX_FIXES, _body_rates, _command_poses, _route, _substep
+from rssinav.rfsim import _MAX_FIXES, _body_rates, _command_poses, _route
 from rssinav.scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, parse_scan_text
 
 MAC = "02:00:00:00:00:01"
@@ -149,82 +148,51 @@ def straight(speed, duration=1.0):
     return DriveCommand(speed, speed, duration, "forward")
 
 
+def end_pose(robot, command):
+    """The pose after ``command`` from the robot's own pose, by ``_command_poses``."""
+    return tuple(_command_poses(robot, command, robot.pose)[:, -1].tolist())
+
+
 class TestRobotKinematics:
     def test_straight_line(self):
         robot = SimRobot(x=1.0, y=2.0, heading=0.0, wheel_base=0.5)
-        moved = step_robot(robot, straight(1.5), dt=2.0)
-        assert moved.x == pytest.approx(4.0, abs=1e-9)
-        assert moved.y == pytest.approx(2.0, abs=1e-9)
-        assert moved.heading == 0.0
+        x, y, heading = end_pose(robot, straight(1.5, 2.0))
+        assert x == pytest.approx(4.0, abs=1e-9)
+        assert y == pytest.approx(2.0, abs=1e-9)
+        assert heading == 0.0
 
     def test_straight_motion_preserves_heading_bit_exactly(self):
         robot = SimRobot(x=0.0, y=0.0, heading=0.7345, wheel_base=0.5)
-        moved = step_robot(robot, straight(1.0), dt=3.7)
-        assert moved.heading == 0.7345
+        assert end_pose(robot, straight(1.0, 3.7))[2] == 0.7345
 
     def test_pure_pivot_keeps_position(self):
         robot = SimRobot(x=3.0, y=3.0, heading=0.5, wheel_base=0.5)
-        spun = step_robot(robot, DriveCommand(-1.0, 1.0, 1.0, "spin"), dt=1.0)
-        assert math.hypot(spun.x - 3.0, spun.y - 3.0) < 1e-6
-        assert spun.heading != robot.heading
+        x, y, heading = end_pose(robot, DriveCommand(-1.0, 1.0, 1.0, "spin"))
+        assert math.hypot(x - 3.0, y - 3.0) < 1e-6
+        assert heading != robot.heading
 
     def test_weak_left_wheel_drifts_left(self):
         robot = SimRobot(x=0.0, y=0.0, heading=0.0, wheel_base=0.5, left_scale=0.95, right_scale=1.0)
-        moved = step_robot(robot, straight(1.0), dt=1.0)
-        assert moved.heading > 0.0  # positive omega = counterclockwise = left veer
+        assert end_pose(robot, straight(1.0))[2] > 0.0  # positive omega = counterclockwise = left veer
 
     def test_heading_wraps_into_half_open_interval(self):
         robot = SimRobot(heading=3.0, wheel_base=0.5)
-        spun = step_robot(robot, DriveCommand(-1.0, 1.0, 1.0, "spin"), dt=1.0)
-        assert -math.pi < spun.heading <= math.pi
+        assert -math.pi < end_pose(robot, DriveCommand(-1.0, 1.0, 1.0, "spin"))[2] <= math.pi
 
     def test_two_calibrated_right_turns_reverse_heading(self):
         robot = SimRobot(x=5.0, y=5.0, heading=0.7, wheel_base=0.4)  # unit gains
-        cal = default_calibration(robot, turn_speed=1.0)
-        once = step_robot(robot, DriveCommand(cal.turn_speed, 0.0, 0.0, "t"), dt=cal.turn_90_duration)
-        twice = step_robot(once, DriveCommand(cal.turn_speed, 0.0, 0.0, "t"), dt=cal.turn_90_duration)
-        delta = math.atan2(math.sin(twice.heading - robot.heading), math.cos(twice.heading - robot.heading))
+        turn = turn_command("right", default_calibration(robot))
+        once = end_pose(robot, turn)
+        twice = end_pose(replace(robot, x=once[0], y=once[1], heading=once[2]), turn)
+        delta = math.atan2(math.sin(twice[2] - robot.heading), math.cos(twice[2] - robot.heading))
         assert abs(abs(delta) - math.pi) < 1e-6
 
     def test_calibration_cancels_veer(self):
         robot = SimRobot(x=0.0, y=0.0, heading=0.0, wheel_base=0.4, left_scale=0.9, right_scale=1.0)
         cal = default_calibration(robot)
-        cmd = DriveCommand(1.0, 1.0 * (1.0 + cal.veer_bias), 4.0, "forward")
-        moved = step_robot(robot, cmd, dt=4.0)
-        assert moved.heading == pytest.approx(0.0, abs=1e-9)
-        assert moved.y == pytest.approx(0.0, abs=1e-9)
-
-    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0, True])
-    def test_dt_must_be_positive_and_finite(self, dt):
-        # substeps of an infinite dt never run out, and a nan dt runs none
-        with pytest.raises(InvalidParameter, match=re.escape(f"dt must be positive and finite, got {dt}")):
-            step_robot(SimRobot(), DriveCommand(1.0, 1.0, 1.0), dt)
-
-    @pytest.mark.parametrize("dt", [1e15, 2e14, 3600.5, math.nextafter(3600.0, math.inf)])
-    def test_dt_above_a_commands_longest_duration_is_refused(self, dt):
-        # from about 2e14 s, 0.01 s substeps no longer reduce the time left
-        with pytest.raises(InvalidParameter, match=re.escape(f"dt must be at most 3600 s, got {dt}")):
-            step_robot(SimRobot(), DriveCommand(1.0, 1.0, 1.0), dt)
-
-    def test_the_longest_dt_matches_the_verbatim_old_loop(self):
-        robot, command = SimRobot(wheel_base=0.4, left_scale=0.99), DriveCommand(1.0, 1.0, 1.0)
-        assert bits([step_robot(robot, command, 3600.0).pose]) == bits([reference_step_robot(robot, command, 3600.0).pose])
-
-    # 0.1234 s ends on a short substep, 1e-13 s has none
-    @pytest.mark.parametrize("dt", [0.1234, 0.01, 1e-13, None])
-    @settings(max_examples=40, deadline=None)
-    @given(
-        pose=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-10.0, 10.0)),
-        speeds=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)) | st.sampled_from([(1.0, 1.0), (1.0, 0.0), (-1.0, 1.0)]),
-        gains=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
-        drawn=st.floats(1e-6, 5.0),
-    )
-    def test_matches_the_verbatim_old_loop(self, dt, pose, speeds, gains, drawn):
-        robot = SimRobot(*pose, wheel_base=0.4, left_scale=gains[0], right_scale=gains[1])
-        command = DriveCommand(*speeds, 1.0)
-        dt = drawn if dt is None else dt
-        moved, expected = step_robot(robot, command, dt), reference_step_robot(robot, command, dt)
-        assert bits([moved.pose]) == bits([expected.pose])
+        _, y, heading = end_pose(robot, DriveCommand(1.0, 1.0 * (1.0 + cal.veer_bias), 4.0, "forward"))
+        assert heading == pytest.approx(0.0, abs=1e-9)
+        assert y == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "kwargs", [dict(wheel_base=math.nan), dict(wheel_base=0.0), dict(left_scale=math.nan), dict(right_scale=math.inf), dict(left_scale=-1.0)]
@@ -240,31 +208,38 @@ class TestRobotKinematics:
             SimWorld(GridMap(2, 2, 1.0), (), SimRobot(), reference_distance=reference_distance)
 
 
-def reference_step_robot(robot, command, dt):
-    """step_robot's substep loop before it iterated _substep_lengths, verbatim."""
-    v, omega = _body_rates(robot, command)
-    x, y, theta = robot.pose
-    remaining = dt
-    while remaining > 1e-12:
-        h = min(0.01, remaining)
-        x, y, theta = _substep(x, y, theta, v, omega, h)
-        remaining -= h
-    if omega:  # straight motion keeps the heading bit-exactly
-        theta = rfsim._wrap_heading(math.sin(theta), math.cos(theta))
-    return replace(robot, x=x, y=y, heading=theta)
+def reference_substep(x, y, theta, v, omega, h):
+    """The integration substep before the arc shared its sines, verbatim: the bit reference."""
+    if not omega:
+        return x + v * h * math.cos(theta), y + v * h * math.sin(theta), theta
+    theta_next = theta + omega * h
+    radius = v / omega
+    x += radius * (math.sin(theta_next) - math.sin(theta))
+    y -= radius * (math.cos(theta_next) - math.cos(theta))
+    return x, y, theta_next
+
+
+def reference_wrap_heading(theta):
+    theta = math.atan2(math.sin(theta), math.cos(theta))
+    return math.pi if theta <= -math.pi else theta
 
 
 def substep_poses(robot, command):
-    """One step_robot call per substep of at most 0.01 s of ``command``: the
-    reference integration path.  Returns the final robot and the poses."""
+    """The reference integration path: one ``reference_substep`` per substep of
+    at most 0.01 s of ``command``, a turn wrapping its heading after each.
+    Returns the final robot and the poses after each substep."""
+    v, omega = _body_rates(robot, command)
+    x, y, theta = robot.pose
     poses = []
     remaining = command.duration
     while remaining > 1e-12:
         h = min(0.01, remaining)
-        robot = step_robot(robot, command, h)
         remaining -= h
-        poses.append(robot.pose)
-    return robot, poses
+        x, y, theta = reference_substep(x, y, theta, v, omega, h)
+        if omega:  # straight motion keeps the heading bit-exactly
+            theta = reference_wrap_heading(theta)
+        poses.append((x, y, theta))
+    return replace(robot, x=x, y=y, heading=theta), poses
 
 
 def bits(poses):
@@ -284,44 +259,13 @@ class TestStraightIntegrator:
         right=st.floats(0.5, 1.5),
         drawn=st.floats(0.0, 3.0),
     )
-    def test_accumulate_matches_per_substep_step_robot(self, duration, x, y, heading, speed, left, right, drawn):
+    def test_accumulate_matches_the_per_substep_reference(self, duration, x, y, heading, speed, left, right, drawn):
         robot = SimRobot(x, y, heading, wheel_base=0.4, left_scale=left, right_scale=right)
         veer = default_calibration(robot).veer_bias
         command = DriveCommand(speed, speed * (1.0 + veer), drawn if duration is None else duration, "forward")
         assert _body_rates(robot, command)[1] == 0.0  # veer-compensated, so the straight branch
         _, expected = substep_poses(robot, command)
         assert bits(zip(*_command_poses(robot, command, robot.pose).tolist())) == bits([robot.pose] + expected)
-
-
-def reference_substep(x, y, theta, v, omega, h):
-    """The integration substep before the arc shared its sines, verbatim: the bit reference."""
-    if not omega:
-        return x + v * h * math.cos(theta), y + v * h * math.sin(theta), theta
-    theta_next = theta + omega * h
-    radius = v / omega
-    x += radius * (math.sin(theta_next) - math.sin(theta))
-    y -= radius * (math.cos(theta_next) - math.cos(theta))
-    return x, y, theta_next
-
-
-def reference_wrap_heading(theta):
-    theta = math.atan2(math.sin(theta), math.cos(theta))
-    return math.pi if theta <= -math.pi else theta
-
-
-def reference_turn_poses(robot, command, pose):
-    """The turn loop of _command_poses before the arc shared its sines, verbatim."""
-    v, omega = _body_rates(robot, command)
-    x, y, theta = pose
-    poses = [pose]
-    remaining = command.duration
-    while remaining > 1e-12:
-        h = min(0.01, remaining)
-        remaining -= h
-        x, y, theta = reference_substep(x, y, theta, v, omega, h)
-        theta = reference_wrap_heading(theta)
-        poses.append((x, y, theta))
-    return np.array(poses).T
 
 
 class TestTurnIntegrator:
@@ -342,17 +286,15 @@ class TestTurnIntegrator:
         command = DriveCommand(*speeds, drawn if duration is None else duration, "turn")
         if _body_rates(robot, command)[1] == 0.0:
             return  # a straight command: TestStraightIntegrator covers it
-        poses = _command_poses(robot, command, pose)
-        expected = reference_turn_poses(robot, command, pose)
-        assert poses.shape == expected.shape
-        assert bits(zip(*poses.tolist())) == bits(zip(*expected.tolist()))
+        poses, (_, expected) = _command_poses(robot, command, pose), substep_poses(robot, command)
+        assert poses.shape == (3, len(expected) + 1)
+        assert bits(zip(*poses.tolist())) == bits([pose] + expected)
 
     def test_a_heading_of_minus_pi_wraps_to_pi(self):
         # theta_next is exactly -pi with sin(-pi) < 0 and cos(-pi) == -1, so atan2 gives -pi
-        robot = SimRobot(wheel_base=1.0)
+        robot = SimRobot(heading=-math.pi + 0.01, wheel_base=1.0)
         command = DriveCommand(1.0, 0.0, 0.01, "turn")
-        start = (0.0, 0.0, -math.pi + 0.01)
-        assert _command_poses(robot, command, start)[2, -1] == reference_turn_poses(robot, command, start)[2, -1] == math.pi
+        assert _command_poses(robot, command, robot.pose)[2, -1] == substep_poses(robot, command)[0].heading == math.pi
 
 
 class TestSyntheticDataset:
@@ -647,10 +589,8 @@ def cell_of(grid, x, y):
 
 
 def replay_substeps(world, result):
-    """Re-integrate the command events with one step_robot call per 0.01 s substep.
-
-    This is the reference integration path run_trial must reproduce bit for bit.
-    """
+    """Re-integrate the command events along the per-substep reference path
+    (``substep_poses``), which run_trial must reproduce bit for bit."""
     robot = result.robot
     assert robot == replace(world.robot, x=robot.x, y=robot.y, heading=robot.heading)
     poses = [robot.pose]
@@ -667,7 +607,7 @@ class TestTrialReplay:
          (3, False, "left_map+left_walkable"), (4, False, "left_map+left_walkable"),
          (5, False, "left_map+left_walkable"), (0, True, "done")],
     )
-    def test_trajectory_matches_per_substep_step_robot(self, ref_world, trained, seed, oracle, reason):
+    def test_trajectory_matches_the_per_substep_reference(self, ref_world, trained, seed, oracle, reason):
         bundle, _, _ = trained
         path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
         result = run_trial(ref_world, None if oracle else bundle, path, seed=seed, oracle=oracle)
