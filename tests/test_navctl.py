@@ -19,6 +19,7 @@ from rssinav.navctl import (
     turn_command,
 )
 from rssinav.planner import Action, Checkpoint
+from rssinav.rfsim import SimRobot, default_calibration
 
 L_PLAN = (
     Checkpoint((2, 0), Action.TURN_RIGHT_90),
@@ -142,6 +143,10 @@ class TestParameterBounds:
             (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=math.inf), "duration must be in"),
             (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=math.nan), "duration must be in"),
             (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=3600.5), "duration must be in"),
+            (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=math.nextafter(3600.0, math.inf)), "duration must be in"),
+            # from about 2e14 s, 0.01 s substeps no longer reduce the time left
+            (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=2e14), "duration must be in"),
+            (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=1e15), "duration must be in"),
             (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=-0.5), "duration must be in"),
         ],
     )
@@ -227,6 +232,22 @@ class TestCommandLog:
         assert lines[0] == "timestamp,left_speed,right_speed,duration,reason"
         assert lines[1] == "2.0,1.0,0.95,2.0,forward"
         assert len(lines) == 3
+
+    # the builders' speeds are floats, so the log prints 1.0 where an int would print 1
+    @pytest.mark.parametrize(
+        "build, line",
+        [
+            (lambda cal: forward_command(NavConfig(), cal), "5.0,1.0,1.0,2.0,forward"),
+            (lambda cal: turn_command("right", cal), "5.0,1.0,0.0,{duration!r},turn_right_90"),
+            (lambda cal: turn_command("left", cal), "5.0,0.0,1.0,{duration!r},turn_left_90"),
+        ],
+    )
+    def test_built_commands_log_their_speeds_as_floats(self, tmp_path, build, line):
+        cal = default_calibration(SimRobot(wheel_base=0.4))
+        commands, _ = _trial_logs(SimpleNamespace(events=[("command", 5.0, build(cal))]))
+        path = tmp_path / "commands.csv"
+        write_rows(path, ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
+        assert path.read_text().splitlines()[1] == line.format(duration=cal.turn_90_duration)
 
     def test_stop_command_is_zero(self):
         assert stop_command() == DriveCommand(0.0, 0.0, 0.0, "stop")

@@ -15,7 +15,7 @@ from rssinav import rfsim
 from rssinav.errors import InvalidParameter, OutOfBounds
 from rssinav.features import denormalize_coords
 from rssinav.model import NoKnownAccessPoints, PositionEstimate, TrainConfig, forward, prepare_features
-from rssinav.navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, turn_command
+from rssinav.navctl import MAX_DURATION, DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, turn_command
 from rssinav.planner import EmptyPath, GridMap, NoPath, PlannedPath, astar
 from rssinav.rfsim import (
     REFERENCE_GOAL,
@@ -194,6 +194,18 @@ class TestRobotKinematics:
         assert heading == pytest.approx(0.0, abs=1e-9)
         assert y == pytest.approx(0.0, abs=1e-9)
 
+    # side is +1 for the left wheel, -1 for the right: the inner wheel of the turn
+    @pytest.mark.parametrize("direction, side", [("right", -1.0), ("left", 1.0)])
+    def test_calibrated_turn_pivots_about_the_still_inner_wheel(self, direction, side):
+        robot = SimRobot(x=5.0, y=5.0, heading=0.7, wheel_base=0.4, left_scale=0.95, right_scale=1.05)
+        x, y, heading = _command_poses(robot, turn_command(direction, default_calibration(robot)), robot.pose)
+        half = 0.5 * robot.wheel_base
+        wheel_x, wheel_y = x - side * half * np.sin(heading), y + side * half * np.cos(heading)
+        assert np.abs(wheel_x - wheel_x[0]).max() < 1e-9
+        assert np.abs(wheel_y - wheel_y[0]).max() < 1e-9
+        delta = math.atan2(math.sin(heading[-1] - robot.heading), math.cos(heading[-1] - robot.heading))
+        assert side * delta > 0.0  # a left turn is counterclockwise
+
     @pytest.mark.parametrize(
         "kwargs", [dict(wheel_base=math.nan), dict(wheel_base=0.0), dict(left_scale=math.nan), dict(right_scale=math.inf), dict(left_scale=-1.0)]
     )
@@ -295,6 +307,19 @@ class TestTurnIntegrator:
         robot = SimRobot(heading=-math.pi + 0.01, wheel_base=1.0)
         command = DriveCommand(1.0, 0.0, 0.01, "turn")
         assert _command_poses(robot, command, robot.pose)[2, -1] == substep_poses(robot, command)[0].heading == math.pi
+
+
+class TestLongestCommand:
+    # the longest command DriveCommand accepts, 360,000 substeps: a straight one
+    # accumulates every one of them in loop order, a turn wraps after each
+    @pytest.mark.parametrize("speeds, straight", [((1.0, 0.99), True), ((1.0, 0.0), False)])
+    def test_the_longest_command_matches_the_reference_loop(self, speeds, straight):
+        robot = SimRobot(x=1.0, y=-2.0, heading=0.3, wheel_base=0.4, left_scale=0.99)
+        command = DriveCommand(*speeds, float(MAX_DURATION), "longest")
+        assert (_body_rates(robot, command)[1] == 0.0) is straight
+        poses, (_, expected) = _command_poses(robot, command, robot.pose), substep_poses(robot, command)
+        assert poses.shape == (3, 360_001) and len(expected) == 360_000
+        assert bits([tuple(poses[:, -1].tolist())]) == bits(expected[-1:])
 
 
 class TestSyntheticDataset:
