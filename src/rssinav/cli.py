@@ -135,11 +135,18 @@ def evaluate_bundle(bundle: model.ModelBundle, dataset: scan_ingest.FingerprintD
     inputs = model.prepare_features(bundle, reduced.rssi)
     truth_ft = np.stack([reduced.x, reduced.y], axis=1)
     truth = features.normalize_coords(bundle.params, truth_ft)
-    pred = model.forward(bundle.model, inputs)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge weights overflow: refused below, with no numpy warning
+        pred = model.forward(bundle.model, inputs)
+        per_row_norm = np.linalg.norm(pred - truth, axis=1)
+        pred_ft = features.denormalize_coords(bundle.params, pred)
+        row_ft = features.error_feet(bundle.params, per_row_norm)
+    finite = np.isfinite(pred_ft).all(axis=1) & np.isfinite(row_ft)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise ToolkitError(f"dataset row {r + 1}: the prediction ({pred_ft[r, 0]:g}, {pred_ft[r, 1]:g}) ft or its error {row_ft[r]:g} ft is not finite")
+    # a finite row error is below 1e155, as norm squares it, so neither mean can overflow
     mae_norm = model.mae_loss(pred, truth)
-    per_row_norm = np.linalg.norm(pred - truth, axis=1)
     mean_ft = features.error_feet(bundle.params, float(per_row_norm.mean()))
-    pred_ft = features.denormalize_coords(bundle.params, pred)
     rows = [(tx, ty, px, py) for (tx, ty), (px, py) in zip(truth_ft, pred_ft)]
     return mae_norm, mean_ft, rows
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import InvalidParameter, ToolkitError, require_positive
 from .planner import Action, Checkpoint
@@ -86,23 +87,29 @@ class Mode(Enum):
     ABORTED = "aborted"
 
 
+@lru_cache(maxsize=32, typed=True)  # step_distance 2 == 2.0, but the logs print 2 and 2.0; no field can be -0.0
+def _command(left_speed, right_speed, duration, reason: str) -> DriveCommand:
+    """One frozen command per distinct field values and types, shared by every caller."""
+    return DriveCommand(left_speed, right_speed, duration, reason)
+
+
 def forward_command(config: NavConfig, cal: DrivetrainCalibration) -> DriveCommand:
     """One veer-compensated straight step of step_distance feet at 1 ft/s."""
-    return DriveCommand(left_speed=1.0, right_speed=1.0 + cal.veer_bias, duration=config.step_distance, reason="forward")
+    return _command(1.0, 1.0 + cal.veer_bias, config.step_distance, "forward")
 
 
 def turn_command(direction: str, cal: DrivetrainCalibration) -> DriveCommand:
     """A one-wheel pivot: the outer wheel runs at turn_speed for the
     calibrated 90-degree duration, the inner wheel holds still."""
     if direction == "right":
-        return DriveCommand(cal.turn_speed, 0.0, cal.turn_90_duration, reason="turn_right_90")
+        return _command(cal.turn_speed, 0.0, cal.turn_90_duration, "turn_right_90")
     if direction == "left":
-        return DriveCommand(0.0, cal.turn_speed, cal.turn_90_duration, reason="turn_left_90")
+        return _command(0.0, cal.turn_speed, cal.turn_90_duration, "turn_left_90")
     raise InvalidParameter(f"direction must be 'left' or 'right', got {direction!r}")
 
 
 def stop_command() -> DriveCommand:
-    return DriveCommand(0.0, 0.0, 0.0, reason="stop")
+    return _command(0.0, 0.0, 0.0, "stop")
 
 
 @dataclass(frozen=True)

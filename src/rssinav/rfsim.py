@@ -11,10 +11,12 @@ rounded to integer dBm to match real scan granularity.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
 import signal
+import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -244,42 +246,46 @@ class TrialResult:
         return poses
 
 
-@lru_cache(maxsize=8)
-def _substep_lengths(duration: float) -> np.ndarray:
-    """The substeps of a ``duration``-second command: 0.01 s each, then the remainder."""
-    steps, remaining = [], duration
+_POSE_KEY = struct.Struct("<4d")  # (v, omega, start heading, duration), bit for bit: -0.0 is not 0.0
+
+
+@lru_cache(maxsize=8)  # the trials on a route share their start heading, so a few entries serve them all
+def _increments(key: bytes) -> np.ndarray:
+    """Read-only rows [0, dx...], [0, dy...], [theta, heading...] of a packed ``_POSE_KEY``, a column
+    per 0.01 s substep, then the remainder.  A straight step (omega == 0) keeps theta; a turn moves
+    on an exact arc and wraps its heading to (-pi, pi].  At worst 8 x 3 x 360,001 floats: 69 MB."""
+    v, omega, theta, remaining = _POSE_KEY.unpack(key)
+    h = []
     while remaining > 1e-12:
-        steps.append(min(_SUBSTEP, remaining))
-        remaining -= steps[-1]
-    return np.frombuffer(np.array(steps).tobytes())  # read-only: the cache hands it to every caller
+        h.append(min(_SUBSTEP, remaining))
+        remaining -= h[-1]
+    if not omega:
+        rows = np.array([[0.0], [0.0], [theta]]).repeat(len(h) + 1, axis=1)
+        np.multiply.outer((math.cos(theta), math.sin(theta)), v * np.array(h), out=rows[:2, 1:])
+    else:
+        dxs, dys, thetas = [0.0], [0.0], [theta]
+        for dt in h:
+            theta_next = theta + omega * dt
+            radius = v / omega
+            sin_next, cos_next = math.sin(theta_next), math.cos(theta_next)
+            dxs.append(radius * (sin_next - math.sin(theta)))
+            dys.append(-(radius * (cos_next - math.cos(theta))))
+            theta = _wrap_heading(sin_next, cos_next)
+            thetas.append(theta)
+        rows = np.array((dxs, dys, thetas))
+    rows.flags.writeable = False  # the cache hands it to every caller
+    return rows
 
 
 def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
     """Rows x, y, heading: ``pose``, then the pose after each substep of ``command``.
-    A straight command (omega == 0) is one ``np.add.accumulate`` along the rows
-    [x0, (v*h) cos(theta), ...] and [y0, (v*h) sin(theta), ...]: it adds in the order
-    of a per-substep loop ``x += (v*h) cos(theta)``, bit for bit, and keeps the heading.
-    A turn moves along an exact circular arc each substep and wraps the heading to
-    (-pi, pi] after each."""
-    v, omega = _body_rates(robot, command)
-    x, y, theta = pose
-    h = _substep_lengths(command.duration)
-    if not omega:
-        poses = np.array([[x], [y], [theta]]).repeat(len(h) + 1, axis=1)
-        np.multiply.outer((math.cos(theta), math.sin(theta)), v * h, out=poses[:2, 1:])
-        np.add.accumulate(poses[:2], axis=1, out=poses[:2])
-        return poses
-    xs, ys, thetas = [x], [y], [theta]
-    for dt in h.tolist():
-        theta_next = theta + omega * dt
-        radius = v / omega
-        sin_next, cos_next = math.sin(theta_next), math.cos(theta_next)
-        x, y = x + radius * (sin_next - math.sin(theta)), y - radius * (cos_next - math.cos(theta))
-        theta = _wrap_heading(sin_next, cos_next)
-        xs.append(x)
-        ys.append(y)
-        thetas.append(theta)
-    return np.array((xs, ys, thetas))
+    One ``np.add.accumulate`` along a copy of the ``_increments`` rows from (x0, y0)
+    adds in the order of a per-substep loop ``x += dx``, bit for bit; since y - a ==
+    y + (-a), a turn's y row is the loop's ``y -= radius * (...)`` too."""
+    poses = _increments(_POSE_KEY.pack(*_body_rates(robot, command), pose[2], command.duration)).copy()
+    poses[:2, 0] = pose[:2]
+    np.add.accumulate(poses[:2], axis=1, out=poses[:2])
+    return poses
 
 
 @lru_cache(maxsize=8)
@@ -403,20 +409,30 @@ def corner_success_rate(
 
 
 def _map_trials(trial, count: int) -> list:
-    """``[trial(i) for i in range(count)]`` in contiguous shares, one per CPU in the
-    affinity mask.  This process runs the first; a forked child per other share
-    pipes back one pickle and ends in ``os._exit``, never returning into the caller.
-    A failed child's share is rerun here, so errors are the serial loop's."""
-    workers = min(count, len(os.sched_getaffinity(0))) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    shares = [range(count * k // workers, count * (k + 1) // workers) for k in range(workers)]
-    fds, pids = [], []  # open pipe ends, then one read end per forked share; children not yet reaped
+    """``[trial(i) for i in range(count)]`` on the CPUs in the affinity mask, by ticket: one
+    write of at most 1,024 four-byte tickets (4 KiB, so it never blocks) of ceil(count / 1024)
+    indices each.  This process takes ticket 0 before forking, so it runs trial 0, then it and
+    a child per other CPU take a ticket at a time.  A child stops at its first failure, pipes
+    back one pickle of {index: result} and ends in ``os._exit``.  An index without a result
+    runs here in order, so errors are the serial loop's; a failure here kills the children."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    block = -(-count // 1024) or 1
+    tickets = range(-(-count // block))
+    results, pids = {}, []
+    fds = list(os.pipe())  # open pipe ends: the tickets' read end, its write end, then one read end per child
     try:
-        for share in shares[1:]:
+        os.write(fds[1], b"".join(k.to_bytes(4, "little") for k in tickets))
+        os.close(fds.pop())  # with the write end closed, a read past the last ticket returns b"" at once
+        first = os.read(fds[0], 4)
+        for _ in range(min(cpus, len(tickets)) - 1):
             fds += os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
-                    view = memoryview(pickle.dumps([trial(i) for i in share]))
+                    with contextlib.suppress(Exception):  # i stays without a result: the parent runs it again
+                        for i in _claimed(fds[0], os.read(fds[0], 4), block, count):
+                            results[i] = trial(i)  # results is empty here: no trial runs before the forks
+                    view = memoryview(pickle.dumps(results))
                     while view:
                         view = view[os.write(fds[-1], view) :]
                     os._exit(0)
@@ -424,19 +440,37 @@ def _map_trials(trial, count: int) -> list:
                     os._exit(1)
             pids.append(pid)
             os.close(fds.pop())  # the write end: EOF comes when the child exits
-        results = [trial(i) for i in shares[0]]
-        for share, pid, read_end in zip(shares[1:], pids[:], fds):
+        try:
+            for i in _claimed(fds[0], first, block, count):
+                results[i] = trial(i)
+        except Exception:
+            for pid in pids:  # reaped below
+                os.kill(pid, signal.SIGKILL)
+            for lower in range(i):  # a lower index's error comes first, as in the serial loop
+                if lower not in results:
+                    trial(lower)
+            raise
+        for pid, read_end in zip(pids[:], fds[1:]):
             data = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))  # to EOF before waitpid: it can outgrow the pipe buffer
             status = os.waitpid(pid, 0)[1]
             pids.remove(pid)
-            results += pickle.loads(data) if status == 0 else [trial(i) for i in share]
-        return results
+            if status == 0:
+                results.update(pickle.loads(data))
+        return [results[i] if i in results else trial(i) for i in range(count)]
     finally:  # on every exit path: no open pipe end, no unreaped child
         for fd in fds:
             os.close(fd)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _claimed(tickets: int, ticket: bytes, block: int, count: int):
+    """The indices of ``ticket``, then of each ticket read from ``tickets`` until none is left."""
+    while ticket:
+        start = int.from_bytes(ticket, "little") * block
+        yield from range(start, min(start + block, count))
+        ticket = os.read(tickets, 4)
 
 
 # ---------------------------------------------------------------------------

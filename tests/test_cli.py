@@ -172,6 +172,22 @@ class TestTrainEvaluate:
         assert main(["evaluate", str(model), str(other)]) == 1
         assert "missing feature columns" in capsys.readouterr().err
 
+    # finite weights whose predictions overflow: finite but about 1e302 ft away (inf ft off), or NaN
+    @pytest.mark.parametrize("weight, prediction, error", [(1e300, r"\(-?[\d.]+e\+30\d, -?[\d.]+e\+30\d\)", "inf"), (1e308, r"\(nan, nan\)", "nan")])
+    def test_evaluate_refuses_an_overflowing_model_naming_the_row(self, workspace, tmp_path, capsys, weight, prediction, error):
+        from rssinav.model import load_model, save_model
+
+        _, _, dataset, model = workspace
+        bundle = load_model(model)
+        bundle.model.layers[0].weights[...] = weight
+        save_model(bundle.model, bundle.selection, bundle.params, tmp_path / "huge.bin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(["evaluate", str(tmp_path / "huge.bin"), str(dataset), "-o", str(tmp_path / "scatter.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(rf"error: dataset row 1: the prediction {prediction} ft or its error {error} ft is not finite\n", err)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["huge.bin"]
+
 
 class TestPlan:
     def test_plan_csv(self, workspace, tmp_path, capsys):

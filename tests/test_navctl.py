@@ -53,6 +53,21 @@ class TestCommands:
         cal = DrivetrainCalibration(turn_speed=0.8, turn_90_duration=1.3)
         assert turn_command("left", cal) == DriveCommand(0.0, 0.8, 1.3, "turn_left_90")
 
+    def test_equal_settings_of_another_type_keep_their_own_commands(self, tmp_path):
+        # NavConfig(step_distance=2) == NavConfig(step_distance=2.0), yet the command log prints 2 and 2.0
+        lines = []
+        for distance, turn_speed in [(2, 1), (2.0, 1.0), (2, 1), (2.0, 1.0)]:
+            state = NavState.initial(L_PLAN, NavConfig(step_distance=distance), DrivetrainCalibration(turn_speed=turn_speed))
+            state, forward = nav_step(state, (0.5, 0.5))
+            _, turn = nav_step(state, (2.5, 0.5))
+            assert forward is forward_command(state.config, state.calibration)  # built once, then shared
+            assert (repr(forward.duration), repr(turn.left_speed)) == (repr(distance), repr(turn_speed))
+            commands, _ = _trial_logs(SimpleNamespace(events=[("command", 5.0, forward), ("command", 7.0, turn)]))
+            write_rows(tmp_path / "commands.csv", ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
+            lines.append((tmp_path / "commands.csv").read_text().splitlines()[1:])
+        assert lines[0] == lines[2] == ["5.0,1.0,1.0,2,forward", "7.0,1,0.0,1.0,turn_right_90"]
+        assert lines[1] == lines[3] == ["5.0,1.0,1.0,2.0,forward", "7.0,1.0,0.0,1.0,turn_right_90"]
+
 
 class TestNavStep:
     def test_fix_near_turn_checkpoint_emits_turn_and_advances(self):

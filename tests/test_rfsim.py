@@ -320,6 +320,75 @@ class TestLongestCommand:
         poses, (_, expected) = _command_poses(robot, command, robot.pose), substep_poses(robot, command)
         assert poses.shape == (3, 360_001) and len(expected) == 360_000
         assert bits([tuple(poses[:, -1].tolist())]) == bits(expected[-1:])
+        # the memo's stated worst case: 8 entries of this size, 69 MB
+        assert poses.nbytes == 3 * 360_001 * 8 and rfsim._increments.cache_info().maxsize == 8
+
+
+def reference_command_poses(robot, command, pose):
+    """_command_poses before the increments memo, verbatim: its straight and turn
+    branches over the substeps of the uncached _substep_lengths loop."""
+    steps, remaining = [], command.duration
+    while remaining > 1e-12:
+        steps.append(min(0.01, remaining))
+        remaining -= steps[-1]
+    h = np.array(steps)
+    v, omega = _body_rates(robot, command)
+    x, y, theta = pose
+    if not omega:
+        poses = np.array([[x], [y], [theta]]).repeat(len(h) + 1, axis=1)
+        np.multiply.outer((math.cos(theta), math.sin(theta)), v * h, out=poses[:2, 1:])
+        np.add.accumulate(poses[:2], axis=1, out=poses[:2])
+        return poses
+    xs, ys, thetas = [x], [y], [theta]
+    for dt in h.tolist():
+        theta_next = theta + omega * dt
+        radius = v / omega
+        sin_next, cos_next = math.sin(theta_next), math.cos(theta_next)
+        x, y = x + radius * (sin_next - math.sin(theta)), y - radius * (cos_next - math.cos(theta))
+        theta = math.atan2(sin_next, cos_next)
+        theta = math.pi if theta <= -math.pi else theta
+        xs.append(x)
+        ys.append(y)
+        thetas.append(theta)
+    return np.array((xs, ys, thetas))
+
+
+class TestIncrementMemo:
+    """_command_poses accumulates memoized increments; every pose must be the old loop's, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pose=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0, math.pi / 2]) | st.floats(-10.0, 10.0)),
+        speeds=st.sampled_from(["straight", (1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (0.0, 0.0)]) | st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        gains=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+        duration=st.integers(0, 3) | st.sampled_from([2.0, 0.6314, 1e-13]) | st.floats(0.0, 3.0),
+        calls=st.integers(1, 3),
+    )
+    def test_hits_and_misses_match_the_verbatim_old_branches(self, pose, speeds, gains, duration, calls):
+        robot = SimRobot(wheel_base=0.4, left_scale=gains[0], right_scale=gains[1])
+        if speeds == "straight":  # veer-compensated, as every forward step
+            speeds = (1.0, 1.0 + default_calibration(robot).veer_bias)
+        command = DriveCommand(*speeds, duration, "memo")
+        expected = bits(zip(*reference_command_poses(robot, command, pose).tolist()))
+        for _ in range(calls):  # the first call may hit an entry of an earlier example
+            poses = _command_poses(robot, command, pose)
+            assert bits(zip(*poses.tolist())) == expected
+            poses[:] = math.nan  # a caller writing into its poses must not reach the memo
+
+    @pytest.mark.parametrize("omega", [0.0, 2.5])
+    def test_a_start_heading_of_minus_zero_is_not_zero(self, omega):
+        robot = SimRobot(wheel_base=0.4)
+        command = DriveCommand(1.0, 1.0 + omega * robot.wheel_base, 0.05, "memo")
+        for heading in (0.0, -0.0, 0.0, -0.0):
+            poses = _command_poses(robot, command, (1.0, 2.0, heading))
+            assert bits(zip(*poses.tolist())) == bits(zip(*reference_command_poses(robot, command, (1.0, 2.0, heading)).tolist()))
+            assert poses[2, 0].hex() == heading.hex()
+
+    def test_the_memo_keeps_at_most_eight_commands(self):
+        robot = SimRobot(wheel_base=0.4)
+        for k in range(20):
+            _command_poses(robot, DriveCommand(1.0, 1.0, 0.01 * k, "memo"), (0.0, 0.0, 0.0))
+        assert rfsim._increments.cache_info().currsize == 8
 
 
 class TestSyntheticDataset:
@@ -427,8 +496,9 @@ def serial_trials(world, bundle, trials, base_seed=0, **kwargs):
 
 
 class TestParallelTrials:
-    """Trials run in shares on forked children; three CPUs are claimed, so a
-    run of 7 splits 2 + 2 + 3 and two children are forked whatever the host."""
+    """Trials are handed out by ticket to this process and forked children; three
+    CPUs are claimed, so two children are forked whatever the host.  A run of 7
+    has 7 one-trial tickets, and this process always runs trial 0."""
 
     @pytest.fixture(autouse=True)
     def three_cpus_and_nothing_left(self, monkeypatch):
@@ -448,7 +518,7 @@ class TestParallelTrials:
         assert results == expected and [repr(r) for r in results] == [repr(r) for r in expected]  # repr tells -0.0 from 0.0
         assert rate == sum(r.success for r in expected) / trials
 
-    @pytest.mark.parametrize("first_failure", [1, 2, 3, 6])  # the parent's share is seeds 0-1, the children's 2-3 and 4-6
+    @pytest.mark.parametrize("first_failure", [1, 2, 3, 6])  # seed 0 is the parent's; any process may take the others
     @pytest.mark.parametrize("error", [ValueError, NoPath, OutOfBounds])
     def test_the_first_failing_trial_raises_as_in_the_serial_loop(self, ref_world, monkeypatch, first_failure, error):
         def trial(world, bundle, path, seed, **kwargs):
@@ -506,6 +576,60 @@ class TestParallelTrials:
             monkeypatch.delattr(os, "fork")
         _, results = corner_success_rate(ref_world, None, trials, base_seed=4, oracle=True)
         assert results == serial_trials(ref_world, None, trials, base_seed=4, oracle=True)
+
+    def test_more_trials_than_tickets(self, ref_world, monkeypatch):
+        parent, writes, write = os.getpid(), [], os.write
+
+        def parent_write(fd, data):
+            if os.getpid() == parent:
+                writes.append(len(data))
+            return write(fd, data)
+
+        def stub(world, bundle, path, seed, **kwargs):
+            return rfsim.TrialResult(seed % 3 == 0, seed / 7, world.robot, [], "stub", seed=seed)
+
+        monkeypatch.setattr(os, "write", parent_write)
+        monkeypatch.setattr(rfsim, "run_trial", stub)
+        rate, results = corner_success_rate(ref_world, None, 70_000, base_seed=5, oracle=True)
+        assert results == [stub(ref_world, None, None, seed) for seed in range(5, 70_005)] and rate == 23_333 / 70_000
+        assert writes == [4 * 1015]  # one write before the forks: 1,015 tickets of 69 trials, within 4 KiB
+
+    def test_a_lower_failure_held_by_a_child_wins_over_a_higher_one_here(self, ref_world, monkeypatch, tmp_path):
+        parent = os.getpid()
+
+        def trial(world, bundle, path, seed, **kwargs):
+            if seed == 0:
+                time.sleep(0.5)  # the children take tickets 1 and 2 meanwhile
+                return run_trial(world, bundle, path, seed=seed, **kwargs)
+            if seed == 1 and os.getpid() != parent:
+                (tmp_path / "held").touch()
+                time.sleep(60)  # still running when this process fails at seed 3: only a kill ends it in time
+            raise ValueError(f"trial {seed} failed")
+
+        monkeypatch.setattr(rfsim, "run_trial", trial)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="^trial 1 failed$"):
+            corner_success_rate(ref_world, None, 7, oracle=True)
+        assert time.monotonic() - started < 30
+        assert (tmp_path / "held").exists()
+
+    def test_a_child_killed_after_claiming_tickets_leaves_the_serial_results(self, ref_world, monkeypatch, tmp_path):
+        parent, ran = os.getpid(), []
+
+        def trial(world, bundle, path, seed, **kwargs):
+            if os.getpid() != parent:
+                ran.append(seed)
+                if len(ran) == 3:  # two results held and a third ticket claimed: all three are lost
+                    (tmp_path / str(seed)).touch()
+                    os.kill(os.getpid(), signal.SIGKILL)
+            elif seed == 0:
+                time.sleep(0.3)  # the children take tickets meanwhile
+            return run_trial(world, bundle, path, seed=seed, **kwargs)
+
+        monkeypatch.setattr(rfsim, "run_trial", trial)
+        _, results = corner_success_rate(ref_world, None, 20, oracle=True)
+        assert len(list(tmp_path.iterdir())) == 2  # both children died
+        assert results == serial_trials(ref_world, None, 20, oracle=True)
 
 
 def reference_predict_position(bundle, snapshot):
