@@ -393,10 +393,11 @@ def corner_success_rate(
 ) -> tuple[float, list[TrialResult]]:
     """Success fraction over seeded trials on one route, planned once with A*.
 
-    Every trial drives that one path; trials use seeds base_seed .. base_seed
-    + trials - 1, and the default route is the reference world's corner run.
-    Trials run side by side on the CPUs in the affinity mask (``_map_trials``);
-    the results are byte-identical to a serial run's, and so is every output.
+    Every trial drives that one path from its first cell, so all share their drive
+    commands and substep increments; they use seeds base_seed .. base_seed + trials
+    - 1, and the default route is the reference world's corner run.  The trials are
+    handed out by ticket to the CPUs in the affinity mask, trial 0 to this process
+    (``_map_trials``); the results and every output are a serial run's, byte for byte.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
