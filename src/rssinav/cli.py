@@ -140,11 +140,10 @@ def evaluate_bundle(bundle: model.ModelBundle, dataset: scan_ingest.FingerprintD
         per_row_norm = np.linalg.norm(pred - truth, axis=1)
         pred_ft = features.denormalize_coords(bundle.params, pred)
         row_ft = features.error_feet(bundle.params, per_row_norm)
-    finite = np.isfinite(pred_ft).all(axis=1) & np.isfinite(row_ft)
+    finite = np.isfinite(pred_ft).all(axis=1) & np.isfinite(row_ft)  # so each row error is below 1e155 (norm squares it): no mean overflows
     if not finite.all():
         r = int(np.argmin(finite))
         raise ToolkitError(f"dataset row {r + 1}: the prediction ({pred_ft[r, 0]:g}, {pred_ft[r, 1]:g}) ft or its error {row_ft[r]:g} ft is not finite")
-    # a finite row error is below 1e155, as norm squares it, so neither mean can overflow
     mae_norm = model.mae_loss(pred, truth)
     mean_ft = features.error_feet(bundle.params, float(per_row_norm.mean()))
     rows = [(tx, ty, px, py) for (tx, ty), (px, py) in zip(truth_ft, pred_ft)]

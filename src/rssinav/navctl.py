@@ -87,9 +87,8 @@ class Mode(Enum):
     ABORTED = "aborted"
 
 
-@lru_cache(maxsize=32, typed=True)  # step_distance 2 == 2.0, but the logs print 2 and 2.0; no field can be -0.0
+@lru_cache(maxsize=32, typed=True)  # one frozen command per field values and types: 2 == 2.0, but logs print 2 and 2.0; no field is -0.0
 def _command(left_speed, right_speed, duration, reason: str) -> DriveCommand:
-    """One frozen command per distinct field values and types, shared by every caller."""
     return DriveCommand(left_speed, right_speed, duration, reason)
 
 

@@ -30,6 +30,7 @@ from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkp
 from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
+_POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duration), bit for bit: -0.0 is not 0.0
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
 _SEED_MASK = (1 << 63) - 1
 
@@ -246,25 +247,28 @@ class TrialResult:
         return poses
 
 
-_POSE_KEY = struct.Struct("<4d")  # (v, omega, start heading, duration), bit for bit: -0.0 is not 0.0
-
-
-@lru_cache(maxsize=8)  # the trials on a route share their start heading, so a few entries serve them all
-def _increments(key: bytes) -> np.ndarray:
-    """Read-only rows [0, dx...], [0, dy...], [theta, heading...] of a packed ``_POSE_KEY``, a column
-    per 0.01 s substep, then the remainder.  A straight step (omega == 0) keeps theta; a turn moves
-    on an exact arc and wraps its heading to (-pi, pi].  At worst 8 x 3 x 360,001 floats: 69 MB."""
-    v, omega, theta, remaining = _POSE_KEY.unpack(key)
-    h = []
+@lru_cache(maxsize=8)
+def _substep_lengths(duration: float) -> np.ndarray:
+    """The substeps of a ``duration``-second command: 0.01 s each, then the remainder."""
+    steps, remaining = [], duration
     while remaining > 1e-12:
-        h.append(min(_SUBSTEP, remaining))
-        remaining -= h[-1]
+        steps.append(min(_SUBSTEP, remaining))
+        remaining -= steps[-1]
+    return np.frombuffer(np.array(steps).tobytes())  # read-only: the cache hands it to every caller
+
+
+@lru_cache(maxsize=256)  # forward, turn and stop per leg of a route: 85 legs; commands of at most 10 s: 6 MB
+def _increments(key: bytes) -> np.ndarray:
+    """Read-only rows [0, dx...], [0, dy...], [theta, heading...] of a packed ``_POSE_KEY``, a column per
+    substep; a straight step (omega == 0) keeps theta, a turn moves on an exact arc and wraps to (-pi, pi]."""
+    v, omega, theta, duration = _POSE_KEY.unpack(key)
+    h = _substep_lengths(duration)
     if not omega:
         rows = np.array([[0.0], [0.0], [theta]]).repeat(len(h) + 1, axis=1)
-        np.multiply.outer((math.cos(theta), math.sin(theta)), v * np.array(h), out=rows[:2, 1:])
+        np.multiply.outer((math.cos(theta), math.sin(theta)), v * h, out=rows[:2, 1:])
     else:
         dxs, dys, thetas = [0.0], [0.0], [theta]
-        for dt in h:
+        for dt in h.tolist():
             theta_next = theta + omega * dt
             radius = v / omega
             sin_next, cos_next = math.sin(theta_next), math.cos(theta_next)
@@ -282,7 +286,8 @@ def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
     One ``np.add.accumulate`` along a copy of the ``_increments`` rows from (x0, y0)
     adds in the order of a per-substep loop ``x += dx``, bit for bit; since y - a ==
     y + (-a), a turn's y row is the loop's ``y -= radius * (...)`` too."""
-    poses = _increments(_POSE_KEY.pack(*_body_rates(robot, command), pose[2], command.duration)).copy()
+    memo = _increments if command.duration <= 10 else _increments.__wrapped__  # a longer one is not kept
+    poses = memo(_POSE_KEY.pack(*_body_rates(robot, command), pose[2], command.duration)).copy()
     poses[:2, 0] = pose[:2]
     np.add.accumulate(poses[:2], axis=1, out=poses[:2])
     return poses
@@ -393,11 +398,10 @@ def corner_success_rate(
 ) -> tuple[float, list[TrialResult]]:
     """Success fraction over seeded trials on one route, planned once with A*.
 
-    Every trial drives that one path from its first cell, so all share their drive
-    commands and substep increments; they use seeds base_seed .. base_seed + trials
-    - 1, and the default route is the reference world's corner run.  The trials are
-    handed out by ticket to the CPUs in the affinity mask, trial 0 to this process
-    (``_map_trials``); the results and every output are a serial run's, byte for byte.
+    Every trial drives that one path from its first cell, so all share their commands and substep
+    increments; they use seeds base_seed .. base_seed + trials - 1, and the default route is the
+    reference world's corner run.  Trials go by ticket to the CPUs in the affinity mask, trial 0 to
+    this process (``_map_trials``); the results and every output are a serial run's, byte for byte.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
@@ -410,12 +414,11 @@ def corner_success_rate(
 
 
 def _map_trials(trial, count: int) -> list:
-    """``[trial(i) for i in range(count)]`` on the CPUs in the affinity mask, by ticket: one
-    write of at most 1,024 four-byte tickets (4 KiB, so it never blocks) of ceil(count / 1024)
-    indices each.  This process takes ticket 0 before forking, so it runs trial 0, then it and
-    a child per other CPU take a ticket at a time.  A child stops at its first failure, pipes
-    back one pickle of {index: result} and ends in ``os._exit``.  An index without a result
-    runs here in order, so errors are the serial loop's; a failure here kills the children."""
+    """``[trial(i) for i in range(count)]`` on the CPUs in the affinity mask, by ticket: at most 1,024 tickets
+    of ceil(count / 1024) indices, in one 4 KiB write that never blocks.  This process takes ticket 0, then forks
+    a child per other CPU; each takes a ticket at a time, a child until its first failure, then pipes back one
+    pickle of {index: result} and ends in ``os._exit``.  An index without a result runs here in order, so errors
+    are the serial loop's; a failure here kills the children first."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     block = -(-count // 1024) or 1
     tickets = range(-(-count // block))

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import pickle
 import re
 import signal
 import time
@@ -317,11 +318,11 @@ class TestLongestCommand:
         robot = SimRobot(x=1.0, y=-2.0, heading=0.3, wheel_base=0.4, left_scale=0.99)
         command = DriveCommand(*speeds, float(MAX_DURATION), "longest")
         assert (_body_rates(robot, command)[1] == 0.0) is straight
+        rfsim._increments.cache_clear()
         poses, (_, expected) = _command_poses(robot, command, robot.pose), substep_poses(robot, command)
         assert poses.shape == (3, 360_001) and len(expected) == 360_000
         assert bits([tuple(poses[:, -1].tolist())]) == bits(expected[-1:])
-        # the memo's stated worst case: 8 entries of this size, 69 MB
-        assert poses.nbytes == 3 * 360_001 * 8 and rfsim._increments.cache_info().maxsize == 8
+        assert rfsim._increments.cache_info().currsize == 0  # longer than the memo's 10 s: not kept
 
 
 def reference_command_poses(robot, command, pose):
@@ -384,11 +385,19 @@ class TestIncrementMemo:
             assert bits(zip(*poses.tolist())) == bits(zip(*reference_command_poses(robot, command, (1.0, 2.0, heading)).tolist()))
             assert poses[2, 0].hex() == heading.hex()
 
-    def test_the_memo_keeps_at_most_eight_commands(self):
+    def test_the_memo_keeps_at_most_256_commands_of_at_most_ten_seconds(self):
         robot = SimRobot(wheel_base=0.4)
-        for k in range(20):
+        rfsim._increments.cache_clear()
+        for k in range(300):
             _command_poses(robot, DriveCommand(1.0, 1.0, 0.01 * k, "memo"), (0.0, 0.0, 0.0))
-        assert rfsim._increments.cache_info().currsize == 8
+        assert rfsim._increments.cache_info().currsize == 256
+        rfsim._increments.cache_clear()
+        shapes = []
+        for duration in (10, 10.0, 10.01, 600.0):  # the limit, int or float, then longer commands, which bypass the memo
+            poses = _command_poses(robot, DriveCommand(1.0, 0.0, duration, "memo"), (0.0, 0.0, 0.0))
+            assert bits(zip(*poses.tolist())) == bits(zip(*reference_command_poses(robot, DriveCommand(1.0, 0.0, duration), (0.0, 0.0, 0.0)).tolist()))
+            shapes.append(poses.shape)
+        assert rfsim._increments.cache_info().currsize == 1 and shapes[:2] == [(3, 1_001)] * 2  # the stated bound: 1,001 columns
 
 
 class TestSyntheticDataset:
@@ -495,6 +504,14 @@ def serial_trials(world, bundle, trials, base_seed=0, **kwargs):
         return exc
 
 
+def wait_until(condition, timeout=30.0):
+    """Poll ``condition`` until it holds: forked children act in their own time."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "the children never got there"
+        time.sleep(0.01)
+
+
 class TestParallelTrials:
     """Trials are handed out by ticket to this process and forked children; three
     CPUs are claimed, so two children are forked whatever the host.  A run of 7
@@ -598,12 +615,12 @@ class TestParallelTrials:
         parent = os.getpid()
 
         def trial(world, bundle, path, seed, **kwargs):
-            if seed == 0:
-                time.sleep(0.5)  # the children take tickets 1 and 2 meanwhile
+            if seed == 0:  # this process holds trial 0 until a child holds trial 1
+                wait_until((tmp_path / "held").exists)
                 return run_trial(world, bundle, path, seed=seed, **kwargs)
             if seed == 1 and os.getpid() != parent:
                 (tmp_path / "held").touch()
-                time.sleep(60)  # still running when this process fails at seed 3: only a kill ends it in time
+                time.sleep(60)  # still running when this process fails at a higher seed: only a kill ends it in time
             raise ValueError(f"trial {seed} failed")
 
         monkeypatch.setattr(rfsim, "run_trial", trial)
@@ -622,14 +639,35 @@ class TestParallelTrials:
                 if len(ran) == 3:  # two results held and a third ticket claimed: all three are lost
                     (tmp_path / str(seed)).touch()
                     os.kill(os.getpid(), signal.SIGKILL)
-            elif seed == 0:
-                time.sleep(0.3)  # the children take tickets meanwhile
+            elif seed == 0:  # this process holds trial 0 until both children are dead
+                wait_until(lambda: len(list(tmp_path.iterdir())) == 2)
             return run_trial(world, bundle, path, seed=seed, **kwargs)
 
         monkeypatch.setattr(rfsim, "run_trial", trial)
         _, results = corner_success_rate(ref_world, None, 20, oracle=True)
-        assert len(list(tmp_path.iterdir())) == 2  # both children died
         assert results == serial_trials(ref_world, None, 20, oracle=True)
+
+    def test_a_child_pipes_back_more_than_the_pipe_buffer(self, ref_world, monkeypatch, tmp_path):
+        parent, loads, sizes = os.getpid(), pickle.loads, []
+
+        def trial(world, bundle, path, seed, **kwargs):
+            if seed == 0:  # this process holds trial 0 until the children have claimed every other ticket
+                wait_until(lambda: len(list(tmp_path.iterdir())) == 6)
+            elif os.getpid() != parent:
+                (tmp_path / str(seed)).touch()
+            result = run_trial(world, bundle, path, seed=seed, **kwargs)
+            result.events.append(("padding", 0.0, bytes(100_000)))
+            return result
+
+        def parent_loads(data):
+            sizes.append(len(data))
+            return loads(data)
+
+        monkeypatch.setattr(rfsim, "run_trial", trial)
+        monkeypatch.setattr(pickle, "loads", parent_loads)
+        _, results = corner_success_rate(ref_world, None, 7, oracle=True)
+        assert len(sizes) == 2 and sum(sizes) > 6 * 100_000 and max(sizes) > 1 << 16  # each child's pickle, one past 64 KiB
+        assert results == serial_trials(ref_world, None, 7, oracle=True)
 
 
 def reference_predict_position(bundle, snapshot):

@@ -21,9 +21,9 @@ gap exceeds the parent's quartile distance.  ``outputs_match`` says whether
 every run on both sides reported the same ``output_sha256``.  No wall-clock
 value enters a primary output of the program; the file is a measurement and
 differs from run to run.  The last line printed is a one-line summary to
-quote; when ``bench/`` holds an A/A file of the workload
-(``BENCH_<workload>_s*_aa.json``, another file than the one written), the
-summary ends with each one's ``ops_per_s`` median ratio and pair range, so a
+quote; when ``bench/`` holds an A/A file of the workload and seed
+(``BENCH_<workload>_s<seed>_aa.json``, another file than the one written),
+the summary ends with its ``ops_per_s`` median ratio and pair range, so a
 claim reads against the machine's noise floor.
 """
 
@@ -85,15 +85,17 @@ def compare(runs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
-def noise_floor(workload: str, written: Path) -> str:
-    """The ``ops_per_s`` median ratio and pair range of each A/A file of ``workload`` but ``written``, as a summary suffix."""
-    floors = []
-    for path in sorted((ROOT / "bench").glob(f"BENCH_{workload}_s*_aa.json")):
-        if path != written:
-            s = json.loads(path.read_text(encoding="utf-8"))["summary"]["ops_per_s"]
-            ratios = [r for r in s["ratios"] if r is not None]
-            floors.append(f"{path.name} median ratio {s['median_ratio']:.4f}, pairs {min(ratios):.4f} to {max(ratios):.4f}")
-    return "; A/A ops_per_s " + "; ".join(floors) if floors else ""
+def noise_floor(workload: str, seed: int, written: Path) -> str:
+    """The ``ops_per_s`` median ratio and pair range of the A/A file of this workload and seed, as a
+    summary suffix; empty when there is none, it is the file written, or it holds no ratio."""
+    path = ROOT / "bench" / f"BENCH_{workload}_s{seed}_aa.json"
+    if path == written or not path.exists():
+        return ""
+    s = json.loads(path.read_text(encoding="utf-8"))["summary"]["ops_per_s"]
+    ratios = [r for r in s["ratios"] if r is not None]
+    if not ratios or s["median_ratio"] is None:
+        return ""
+    return f"; A/A ops_per_s {path.name} median ratio {s['median_ratio']:.4f}, pairs {min(ratios):.4f} to {max(ratios):.4f}"
 
 
 def describe(tree: Path, revision: str | None) -> str:
@@ -173,7 +175,7 @@ def main(argv=None) -> int:
         f"change {s['change']['median']:.6g} [{s['change']['q1']:.6g}, {s['change']['q3']:.6g}], median ratio {s['median_ratio']:.4f}, "
         f"won {s['wins']}/{s['pairs']} pairs, gap {'exceeds' if s['gap_exceeds_parent_iqr'] else 'within'} parent IQR; "
         f"outputs {'identical' if record['outputs_match'] else 'DIFFER'}; failed ops {record['failed']['parent']}/{record['failed']['change']}"
-        + noise_floor(args.workload, out)
+        + noise_floor(args.workload, args.seed, out)
     )
     return 0
 
