@@ -52,7 +52,7 @@ def _as_cell(text: str) -> tuple[int, int]:
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        lines = read_bytes(Path(path)).decode("utf-8").splitlines()
+        lines = read_bytes(Path(path)).decode("utf-8").removeprefix("\ufeff").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):

@@ -1,9 +1,9 @@
 """Shared exception machinery for the toolkit.
 
-Every module defines its own error types next to the operations that raise
-them; they all derive from ToolkitError so callers (notably the CLI) can
-catch pipeline failures with one handler.  The parameter checks that more
-than one module shares live here and raise InvalidParameter.
+A module defines its own error types next to the operations that raise
+them; the ones several modules raise, and the parameter checks several
+modules share (raising InvalidParameter), live here.  All derive from
+ToolkitError, so callers (notably the CLI) catch them with one handler.
 """
 
 import math
@@ -23,6 +23,14 @@ class OutOfBounds(ToolkitError):
 
 class CorruptFile(ToolkitError):
     """The model file is truncated or structurally invalid."""
+
+
+class ShapeMismatch(ToolkitError):
+    """Array shapes do not match the model or each other."""
+
+
+class EmptyDataset(ToolkitError):
+    """The operation needs at least one row."""
 
 
 def require_positive(**values: float) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidParameter, ToolkitError, require_positive
+from .errors import CorruptFile, EmptyDataset, InvalidParameter, ShapeMismatch, ToolkitError, require_positive
 from .fileio import finite_floats, format_number
 from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, FingerprintDataset, SchemaMismatch
 
@@ -27,16 +27,8 @@ COORDINATE_LIMIT = 1e9  # feet; far beyond any floor, and far below where a squa
 _SIDECAR_FORMAT = "rssinav-sidecar-v1"
 
 
-class LengthMismatch(ToolkitError):
-    """Vectors to correlate have different lengths."""
-
-
 class TooFewSamples(ToolkitError):
     """Fewer than two samples; correlation is undefined."""
-
-
-class EmptyDataset(ToolkitError):
-    """The operation needs at least one row."""
 
 
 class DegenerateCoordinates(ToolkitError):
@@ -56,7 +48,7 @@ def pearson(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch(f"vectors of shape {a.shape} and {b.shape}")
+        raise ShapeMismatch(f"vectors of shape {a.shape} and {b.shape}")
     if a.size < 2:
         raise TooFewSamples("need at least 2 samples")
     da = a - a.mean()

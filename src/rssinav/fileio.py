@@ -65,15 +65,16 @@ def read_bytes(source) -> bytes:
 
 
 def read_text(source, error, what: str | None) -> str:
-    """The UTF-8 text of a path with its line endings as written, or what an
-    open text file reads; text that is not UTF-8 raises ``error`` naming
-    ``what`` and the file (neither if ``what`` is None)."""
+    """The UTF-8 text of a path, line endings as written, or what an open
+    text file reads, less one leading byte-order mark; text that is not UTF-8
+    raises ``error`` naming ``what`` and the file (neither if it is None)."""
     is_path = isinstance(source, (str, Path))
     try:
-        return read_bytes(source).decode("utf-8") if is_path else source.read()
+        text = read_bytes(source).decode("utf-8") if is_path else source.read()
     except UnicodeDecodeError as exc:
         name = source if is_path else getattr(source, "name", "stream")
         raise error(f"{what} {name} is not UTF-8 text: {exc}" if what else f"not UTF-8 text: {exc}") from exc
+    return text.removeprefix("\ufeff")
 
 
 def format_number(v: float) -> str:

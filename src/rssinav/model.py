@@ -22,10 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidParameter, ToolkitError, check_seed, require_positive
+from .errors import CorruptFile, EmptyDataset, InvalidParameter, ShapeMismatch, ToolkitError, check_seed, require_positive
 from .fileio import open_sink, read_bytes
 from .features import (
-    EmptyDataset,
     FeatureSelection,
     NormalizationParams,
     SidecarFormatError,
@@ -46,14 +45,6 @@ DEFAULT_LEARNING_RATE = 1e-3
 
 _MAGIC = b"FPNNMODEL\x00"
 _FORMAT_VERSION = 1
-
-
-class ShapeMismatch(ToolkitError):
-    """Array shapes do not match the model or each other."""
-
-
-class EmptyBatch(ToolkitError):
-    """A loss or gradient was requested over zero samples."""
 
 
 class UninitializedStatistics(ToolkitError):
@@ -307,7 +298,7 @@ def mae_loss(pred, truth) -> float:
     if pred.shape != truth.shape:
         raise ShapeMismatch(f"prediction shape {pred.shape} != truth shape {truth.shape}")
     if pred.size == 0:
-        raise EmptyBatch("loss over an empty batch")
+        raise EmptyDataset("loss over an empty batch")
     return float(np.abs(pred - truth).mean())
 
 
@@ -349,7 +340,7 @@ def _loss_and_grads(model: MlpRegressor, inputs, targets):
     if batch.shape[0] != truth.shape[0] or batch.shape[1] != model.input_width or truth.shape[1] != model.output_width:
         raise ShapeMismatch("batch and target shapes do not match the model")
     if batch.shape[0] == 0:
-        raise EmptyBatch("gradient over an empty batch")
+        raise EmptyDataset("gradient over an empty batch")
     grad = np.empty(sum(getattr(layer, name).size for layer in model.layers for name in layer.BLOCKS[:2]))
     loss, cache = _step(model, batch, truth, _unflatten(model, grad))
     return loss, grad, cache
@@ -422,8 +413,8 @@ def _flatten_parameters(model: MlpRegressor) -> np.ndarray:
 
 
 class _Adam:
-    def __init__(self, theta: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.theta, self.lr, self.beta1, self.beta2, self.eps = theta, lr, beta1, beta2, eps
+    def __init__(self, theta: np.ndarray, lr: float):
+        self.theta, self.lr, self.beta1, self.beta2, self.eps = theta, lr, 0.9, 0.999, 1e-8
         self.t = 0
         self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
 

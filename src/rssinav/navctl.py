@@ -50,15 +50,14 @@ class DrivetrainCalibration:
     commanded speed during forward steps; set it to (left gain / right gain)
     - 1 so the effective wheel speeds match and a constant veer cancels.
     turn_90_duration is the measured time for a one-wheel 90-degree pivot at
-    turn_speed.
+    1 ft/s; it alone calibrates the turn (speed x duration / wheel base).
     """
 
     veer_bias: float = 0.0
-    turn_speed: float = 1.0
     turn_90_duration: float = 1.0
 
     def __post_init__(self) -> None:
-        require_positive(turn_speed=self.turn_speed, turn_90_duration=self.turn_90_duration)
+        require_positive(turn_90_duration=self.turn_90_duration)
         if not math.isfinite(self.veer_bias):
             raise InvalidParameter(f"veer_bias must be finite, got {self.veer_bias}")
 
@@ -98,12 +97,12 @@ def forward_command(config: NavConfig, cal: DrivetrainCalibration) -> DriveComma
 
 
 def turn_command(direction: str, cal: DrivetrainCalibration) -> DriveCommand:
-    """A one-wheel pivot: the outer wheel runs at turn_speed for the
-    calibrated 90-degree duration, the inner wheel holds still."""
+    """A one-wheel pivot: the outer wheel runs at 1 ft/s for the calibrated
+    90-degree duration, the inner wheel holds still."""
     if direction == "right":
-        return _command(cal.turn_speed, 0.0, cal.turn_90_duration, "turn_right_90")
+        return _command(1.0, 0.0, cal.turn_90_duration, "turn_right_90")
     if direction == "left":
-        return _command(0.0, cal.turn_speed, cal.turn_90_duration, "turn_left_90")
+        return _command(0.0, 1.0, cal.turn_90_duration, "turn_left_90")
     raise InvalidParameter(f"direction must be 'left' or 'right', got {direction!r}")
 
 

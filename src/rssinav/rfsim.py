@@ -177,10 +177,10 @@ def default_calibration(robot: SimRobot) -> DrivetrainCalibration:
     veer_bias = robot.left_scale / robot.right_scale - 1.0
     mean_gain = 0.5 * (robot.left_scale + robot.right_scale)
     duration = (math.pi / 2.0) * robot.wheel_base / mean_gain
-    return DrivetrainCalibration(veer_bias=veer_bias, turn_speed=1.0, turn_90_duration=duration)
+    return DrivetrainCalibration(veer_bias=veer_bias, turn_90_duration=duration)
 
 
-def generate_synthetic_dataset(world: SimWorld, cells=None, resamples: int = 3, seed: int | None = None):
+def generate_synthetic_dataset(world: SimWorld, resamples: int = 3, seed: int | None = None):
     """Fingerprint dataset over walkable cell centers.
 
     Each cell is scanned ``resamples`` times (distinct draw indices), the
@@ -190,10 +190,8 @@ def generate_synthetic_dataset(world: SimWorld, cells=None, resamples: int = 3, 
     """
     if resamples < 1:
         raise InvalidParameter("resamples must be >= 1")
-    if cells is None:
-        cells = world.grid.walkable_cells()
     samples = []
-    for i, cell in enumerate(cells):
+    for i, cell in enumerate(world.grid.walkable_cells()):
         center = world.grid.cell_center(cell)
         reps = []
         for j in range(resamples):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameter, ToolkitError
+from .errors import EmptyDataset, InvalidParameter, ToolkitError
 from .fileio import finite_floats, format_number, read_text, write_rows
 
 
@@ -47,10 +47,6 @@ class MixedLocations(ToolkitError):
     """Snapshots to aggregate carry different location labels."""
 
 
-class EmptyInput(ToolkitError):
-    """An aggregation was requested over zero snapshots."""
-
-
 class UnlabeledSnapshot(ToolkitError):
     """A snapshot without a location label cannot become a dataset row."""
 
@@ -59,14 +55,10 @@ class SchemaMismatch(ToolkitError):
     """A dataset CSV violates the expected column layout or value ranges."""
 
 
-class RaggedRow(ToolkitError):
-    """A dataset CSV row has the wrong number of cells."""
-
-
 MISSING_RSSI = 0.0
 RSSI_FLOOR = -255  # dBm; the weakest level a scan entry may carry
 
-_MAC_RE = re.compile(r"^([0-9A-F]{2}:){5}[0-9A-F]{2}$")
+_MAC_RE = re.compile(r"^([0-9A-F]{2}:){5}[0-9A-F]{2}\Z")
 _CELL_RE = re.compile(r"^\s*Cell\s+(\d+)\s+-\s+Address:\s*(\S+)\s*$")
 _ESSID_RE = re.compile(r'ESSID:"([^"]*)"')
 _SIGNAL_RE = re.compile(r"Signal level\s*=\s*(-?\d+)\s*(\S*)")
@@ -218,7 +210,7 @@ def aggregate_resamples(snapshots: list[ScanSnapshot]) -> ScanSnapshot:
     result is deterministic regardless of snapshot order.
     """
     if not snapshots:
-        raise EmptyInput("no snapshots to aggregate")
+        raise EmptyDataset("no snapshots to aggregate")
     locations = {s.location for s in snapshots}
     if len(locations) != 1:
         raise MixedLocations(f"snapshots carry {len(locations)} different location labels")
@@ -261,21 +253,22 @@ def write_csv(dataset: FingerprintDataset, sink) -> None:
 def read_csv(source) -> FingerprintDataset:
     """Read a dataset CSV written by write_csv; the round-trip is bit-exact.
 
-    Every cell below the header must be a finite number; anything else,
-    including text that is not UTF-8, raises SchemaMismatch or RaggedRow.
+    MAC columns are upper-cased; every cell below must be a finite number.
+    Anything else, including text that is not UTF-8, raises SchemaMismatch.
     """
-    if isinstance(source, (str, Path)):
-        source = io.StringIO(read_text(source, SchemaMismatch, "dataset"), newline="")
     try:
-        rows = list(csv.reader(source))
-    except (UnicodeDecodeError, csv.Error) as exc:
+        rows = list(csv.reader(io.StringIO(read_text(source, SchemaMismatch, "dataset"), newline="")))
+    except csv.Error as exc:
         raise SchemaMismatch(f"unreadable dataset CSV: {exc}") from exc
     if not rows:
         raise SchemaMismatch("empty file: no header row")
     header = rows[0]
     if len(header) < 2 or header[-2:] != ["x", "y"]:
         raise SchemaMismatch("header must end with the x and y label columns")
-    columns = tuple(header[:-2])
+    columns = tuple(cell.upper() for cell in header[:-2])
+    for number, column in enumerate(columns, start=1):
+        if not _canonical_mac(column):
+            raise SchemaMismatch(f"header column {number}: {header[number - 1]!r} is not a MAC address")
     if len(set(columns)) != len(columns):
         raise SchemaMismatch("duplicate MAC columns in header")
     vectors: list[list[float]] = []
@@ -285,7 +278,7 @@ def read_csv(source) -> FingerprintDataset:
         if not row:
             continue
         if len(row) != len(header):
-            raise RaggedRow(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
+            raise SchemaMismatch(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
         try:
             numbers = finite_floats(row)
         except ValueError as exc:

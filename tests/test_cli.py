@@ -54,7 +54,7 @@ class TestIngest:
         scans = write_scan_dir(tmp_path)
         out = tmp_path / "ds.csv"
         assert main(["ingest", str(scans), "-o", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["AA:BB:CC:DD:EE:01", "AA:BB:CC:DD:EE:02", "x", "y"]
         assert len(rows) == 3  # header + 2 locations
         assert "2 rows" in capsys.readouterr().out
@@ -63,14 +63,14 @@ class TestIngest:
         scans = write_scan_dir(tmp_path)
         out = tmp_path / "ds.csv"
         assert main(["ingest", str(scans), "-o", str(out), "--no-aggregate"]) == 0
-        assert len(list(csv.reader(out.open()))) == 7  # header + 2 locations x 3 reps
+        assert len(list(csv.reader(out.read_text().splitlines()))) == 7  # header + 2 locations x 3 reps
 
     def test_ssid_allowlist_flag(self, tmp_path):
         scans = write_scan_dir(tmp_path)
         (scans / "9_9_0.txt").write_text('Cell 01 - Address: 99:00:00:00:00:01\nESSID:"Hotspot"\nSignal level=-30 dBm\n')
         out = tmp_path / "ds.csv"
         assert main(["ingest", str(scans), "-o", str(out), "--ssid", "CSU Net"]) == 0
-        header = next(csv.reader(out.open()))
+        header = next(csv.reader(out.read_text().splitlines()))
         assert "99:00:00:00:00:01" not in header
 
     @pytest.mark.parametrize("ssids", [["Nope"], ["Nope", "CSU Visitor"]])
@@ -143,6 +143,20 @@ class TestTrainEvaluate:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.bin.report.csv").read_bytes() == (tmp_path / "b.bin.report.csv").read_bytes()
 
+    @pytest.mark.parametrize("variant", ["byte-order mark", "lower-case header"])
+    def test_a_variant_of_the_dataset_text_trains_the_same_model(self, workspace, tmp_path, variant):
+        _, _, dataset, _ = workspace
+        header, rows = dataset.read_bytes().split(b"\n", 1)
+        plain = header.replace(b"02:00:00:00:00:", b"AA:BB:CC:DD:EE:") + b"\n" + rows
+        (tmp_path / "plain.csv").write_bytes(plain)
+        if variant == "byte-order mark":
+            (tmp_path / "variant.csv").write_bytes("\ufeff".encode() + plain)
+        else:
+            (tmp_path / "variant.csv").write_bytes(header.replace(b"02:00:00:00:00:", b"aa:bb:cc:dd:ee:") + b"\n" + rows)
+        for name in ("plain", "variant"):
+            assert main(["train", str(tmp_path / f"{name}.csv"), "-o", str(tmp_path / f"{name}.bin"), "--epochs", "40", "--seed", "7"]) == 0
+        assert (tmp_path / "variant.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()
+
     def test_missing_dataset_fails_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "model.bin"
         assert main(["train", str(tmp_path / "nope.csv"), "-o", str(out)]) == 1
@@ -152,7 +166,7 @@ class TestTrainEvaluate:
         _, _, dataset, model = workspace
         scatter = tmp_path / "scatter.csv"
         assert main(["evaluate", str(model), str(dataset), "-o", str(scatter)]) == 0
-        rows = list(csv.reader(scatter.open()))
+        rows = list(csv.reader(scatter.read_text().splitlines()))
         assert rows[0] == ["x_true", "y_true", "x_pred", "y_pred"]
         assert len(rows) - 1 == 95
         printed = capsys.readouterr().out
@@ -196,7 +210,7 @@ class TestPlan:
         map_file.write_text("".join(world.read_text().splitlines(keepends=True)[:13]))
         out = tmp_path / "plan.csv"
         assert main(["plan", str(map_file), "--start", "0,0", "--goal", "11,3", "-o", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["ix", "iy", "action"]
         assert rows[-1][2] == "stop"
         assert "cost 14" in capsys.readouterr().out
@@ -214,7 +228,7 @@ class TestSimulateNavigate:
         out = tmp_path / "trials.csv"
         assert main(["simulate", str(world), "--oracle", "--trials", "3", "-o", str(out)]) == 0
         assert "success rate: 3/3 = 1.00" in capsys.readouterr().out
-        assert len(list(csv.reader(out.open()))) == 4
+        assert len(list(csv.reader(out.read_text().splitlines()))) == 4
 
     def test_simulate_is_deterministic(self, workspace, tmp_path):
         _, world, _, model = workspace
@@ -252,16 +266,16 @@ class TestSimulateNavigate:
         assert code == 0
         for suffix in ("_trajectory.csv", "_fixes.csv", "_commands.csv"):
             assert (tmp_path / f"run{suffix}").exists()
-        commands = list(csv.reader(open(prefix + "_commands.csv")))
+        commands = list(csv.reader(Path(prefix + "_commands.csv").read_text().splitlines()))
         assert commands[0] == ["timestamp", "left_speed", "right_speed", "duration", "reason"]
         assert commands[-1][4] == "stop"
         assert commands[-1][1:4] == ["0.0", "0.0", "0.0"]  # floats as repr(float), even whole ones
         assert all(repr(float(cell)) == cell for row in commands[1:] for cell in row[:4])
         assert f"after {len(commands) - 1} commands" in capsys.readouterr().out
-        fixes = list(csv.reader(open(prefix + "_fixes.csv")))
+        fixes = list(csv.reader(Path(prefix + "_fixes.csv").read_text().splitlines()))
         assert fixes[0] == ["x_true", "y_true", "x_est", "y_est"]
         assert all(row[:2] == row[2:] for row in fixes[1:])  # an oracle fix is the true position
-        trajectory = list(csv.reader(open(prefix + "_trajectory.csv")))
+        trajectory = list(csv.reader(Path(prefix + "_trajectory.csv").read_text().splitlines()))
         assert trajectory[:2] == [["x", "y", "heading"], ["0.5", "0.5", "0.0"]]  # the start cell, facing east
 
     @pytest.mark.parametrize("foreign_aps", [False, True])
@@ -274,17 +288,17 @@ class TestSimulateNavigate:
         table = tmp_path / "trials.csv"
         assert main(["simulate", str(world), str(model), "--trials", "4", "--seed", "2", "-o", str(table)]) == 0
         capsys.readouterr()
-        for row in csv.DictReader(table.open()):
+        for row in csv.DictReader(table.read_text().splitlines()):
             prefix = str(tmp_path / f"run{row['seed']}")
             assert main(["navigate", str(world), str(model), "--seed", row["seed"], "--out-prefix", prefix]) == 0
             status = "success" if row["success"] == "1" else f"failure ({row['reason']})"
             error = float(row["final_error_ft"])
             assert capsys.readouterr().out == f"{status}: final error {error:.2f} ft after {row['commands']} commands\n"
-            assert len(list(csv.reader(open(prefix + "_commands.csv")))) - 1 == int(row["commands"])
-            fixes = list(csv.reader(open(prefix + "_fixes.csv")))[1:]
+            assert len(list(csv.reader(Path(prefix + "_commands.csv").read_text().splitlines()))) - 1 == int(row["commands"])
+            fixes = list(csv.reader(Path(prefix + "_fixes.csv").read_text().splitlines()))[1:]
             assert len(fixes) == int(row["fixes"])
             assert all((r[2:] == ["", ""]) == foreign_aps for r in fixes)  # a missed fix has empty estimate cells
-            trajectory = {tuple(r[:2]) for r in csv.reader(open(prefix + "_trajectory.csv"))}
+            trajectory = {tuple(r[:2]) for r in csv.reader(Path(prefix + "_trajectory.csv").read_text().splitlines())}
             assert all(tuple(r[:2]) in trajectory for r in fixes)  # every scan is taken on the driven path
 
     def test_unreachable_goal_fails(self, workspace, capsys):
@@ -344,6 +358,7 @@ class TestValidationErrors:
             (["evaluate", "{model}", "{huge_x}", "-o", "{out}"], "dataset row 1, column x: 1e+308 ft is outside [-1e+09, 1e+09]"),
             (["train", "{huge_rssi}", "--threshold", "0", "-o", "{out}"], "row 1, column 02:00:00:00:00:01: 1e+308 dBm is outside [-255, 0]"),
             (["select-features", "{huge_rssi}", "-o", "{out}"], "row 1, column 02:00:00:00:00:01: 1e+308 dBm is outside [-255, 0]"),
+            (["train", "{ap_header}", "-o", "{out}"], "header column 1: 'AP1' is not a MAC address"),
         ],
     )
     def test_bad_option_is_one_error_line(self, workspace, tmp_path, capsys, args, message):
@@ -373,7 +388,10 @@ class TestValidationErrors:
             huge[name] = root / f"{name}.csv"
             huge[name].write_text("".join(",".join(row) + "\n" for row in rows))
         paths = dict(world=world, dataset=dataset, out=out, nan_dataset=nan_dataset, inf_world=inf_world, latin1_map=latin1_map)
+        ap_header = root / "ap_header.csv"
+        ap_header.write_text(dataset.read_text().replace("02:00:00:00:00:01", "AP1", 1))
         paths.update(latin1_world=latin1_world, latin1_dataset=latin1_dataset, null_arch_model=null_arch_model, model=model, **huge)
+        paths.update(ap_header=ap_header)
         argv = [a.format(**paths) for a in args]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -497,7 +515,7 @@ class TestConfigFile:
         config.write_text("# training setup\nepochs = 10\nseed = 5\nthreshold = 0.24\n")
         out = tmp_path / "m.bin"
         assert main(["train", str(dataset), "-o", str(out), "--config", str(config), "--epochs", "12"]) == 0
-        report = list(csv.reader((tmp_path / "m.bin.report.csv").open()))
+        report = list(csv.reader((tmp_path / "m.bin.report.csv").read_text().splitlines()))
         assert len(report) - 1 == 12  # the flag beat the config file
 
     def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):

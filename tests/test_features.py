@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from rssinav.features import (
     DegenerateCoordinates,
     EmptyDataset,
-    LengthMismatch,
     NormalizationParams,
+    ShapeMismatch,
     TooFewSamples,
     check_ranges,
     columns_with_presence,
@@ -50,7 +50,7 @@ class TestPearson:
         assert pearson([5, 5, 5], [1, 2, 3]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch):
             pearson([1, 2], [1, 2, 3])
 
     def test_too_few_samples(self):

@@ -1,6 +1,6 @@
 """The file layer: library writers leave an existing file untouched when they
-fail, decode errors name the file, and no module but ``fileio`` opens files
-or renames temp files into place.  Beside it, a structure test keeps the one
+fail, decode errors name the file, a leading byte-order mark is dropped, and
+no module but ``fileio`` opens files or renames temp files into place.  Beside it, a structure test keeps the one
 error path: the library raises no bare ValueError or TypeError."""
 
 import ast
@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import rssinav
-from rssinav import rfsim, scan_ingest
+from rssinav import cli, rfsim, scan_ingest
 from rssinav.errors import ToolkitError
 from rssinav.features import FeatureSelection
 from rssinav.fileio import read_text, write_rows
 from rssinav.model import save_model
-from rssinav.rfsim import load_world, reference_world, save_world
-from rssinav.scan_ingest import FingerprintDataset, SchemaMismatch, read_csv, write_csv
+from rssinav.rfsim import load_world, reference_world, render_scan_text, save_world, simulate_scan
+from rssinav.scan_ingest import FingerprintDataset, SchemaMismatch, parse_scan_text, read_csv, read_scan_directory, write_csv
 
 from test_model import small_bundle
 
@@ -96,16 +96,69 @@ class TestDecodeErrorsNameTheFile:
             else:
                 load_world(path)
 
-    def test_dataset(self, tmp_path):
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_dataset(self, tmp_path, as_file):
         path = tmp_path / "data.csv"
         path.write_bytes(b"AA:00:00:00:00:01,x,y\n-50,3,\xe97\n")
         with pytest.raises(SchemaMismatch, match=re.escape(f"dataset {path} is not UTF-8 text")):
-            read_csv(path)
+            if as_file:
+                with open(path, encoding="utf-8", newline="") as fh:
+                    read_csv(fh)
+            else:
+                read_csv(path)
 
     def test_line_endings_are_kept(self, tmp_path):
         path = tmp_path / "text"
         path.write_bytes(b"a\r\nb\rc\n")
         assert read_text(path, ToolkitError, "text") == "a\r\nb\rc\n"
+
+
+BOM = "\ufeff".encode()
+
+
+class TestALeadingByteOrderMarkIsDropped:
+    """Editors on some systems start UTF-8 text with U+FEFF; read as text, it
+    would hide the first scan cell, rename the first dataset column or break
+    the world header."""
+
+    def test_capture_keeps_its_first_cell(self, tmp_path):
+        text = render_scan_text(simulate_scan(reference_world(), (0.5, 0.5), draw_index=0))
+        (tmp_path / "0.5_0.5_0.txt").write_bytes(BOM + text.encode())
+        snapshots, errors = read_scan_directory(tmp_path)
+        assert errors == [] and len(snapshots[0].entries) == 6
+        assert list(snapshots[0].entries) == parse_scan_text(text)
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_dataset_csv(self, tmp_path, ref_dataset, as_file):
+        path = tmp_path / "data.csv"
+        write_csv(ref_dataset, path)
+        path.write_bytes(BOM + path.read_bytes())
+        if as_file:
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert read_csv(fh) == ref_dataset
+        else:
+            assert read_csv(path) == ref_dataset
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_world_file(self, tmp_path, as_file):
+        path = tmp_path / "world.txt"
+        save_world(reference_world(), path)
+        path.write_bytes(BOM + path.read_bytes())
+        if as_file:
+            with open(path, encoding="utf-8") as fh:
+                assert load_world(fh) == reference_world()
+        else:
+            assert load_world(path) == reference_world()
+
+    def test_config_file(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(BOM + b"epochs = 3\n")
+        assert cli._parse_config_file(str(path)) == {"epochs": 3}
+
+    def test_only_one_is_dropped(self, tmp_path):
+        path = tmp_path / "text"
+        path.write_bytes(BOM + BOM + b"a")
+        assert read_text(path, ToolkitError, "text") == "\ufeffa"
 
 
 _PATH_IO = ("read_text", "read_bytes", "write_text", "write_bytes")

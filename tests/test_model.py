@@ -15,7 +15,7 @@ from rssinav.model import (
     CorruptFile,
     DenseLayer,
     DivergenceDetected,
-    EmptyBatch,
+    EmptyDataset,
     MlpRegressor,
     ModelBundle,
     NoKnownAccessPoints,
@@ -336,7 +336,7 @@ class TestMaeLoss:
             mae_loss([[1, 2]], [[1, 2], [3, 4]])
 
     def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(EmptyDataset, match="loss over an empty batch"):
             mae_loss(np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_non_negative_and_zero_on_self(self):

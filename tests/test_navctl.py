@@ -28,7 +28,7 @@ L_PLAN = (
 
 
 def make_state(plan=L_PLAN, **config_kwargs):
-    return NavState.initial(plan, NavConfig(**config_kwargs), DrivetrainCalibration(veer_bias=0.0, turn_speed=1.0, turn_90_duration=1.0))
+    return NavState.initial(plan, NavConfig(**config_kwargs), DrivetrainCalibration(veer_bias=0.0, turn_90_duration=1.0))
 
 
 class TestCommands:
@@ -46,26 +46,26 @@ class TestCommands:
         assert cmd.duration == 2.5
 
     def test_right_turn_pivots_on_right_wheel(self):
-        cal = DrivetrainCalibration(turn_speed=0.8, turn_90_duration=1.3)
-        assert turn_command("right", cal) == DriveCommand(0.8, 0.0, 1.3, "turn_right_90")
+        cal = DrivetrainCalibration(turn_90_duration=1.3)
+        assert turn_command("right", cal) == DriveCommand(1.0, 0.0, 1.3, "turn_right_90")
 
     def test_left_turn_mirrors(self):
-        cal = DrivetrainCalibration(turn_speed=0.8, turn_90_duration=1.3)
-        assert turn_command("left", cal) == DriveCommand(0.0, 0.8, 1.3, "turn_left_90")
+        cal = DrivetrainCalibration(turn_90_duration=1.3)
+        assert turn_command("left", cal) == DriveCommand(0.0, 1.0, 1.3, "turn_left_90")
 
     def test_equal_settings_of_another_type_keep_their_own_commands(self, tmp_path):
         # NavConfig(step_distance=2) == NavConfig(step_distance=2.0), yet the command log prints 2 and 2.0
         lines = []
-        for distance, turn_speed in [(2, 1), (2.0, 1.0), (2, 1), (2.0, 1.0)]:
-            state = NavState.initial(L_PLAN, NavConfig(step_distance=distance), DrivetrainCalibration(turn_speed=turn_speed))
+        for distance in [2, 2.0, 2, 2.0]:
+            state = NavState.initial(L_PLAN, NavConfig(step_distance=distance), DrivetrainCalibration())
             state, forward = nav_step(state, (0.5, 0.5))
             _, turn = nav_step(state, (2.5, 0.5))
             assert forward is forward_command(state.config, state.calibration)  # built once, then shared
-            assert (repr(forward.duration), repr(turn.left_speed)) == (repr(distance), repr(turn_speed))
+            assert (repr(forward.duration), repr(turn.left_speed)) == (repr(distance), "1.0")
             commands, _ = _trial_logs(SimpleNamespace(events=[("command", 5.0, forward), ("command", 7.0, turn)]))
             write_rows(tmp_path / "commands.csv", ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
             lines.append((tmp_path / "commands.csv").read_text().splitlines()[1:])
-        assert lines[0] == lines[2] == ["5.0,1.0,1.0,2,forward", "7.0,1,0.0,1.0,turn_right_90"]
+        assert lines[0] == lines[2] == ["5.0,1.0,1.0,2,forward", "7.0,1.0,0.0,1.0,turn_right_90"]
         assert lines[1] == lines[3] == ["5.0,1.0,1.0,2.0,forward", "7.0,1.0,0.0,1.0,turn_right_90"]
 
 
@@ -152,7 +152,6 @@ class TestParameterBounds:
             (NavConfig, dict(step_distance=math.nan), "step_distance must be positive and finite"),
             (NavConfig, dict(checkpoint_radius=math.nan), "checkpoint_radius must be positive and finite"),
             (NavConfig, dict(max_consecutive_misses=-1), "max_consecutive_misses must be >= 0"),
-            (DrivetrainCalibration, dict(turn_speed=math.inf), "turn_speed must be positive and finite"),
             (DrivetrainCalibration, dict(turn_90_duration=math.nan), "turn_90_duration must be positive and finite"),
             (DrivetrainCalibration, dict(veer_bias=math.inf), "veer_bias must be finite"),
             (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=math.inf), "duration must be in"),
@@ -184,7 +183,7 @@ class TestParameterBounds:
 def run_ideal(plan, start, heading, config=None, max_steps=500):
     """Oracle executor: exact fixes, exact kinematics (unit gains)."""
     config = config or NavConfig()
-    state = NavState.initial(plan, config, DrivetrainCalibration(veer_bias=0.0, turn_speed=1.0, turn_90_duration=1.0))
+    state = NavState.initial(plan, config, DrivetrainCalibration(veer_bias=0.0, turn_90_duration=1.0))
     x, y = start
     commands = []
     for _ in range(max_steps):

@@ -413,9 +413,11 @@ class TestSyntheticDataset:
 
     def test_rows_are_per_ap_medians_of_the_draws(self):
         world = open_world([AccessPointSim(MAC, "Net", (2.0, 2.0), noise_sigma=4.0)], size=3, seed=5)
-        ds = generate_synthetic_dataset(world, cells=[(1, 1)], resamples=3)
-        draws = [simulate_scan(world, (1.5, 1.5), draw_index=j).rssi_by_mac()[MAC] for j in range(3)]
-        assert ds.rssi[0, 0] == sorted(draws)[1]
+        ds = generate_synthetic_dataset(world, resamples=3)
+        # cell (1, 1) is row 4 of the 3x3 grid, so its draws are 12-14
+        draws = [simulate_scan(world, (1.5, 1.5), draw_index=j).rssi_by_mac()[MAC] for j in range(12, 15)]
+        assert (ds.x[4], ds.y[4]) == (1.5, 1.5)
+        assert ds.rssi[4, 0] == sorted(draws)[1]
 
     def test_labels_are_cell_centers_row_major(self):
         world = open_world([AccessPointSim(MAC, "Net", (1.0, 1.0), noise_sigma=0.0)], size=2)

@@ -11,11 +11,10 @@ from rssinav.scan_ingest import (
     RSSI_FLOOR,
     BadSignalUnit,
     DuplicateMac,
-    EmptyInput,
+    EmptyDataset,
     FingerprintDataset,
     MalformedCell,
     MixedLocations,
-    RaggedRow,
     ScanEntry,
     ScanSnapshot,
     SchemaMismatch,
@@ -210,7 +209,7 @@ class TestAggregate:
             aggregate_resamples([snap([(MAC_A, -60)], (0, 0)), snap([(MAC_A, -61)], (1, 0))])
 
     def test_empty_input_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EmptyDataset):
             aggregate_resamples([])
 
 
@@ -283,12 +282,25 @@ class TestCsv:
         assert ds.rssi[0].tolist() == [-50.0, 0.0]
         assert (ds.x[0], ds.y[0]) == (3.0, 7.0)
 
+    def test_mac_columns_are_upper_cased(self):
+        ds = read_csv(io.StringIO("aa:00:00:00:00:01,Aa:00:00:00:00:02,x,y\n-50,0,3,7\n"))
+        assert ds.ap_columns == (MAC_A, MAC_B)
+
+    @pytest.mark.parametrize("cell", ["AP1", "", "AA:00:00:00:00", " AA:00:00:00:00:02", "\ufeffAA:00:00:00:00:02", "x", MAC_B + "\n"])
+    def test_column_that_is_not_a_mac_rejected(self, cell):
+        with pytest.raises(SchemaMismatch, match=f"^header column 2: {re.escape(repr(cell))} is not a MAC address$"):
+            read_csv(io.StringIO(f'{MAC_A},"{cell}",x,y\n-50,0,3,7\n'))
+
+    def test_columns_equal_once_upper_cased_rejected(self):
+        with pytest.raises(SchemaMismatch, match="^duplicate MAC columns in header$"):
+            read_csv(io.StringIO("aa:00:00:00:00:01,AA:00:00:00:00:01,x,y\n-50,0,3,7\n"))
+
     def test_header_without_y_rejected(self):
         with pytest.raises(SchemaMismatch):
             read_csv(io.StringIO("AA:00:00:00:00:01,x\n-50,3\n"))
 
     def test_ragged_row_rejected(self):
-        with pytest.raises(RaggedRow):
+        with pytest.raises(SchemaMismatch, match="^line 2: expected 3 cells, got 2$"):
             read_csv(io.StringIO("AA:00:00:00:00:01,x,y\n-50,3\n"))
 
     def test_non_numeric_cell_rejected(self):
