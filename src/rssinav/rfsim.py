@@ -25,13 +25,14 @@ import numpy as np
 from .errors import InvalidParameter, OutOfBounds, ToolkitError, check_seed, require_positive
 from .fileio import finite_floats, format_number, open_sink, read_text
 from .model import ModelBundle, _predict_vector, predict_position
-from .navctl import DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
+from .navctl import MAX_DURATION, DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
 from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkpoints, first_segment_heading
 from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, parse_scan_text
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
 _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duration), bit for bit: -0.0 is not 0.0
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
+_WALK_BATCH = 4096  # substeps a trial holds before it checks them for walkable cells: one check per reference trial
 _SEED_MASK = (1 << 63) - 1
 
 
@@ -317,14 +318,20 @@ def run_trial(
     Each iteration produces a fix (the model's estimate from a scan simulated
     at the true pose, or the true position when ``oracle``, which simulates
     no scan), feeds it to the navigation state machine and integrates the
-    emitted command in substeps of at most 0.01 s with ``_command_poses``,
-    checking them all for walkable cells at once.  The trial ends on Done,
+    emitted command in substeps of at most 0.01 s with ``_command_poses``.
+    Nothing the robot does depends on whether its substeps stay on walkable
+    cells, so they are checked in batches (``_all_walkable``): at the end of
+    the trial, or once ``_WALK_BATCH`` substeps are pending, until a check
+    fails; the answer is the per-command one.  The trial ends on Done,
     Aborted, or after ``_MAX_FIXES`` fixes.  Success means Done with the true
     position within ``success_radius`` ft of the goal center and no substep
     off walkable cells; ``success_radius`` and ``scan_period`` must be finite
-    and positive, and an empty path raises EmptyPath.
+    and positive, and small enough that the trial clock stays finite; an
+    empty path raises EmptyPath.
     """
     require_positive(success_radius=success_radius, scan_period=scan_period)
+    if not math.isfinite(_MAX_FIXES * (scan_period + MAX_DURATION)):
+        raise InvalidParameter(f"scan_period {scan_period} s overflows the clock of a {_MAX_FIXES}-fix trial")
     if bundle is None and not oracle:
         raise InvalidParameter("a model bundle is required unless oracle localization is enabled")
     config = nav_config or NavConfig()
@@ -333,7 +340,6 @@ def run_trial(
     state = NavState.initial(checkpoints, config, cal, world.grid.cell_size)
 
     grid = world.grid
-    limits = np.array([[grid.width], [grid.height]])
     sx, sy = grid.cell_center(path.cells[0])
     gx, gy = grid.cell_center(path.cells[-1])
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
@@ -350,6 +356,7 @@ def run_trial(
     events = []
     x, y, theta = robot.pose
     on_walkable = True
+    pending, held = [], 0  # the x/y rows of the commands not checked yet, and their substeps
     clock = 0.0
     reason = "fix_budget"
     for draw_index in range(_MAX_FIXES):
@@ -371,18 +378,30 @@ def run_trial(
             events.append(("command", clock, command))
             poses = _command_poses(robot, command, (x, y, theta))
             x, y, theta = poses[:, -1].tolist()
-            cells = np.floor(poses[:2] / grid.cell_size)
-            if not (((cells >= 0) & (cells < limits)).all() and grid.walkable[cells[1].astype(int), cells[0].astype(int)].all()):
-                on_walkable = False
+            if on_walkable:
+                pending.append(poses[:2])
+                held += poses.shape[1]
+                if held >= _WALK_BATCH:
+                    on_walkable = _all_walkable(grid, pending)
+                    pending, held = [], 0
             clock += command.duration
         if state.mode in (Mode.DONE, Mode.ABORTED):
             reason = state.mode.value
             break
+    if on_walkable and pending:
+        on_walkable = _all_walkable(grid, pending)
     final_error = math.hypot(x - gx, y - gy)
     if not on_walkable:
         reason += "+left_walkable"
     success = reason == "done" and final_error <= success_radius
     return TrialResult(success, final_error, robot, events, reason, success_radius, seed)
+
+
+def _all_walkable(grid: GridMap, rows: list) -> bool:
+    """Whether every column of the x/y ``rows`` lies on a walkable cell; a failed bounds test skips
+    the lookup of the whole batch."""
+    cells = np.floor(np.concatenate(rows, axis=1) / grid.cell_size)
+    return bool(((cells >= 0) & (cells < ((grid.width,), (grid.height,)))).all() and grid.walkable[cells[1].astype(int), cells[0].astype(int)].all())
 
 
 def corner_success_rate(

@@ -331,6 +331,8 @@ class TestValidationErrors:
             (["simulate", "{world}", "--oracle", "--success-radius", "nan", "-o", "{out}"], "success_radius must be positive"),
             (["simulate", "{world}", "--oracle", "--checkpoint-radius", "nan", "-o", "{out}"], "checkpoint_radius must be positive"),
             (["navigate", "{world}", "--oracle", "--scan-period", "nan", "--out-prefix", "{out}"], "scan_period must be positive"),
+            # finite, but the trial clock would overflow to inf
+            (["navigate", "{world}", "--oracle", "--scan-period", "1e308", "--out-prefix", "{out}"], "scan_period 1e+308 s overflows the clock"),
             (["navigate", "{world}", "--oracle", "--max-misses", "-1", "--out-prefix", "{out}"], "max_consecutive_misses must be"),
             (["plan", "{latin1_map}", "--start", "0,0", "--goal", "1,0", "-o", "{out}"], "map file {latin1_map} is not UTF-8"),
             (["simulate", "{latin1_world}", "--oracle", "-o", "{out}"], "world file {latin1_world} is not UTF-8"),

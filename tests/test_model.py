@@ -449,6 +449,7 @@ class TestTrain:
             (dict(validation_split=False), "validation_split must be in [0, 1), got False"),
             (dict(validation_split=1.0), "validation_split must be in [0, 1), got 1.0"),
         ],
+        ids=["learning_rate-True", "validation_split-False", "validation_split-1.0"],
     )
     def test_rate_and_split_refuse_a_bool_and_name_the_value(self, kwargs, message):
         with pytest.raises(InvalidParameter, match=re.escape(message)):

@@ -163,6 +163,11 @@ class TestParameterBounds:
             (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=1e15), "duration must be in"),
             (DriveCommand, dict(left_speed=1.0, right_speed=1.0, duration=-0.5), "duration must be in"),
         ],
+        ids=[
+            "step_distance-inf", "step_distance-nan", "checkpoint_radius-nan", "max_consecutive_misses-negative",
+            "turn_90_duration-nan", "veer_bias-inf", "duration-inf", "duration-nan", "duration-3600.5",
+            "duration-next-above-3600", "duration-2e14", "duration-1e15", "duration-negative",
+        ],
     )
     def test_invalid_parameters_rejected(self, make, kwargs, message):
         with pytest.raises(ValueError, match=message):

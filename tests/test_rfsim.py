@@ -5,6 +5,7 @@ import pickle
 import re
 import signal
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -208,7 +209,9 @@ class TestRobotKinematics:
         assert side * delta > 0.0  # a left turn is counterclockwise
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(wheel_base=math.nan), dict(wheel_base=0.0), dict(left_scale=math.nan), dict(right_scale=math.inf), dict(left_scale=-1.0)]
+        "kwargs",
+        [dict(wheel_base=math.nan), dict(wheel_base=0.0), dict(left_scale=math.nan), dict(right_scale=math.inf), dict(left_scale=-1.0)],
+        ids=["wheel_base-nan", "wheel_base-zero", "left_scale-nan", "right_scale-inf", "left_scale-negative"],
     )
     def test_drivetrain_must_be_positive_and_finite(self, kwargs):
         ((name, value),) = kwargs.items()
@@ -468,10 +471,13 @@ class TestTrials:
             (dict(success_radius=0.0), "success_radius must be positive and finite"),
             (dict(scan_period=math.inf), "scan_period must be positive and finite"),
             (dict(scan_period=math.nan), "scan_period must be positive and finite"),
+            # finite, but 500 fixes of it overflow the trial clock
+            (dict(scan_period=1e308), "scan_period 1e+308 s overflows the clock of a 500-fix trial"),
         ],
+        ids=["success_radius-nan", "success_radius-zero", "scan_period-inf", "scan_period-nan", "scan_period-1e308"],
     )
     def test_invalid_trial_parameters_rejected(self, ref_world, kwargs, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_trial(ref_world, None, astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL), oracle=True, **kwargs)
 
     def test_huge_wheel_base_turn_is_rejected(self, ref_world):
@@ -770,6 +776,100 @@ class TestDirectScanPath:
         assert result == expected and repr(result) == repr(expected)  # repr tells -0.0 from 0.0
         if len(foreign) == 6:
             assert {kind for kind, _, _ in result.events} == {"nofix"} and result.reason == "aborted"
+
+
+def veered(robot, veer):
+    """The robot's calibration with ``veer`` added to its veer bias: forward steps curve left when positive."""
+    cal = default_calibration(robot)
+    return replace(cal, veer_bias=cal.veer_bias + veer)
+
+
+class TestBatchedWalkableCheck:
+    """run_trial checks the substeps for walkable cells in batches of up to _WALK_BATCH; every trial must be
+    the per-command check's, field for field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        floor=st.booleans(),  # an open 40 x 7 floor of 10 ft cells, or the reference world
+        oracle=st.booleans(),
+        seed=st.integers(0, 2**32),
+        # 3,001-6,001 substeps a step cross a batch at every step or every other; 501-3,001 fill one over several
+        step=st.floats(30.0, 60.0) | st.floats(5.0, 30.0) | st.floats(0.5, 3.0),
+        radius=st.floats(0.5, 0.8),  # times the step
+        veer=st.none() | st.floats(-1e-3, 1e-3),
+        goal=st.integers(3, 39),
+        pillar=st.none() | st.floats(0.0, 1.0),
+    )
+    def test_trials_match_the_per_command_check(self, ref_world, trained, floor, oracle, seed, step, radius, veer, goal, pillar):
+        world = replace(ref_world, grid=GridMap(40, 7, 10.0)) if floor else ref_world
+        path = astar(world.grid, (0, 3), (goal, 3)) if floor else astar(world.grid, REFERENCE_START, REFERENCE_GOAL)
+        kwargs = dict(
+            nav_config=NavConfig(step_distance=step, checkpoint_radius=radius * step),
+            seed=seed,
+            oracle=oracle,
+            calibration=None if veer is None else veered(world.robot, veer),
+        )
+        bundle = None if oracle else trained[0]
+        if pillar is not None:
+            # the robot steers by fixes alone, so it drives the same substeps with the cell of the
+            # ``pillar`` fraction of them blocked, and crosses that cell in a command of any batch
+            poses = run_trial(world, bundle, path, **kwargs).trajectory
+            cell = cell_of(world.grid, *poses[round(pillar * (len(poses) - 1))][:2])
+            if world.grid.in_bounds(cell):
+                walkable = world.grid.walkable.copy()
+                walkable[cell[1], cell[0]] = False
+                world = replace(world, grid=replace(world.grid, walkable=walkable))
+        result, expected = run_trial(world, bundle, path, **kwargs), reference_run_trial(world, bundle, path, **kwargs)
+        assert result == expected and repr(result) == repr(expected)  # repr tells -0.0 from 0.0
+
+    # 35 ft steps, 3,501 poses each, so batches hold commands 1-2, 3-4 and 5-6, and what is left
+    # when the trial ends.  Veering north, the robot crosses the open north row at cells 14-21
+    # (commands 5 and 6) on its way to cell (20, 1), or at 21-24 (command 7) on to (24, 1).
+    @pytest.mark.parametrize(
+        "goal, veer, pillar, reason",
+        [
+            (20, 0.0, None, "done"),
+            (20, 2e-4, None, "done"),  # off the corridor, but on walkable cells
+            (20, 2e-4, 15, "done+left_walkable"),  # crossed in a batch's first command only
+            (24, 2e-4, 22, "done+left_walkable"),  # crossed in the batch checked at the trial's end only
+            (24, 2.4e-4, None, "left_map+left_walkable"),
+        ],
+    )
+    def test_long_veering_steps_across_batches(self, ref_world, goal, veer, pillar, reason):
+        north = ["."] * 40
+        if pillar is not None:
+            north[pillar] = "#"
+        world = replace(ref_world, grid=GridMap.from_text("40 3 10\n" + "\n".join(["#" * 40, "." * 40, "".join(north)]) + "\n"))
+        path = astar(world.grid, (0, 1), (goal, 1))
+        kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), oracle=True, calibration=veered(world.robot, veer))
+        result = run_trial(world, None, path, **kwargs)
+        assert result == reference_run_trial(world, None, path, **kwargs)
+        assert result.reason == reason
+        if pillar is not None:
+            assert (pillar, 2) in {cell_of(world.grid, x, y) for x, y, _ in result.trajectory}
+
+    def test_memory_does_not_grow_with_hour_long_commands(self):
+        # forward steps of MAX_DURATION, 360,001 poses each, one per 3,600 ft cell: each step fills a
+        # batch, which is checked and dropped, so the peak is one step's integration beside the last
+        # step's poses however many steps the trial drives; unchecked batches would add a step's each
+        peaks = {}
+        for steps in (2, 6):
+            grid = GridMap(steps + 1, 1, 3600.0)
+            world = SimWorld(grid, (AccessPointSim(MAC, "Net", (1800.0, 1800.0)),), SimRobot(wheel_base=0.4))
+            path = astar(grid, (0, 0), (steps, 0))
+            config = NavConfig(step_distance=MAX_DURATION, checkpoint_radius=1000.0)
+            run_trial(world, None, path, config, oracle=True)  # fills the substep-length memo outside the trace
+            tracemalloc.start()
+            try:
+                result = run_trial(world, None, path, config, oracle=True)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.reason == "done"
+            assert [c.reason for kind, _, c in result.events if kind == "command"] == ["forward"] * steps + ["stop"]
+        poses = 3 * 360_001 * 8  # bytes of one command's poses
+        assert peaks[6] < peaks[2] + poses / 10
+        assert peaks[6] < 4 * poses
 
 
 def cell_of(grid, x, y):
