@@ -206,8 +206,8 @@ def fit_normalizer(train: FingerprintDataset) -> NormalizationParams:
     """Fit per-column RSSI min/max and the shared coordinate scale on training rows only."""
     if train.n_rows == 0:
         raise EmptyDataset("cannot fit a normalizer on an empty dataset")
-    fmin = train.rssi.min(axis=0) if train.rssi.size else np.zeros(len(train.ap_columns))
-    fmax = train.rssi.max(axis=0) if train.rssi.size else np.zeros(len(train.ap_columns))
+    fmin = train.rssi.min(axis=0)
+    fmax = train.rssi.max(axis=0)
     ox = float(train.x.min())
     oy = float(train.y.min())
     extent = max(float(train.x.max()) - ox, float(train.y.max()) - oy)

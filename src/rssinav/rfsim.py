@@ -19,6 +19,7 @@ import signal
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -165,7 +166,6 @@ def _wrap_heading(sin_theta: float, cos_theta: float) -> float:
     return math.pi if theta <= -math.pi else theta
 
 
-@lru_cache(maxsize=8)  # run_trial asks once per trial for the same frozen robot
 def default_calibration(robot: SimRobot) -> DrivetrainCalibration:
     """Calibration a bench procedure would produce for this drivetrain.
 
@@ -236,14 +236,16 @@ class TrialResult:
     seed: int = 0
 
     @property
-    def trajectory(self) -> list[tuple[float, float, float]]:
-        """(x, y, heading): the start pose, then the pose after every integration
-        substep, replayed from the command events through ``_command_poses``."""
-        poses = [self.robot.pose]
+    def trajectory(self) -> Iterator[tuple[float, float, float]]:
+        """(x, y, heading): the start pose, then the pose after every integration substep, replayed
+        from the command events through ``_command_poses`` and yielded a command at a time."""
+        pose = self.robot.pose
+        yield pose
         for kind, _, command in self.events:
             if kind == "command":
-                poses.extend(zip(*_command_poses(self.robot, command, poses[-1])[:, 1:].tolist()))
-        return poses
+                poses = _command_poses(self.robot, command, pose)
+                yield from zip(*poses[:, 1:].tolist())
+                pose = tuple(poses[:, -1].tolist())
 
 
 @lru_cache(maxsize=8)
@@ -282,34 +284,21 @@ def _increments(key: bytes) -> np.ndarray:
 
 def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
     """Rows x, y, heading: ``pose``, then the pose after each substep of ``command``.
-    One ``np.add.accumulate`` along a copy of the ``_increments`` rows from (x0, y0)
-    adds in the order of a per-substep loop ``x += dx``, bit for bit; since y - a ==
-    y + (-a), a turn's y row is the loop's ``y -= radius * (...)`` too."""
-    memo = _increments if command.duration <= 10 else _increments.__wrapped__  # a longer one is not kept
-    poses = memo(_POSE_KEY.pack(*_body_rates(robot, command), pose[2], command.duration)).copy()
+    One ``np.add.accumulate`` from (x0, y0) along a copy of the memo's ``_increments``
+    rows, or along the fresh rows of a command too long to keep, adds in the order of a
+    per-substep loop ``x += dx``, bit for bit; since y - a == y + (-a), a turn's y row is
+    the loop's ``y -= radius * (...)`` too."""
+    key = _POSE_KEY.pack(*_body_rates(robot, command), pose[2], command.duration)
+    poses = _increments(key).copy() if command.duration <= 10 else _increments.__wrapped__(key)  # a longer one is not kept
+    poses.flags.writeable = True  # a copy, or fresh rows that own their data and that no one else holds
     poses[:2, 0] = pose[:2]
     np.add.accumulate(poses[:2], axis=1, out=poses[:2])
     return poses
 
 
-@lru_cache(maxsize=8)
-def _route(path: PlannedPath) -> tuple:
-    """The path's first-segment heading and its checkpoints from it, once per frozen path."""
-    heading = first_segment_heading(path)
-    return heading, extract_checkpoints(path, heading)
-
-
 def run_trial(
-    world: SimWorld,
-    bundle: ModelBundle | None,
-    path: PlannedPath,
-    nav_config: NavConfig | None = None,
-    success_radius: float = 2.0,
-    seed: int = 0,
-    *,
-    oracle: bool = False,
-    calibration: DrivetrainCalibration | None = None,
-    scan_period: float = 2.0,
+    world: SimWorld, bundle: ModelBundle | None, path: PlannedPath, nav_config: NavConfig | None = None, success_radius: float = 2.0,
+    seed: int = 0, *, oracle: bool = False, calibration: DrivetrainCalibration | None = None, scan_period: float = 2.0,
 ) -> TrialResult:
     """One closed-loop navigation trial on a planned path: scan, predict, step, drive.
 
@@ -329,23 +318,29 @@ def run_trial(
     and positive, and small enough that the trial clock stays finite; an
     empty path raises EmptyPath.
     """
+    return _trials(world, bundle, path, nav_config, success_radius, oracle=oracle, calibration=calibration, scan_period=scan_period)(seed)
+
+
+def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=False, calibration=None, scan_period=2.0):
+    """``run_trial`` as a function of the seed: the checks and everything a run's trials share, derived once."""
     require_positive(success_radius=success_radius, scan_period=scan_period)
     if not math.isfinite(_MAX_FIXES * (scan_period + MAX_DURATION)):
         raise InvalidParameter(f"scan_period {scan_period} s overflows the clock of a {_MAX_FIXES}-fix trial")
     if bundle is None and not oracle:
         raise InvalidParameter("a model bundle is required unless oracle localization is enabled")
     config = nav_config or NavConfig()
-    heading, checkpoints = _route(path)
+    heading = first_segment_heading(path)
+    checkpoints = extract_checkpoints(path, heading)
     cal = calibration or default_calibration(world.robot)
-    state = NavState.initial(checkpoints, config, cal, world.grid.cell_size)
+    start = NavState.initial(checkpoints, config, cal, world.grid.cell_size)
 
     grid = world.grid
     sx, sy = grid.cell_center(path.cells[0])
     gx, gy = grid.cell_center(path.cells[-1])
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
 
-    # The kept columns as indices into world.aps (None: not in this world), found once.
-    # Each fix feeds _scan_levels straight to _predict_vector without the ScanEntry and
+    # The kept columns as indices into world.aps (None: not in this world).  Each fix
+    # feeds _scan_levels straight to _predict_vector without the ScanEntry and
     # ScanSnapshot checks, which hold already: AccessPointSim checks its MAC, SimWorld
     # refuses duplicate MACs and _scan_levels clamps each level to [RSSI_FLOOR, 0].  With
     # no kept column in the world every fix is a "nofix", as predict_position refuses it.
@@ -353,48 +348,52 @@ def run_trial(
     columns = [] if oracle else [index.get(mac) for mac in bundle.selection.kept_columns]
     known = any(i is not None for i in columns)
 
-    events = []
-    x, y, theta = robot.pose
-    on_walkable = True
-    pending, held = [], 0  # the x/y rows of the commands not checked yet, and their substeps
-    clock = 0.0
-    reason = "fix_budget"
-    for draw_index in range(_MAX_FIXES):
-        if not grid.contains_point(x, y):
-            on_walkable = False
-            reason = "left_map"
-            break
-        clock += scan_period
-        if oracle:
-            fix = (x, y)
-        elif known:
-            levels = _scan_levels(world, x, y, draw_index, seed)
-            fix = _predict_vector(bundle, np.array([MISSING_RSSI if i is None else float(levels[i]) for i in columns]))
-        else:
-            fix = None
-        events.append(("fix" if fix is not None else "nofix", clock, ((x, y), fix)))
-        state, command = nav_step(state, fix)
-        if command is not None:
-            events.append(("command", clock, command))
-            poses = _command_poses(robot, command, (x, y, theta))
-            x, y, theta = poses[:, -1].tolist()
-            if on_walkable:
-                pending.append(poses[:2])
-                held += poses.shape[1]
-                if held >= _WALK_BATCH:
-                    on_walkable = _all_walkable(grid, pending)
-                    pending, held = [], 0
-            clock += command.duration
-        if state.mode in (Mode.DONE, Mode.ABORTED):
-            reason = state.mode.value
-            break
-    if on_walkable and pending:
-        on_walkable = _all_walkable(grid, pending)
-    final_error = math.hypot(x - gx, y - gy)
-    if not on_walkable:
-        reason += "+left_walkable"
-    success = reason == "done" and final_error <= success_radius
-    return TrialResult(success, final_error, robot, events, reason, success_radius, seed)
+    def trial(seed: int) -> TrialResult:
+        state = start
+        events = []
+        x, y, theta = robot.pose
+        on_walkable = True
+        pending, held = [], 0  # the x/y rows of the commands not checked yet, and their substeps
+        clock = 0.0
+        reason = "fix_budget"
+        for draw_index in range(_MAX_FIXES):
+            if not grid.contains_point(x, y):
+                on_walkable = False
+                reason = "left_map"
+                break
+            clock += scan_period
+            if oracle:
+                fix = (x, y)
+            elif known:
+                levels = _scan_levels(world, x, y, draw_index, seed)
+                fix = _predict_vector(bundle, np.array([MISSING_RSSI if i is None else float(levels[i]) for i in columns]))
+            else:
+                fix = None
+            events.append(("fix" if fix is not None else "nofix", clock, ((x, y), fix)))
+            state, command = nav_step(state, fix)
+            if command is not None:
+                events.append(("command", clock, command))
+                poses = _command_poses(robot, command, (x, y, theta))
+                x, y, theta = poses[:, -1].tolist()
+                if on_walkable:
+                    pending.append(poses[:2])
+                    held += poses.shape[1]
+                    if held >= _WALK_BATCH:
+                        on_walkable = _all_walkable(grid, pending)
+                        pending, held = [], 0
+                clock += command.duration
+            if state.mode in (Mode.DONE, Mode.ABORTED):
+                reason = state.mode.value
+                break
+        if on_walkable and pending:
+            on_walkable = _all_walkable(grid, pending)
+        final_error = math.hypot(x - gx, y - gy)
+        if not on_walkable:
+            reason += "+left_walkable"
+        success = reason == "done" and final_error <= success_radius
+        return TrialResult(success, final_error, robot, events, reason, success_radius, seed)
+
+    return trial
 
 
 def _all_walkable(grid: GridMap, rows: list) -> bool:
@@ -415,9 +414,9 @@ def corner_success_rate(
 ) -> tuple[float, list[TrialResult]]:
     """Success fraction over seeded trials on one route, planned once with A*.
 
-    Every trial drives that one path from its first cell, so all share their commands and substep
-    increments; they use seeds base_seed .. base_seed + trials - 1, and the default route is the
-    reference world's corner run.  Trials go by ticket to the CPUs in the affinity mask, trial 0 to
+    Every trial drives that one path from its first cell, so all share the run's derived start
+    (``_trials``), commands and substep increments; they use seeds base_seed .. base_seed + trials - 1,
+    and the default route is the reference world's corner run.  Trials go by ticket to the CPUs in the affinity mask, trial 0 to
     this process (``_map_trials``); the results and every output are a serial run's, byte for byte.
     """
     if trials < 1:
@@ -425,7 +424,8 @@ def corner_success_rate(
     start = REFERENCE_START if start is None else start
     goal = REFERENCE_GOAL if goal is None else goal
     path = astar(world.grid, start, goal)
-    results = _map_trials(lambda i: run_trial(world, bundle, path, seed=base_seed + i, **trial_kwargs), trials)
+    trial = _trials(world, bundle, path, **trial_kwargs)
+    results = _map_trials(lambda i: trial(base_seed + i), trials)
     rate = sum(r.success for r in results) / trials
     return rate, results
 

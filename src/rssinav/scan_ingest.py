@@ -122,8 +122,6 @@ class FingerprintDataset:
         xs = np.asarray(self.x, dtype=float).reshape(-1)
         ys = np.asarray(self.y, dtype=float).reshape(-1)
         rssi = np.asarray(self.rssi, dtype=float)
-        if rssi.ndim != 2:
-            rssi = rssi.reshape(len(xs), len(self.ap_columns))
         object.__setattr__(self, "rssi", rssi)
         object.__setattr__(self, "x", xs)
         object.__setattr__(self, "y", ys)

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rssinav import cli, scan_ingest
 from rssinav.cli import build_parser, main
+from rssinav.errors import ToolkitError
 
 ONE_CELL = (
     "Cell 01 - Address: AA:BB:CC:DD:EE:0{i}\n"
@@ -401,6 +403,22 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message.format(**paths) in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda dataset: cli.cmd_ingest({"scan_dir": str(dataset)}), cli.CliError, "not a directory: {dataset}"),
+            (lambda dataset: cli.run_training_pipeline(scan_ingest.read_csv(dataset), threshold=1.0), ToolkitError,
+             "no columns reach correlation 1.0; nothing to train on"),
+        ],
+        ids=["ingest-a-file", "train-threshold-1"],
+    )
+    def test_command_error_raised(self, workspace, call, error, message):
+        dataset = workspace[2]
+        with pytest.raises(error) as raised:
+            call(dataset)
+        assert raised.type is error and str(raised.value) == message.format(dataset=dataset)
 
 
 class TestGoldenOutputs:

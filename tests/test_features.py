@@ -10,6 +10,7 @@ from rssinav.features import (
     EmptyDataset,
     NormalizationParams,
     ShapeMismatch,
+    SidecarFormatError,
     TooFewSamples,
     check_ranges,
     columns_with_presence,
@@ -207,6 +208,11 @@ class TestNormalizer:
         assert normalize_features(params, [-90.0])[0] == 0.0
         assert normalize_features(params, [-30.0])[0] == 1.0
 
+    def test_no_columns_give_empty_bounds(self):
+        params = fit_normalizer(make_dataset([], np.zeros((3, 0)), [0, 1, 2], [0, 2, 4]))
+        assert params.feature_min.shape == params.feature_max.shape == (0,)
+        assert (params.origin_x, params.origin_y, params.extent) == (0.0, 0.0, 4.0)
+
     def test_constant_column_maps_to_zero(self):
         ds = make_dataset([M1], [[-50], [-50]], [0, 1], [0, 2])
         params = fit_normalizer(ds)
@@ -314,6 +320,9 @@ class TestScalingMatchesTheReferenceBits:
             params.feature_max[0] = -90.0  # would leave the derived span stale
 
 
+SIDECAR_HEAD = "format = rssinav-sidecar-v1\nthreshold = 0.24\norigin_x = 0\norigin_y = 0\nextent = 3\n[columns]\n"
+
+
 class TestSidecar:
     def test_round_trip(self):
         ds = make_dataset(
@@ -328,6 +337,21 @@ class TestSidecar:
         sel2, params2 = sidecar_loads(text)
         assert sel2 == sel
         assert params2 == params
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("format = rssinav-sidecar-v1\nthreshold = 0.24\n", "missing [columns] block"),
+            ("format = rssinav-sidecar-v0\n[columns]\n", "unknown sidecar format 'rssinav-sidecar-v0'"),
+            (SIDECAR_HEAD + "mac,kept,pcc_x,pcc_y\n", "bad column-stats header"),
+            (SIDECAR_HEAD + "mac,kept,pcc_x,pcc_y,rssi_min,rssi_max\n" + M1 + ",1,0.5\n", f"bad column-stats row: ['{M1}', '1', '0.5']"),
+        ],
+        ids=["no-columns-block", "unknown-format", "bad-header", "short-row"],
+    )
+    def test_malformed_sidecar_rejected(self, text, message):
+        with pytest.raises(SidecarFormatError) as raised:
+            sidecar_loads(text)
+        assert raised.type is SidecarFormatError and str(raised.value) == message
 
     def test_reduce_columns_preserves_order(self):
         ds = make_dataset([M1, M2, M3], [[1, 2, 3], [4, 5, 6]], [0, 1], [1, 0])

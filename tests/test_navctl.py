@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rssinav.cli import _trial_logs
+from rssinav.errors import InvalidParameter
 from rssinav.fileio import write_rows
 from rssinav.navctl import (
     DriveCommand,
@@ -142,6 +143,22 @@ class TestNavStep:
     def test_plan_must_end_with_stop(self):
         with pytest.raises(ValueError):
             NavState.initial((Checkpoint((0, 0), Action.TURN_LEFT_90),), NavConfig(), DrivetrainCalibration())
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: NavState((Checkpoint((0, 0), Action.STOP),) + L_PLAN, NavConfig(), DrivetrainCalibration()), "only the final checkpoint may be a Stop"),
+            (lambda: NavState(L_PLAN, NavConfig(), DrivetrainCalibration(), next_checkpoint_index=3), "checkpoint index out of range"),
+            (lambda: NavState(L_PLAN, NavConfig(), DrivetrainCalibration(), mode=Mode.DONE), "Done mode must coincide with an exhausted plan"),
+            (lambda: NavState(L_PLAN, NavConfig(), DrivetrainCalibration(), next_checkpoint_index=2), "Done mode must coincide with an exhausted plan"),
+            (lambda: turn_command("up", DrivetrainCalibration()), "direction must be 'left' or 'right', got 'up'"),
+        ],
+        ids=["early-stop", "index-past-the-plan", "done-before-the-end", "exhausted-but-not-done", "turn-up"],
+    )
+    def test_invalid_state_or_turn_rejected(self, build, message):
+        with pytest.raises(InvalidParameter) as raised:
+            build()
+        assert raised.type is InvalidParameter and str(raised.value) == message
 
 
 class TestParameterBounds:

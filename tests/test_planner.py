@@ -302,6 +302,19 @@ class TestCheckpoints:
         with pytest.raises(EmptyPath):
             extract_checkpoints(PlannedPath(()), Heading.EAST)
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: GridMap(3, 2, 1.0, np.ones((3, 2), dtype=bool)), MapFormatError, "walkable mask shape (3, 2) != (height, width)"),
+            (lambda: PlannedPath(((0, 0), (1, 0), (2, 1))), ToolkitError, "cells (1, 0) and (2, 1) are not 4-neighbors"),
+        ],
+        ids=["mask-shape", "diagonal-step"],
+    )
+    def test_malformed_grid_or_path_rejected(self, build, error, message):
+        with pytest.raises(error) as raised:
+            build()
+        assert raised.type is error and str(raised.value) == message
+
     def test_path_revisiting_cell_rejected(self):
         with pytest.raises(PathReversal):
             PlannedPath(((0, 0), (1, 0), (0, 0)))

@@ -7,6 +7,7 @@ import signal
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from rssinav import rfsim
 from rssinav.errors import InvalidParameter, OutOfBounds
 from rssinav.features import denormalize_coords
+from rssinav.fileio import write_rows
 from rssinav.model import NoKnownAccessPoints, PositionEstimate, TrainConfig, forward, prepare_features
 from rssinav.navctl import MAX_DURATION, DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, turn_command
-from rssinav.planner import EmptyPath, GridMap, NoPath, PlannedPath, astar
+from rssinav.planner import EmptyPath, GridMap, NoPath, PlannedPath, astar, extract_checkpoints, first_segment_heading
 from rssinav.rfsim import (
     REFERENCE_GOAL,
     REFERENCE_START,
@@ -38,7 +40,7 @@ from rssinav.rfsim import (
     simulate_scan,
     with_noise_sigma,
 )
-from rssinav.rfsim import _MAX_FIXES, _body_rates, _command_poses, _route
+from rssinav.rfsim import _MAX_FIXES, _body_rates, _command_poses
 from rssinav.scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, parse_scan_text
 
 MAC = "02:00:00:00:00:01"
@@ -456,6 +458,14 @@ class TestTrials:
         corner_success_rate(ref_world, None, 5, oracle=True)
         assert calls == [(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)]
 
+    def test_a_run_derives_its_route_and_calibration_once(self, ref_world, monkeypatch):
+        calls = []
+        for name in ("first_segment_heading", "extract_checkpoints", "default_calibration"):
+            monkeypatch.setattr(rfsim, name, lambda *args, real=getattr(rfsim, name), name=name: calls.append(name) or real(*args))
+        for _ in range(2):  # nothing is kept from one run to the next
+            corner_success_rate(ref_world, None, 5, oracle=True)
+        assert calls == ["first_segment_heading", "extract_checkpoints", "default_calibration"] * 2
+
     def test_empty_path_raises(self, ref_world):
         with pytest.raises(EmptyPath):
             run_trial(ref_world, None, PlannedPath(()), oracle=True)
@@ -479,6 +489,20 @@ class TestTrials:
     def test_invalid_trial_parameters_rejected(self, ref_world, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             run_trial(ref_world, None, astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL), oracle=True, **kwargs)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda world: replace(world, aps=world.aps[:2] + world.aps[1:2]), "duplicate AP MAC addresses"),
+            (lambda world: run_trial(world, None, astar(world.grid, REFERENCE_START, REFERENCE_GOAL)), "a model bundle is required unless oracle localization is enabled"),
+            (lambda world: generate_synthetic_dataset(world, resamples=0), "resamples must be >= 1"),  # make-dataset --resamples 0
+        ],
+        ids=["duplicate-macs", "no-bundle-no-oracle", "zero-resamples"],
+    )
+    def test_invalid_world_or_run_rejected(self, ref_world, build, message):
+        with pytest.raises(InvalidParameter) as raised:
+            build(ref_world)
+        assert raised.type is InvalidParameter and str(raised.value) == message
 
     def test_huge_wheel_base_turn_is_rejected(self, ref_world):
         # a 90-degree pivot of about 1.6e300 s, too long to integrate in 0.01 s substeps
@@ -510,6 +534,13 @@ def serial_trials(world, bundle, trials, base_seed=0, **kwargs):
         return [rfsim.run_trial(world, bundle, path, seed=base_seed + i, **kwargs) for i in range(trials)]
     except Exception as exc:
         return exc
+
+
+def hook_trials(monkeypatch, hook):
+    """Send every trial of a run, corner_success_rate's or run_trial's, through ``hook(run, seed)``, where
+    ``run`` is the run's real per-seed function: run_trial would come back to the hook."""
+    per_run = rfsim._trials
+    monkeypatch.setattr(rfsim, "_trials", lambda *args, **kwargs: partial(hook, per_run(*args, **kwargs)))
 
 
 def wait_until(condition, timeout=30.0):
@@ -546,12 +577,12 @@ class TestParallelTrials:
     @pytest.mark.parametrize("first_failure", [1, 2, 3, 6])  # seed 0 is the parent's; any process may take the others
     @pytest.mark.parametrize("error", [ValueError, NoPath, OutOfBounds])
     def test_the_first_failing_trial_raises_as_in_the_serial_loop(self, ref_world, monkeypatch, first_failure, error):
-        def trial(world, bundle, path, seed, **kwargs):
+        def trial(run, seed):
             if seed >= first_failure:
                 raise error(f"trial {seed} failed")
-            return run_trial(world, bundle, path, seed=seed, **kwargs)
+            return run(seed)
 
-        monkeypatch.setattr(rfsim, "run_trial", trial)
+        hook_trials(monkeypatch, trial)
         expected = serial_trials(ref_world, None, 7, oracle=True)
         assert type(expected) is error and str(expected) == f"trial {first_failure} failed"
         with pytest.raises(error) as raised:
@@ -559,35 +590,35 @@ class TestParallelTrials:
         assert str(raised.value) == str(expected)
 
     def test_a_share_larger_than_the_pipe_buffer(self, ref_world, monkeypatch):
-        def trial(world, bundle, path, seed, **kwargs):
-            result = run_trial(world, bundle, path, seed=seed, **kwargs)
+        def trial(run, seed):
+            result = run(seed)
             result.events.append(("padding", 0.0, bytes(100_000)))  # a child's pickle passes 64 KiB
             return result
 
-        monkeypatch.setattr(rfsim, "run_trial", trial)
+        hook_trials(monkeypatch, trial)
         _, results = corner_success_rate(ref_world, None, 7, oracle=True)
         assert results == serial_trials(ref_world, None, 7, oracle=True)
 
     def test_a_child_killed_midway_has_its_share_rerun(self, ref_world, monkeypatch):
         parent = os.getpid()
 
-        def trial(world, bundle, path, seed, **kwargs):
+        def trial(run, seed):
             if seed == 5 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return run_trial(world, bundle, path, seed=seed, **kwargs)
+            return run(seed)
 
-        monkeypatch.setattr(rfsim, "run_trial", trial)
+        hook_trials(monkeypatch, trial)
         _, results = corner_success_rate(ref_world, None, 7, oracle=True)
         assert results == serial_trials(ref_world, None, 7, oracle=True)
 
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, ValueError])
     def test_the_parent_stopping_kills_and_reaps_every_child(self, ref_world, monkeypatch, interrupt):
-        def trial(world, bundle, path, seed, **kwargs):
+        def trial(run, seed):
             if seed == 0:
                 raise interrupt("stop")
             time.sleep(60)  # the children's shares: only a kill ends them in time
 
-        monkeypatch.setattr(rfsim, "run_trial", trial)
+        hook_trials(monkeypatch, trial)
         started = time.monotonic()
         with pytest.raises(interrupt):
             corner_success_rate(ref_world, None, 7, oracle=True)
@@ -610,28 +641,28 @@ class TestParallelTrials:
                 writes.append(len(data))
             return write(fd, data)
 
-        def stub(world, bundle, path, seed, **kwargs):
-            return rfsim.TrialResult(seed % 3 == 0, seed / 7, world.robot, [], "stub", seed=seed)
+        def stub(run, seed):
+            return rfsim.TrialResult(seed % 3 == 0, seed / 7, ref_world.robot, [], "stub", seed=seed)
 
         monkeypatch.setattr(os, "write", parent_write)
-        monkeypatch.setattr(rfsim, "run_trial", stub)
+        hook_trials(monkeypatch, stub)
         rate, results = corner_success_rate(ref_world, None, 70_000, base_seed=5, oracle=True)
-        assert results == [stub(ref_world, None, None, seed) for seed in range(5, 70_005)] and rate == 23_333 / 70_000
+        assert results == [stub(None, seed) for seed in range(5, 70_005)] and rate == 23_333 / 70_000
         assert writes == [4 * 1015]  # one write before the forks: 1,015 tickets of 69 trials, within 4 KiB
 
     def test_a_lower_failure_held_by_a_child_wins_over_a_higher_one_here(self, ref_world, monkeypatch, tmp_path):
         parent = os.getpid()
 
-        def trial(world, bundle, path, seed, **kwargs):
+        def trial(run, seed):
             if seed == 0:  # this process holds trial 0 until a child holds trial 1
                 wait_until((tmp_path / "held").exists)
-                return run_trial(world, bundle, path, seed=seed, **kwargs)
+                return run(seed)
             if seed == 1 and os.getpid() != parent:
                 (tmp_path / "held").touch()
                 time.sleep(60)  # still running when this process fails at a higher seed: only a kill ends it in time
             raise ValueError(f"trial {seed} failed")
 
-        monkeypatch.setattr(rfsim, "run_trial", trial)
+        hook_trials(monkeypatch, trial)
         started = time.monotonic()
         with pytest.raises(ValueError, match="^trial 1 failed$"):
             corner_success_rate(ref_world, None, 7, oracle=True)
@@ -641,7 +672,7 @@ class TestParallelTrials:
     def test_a_child_killed_after_claiming_tickets_leaves_the_serial_results(self, ref_world, monkeypatch, tmp_path):
         parent, ran = os.getpid(), []
 
-        def trial(world, bundle, path, seed, **kwargs):
+        def trial(run, seed):
             if os.getpid() != parent:
                 ran.append(seed)
                 if len(ran) == 3:  # two results held and a third ticket claimed: all three are lost
@@ -649,21 +680,21 @@ class TestParallelTrials:
                     os.kill(os.getpid(), signal.SIGKILL)
             elif seed == 0:  # this process holds trial 0 until both children are dead
                 wait_until(lambda: len(list(tmp_path.iterdir())) == 2)
-            return run_trial(world, bundle, path, seed=seed, **kwargs)
+            return run(seed)
 
-        monkeypatch.setattr(rfsim, "run_trial", trial)
+        hook_trials(monkeypatch, trial)
         _, results = corner_success_rate(ref_world, None, 20, oracle=True)
         assert results == serial_trials(ref_world, None, 20, oracle=True)
 
     def test_a_child_pipes_back_more_than_the_pipe_buffer(self, ref_world, monkeypatch, tmp_path):
         parent, loads, sizes = os.getpid(), pickle.loads, []
 
-        def trial(world, bundle, path, seed, **kwargs):
+        def trial(run, seed):
             if seed == 0:  # this process holds trial 0 until the children have claimed every other ticket
                 wait_until(lambda: len(list(tmp_path.iterdir())) == 6)
             elif os.getpid() != parent:
                 (tmp_path / str(seed)).touch()
-            result = run_trial(world, bundle, path, seed=seed, **kwargs)
+            result = run(seed)
             result.events.append(("padding", 0.0, bytes(100_000)))
             return result
 
@@ -671,7 +702,7 @@ class TestParallelTrials:
             sizes.append(len(data))
             return loads(data)
 
-        monkeypatch.setattr(rfsim, "run_trial", trial)
+        hook_trials(monkeypatch, trial)
         monkeypatch.setattr(pickle, "loads", parent_loads)
         _, results = corner_success_rate(ref_world, None, 7, oracle=True)
         assert len(sizes) == 2 and sum(sizes) > 6 * 100_000 and max(sizes) > 1 << 16  # each child's pickle, one past 64 KiB
@@ -694,7 +725,8 @@ def reference_run_trial(world, bundle, path, nav_config=None, success_radius=2.0
     """run_trial when each fix went through simulate_scan and predict_position, verbatim
     but for the reference copies of those two."""
     config = nav_config or NavConfig()
-    heading, checkpoints = _route(path)
+    heading = first_segment_heading(path)
+    checkpoints = extract_checkpoints(path, heading)
     cal = calibration or default_calibration(world.robot)
     state = NavState.initial(checkpoints, config, cal, world.grid.cell_size)
 
@@ -813,7 +845,7 @@ class TestBatchedWalkableCheck:
         if pillar is not None:
             # the robot steers by fixes alone, so it drives the same substeps with the cell of the
             # ``pillar`` fraction of them blocked, and crosses that cell in a command of any batch
-            poses = run_trial(world, bundle, path, **kwargs).trajectory
+            poses = list(run_trial(world, bundle, path, **kwargs).trajectory)
             cell = cell_of(world.grid, *poses[round(pillar * (len(poses) - 1))][:2])
             if world.grid.in_bounds(cell):
                 walkable = world.grid.walkable.copy()
@@ -848,28 +880,48 @@ class TestBatchedWalkableCheck:
         if pillar is not None:
             assert (pillar, 2) in {cell_of(world.grid, x, y) for x, y, _ in result.trajectory}
 
+    @staticmethod
+    def hour_long_steps(steps):
+        """A world and run_trial arguments for an oracle trial of ``steps`` forward steps of MAX_DURATION, 360,001
+        poses each, one per 3,600 ft cell, then a stop; the substep-length memo is filled outside any trace."""
+        grid = GridMap(steps + 1, 1, 3600.0)
+        world = SimWorld(grid, (AccessPointSim(MAC, "Net", (1800.0, 1800.0)),), SimRobot(wheel_base=0.4))
+        args = (world, None, astar(grid, (0, 0), (steps, 0)), NavConfig(step_distance=MAX_DURATION, checkpoint_radius=1000.0))
+        result = run_trial(*args, oracle=True)
+        assert result.reason == "done"
+        assert [c.reason for kind, _, c in result.events if kind == "command"] == ["forward"] * steps + ["stop"]
+        return args, result
+
     def test_memory_does_not_grow_with_hour_long_commands(self):
-        # forward steps of MAX_DURATION, 360,001 poses each, one per 3,600 ft cell: each step fills a
-        # batch, which is checked and dropped, so the peak is one step's integration beside the last
-        # step's poses however many steps the trial drives; unchecked batches would add a step's each
+        # each step fills a batch, which is checked and dropped, so the peak is one step's integration beside the
+        # last step's poses, and the check's cell indices, however many steps the trial drives; unchecked batches
+        # would add a step's each, and a copy of the fresh increments one more
         peaks = {}
         for steps in (2, 6):
-            grid = GridMap(steps + 1, 1, 3600.0)
-            world = SimWorld(grid, (AccessPointSim(MAC, "Net", (1800.0, 1800.0)),), SimRobot(wheel_base=0.4))
-            path = astar(grid, (0, 0), (steps, 0))
-            config = NavConfig(step_distance=MAX_DURATION, checkpoint_radius=1000.0)
-            run_trial(world, None, path, config, oracle=True)  # fills the substep-length memo outside the trace
+            args, _ = self.hour_long_steps(steps)
             tracemalloc.start()
             try:
-                result = run_trial(world, None, path, config, oracle=True)
+                run_trial(*args, oracle=True)
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert result.reason == "done"
-            assert [c.reason for kind, _, c in result.events if kind == "command"] == ["forward"] * steps + ["stop"]
         poses = 3 * 360_001 * 8  # bytes of one command's poses
         assert peaks[6] < peaks[2] + poses / 10
-        assert peaks[6] < 4 * poses
+        assert peaks[6] < 2.5 * poses
+
+    def test_writing_the_trajectory_does_not_grow_with_hour_long_commands(self):
+        # the trajectory is replayed a command at a time, so navigate's CSV holds one step's poses at once
+        peaks = {}
+        for steps in (2, 6):
+            _, result = self.hour_long_steps(steps)
+            with open(os.devnull, "w") as sink:
+                tracemalloc.start()
+                try:
+                    write_rows(sink, ["x", "y", "heading"], result.trajectory)
+                    peaks[steps] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[6] < peaks[2] + 3 * 360_001 * 8 / 10
 
 
 def cell_of(grid, x, y):
@@ -902,9 +954,9 @@ class TestTrialReplay:
         result = run_trial(ref_world, None if oracle else bundle, path, seed=seed, oracle=oracle)
         assert result.reason == reason
         start = ref_world.grid.cell_center(REFERENCE_START)
-        assert result.trajectory[0] == (start[0], start[1], 0.0)  # the route's first segment runs east
+        assert list(result.trajectory)[0] == (start[0], start[1], 0.0)  # the route's first segment runs east
         robot, poses = replay_substeps(ref_world, result)
-        assert result.trajectory == poses
+        assert list(result.trajectory) == poses
         goal = ref_world.grid.cell_center(REFERENCE_GOAL)
         assert result.final_error == math.hypot(robot.x - goal[0], robot.y - goal[1])
         left_walkable = any(not ref_world.grid.is_walkable(cell_of(ref_world.grid, x, y)) for x, y, _ in poses[1:])
@@ -921,7 +973,7 @@ class TestTrialReplay:
         result = run_trial(world, None, astar(grid, (0, 1), goal), oracle=True, calibration=cal)
         assert result.reason == reason
         _, poses = replay_substeps(world, result)
-        assert result.trajectory == poses
+        assert list(result.trajectory) == poses
         assert any(not grid.is_walkable(cell_of(grid, x, y)) for x, y, _ in poses) == reason.endswith("+left_walkable")
 
     @staticmethod
@@ -941,7 +993,7 @@ class TestTrialReplay:
         for command in [payload for kind, _, payload in result.events if kind == "command"]:
             assert command.reason != "forward" or _body_rates(robot, command)[1] == 0.0
         _, poses = replay_substeps(world, result)
-        assert result.trajectory == poses
+        assert list(result.trajectory) == poses
         return grid, result
 
     def test_pillar_crossed_inside_a_straight_leg(self):
@@ -952,12 +1004,12 @@ class TestTrialReplay:
         assert result.reason == "done+left_walkable"
         # every leg starts and ends on a walkable cell: only its inside crosses the pillar
         assert all(grid.is_walkable(cell_of(grid, *payload[0])) for kind, _, payload in result.events if kind == "fix")
-        assert grid.is_walkable(cell_of(grid, *result.trajectory[-1][:2]))
+        assert grid.is_walkable(cell_of(grid, *list(result.trajectory)[-1][:2]))
 
     def test_straight_leg_off_the_map(self):
         grid, result = self.l_route(1.2)
         assert result.reason == "left_map+left_walkable"
-        assert result.trajectory[-1][1] > grid.height
+        assert list(result.trajectory)[-1][1] > grid.height
 
     def test_veering_leg_off_the_map(self):
         # a one-row corridor and an uncompensated right veer: a turning-branch
@@ -968,7 +1020,7 @@ class TestTrialReplay:
         cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=default_calibration(robot).turn_90_duration)
         result = run_trial(world, None, astar(grid, (0, 0), (8, 0)), oracle=True, calibration=cal)
         assert result.reason == "left_map+left_walkable"
-        assert result.trajectory[-1][1] < 0.0
+        assert list(result.trajectory)[-1][1] < 0.0
 
 
 class TestWorldFile:

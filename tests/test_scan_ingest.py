@@ -235,6 +235,10 @@ class TestBuildDataset:
         ds = build_dataset(samples)
         assert ds.x.tolist() == [5.0, 1.0]
 
+    def test_flat_rssi_matrix_rejected(self):
+        with pytest.raises(SchemaMismatch, match="^matrix shape does not match columns and labels$"):
+            FingerprintDataset((MAC_A, MAC_B), np.array([-50.0, -60.0, -52.0, -70.0]), [0.0, 1.0], [0.0, 0.0])
+
     def test_unlabeled_snapshot_rejected(self):
         with pytest.raises(UnlabeledSnapshot):
             build_dataset([ScanSnapshot((ScanEntry(MAC_A, "Net", -50),), None)])

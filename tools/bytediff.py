@@ -15,8 +15,12 @@ each in its own directory, with every output path relative to it:
     --validation-split 0 (model file and report each), evaluate, select-features,
     simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
     split evenly across CPUs), simulate --oracle --trials 50 -o,
-    navigate (three CSVs), navigate --oracle on the reverse route and on a
-    route with right turns (three CSVs each), plan -o
+    simulate --oracle --trials 7 --step-distance 30 -o, navigate (three
+    CSVs), navigate --oracle on the reverse route, on a route with right
+    turns and with --step-distance 30 (three CSVs each), plan -o
+
+A 30 ft step is a 30 s command, longer than the 10 s the increment memo
+keeps, so those two runs cover the uncached integration path.
 
 Each command's stdout is compared too, and so are the exit status and
 stderr of a few runs that must fail with one error line (FAILURES).  The
@@ -58,6 +62,8 @@ STEPS = [
     ("simulate", ["simulate", "world.txt", "model.bin", "--trials", "100", "-o", "trials.csv"], ["trials.csv"]),
     ("simulate --trials 7", ["simulate", "world.txt", "model.bin", "--trials", "7", "-o", "trials_7.csv"], ["trials_7.csv"]),
     ("simulate --oracle", ["simulate", "world.txt", "--oracle", "--trials", "50", "-o", "trials_oracle.csv"], ["trials_oracle.csv"]),
+    ("simulate --step-distance 30", ["simulate", "world.txt", "--oracle", "--trials", "7", "--step-distance", "30", "-o", "trials_long.csv"],
+     ["trials_long.csv"]),
     ("navigate", ["navigate", "world.txt", "model.bin", "--out-prefix", "nav"],
      ["nav_trajectory.csv", "nav_fixes.csv", "nav_commands.csv"]),
     # the oracle reverse of the reference route turns left, as the forward one does; the
@@ -66,6 +72,8 @@ STEPS = [
      ["nav_rev_trajectory.csv", "nav_rev_fixes.csv", "nav_rev_commands.csv"]),
     ("navigate right turns", ["navigate", "world.txt", "--oracle", "--start", "3,11", "--goal", "11,3", "--out-prefix", "nav_right"],
      ["nav_right_trajectory.csv", "nav_right_fixes.csv", "nav_right_commands.csv"]),
+    ("navigate --step-distance 30", ["navigate", "world.txt", "--oracle", "--step-distance", "30", "--out-prefix", "nav_long"],
+     ["nav_long_trajectory.csv", "nav_long_fixes.csv", "nav_long_commands.csv"]),
     ("plan", ["plan", "{map}", "--start", "0,0", "--goal", "119,99", "-o", "plan.csv"], ["plan.csv"]),
 ]
 
