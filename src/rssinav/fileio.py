@@ -48,12 +48,12 @@ def open_sink(sink, binary: bool = False):
 
 def write_rows(sink, header, rows) -> None:
     """Write a CSV of a header and rows to an open file or, atomically, a path;
-    floats (numpy's too) are written as repr(float), so they round-trip, and
-    None as an empty cell."""
+    csv writes a float (numpy's float64 too) as its float repr, so it
+    round-trips, and None as an empty cell."""
     with open_sink(sink) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def read_bytes(source) -> bytes:

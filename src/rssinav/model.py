@@ -521,7 +521,7 @@ def prepare_features(bundle: ModelBundle, values) -> np.ndarray:
     training set did not cover) would make the network extrapolate wildly;
     clamping pins them to the nearest trained boundary instead.
     """
-    return np.clip(normalize_features(bundle.params, values), 0.0, 1.0)
+    return normalize_features(bundle.params, values).clip(0.0, 1.0)  # what np.clip calls, without its dispatch
 
 
 def predict_position(bundle: ModelBundle, snapshot: ScanSnapshot) -> PositionEstimate:

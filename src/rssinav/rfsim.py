@@ -17,6 +17,7 @@ import os
 import pickle
 import signal
 import struct
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator
@@ -35,6 +36,7 @@ _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duratio
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
 _WALK_BATCH = 4096  # substeps a trial holds before it checks them for walkable cells: one check per reference trial
 _SEED_MASK = (1 << 63) - 1
+_MASK128 = (1 << 128) - 1
 
 
 class WorldFormatError(ToolkitError):
@@ -124,13 +126,14 @@ def simulate_scan(world: SimWorld, position: tuple[float, float], draw_index: in
     x, y = float(position[0]), float(position[1])
     if not world.grid.contains_point(x, y):
         raise OutOfBounds(f"scan position ({x}, {y}) is outside the map")
-    levels = _scan_levels(world, x, y, draw_index, world.rng_seed if seed is None else seed)
+    seeds = [(world.rng_seed if seed is None else seed) & _SEED_MASK, draw_index & _SEED_MASK]
+    levels = _scan_levels(world, x, y, np.random.default_rng(seeds).standard_normal(len(world.aps)).tolist())
     return ScanSnapshot(tuple(ScanEntry(ap.mac, ap.ssid, rssi) for ap, rssi in zip(world.aps, levels)))
 
 
-def _scan_levels(world: SimWorld, x: float, y: float, draw_index: int, seed: int) -> list[int]:
-    """The RSSI formula: each AP's level in integer dBm at (x, y), in ``world.aps`` order."""
-    noise = np.random.default_rng([seed & _SEED_MASK, draw_index & _SEED_MASK]).standard_normal(len(world.aps)).tolist()
+def _scan_levels(world: SimWorld, x: float, y: float, noise: list[float]) -> list[int]:
+    """The RSSI formula: each AP's level in integer dBm at (x, y), in ``world.aps`` order, with its
+    standard normal draw from ``noise``."""
     levels = []
     for ap, z in zip(world.aps, noise):
         d = max(math.hypot(x - ap.position[0], y - ap.position[1]), world.reference_distance)
@@ -138,6 +141,77 @@ def _scan_levels(world: SimWorld, x: float, y: float, draw_index: int, seed: int
         level += ap.noise_sigma * z
         levels.append(math.floor(min(0.0, max(RSSI_FLOOR, level + 0.5))))
     return levels
+
+
+# The trials' noise source: the generator of np.random.default_rng([seed, draw]) for many (seed, draw) lanes at
+# once.  SeedSequence's pool mixing and generate_state(4, np.uint64) run in uint32 numpy arithmetic over the lanes,
+# as their hash constants do not depend on the data; PCG64's seeding runs on Python ints for each lane drawn.
+_LANE_SEEDS = 64  # consecutive seeds per memo block
+_LANE_DRAWS = 16  # draws per seed in a block; a reference trial averages 7.5 fixes
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _LaneGenerator(threading.local):  # one per thread, so one per process for the forked trial children
+    def __getattr__(self, name: str):  # built at a thread's first draw: importing loads no numpy.random
+        self.bits = np.random.PCG64(0)  # each lane drawn sets its state
+        self.standard_normal = np.random.Generator(self.bits).standard_normal
+        return getattr(self, name)
+
+
+_LANE_GENERATOR = _LaneGenerator()
+
+
+def _hashmix(row: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of a uint32 row with the scalar hash constant ``const``, and the next constant."""
+    row = row ^ np.uint32(const)
+    const = const * mult & 0xFFFFFFFF
+    row = row * np.uint32(const)
+    return row ^ (row >> np.uint32(16)), const
+
+
+def _lane_words(seeds, draws) -> np.ndarray:
+    """Rows a, b, c, d of SeedSequence([seed, draw]).generate_state(4, np.uint64), a column per lane, for
+    0 <= seed < 2**64 and 0 <= draw < 2**32; a lane's entropy is its seed's one or two words, then its draw's."""
+    seeds, draws = np.asarray(seeds, np.uint64), np.asarray(draws, np.uint32)
+    low, high = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    words = np.zeros((4, len(seeds)), np.uint64)
+    for lanes in filter(len, (np.flatnonzero(high == 0), np.flatnonzero(high))):  # the hash goes by the word count
+        entropy = [low[lanes], high[lanes], draws[lanes]] if high[lanes[0]] else [low[lanes], draws[lanes]]
+        pool, const = [], 0x43B0D7E5
+        for row in entropy + [np.zeros(len(lanes), np.uint32)] * (4 - len(entropy)):
+            row, const = _hashmix(row, const, 0x931E8875)
+            pool.append(row)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    row, const = _hashmix(pool[src], const, 0x931E8875)
+                    row = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * row
+                    pool[dst] = row ^ (row >> np.uint32(16))
+        const = 0x8B51F9DD
+        for k in range(8):  # little-endian pairs of uint32 words
+            row, const = _hashmix(pool[k % 4], const, 0x58F38DED)
+            words[k // 2, lanes] |= row.astype(np.uint64) << np.uint64(32 * (k % 2))
+    return words
+
+
+@lru_cache(maxsize=4)  # a run's trials touch its blocks in seed order; a block holds 32 KB of words
+def _lane_block(block: int) -> np.ndarray:
+    """The words of seeds block * 64 ... block * 64 + 63 by draws 0 ... 15, shape (64, 16, 4), read-only."""
+    seeds = np.arange(block * _LANE_SEEDS, (block + 1) * _LANE_SEEDS, dtype=np.uint64)
+    words = _lane_words(seeds.repeat(_LANE_DRAWS), np.tile(np.arange(_LANE_DRAWS), _LANE_SEEDS)).T.reshape(_LANE_SEEDS, _LANE_DRAWS, 4)
+    words.flags.writeable = False  # the cache hands it to every caller
+    return words
+
+
+def _lane_noise(words, n: int) -> list[float]:
+    """``standard_normal(n)`` of a lane's generator, the one default_rng seeds from its words (a, b, c, d):
+    PCG64 from state 0 with increment inc = 2 * (c * 2**64 + d) + 1, one LCG step, plus a * 2**64 + b, another step."""
+    a, b, c, d = words
+    inc = (c << 65 | d << 1 | 1) & _MASK128
+    state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+    lane = _LANE_GENERATOR
+    lane.bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return lane.standard_normal(n).tolist()
 
 
 def render_scan_text(snapshot: ScanSnapshot) -> str:
@@ -340,7 +414,8 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
 
     # The kept columns as indices into world.aps (None: not in this world).  Each fix
-    # feeds _scan_levels straight to _predict_vector without the ScanEntry and
+    # feeds _scan_levels, with the noise of the seed's lanes (what default_rng([seed,
+    # draw]) draws, bit for bit), straight to _predict_vector without the ScanEntry and
     # ScanSnapshot checks, which hold already: AccessPointSim checks its MAC, SimWorld
     # refuses duplicate MACs and _scan_levels clamps each level to [RSSI_FLOOR, 0].  With
     # no kept column in the world every fix is a "nofix", as predict_position refuses it.
@@ -356,6 +431,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
         pending, held = [], 0  # the x/y rows of the commands not checked yet, and their substeps
         clock = 0.0
         reason = "fix_budget"
+        key, lanes = seed & _SEED_MASK, []  # the words of draws 0, 1, ...: the block's 16, then 16 more at a time
         for draw_index in range(_MAX_FIXES):
             if not grid.contains_point(x, y):
                 on_walkable = False
@@ -365,7 +441,11 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
             if oracle:
                 fix = (x, y)
             elif known:
-                levels = _scan_levels(world, x, y, draw_index, seed)
+                if not lanes:
+                    lanes = _lane_block(key // _LANE_SEEDS)[key % _LANE_SEEDS].tolist()
+                elif draw_index == len(lanes):
+                    lanes += _lane_words([key] * _LANE_DRAWS, range(draw_index, draw_index + _LANE_DRAWS)).T.tolist()
+                levels = _scan_levels(world, x, y, _lane_noise(lanes[draw_index], len(world.aps)))
                 fix = _predict_vector(bundle, np.array([MISSING_RSSI if i is None else float(levels[i]) for i in columns]))
             else:
                 fix = None
@@ -381,6 +461,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
                     if held >= _WALK_BATCH:
                         on_walkable = _all_walkable(grid, pending)
                         pending, held = [], 0
+                del poses  # held in pending or checked: the next command's need not sit beside them
                 clock += command.duration
             if state.mode in (Mode.DONE, Mode.ABORTED):
                 reason = state.mode.value
@@ -398,9 +479,14 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
 
 def _all_walkable(grid: GridMap, rows: list) -> bool:
     """Whether every column of the x/y ``rows`` lies on a walkable cell; a failed bounds test skips
-    the lookup of the whole batch."""
-    cells = np.floor(np.concatenate(rows, axis=1) / grid.cell_size)
-    return bool(((cells >= 0) & (cells < ((grid.width,), (grid.height,)))).all() and grid.walkable[cells[1].astype(int), cells[0].astype(int)].all())
+    the lookup of the whole batch.  The cells are floored in place and looked up by one flat index row."""
+    cells = np.concatenate(rows, axis=1)
+    np.floor(np.divide(cells, grid.cell_size, out=cells), out=cells)
+    if not ((cells >= 0) & (cells < ((grid.width,), (grid.height,)))).all():
+        return False
+    cells[1] *= grid.width  # exact: both are integers below the cell count
+    cells[1] += cells[0]
+    return bool(grid.walkable.ravel()[cells[1].astype(np.intp)].all())
 
 
 def corner_success_rate(

@@ -84,6 +84,28 @@ def test_write_rows_takes_an_open_file_or_a_path(tmp_path):
     assert buf.getvalue() == (tmp_path / "rows.csv").read_text() == "name,value,note,n\na,0.1,,3\nb,-0.0,,4\n"
 
 
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (np.float64(1.5), "1.5"),
+        (np.float64(-0.0), "-0.0"),
+        (np.float64(5e-324), "5e-324"),
+        (np.float64("nan"), "nan"),
+        (np.float64("inf"), "inf"),
+        (-np.inf, "-inf"),
+        (0.1 + 0.2, "0.30000000000000004"),
+        (None, ""),
+        (np.int64(3), "3"),
+        ("a,b", '"a,b"'),
+    ],
+    ids=["float64", "negative-zero", "subnormal", "nan", "inf", "minus-inf", "repr-digits", "none", "int64", "quoted"],
+)
+def test_write_rows_writes_a_float_as_its_repr_and_none_empty(value, cell):
+    buf = io.StringIO()
+    write_rows(buf, ["v", "n"], [(value, 1)])  # a lone empty cell would be quoted, to tell the row from a blank line
+    assert buf.getvalue() == f"v,n\n{cell},1\n"
+
+
 class TestDecodeErrorsNameTheFile:
     @pytest.mark.parametrize("as_file", [False, True])
     def test_world(self, tmp_path, as_file):

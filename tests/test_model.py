@@ -32,6 +32,7 @@ from rssinav.model import (
     load_model,
     mae_loss,
     predict_position,
+    prepare_features,
     save_model,
     train,
     validation_counts,
@@ -39,7 +40,7 @@ from rssinav.model import (
 from rssinav.errors import InvalidParameter, ToolkitError
 from rssinav.fileio import write_rows
 from rssinav import model as model_module
-from rssinav.features import FeatureSelection, NormalizationParams, SidecarFormatError, denormalize_coords
+from rssinav.features import FeatureSelection, NormalizationParams, SidecarFormatError, denormalize_coords, normalize_features
 from rssinav.scan_ingest import ScanEntry, ScanSnapshot
 
 # ---------------------------------------------------------------------------
@@ -887,6 +888,23 @@ class TestPredict:
             got = _predict_vector(bundle, np.zeros(3))
         assert all(type(v) is float for v in got)
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0, 1.0, -np.nan]), min_size=3, max_size=24),
+        lows=st.tuples(*[st.sampled_from([0.0, -0.0, -90.0, 1.0])] * 3),
+        spans=st.tuples(*[st.sampled_from([1.0, 60.0, 0.0, 1e-300])] * 3),
+    )
+    @example(values=[-0.0, 0.0, 1.0, -1.0, 2.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0 + 2**-52], lows=(0.0,) * 3, spans=(1.0,) * 3)
+    def test_clamp_is_np_clip_bit_for_bit(self, values, lows, spans):
+        # -0.0 stays -0.0 and a NaN keeps its bits, as in np.clip; a (0, 1) span passes the values through
+        bundle = small_bundle()
+        params = NormalizationParams(np.array(lows), np.array(lows) + np.array(spans), 0.0, 0.0, 11.0)
+        bundle = ModelBundle(bundle.model, bundle.selection, params)
+        rows = np.array(values[: len(values) // 3 * 3]).reshape(-1, 3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for x in (rows, rows[0]):
+                assert prepare_features(bundle, x).tobytes() == np.clip(normalize_features(params, x), 0.0, 1.0).tobytes()
 
     def test_concurrent_inference_is_safe(self):
         from concurrent.futures import ThreadPoolExecutor

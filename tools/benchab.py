@@ -1,0 +1,193 @@
+#!/usr/bin/env python3
+"""In-process A/B timing of the corner-trial layer: a parent tree's
+``rfsim.run_trial`` against this tree's, in alternating blocks inside one
+process, so a gain of a few percent can be told from the machine's drift.
+
+    python3 tools/benchab.py PARENT [--pairs 60] [--trials 100] [--label L]
+
+PARENT is a source checkout (a directory holding ``src/rssinav``) or a git
+revision of this repository, exported with ``git archive`` as in
+``bytediff.py``; naming this tree (``.``) gives an A/A run, the noise floor.
+Each tree's ``src/rssinav`` is imported under its own package name, so both
+run side by side with their own caches.  The inputs are built once: the
+reference world and the test suite's reference model (training seed 0 on
+the world's synthetic dataset), which reaches each tree through its own
+``save_model`` and ``load_model``.  Pair p runs the same block of ``--trials``
+serial ``run_trial`` calls on each side (simulate's defaults, seeds
+(p + 1) * trials onwards, so each block starts with cold noise caches),
+the parent first in even pairs and this tree first in odd ones, after one
+untimed warm-up block per side.
+
+If any trial's outcome or event log differs between the sides, the script
+refuses: it prints the first differing seed, writes nothing and exits 1.
+Otherwise it writes ``bench/BENCH_trials_ab_<label>.json`` with every block
+time, the per-pair time ratios (this tree / parent), their median, the
+pairs this tree won, and a bootstrap 95% confidence interval of the median
+ratio.  The last line printed is a summary to quote; when ``bench/`` holds
+the A/A file ``BENCH_trials_ab_aa.json`` (another file than the one
+written), it ends with that file's median and interval.  Serial in-process
+trials only: the fork split, start-up and set-up stay perfbench's.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):  # before numpy loads
+    os.environ.setdefault(_name, "1")
+
+import argparse
+import importlib.util
+import io
+import json
+import platform
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from benchpairs import describe
+from bytediff import ROOT, export_revision
+
+BOOTSTRAP = 10_000  # resamples of the pairs for the interval of the median ratio
+
+
+def load_tree(tree: Path, name: str):
+    """``tree``'s ``src/rssinav`` imported as the package ``name``, with its ``cli`` module."""
+    package = tree / "src" / "rssinav"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # before it runs: its relative imports look it up
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")
+    return module
+
+
+def build_sides(trees: dict[str, Path]) -> dict[str, tuple]:
+    """Per side: its package and its (world, bundle, path), the model trained once and passed through bytes."""
+    packages = {side: load_tree(tree, f"rssinav_ab_{side}") for side, tree in trees.items()}
+    change = packages["change"]
+    world = change.rfsim.reference_world()
+    bundle, _, _ = change.cli.run_training_pipeline(change.rfsim.generate_synthetic_dataset(world), train_config=change.model.TrainConfig(seed=0))
+    saved = io.BytesIO()
+    change.model.save_model(bundle.model, bundle.selection, bundle.params, saved)
+    sides = {}
+    for side, package in packages.items():
+        world = package.rfsim.reference_world()
+        path = package.planner.astar(world.grid, package.rfsim.REFERENCE_START, package.rfsim.REFERENCE_GOAL)
+        sides[side] = (package, (world, package.model.load_model(io.BytesIO(saved.getvalue())), path))
+    return sides
+
+
+def run_block(side: tuple, seeds: range) -> tuple[float, list[str]]:
+    """Seconds for serial ``run_trial`` over ``seeds``, and each trial's outcome and event log as text."""
+    package, (world, bundle, path) = side
+    t0 = time.perf_counter()
+    results = [package.rfsim.run_trial(world, bundle, path, seed=seed) for seed in seeds]
+    elapsed = time.perf_counter() - t0
+    return elapsed, [repr((r.seed, r.success, r.final_error, r.reason, r.events)) for r in results]
+
+
+def machine() -> dict:
+    model = ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), "")
+    except OSError:
+        pass
+    return {
+        "cpu": model or platform.processor(),
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def bootstrap_ci(ratios: list[float]) -> list[float]:
+    """The 2.5th and 97.5th percentiles of the median over resamples of the pairs (fixed seed)."""
+    medians = np.median(np.random.default_rng(0).choice(ratios, (BOOTSTRAP, len(ratios))), axis=1)
+    return [float(np.percentile(medians, 2.5)), float(np.percentile(medians, 97.5))]
+
+
+def noise_floor(written: Path) -> str:
+    """The A/A file's median ratio and interval as a summary suffix; empty when there is none or it is the file written."""
+    path = ROOT / "bench" / "BENCH_trials_ab_aa.json"
+    if path == written or not path.exists():
+        return ""
+    record = json.loads(path.read_text(encoding="utf-8"))
+    low, high = record["ci95"]
+    return f"; A/A {path.name} median ratio {record['median_ratio']:.4f}, CI {low:.4f} to {high:.4f}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", help="parent source checkout (directory) or git revision")
+    parser.add_argument("--pairs", type=int, default=60)
+    parser.add_argument("--trials", type=int, default=100, help="serial trials per block (default: 100)")
+    parser.add_argument("--label", default="change", help="the file name's last part (default: change)")
+    args = parser.parse_args(argv)
+    if args.pairs < 2 or args.trials < 1:
+        parser.error("--pairs must be >= 2 and --trials >= 1")
+
+    export = None
+    parent = Path(args.parent)
+    revision = None if (parent / "src" / "rssinav").is_dir() else args.parent
+    try:
+        if revision:
+            export = Path(tempfile.mkdtemp(prefix="benchab-"))
+            parent = export_revision(revision, export / "parent-tree")
+        sides = build_sides({"parent": parent.resolve(), "change": ROOT})
+        revisions = {"parent": describe(parent, revision), "change": describe(ROOT, None)}
+    finally:
+        if export:
+            shutil.rmtree(export, ignore_errors=True)
+
+    seconds = {"parent": [], "change": []}
+    for pair in range(-1, args.pairs):  # pair -1 is the untimed warm-up
+        seeds = range((pair + 1) * args.trials, (pair + 2) * args.trials)
+        outcomes = {}
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            elapsed, outcomes[side] = run_block(sides[side], seeds)
+            if pair >= 0:
+                seconds[side].append(elapsed)
+        if outcomes["parent"] != outcomes["change"]:
+            seed = next(s for s, a, b in zip(seeds, outcomes["parent"], outcomes["change"]) if a != b)
+            print(f"error: the trees' trials differ (first at seed {seed}); no timing reported", file=sys.stderr)
+            return 1
+
+    ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
+    record = {
+        "layer": "trials",
+        "label": args.label,
+        "pairs": args.pairs,
+        "trials_per_block": args.trials,
+        "revisions": revisions,
+        "machine": machine(),
+        "results_identical": True,
+        "block_seconds": seconds,
+        "first": ["parent" if pair % 2 == 0 else "change" for pair in range(args.pairs)],
+        "ratios": ratios,
+        "median_ratio": statistics.median(ratios),
+        "quartiles": statistics.quantiles(ratios, n=4, method="inclusive"),
+        "wins": sum(r < 1 for r in ratios),
+        "ci95": bootstrap_ci(ratios),
+    }
+    out = ROOT / "bench" / f"BENCH_trials_ab_{args.label}.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    low, high = record["ci95"]
+    print(
+        f"{out.name}: time ratio change/parent median {record['median_ratio']:.4f}, CI {low:.4f} to {high:.4f}, "
+        f"change faster in {record['wins']}/{args.pairs} pairs; block medians parent {statistics.median(seconds['parent']) * 1e3:.1f} ms, "
+        f"change {statistics.median(seconds['change']) * 1e3:.1f} ms; trials identical" + noise_floor(out)
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

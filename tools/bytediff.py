@@ -15,12 +15,17 @@ each in its own directory, with every output path relative to it:
     --validation-split 0 (model file and report each), evaluate, select-features,
     simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
     split evenly across CPUs), simulate --oracle --trials 50 -o,
-    simulate --oracle --trials 7 --step-distance 30 -o, navigate (three
-    CSVs), navigate --oracle on the reverse route, on a route with right
-    turns and with --step-distance 30 (three CSVs each), plan -o
+    simulate --oracle --trials 7 --step-distance 30 -o, simulate --trials 12
+    -o from seeds 2**32 - 6 and 2**63 - 8 and with --step-distance 0.3,
+    navigate (three CSVs), navigate --oracle on the reverse route, on a
+    route with right turns and with --step-distance 30, navigate --seed
+    2**32 (three CSVs each), plan -o
 
 A 30 ft step is a 30 s command, longer than the 10 s the increment memo
-keeps, so those two runs cover the uncached integration path.
+keeps, so those two runs cover the uncached integration path.  The seeds
+from 2**32 - 6 are one and two 32-bit words long, those from 2**63 - 8 wrap
+to 0-3 under the 63-bit seed mask, and 0.3 ft steps take about 40 fixes, so
+those runs cover every grouping and extension of the trials' noise lanes.
 
 Each command's stdout is compared too, and so are the exit status and
 stderr of a few runs that must fail with one error line (FAILURES).  The
@@ -64,6 +69,14 @@ STEPS = [
     ("simulate --oracle", ["simulate", "world.txt", "--oracle", "--trials", "50", "-o", "trials_oracle.csv"], ["trials_oracle.csv"]),
     ("simulate --step-distance 30", ["simulate", "world.txt", "--oracle", "--trials", "7", "--step-distance", "30", "-o", "trials_long.csv"],
      ["trials_long.csv"]),
+    # scan noise: seeds of one and two 32-bit words in one run, seeds masked past 2**63 to 0-3, and trials
+    # of about 40 fixes, past the 16 draws a seed's noise block holds
+    ("simulate --seed 2**32 - 6", ["simulate", "world.txt", "model.bin", "--seed", "4294967290", "--trials", "12", "-o", "trials_2w.csv"],
+     ["trials_2w.csv"]),
+    ("simulate --seed 2**63 - 8", ["simulate", "world.txt", "model.bin", "--seed", "9223372036854775800", "--trials", "12", "-o", "trials_wrap.csv"],
+     ["trials_wrap.csv"]),
+    ("simulate --step-distance 0.3", ["simulate", "world.txt", "model.bin", "--trials", "12", "--step-distance", "0.3", "-o", "trials_short.csv"],
+     ["trials_short.csv"]),
     ("navigate", ["navigate", "world.txt", "model.bin", "--out-prefix", "nav"],
      ["nav_trajectory.csv", "nav_fixes.csv", "nav_commands.csv"]),
     # the oracle reverse of the reference route turns left, as the forward one does; the
@@ -74,6 +87,8 @@ STEPS = [
      ["nav_right_trajectory.csv", "nav_right_fixes.csv", "nav_right_commands.csv"]),
     ("navigate --step-distance 30", ["navigate", "world.txt", "--oracle", "--step-distance", "30", "--out-prefix", "nav_long"],
      ["nav_long_trajectory.csv", "nav_long_fixes.csv", "nav_long_commands.csv"]),
+    ("navigate --seed 2**32", ["navigate", "world.txt", "model.bin", "--seed", "4294967296", "--out-prefix", "nav_2w"],
+     ["nav_2w_trajectory.csv", "nav_2w_fixes.csv", "nav_2w_commands.csv"]),
     ("plan", ["plan", "{map}", "--start", "0,0", "--goal", "119,99", "-o", "plan.csv"], ["plan.csv"]),
 ]
 
