@@ -188,8 +188,8 @@ class NormalizationParams:
             span = self.feature_max - self.feature_min  # derived once: the scaling functions run once per fix
         if not np.isfinite(span).all():
             raise InvalidParameter("feature spans must be finite")
-        object.__setattr__(self, "_constant", span == 0.0)
-        object.__setattr__(self, "_safe_span", np.where(self._constant, 1.0, span))
+        object.__setattr__(self, "_constant", np.flatnonzero(span == 0.0))  # the columns that map to 0
+        object.__setattr__(self, "_safe_span", np.where(span == 0.0, 1.0, span))
         object.__setattr__(self, "_origin", np.array([self.origin_x, self.origin_y]))
 
     def __eq__(self, other) -> bool:
@@ -218,8 +218,11 @@ def fit_normalizer(train: FingerprintDataset) -> NormalizationParams:
 
 def normalize_features(params: NormalizationParams, values) -> np.ndarray:
     """Map each RSSI column onto [0, 1] (constant columns map to 0)."""
-    values = np.asarray(values, dtype=float)
-    return np.where(params._constant, 0.0, (values - params.feature_min) / params._safe_span)
+    out = np.asarray(values, dtype=float) - params.feature_min  # a fresh array: the steps below work in place
+    out /= params._safe_span
+    if len(params._constant):
+        out[..., params._constant] = 0.0
+    return out
 
 
 def normalize_coords(params: NormalizationParams, xy) -> np.ndarray:

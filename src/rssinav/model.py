@@ -256,24 +256,29 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
 
 def forward(model: MlpRegressor, x) -> np.ndarray:
     """Inference on one vector or a batch: batch norm uses running statistics, so no row depends on its batch."""
-    batch, single = _as_batch(x)
-    if batch.shape[1] != model.input_width:
-        raise ShapeMismatch(f"input width {batch.shape[1]} != model width {model.input_width}")
-    out = _pass(model, batch, False)
-    return out[0] if single else out
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ShapeMismatch(f"expected a vector or matrix, got ndim={arr.ndim}")
+    if arr.shape[-1] != model.input_width:
+        raise ShapeMismatch(f"input width {arr.shape[-1]} != model width {model.input_width}")
+    return _pass(model, arr, False)
 
 
 def _pass(model: MlpRegressor, batch: np.ndarray, batch_stats: bool, cache: list | None = None) -> np.ndarray:
-    """The layer loop: batch norm uses batch statistics if ``batch_stats``, else
-    running ones; ``cache`` receives per-layer tuples for backpropagation,
-    (input, z) for a dense layer and (mean, var, xhat, ivar) for batch norm."""
+    """The layer loop over one row or a batch of rows: batch norm uses batch
+    statistics if ``batch_stats``, else running ones; ``cache`` receives
+    per-layer tuples for backpropagation, (input, z) for a dense layer and
+    (mean, var, xhat, ivar) for batch norm.  A row's dense product is the
+    matrix-vector product that a one-row batch reaches too, bit for bit; each
+    layer works in place on the fresh array it made, never on ``batch``."""
     out = batch
     for layer in model.layers:
         if isinstance(layer, DenseLayer):
-            z = out @ layer.weights.T + layer.biases
+            z = np.dot(layer.weights, out) if out.ndim == 1 else out @ layer.weights.T
+            z += layer.biases
             if cache is not None:
-                cache.append((out, z))
-            out = np.maximum(z, 0.0) if layer.activation == RELU else z
+                cache.append((out, z))  # so the activation must not overwrite z
+            out = np.maximum(z, 0.0, out=None if cache is not None else z) if layer.activation == RELU else z
         elif batch_stats:
             # bit-for-bit what ndarray.mean / ndarray.var compute, without their Python wrappers
             mean = np.add.reduce(out, axis=0) / out.shape[0]
@@ -287,7 +292,10 @@ def _pass(model: MlpRegressor, batch: np.ndarray, batch_stats: bool, cache: list
         else:
             if not layer.initialized:
                 raise UninitializedStatistics("batch norm has no running statistics yet")
-            out = layer.gamma * (out - layer.running_mean) / layer.running_root() + layer.beta
+            out = out - layer.running_mean  # then gamma * it / root + beta, in that order
+            out *= layer.gamma
+            out /= layer.running_root()
+            out += layer.beta
     return out
 
 
@@ -521,7 +529,8 @@ def prepare_features(bundle: ModelBundle, values) -> np.ndarray:
     training set did not cover) would make the network extrapolate wildly;
     clamping pins them to the nearest trained boundary instead.
     """
-    return normalize_features(bundle.params, values).clip(0.0, 1.0)  # what np.clip calls, without its dispatch
+    out = normalize_features(bundle.params, values)
+    return out.clip(0.0, 1.0, out=out)  # what np.clip calls, without its dispatch, in place on a fresh array
 
 
 def predict_position(bundle: ModelBundle, snapshot: ScanSnapshot) -> PositionEstimate:

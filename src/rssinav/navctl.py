@@ -152,8 +152,14 @@ class NavState:
 
 
 def _successor(state: NavState, mode: Mode, index: int, misses: int) -> NavState:
-    """``state`` with a new mode, checkpoint index and miss count; cheaper than ``dataclasses.replace``."""
-    return NavState(state.plan, state.config, state.calibration, state.cell_size, mode, index, misses)
+    """``state`` with a new mode, checkpoint index and miss count, built without running
+    ``__post_init__`` again: the plan it checked is shared, and nav_step keeps the Done/index
+    invariant, as only the final Stop moves the index past the plan's end, and into Done."""
+    successor = object.__new__(NavState)
+    fields = vars(successor)
+    fields.update(vars(state))
+    fields["mode"], fields["next_checkpoint_index"], fields["miss_counter"] = mode, index, misses
+    return successor
 
 
 def nav_step(state: NavState, fix) -> tuple[NavState, DriveCommand | None]:

@@ -431,7 +431,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
         pending, held = [], 0  # the x/y rows of the commands not checked yet, and their substeps
         clock = 0.0
         reason = "fix_budget"
-        key, lanes = seed & _SEED_MASK, []  # the words of draws 0, 1, ...: the block's 16, then 16 more at a time
+        key, lanes = seed & _SEED_MASK, []  # the words of draws 0, 1, ...: the block's 16, then 64, 256, _MAX_FIXES
         for draw_index in range(_MAX_FIXES):
             if not grid.contains_point(x, y):
                 on_walkable = False
@@ -443,8 +443,9 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
             elif known:
                 if not lanes:
                     lanes = _lane_block(key // _LANE_SEEDS)[key % _LANE_SEEDS].tolist()
-                elif draw_index == len(lanes):
-                    lanes += _lane_words([key] * _LANE_DRAWS, range(draw_index, draw_index + _LANE_DRAWS)).T.tolist()
+                elif draw_index == len(lanes):  # grown fourfold in one call: a call's cost hardly depends on its lanes
+                    more = min(3 * draw_index, _MAX_FIXES - draw_index)
+                    lanes += _lane_words([key] * more, range(draw_index, draw_index + more)).T.tolist()
                 levels = _scan_levels(world, x, y, _lane_noise(lanes[draw_index], len(world.aps)))
                 fix = _predict_vector(bundle, np.array([MISSING_RSSI if i is None else float(levels[i]) for i in columns]))
             else:

@@ -301,6 +301,21 @@ class TestScalingMatchesTheReferenceBits:
         for values in (vector, np.array(matrix).reshape(rows, len(mins)), *([matrix] if matrix else [])):
             assert same_bits(normalize_features(params, values), reference_normalize_features(params, values))
 
+    @pytest.mark.parametrize(
+        "constant",
+        [(True, False, False), (False, False, True), (False, True, False), (True, True, True), (False, False, False)],
+        ids=["first", "last", "middle", "all", "none"],
+    )
+    def test_constant_columns_are_zeroed_in_place_as_np_where_did(self, constant):
+        # a row and batches: one row, several, none; a constant column's NaN, infinity and -0.0 all become +0.0
+        mins = np.array([-90.0, -0.0, -61.5])
+        params = NormalizationParams(mins, np.where(constant, mins, [-30.0, 12.0, 0.0]), 0.0, 0.0, 1.0)
+        rows = np.array([[-60.0, -0.0, math.nan], [math.inf, 0.0, -0.0], [-0.0, -math.inf, 5.0], [-91.0, 1e-300, -61.5]])
+        with np.errstate(invalid="ignore"):
+            for values in (rows[0], rows[1], rows[2], rows, rows[:1], rows[:0], rows[3].tolist()):
+                expected = np.where(np.array(constant), 0.0, (np.asarray(values) - mins) / np.where(constant, 1.0, params.feature_max - mins))
+                assert same_bits(normalize_features(params, values), expected)
+
     @settings(max_examples=200, deadline=None)
     @given(
         origin=st.tuples(COORDS.filter(math.isfinite), COORDS.filter(math.isfinite)),

@@ -145,6 +145,20 @@ def ref_forward(model, batch, mode):
     return out
 
 
+def parent_forward(model, x):
+    """forward as it ran every input as a batch, verbatim: a row went through as a one-row batch."""
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim == 1
+    out = arr[None, :] if single else arr
+    for layer in model.layers:
+        if isinstance(layer, DenseLayer):
+            z = out @ layer.weights.T + layer.biases
+            out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        else:
+            out = layer.gamma * (out - layer.running_mean) / layer.running_root() + layer.beta
+    return out[0] if single else out
+
+
 def ref_forward_cached(model, batch):
     caches = []
     out = batch
@@ -311,6 +325,52 @@ class TestForward:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
             forward(linear_model(np.eye(2), [0, 0]), [1.0, 2.0, 3.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        in_width=st.integers(1, 30),
+        hidden=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+        with_batchnorm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @example(in_width=1, hidden=[1], with_batchnorm=True, seed=0, data=None)
+    def test_inference_matches_the_one_row_batch_pass_bit_for_bit(self, in_width, hidden, with_batchnorm, seed, data):
+        # rows go through a matrix-vector product and in-place layer steps; the batch pass they replace is the bits
+        rng = np.random.default_rng(seed)
+        layers, width = [], in_width
+        for i, out_width in enumerate([*hidden, 2]):
+            last = i == len(hidden)
+            layers.append(DenseLayer(rng.uniform(-1, 1, (out_width, width)), rng.uniform(-0.5, 0.5, out_width), "identity" if last else "relu"))
+            if i == 0 and with_batchnorm:
+                stats = (rng.uniform(0.5, 1.5, out_width), rng.uniform(-0.5, 0.5, out_width), rng.uniform(-1, 1, out_width), rng.uniform(0, 2, out_width))
+                layers.append(BatchNormLayer(*stats))
+            width = out_width
+        model = MlpRegressor(layers)
+        values = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+        if data is None:  # the explicit example: signed zeros alone
+            row, rows = np.array([-0.0]), np.array([[0.0], [-0.0]])
+        else:
+            row = np.array(data.draw(st.lists(values, min_size=in_width, max_size=in_width)))
+            rows = np.array(data.draw(st.lists(st.lists(values, min_size=in_width, max_size=in_width), max_size=4))).reshape(-1, in_width)
+        for x in (row, rows):
+            before = x.tobytes()
+            got = forward(model, x)
+            assert got.shape == ((2,) if x.ndim == 1 else (len(x), 2))
+            assert got.tobytes() == parent_forward(model, x).tobytes()
+            assert x.tobytes() == before  # the input is never written
+        for i, x in enumerate(rows):
+            assert forward(model, x).tobytes() == forward(model, rows[i : i + 1])[0].tobytes()
+
+    def test_a_row_is_checked_as_a_batch_is(self):
+        model = MlpRegressor(
+            [DenseLayer(np.eye(2), np.zeros(2), "identity"), BatchNormLayer.fresh(2), DenseLayer(np.eye(2), np.zeros(2), "identity")]
+        )
+        with pytest.raises(UninitializedStatistics):
+            forward(model, np.array([1.0, 2.0]))
+        for x in ([1.0, 2.0, 3.0], [1.0], 1.0, [[[1.0, 2.0]]]):
+            with pytest.raises(ShapeMismatch):
+                forward(model, x)
 
     def test_default_architecture_shape(self):
         model = MlpRegressor.default(6)

@@ -131,6 +131,35 @@ class TestNavStep:
             state, _ = nav_step(state, None)
         assert state.mode is Mode.AWAITING_FIX  # only 2 consecutive misses so far
 
+    def test_successors_equal_validated_states(self):
+        # nav_step builds its successors without NavState's checks; each must be the state those checks pass
+        plan = (Checkpoint((2, 0), Action.TURN_LEFT_90), Checkpoint((2, 2), Action.TURN_RIGHT_90), Checkpoint((4, 2), Action.STOP))
+        near = {i: ((ix + 0.5) * 2.0 + 0.2, (iy + 0.5) * 2.0) for i, (ix, iy) in enumerate(cp.cell for cp in plan)}
+        scripts = [
+            ["far", None, "far", "near", None, (math.nan, 1.0), "far", "near", "near"],  # forward, misses, turns, stop
+            [None, None, None],  # misses up to the abort
+        ]
+        seen = set()
+        for script in scripts:
+            state = NavState.initial(plan, NavConfig(max_consecutive_misses=2), DrivetrainCalibration(veer_bias=0.01), cell_size=2.0)
+            for fix in script:
+                fix = {"far": (40.0, 40.0), "near": near[state.next_checkpoint_index]}.get(fix, fix)
+                new, command = nav_step(state, fix)
+                fields = [getattr(new, name) for name in ("plan", "config", "calibration", "cell_size", "mode", "next_checkpoint_index", "miss_counter")]
+                validated = NavState(*fields)
+                assert vars(new) == vars(validated) and new == validated and hash(new) == hash(validated)
+                assert new.plan is state.plan and type(new) is NavState
+                seen.add((new.mode, None if command is None else command.reason))
+                state = new
+        assert seen == {
+            (Mode.ADVANCING, "forward"),
+            (Mode.AWAITING_FIX, None),
+            (Mode.TURNING, "turn_left_90"),
+            (Mode.TURNING, "turn_right_90"),
+            (Mode.DONE, "stop"),
+            (Mode.ABORTED, None),
+        }
+
     def test_pure_transition(self):
         state = make_state()
         fix = (5.5, 0.5)

@@ -836,14 +836,30 @@ class TestNoiseLanes:
                 expected = np.random.default_rng([block * 64 + i, draw]).standard_normal(6)
                 assert np.array(rfsim._lane_noise(lane, 6)).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("seed", [0, 63, 2**32 + 5, 2**63 + 3])  # the last masks to 3
-    def test_a_trial_past_the_blocks_draws_matches_the_old_loop(self, ref_world, trained, seed):
-        # short steps take about 39 fixes, so the trial derives its seed's draws 16-31 and 32-47
+    @pytest.mark.parametrize(
+        "seed, step, fixes",
+        [(0, 0.3, 32), (63, 0.3, 32), (2**32 + 5, 0.3, 32), (2**63 + 3, 0.3, 32), (28, 0.3, 64), (2, 0.02, 256), (0, 0.01, 499)],
+        ids=["0", "63", "4294967301", "9223372036854775811", "past-64", "past-256", "fix-budget"],  # 2**63 + 3 masks to 3
+    )
+    def test_a_trial_past_the_blocks_draws_matches_the_old_loop(self, ref_world, trained, seed, step, fixes):
+        # lanes grow from the block's 16 draws to 64, 256 and _MAX_FIXES; 0.3 ft steps take about 39 fixes
         path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
-        kwargs = dict(nav_config=NavConfig(step_distance=0.3), seed=seed)
+        kwargs = dict(nav_config=NavConfig(step_distance=step), seed=seed)
         result, expected = run_trial(ref_world, trained[0], path, **kwargs), reference_run_trial(ref_world, trained[0], path, **kwargs)
         assert result == expected and repr(result) == repr(expected)
-        assert sum(kind != "command" for kind, _, _ in result.events) > 32
+        assert sum(kind != "command" for kind, _, _ in result.events) > fixes
+
+    def test_a_long_trial_grows_its_lanes_fourfold(self, ref_world, trained, monkeypatch):
+        # seed 28's 0.3 ft-step trial takes 67 fixes: one call grows 16 lanes to 64, another 64 to 256
+        path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
+        trial = rfsim._trials(ref_world, trained[0], path, NavConfig(step_distance=0.3))
+        rfsim._lane_block(0)  # the block's 16 draws are the memo's, not the trial's
+        calls = []
+        lane_words = rfsim._lane_words
+        monkeypatch.setattr(rfsim, "_lane_words", lambda seeds, draws: calls.append(len(seeds)) or lane_words(seeds, draws))
+        result = trial(28)
+        assert sum(kind != "command" for kind, _, _ in result.events) > 64
+        assert calls == [48, 192]
 
     def test_the_block_memo_stays_bounded_over_a_long_run(self, ref_world, trained):
         trial = rfsim._trials(ref_world, trained[0], astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL))

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of the corner-trial layer: a parent tree's
-``rfsim.run_trial`` against this tree's, in alternating blocks inside one
-process, so a gain of a few percent can be told from the machine's drift.
+"""In-process A/B timing of one layer: a parent tree's code against this
+tree's, in alternating blocks inside one process, so a gain of a few
+percent can be told from the machine's drift.
 
-    python3 tools/benchab.py PARENT [--pairs 60] [--trials 100] [--label L]
+    python3 tools/benchab.py PARENT [--layer trials|online] [--pairs 60] [--trials 100] [--label L]
 
 PARENT is a source checkout (a directory holding ``src/rssinav``) or a git
 revision of this repository, exported with ``git archive`` as in
@@ -12,21 +12,31 @@ Each tree's ``src/rssinav`` is imported under its own package name, so both
 run side by side with their own caches.  The inputs are built once: the
 reference world and the test suite's reference model (training seed 0 on
 the world's synthetic dataset), which reaches each tree through its own
-``save_model`` and ``load_model``.  Pair p runs the same block of ``--trials``
-serial ``run_trial`` calls on each side (simulate's defaults, seeds
-(p + 1) * trials onwards, so each block starts with cold noise caches),
-the parent first in even pairs and this tree first in odd ones, after one
-untimed warm-up block per side.
+``save_model`` and ``load_model``.  The layers (default ``trials``):
 
-If any trial's outcome or event log differs between the sides, the script
-refuses: it prints the first differing seed, writes nothing and exits 1.
-Otherwise it writes ``bench/BENCH_trials_ab_<label>.json`` with every block
-time, the per-pair time ratios (this tree / parent), their median, the
-pairs this tree won, and a bootstrap 95% confidence interval of the median
-ratio.  The last line printed is a summary to quote; when ``bench/`` holds
-the A/A file ``BENCH_trials_ab_aa.json`` (another file than the one
-written), it ends with that file's median and interval.  Serial in-process
-trials only: the fork split, start-up and set-up stay perfbench's.
+- ``trials``: a block is ``--trials`` serial ``rfsim.run_trial`` calls
+  (simulate's defaults, seeds (p + 1) * trials onwards in pair p, so each
+  block starts with cold noise caches).
+- ``online``: the robot's decision loop on scan text.  A block is
+  ``--trials`` missions along the reference route, one fix per route cell
+  until the navigator stops or aborts; a fix is ``parse_scan_text`` ->
+  ``filter_by_ssid`` -> ``predict_position`` -> ``nav_step``.  Mission m's
+  scans are ``simulate_scan`` draws of seed m, plus one cell of a foreign
+  network for the filter to drop, rendered to text once before any timing
+  and fed to both sides.
+
+Pair p runs the same block on each side, the parent first in even pairs
+and this tree first in odd ones, after one untimed warm-up block per side.
+If any trial's or fix's outcome differs between the sides, the script
+refuses: it prints the first differing seed or mission, writes nothing and
+exits 1.  Otherwise it writes ``bench/BENCH_<layer>_ab_<label>.json`` with
+every block time, the per-pair time ratios (this tree / parent), their
+median, the pairs this tree won, and a bootstrap 95% confidence interval of
+the median ratio.  The last line printed is a summary to quote; when
+``bench/`` holds the layer's A/A file ``BENCH_<layer>_ab_aa.json`` (another
+file than the one written), it ends with that file's median and interval.
+Serial in-process work only: the fork split, start-up and set-up stay
+perfbench's.
 """
 
 from __future__ import annotations
@@ -83,13 +93,55 @@ def build_sides(trees: dict[str, Path]) -> dict[str, tuple]:
     return sides
 
 
-def run_block(side: tuple, seeds: range) -> tuple[float, list[str]]:
+def run_trials(side: tuple, seeds: range) -> tuple[float, list[str]]:
     """Seconds for serial ``run_trial`` over ``seeds``, and each trial's outcome and event log as text."""
     package, (world, bundle, path) = side
     t0 = time.perf_counter()
     results = [package.rfsim.run_trial(world, bundle, path, seed=seed) for seed in seeds]
     elapsed = time.perf_counter() - t0
     return elapsed, [repr((r.seed, r.success, r.final_error, r.reason, r.events)) for r in results]
+
+
+def render_missions(side: tuple, count: int) -> list[list[str]]:
+    """Each mission's scan texts, one per route cell: mission m's ``simulate_scan`` draws of seed m, with
+    one cell of a foreign network appended."""
+    package, (world, _, path) = side
+    rfsim, scan = package.rfsim, package.scan_ingest
+    foreign = scan.ScanEntry("02:00:00:00:0F:01", "Neighbour", -70)
+    return [
+        [
+            rfsim.render_scan_text(scan.ScanSnapshot(rfsim.simulate_scan(world, world.grid.cell_center(cell), draw_index=k, seed=m).entries + (foreign,)))
+            for k, cell in enumerate(path.cells)
+        ]
+        for m in range(count)
+    ]
+
+
+def run_online(side: tuple, missions: list[list[str]]) -> tuple[float, list[str]]:
+    """Seconds for every mission's fixes, parse -> filter -> predict -> nav_step, and each mission's fixes,
+    modes and commands as text."""
+    package, (world, bundle, path) = side
+    scan, model, navctl, planner = package.scan_ingest, package.model, package.navctl, package.planner
+    allowlist = {ap.ssid for ap in world.aps}
+    start = navctl.NavState.initial(planner.extract_checkpoints(path, planner.first_segment_heading(path)), cell_size=world.grid.cell_size)
+    terminal = (navctl.Mode.DONE, navctl.Mode.ABORTED)
+    logs = []
+    t0 = time.perf_counter()
+    for texts in missions:
+        state, log = start, []
+        for text in texts:
+            entries = scan.filter_by_ssid(scan.parse_scan_text(text), allowlist)
+            try:
+                fix = tuple(model.predict_position(bundle, scan.ScanSnapshot(tuple(entries))))
+            except model.NoKnownAccessPoints:
+                fix = None
+            state, command = navctl.nav_step(state, fix)
+            log.append((fix, state.mode.value, state.next_checkpoint_index, state.miss_counter, command))
+            if state.mode in terminal:
+                break
+        logs.append(log)
+    elapsed = time.perf_counter() - t0
+    return elapsed, [repr(log) for log in logs]
 
 
 def machine() -> dict:
@@ -114,9 +166,9 @@ def bootstrap_ci(ratios: list[float]) -> list[float]:
     return [float(np.percentile(medians, 2.5)), float(np.percentile(medians, 97.5))]
 
 
-def noise_floor(written: Path) -> str:
-    """The A/A file's median ratio and interval as a summary suffix; empty when there is none or it is the file written."""
-    path = ROOT / "bench" / "BENCH_trials_ab_aa.json"
+def noise_floor(written: Path, layer: str) -> str:
+    """The layer's A/A file's median ratio and interval as a summary suffix; empty when there is none or it is the file written."""
+    path = ROOT / "bench" / f"BENCH_{layer}_ab_aa.json"
     if path == written or not path.exists():
         return ""
     record = json.loads(path.read_text(encoding="utf-8"))
@@ -127,8 +179,9 @@ def noise_floor(written: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", help="parent source checkout (directory) or git revision")
+    parser.add_argument("--layer", choices=("trials", "online"), default="trials", help="the layer timed (default: trials)")
     parser.add_argument("--pairs", type=int, default=60)
-    parser.add_argument("--trials", type=int, default=100, help="serial trials per block (default: 100)")
+    parser.add_argument("--trials", type=int, default=100, help="serial trials, or online missions, per block (default: 100)")
     parser.add_argument("--label", default="change", help="the file name's last part (default: change)")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.trials < 1:
@@ -147,25 +200,31 @@ def main(argv=None) -> int:
         if export:
             shutil.rmtree(export, ignore_errors=True)
 
+    if args.layer == "trials":
+        run_block, block, unit = run_trials, lambda pair: range((pair + 1) * args.trials, (pair + 2) * args.trials), "seed"
+    else:
+        missions = render_missions(sides["change"], args.trials)
+        run_block, block, unit = run_online, lambda pair: missions, "mission"
     seconds = {"parent": [], "change": []}
     for pair in range(-1, args.pairs):  # pair -1 is the untimed warm-up
-        seeds = range((pair + 1) * args.trials, (pair + 2) * args.trials)
+        work = block(pair)
         outcomes = {}
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-            elapsed, outcomes[side] = run_block(sides[side], seeds)
+            elapsed, outcomes[side] = run_block(sides[side], work)
             if pair >= 0:
                 seconds[side].append(elapsed)
         if outcomes["parent"] != outcomes["change"]:
-            seed = next(s for s, a, b in zip(seeds, outcomes["parent"], outcomes["change"]) if a != b)
-            print(f"error: the trees' trials differ (first at seed {seed}); no timing reported", file=sys.stderr)
+            first = next(i for i, (a, b) in enumerate(zip(outcomes["parent"], outcomes["change"])) if a != b)
+            which = work[first] if args.layer == "trials" else first
+            print(f"error: the trees' {args.layer} differ (first at {unit} {which}); no timing reported", file=sys.stderr)
             return 1
 
     ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
     record = {
-        "layer": "trials",
+        "layer": args.layer,
         "label": args.label,
         "pairs": args.pairs,
-        "trials_per_block": args.trials,
+        ("trials_per_block" if args.layer == "trials" else "missions_per_block"): args.trials,
         "revisions": revisions,
         "machine": machine(),
         "results_identical": True,
@@ -177,14 +236,14 @@ def main(argv=None) -> int:
         "wins": sum(r < 1 for r in ratios),
         "ci95": bootstrap_ci(ratios),
     }
-    out = ROOT / "bench" / f"BENCH_trials_ab_{args.label}.json"
+    out = ROOT / "bench" / f"BENCH_{args.layer}_ab_{args.label}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     low, high = record["ci95"]
     print(
         f"{out.name}: time ratio change/parent median {record['median_ratio']:.4f}, CI {low:.4f} to {high:.4f}, "
         f"change faster in {record['wins']}/{args.pairs} pairs; block medians parent {statistics.median(seconds['parent']) * 1e3:.1f} ms, "
-        f"change {statistics.median(seconds['change']) * 1e3:.1f} ms; trials identical" + noise_floor(out)
+        f"change {statistics.median(seconds['change']) * 1e3:.1f} ms; {args.layer} identical" + noise_floor(out, args.layer)
     )
     return 0
 
