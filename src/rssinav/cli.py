@@ -12,6 +12,7 @@ half-written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -93,7 +94,6 @@ def run_training_pipeline(
     threshold: float = features.DEFAULT_PCC_THRESHOLD,
     ratio: float = features.DEFAULT_TRAIN_RATIO,
     train_config: model.TrainConfig | None = None,
-    min_presence: float | None = None,
 ):
     """Feature selection, split, normalization and training in one call.
 
@@ -102,8 +102,6 @@ def run_training_pipeline(
     test rows.
     """
     train_config = train_config or model.TrainConfig()
-    if min_presence is not None:
-        dataset = features.reduce_columns(dataset, features.columns_with_presence(dataset, min_presence))
     selection = features.select_features(dataset, threshold)
     if not selection.kept_columns:
         raise ToolkitError(f"no columns reach correlation {threshold}; nothing to train on")
@@ -164,17 +162,31 @@ def _trial_logs(result: rfsim.TrialResult) -> tuple[list, list]:
     return commands, [(*true, *(estimate or (None, None))) for true, estimate in fixes]
 
 
-def _trial_options(opts) -> dict:
-    """The run_trial keyword arguments that simulate and navigate share."""
+def _run_trials(opts, count: int) -> tuple[float, list[rfsim.TrialResult]]:
+    """simulate's and navigate's trials: ``count`` seeded trials from ``--seed`` on the world's route, with
+    the model unless ``--oracle``; returns corner_success_rate's (rate, results)."""
+    world = _load_world_with_overrides(opts)
+    bundle = None if opts["oracle"] else model.load_model(opts["model"])
     nav_config = navctl.NavConfig(
-        step_distance=opts["step_distance"],
-        checkpoint_radius=opts["checkpoint_radius"],
-        max_consecutive_misses=opts["max_misses"],
+        step_distance=opts["step_distance"], checkpoint_radius=opts["checkpoint_radius"], max_consecutive_misses=opts["max_misses"]
     )
-    return dict(nav_config=nav_config, success_radius=opts["success_radius"], oracle=opts["oracle"], scan_period=opts["scan_period"])
+    return rfsim.corner_success_rate(
+        world, bundle, count, opts["seed"], opts.get("start"), opts.get("goal"),
+        nav_config=nav_config, success_radius=opts["success_radius"], oracle=opts["oracle"], scan_period=opts["scan_period"],
+    )
+
+
+def _read_dataset(opts) -> scan_ingest.FingerprintDataset:
+    """The dataset CSV, range-checked, and reduced to the columns that reach ``--min-presence`` when it is given."""
+    dataset = scan_ingest.read_csv(opts["dataset"])
+    features.check_ranges(dataset)
+    if opts.get("min_presence") is not None:
+        dataset = features.reduce_columns(dataset, features.columns_with_presence(dataset, opts["min_presence"]))
+    return dataset
 
 
 def _write_dataset(dataset: scan_ingest.FingerprintDataset, path) -> int:
+    features.check_ranges(dataset)  # a CSV that _read_dataset would refuse is not written
     scan_ingest.write_csv(dataset, path)
     print(f"wrote {dataset.n_rows} rows x {len(dataset.ap_columns)} access-point columns to {path}")
     return 0
@@ -204,10 +216,7 @@ def cmd_ingest(opts) -> int:
 
 
 def cmd_select_features(opts) -> int:
-    dataset = scan_ingest.read_csv(opts["dataset"])
-    features.check_ranges(dataset)
-    if opts.get("min_presence") is not None:
-        dataset = features.reduce_columns(dataset, features.columns_with_presence(dataset, opts["min_presence"]))
+    dataset = _read_dataset(opts)
     selection = features.select_features(dataset, opts["threshold"])
     kept = set(selection.kept_columns)
     print(f"kept {len(kept)} of {len(dataset.ap_columns)} columns at threshold {opts['threshold']}")
@@ -221,19 +230,9 @@ def cmd_select_features(opts) -> int:
 
 
 def cmd_train(opts) -> int:
-    dataset = scan_ingest.read_csv(opts["dataset"])
-    features.check_ranges(dataset)
-    config = model.TrainConfig(
-        epochs=opts["epochs"],
-        validation_split=opts["validation_split"],
-        batch_size=opts["batch_size"],
-        learning_rate=opts["learning_rate"],
-        seed=opts["seed"],
-        optimizer=opts["optimizer"],
-    )
-    bundle, report, _ = run_training_pipeline(
-        dataset, threshold=opts["threshold"], ratio=opts["ratio"], train_config=config, min_presence=opts.get("min_presence")
-    )
+    dataset = _read_dataset(opts)
+    config = model.TrainConfig(**{f.name: opts[f.name] for f in dataclasses.fields(model.TrainConfig)})  # the options are the fields
+    bundle, report, _ = run_training_pipeline(dataset, threshold=opts["threshold"], ratio=opts["ratio"], train_config=config)
     model.save_model(bundle.model, bundle.selection, bundle.params, opts["output"])
     losses = [(i, *pair) for i, pair in enumerate(zip(report.train_loss, report.val_loss), start=1)]
     write_rows(opts.get("report") or str(opts["output"]) + ".report.csv", ["epoch", "train_loss", "val_loss"], losses)
@@ -248,8 +247,7 @@ def cmd_train(opts) -> int:
 
 def cmd_evaluate(opts) -> int:
     bundle = model.load_model(opts["model"])
-    dataset = scan_ingest.read_csv(opts["dataset"])
-    features.check_ranges(dataset)
+    dataset = _read_dataset(opts)
     mae_norm, mean_ft, rows = evaluate_bundle(bundle, dataset)
     if opts.get("output"):
         write_rows(opts["output"], ["x_true", "y_true", "x_pred", "y_pred"], rows)
@@ -286,17 +284,7 @@ def cmd_make_dataset(opts) -> int:
 
 
 def cmd_simulate(opts) -> int:
-    world = _load_world_with_overrides(opts)
-    bundle = None if opts["oracle"] else model.load_model(opts["model"])
-    rate, results = rfsim.corner_success_rate(
-        world,
-        bundle,
-        trials=opts["trials"],
-        base_seed=opts["seed"],
-        start=opts.get("start"),
-        goal=opts.get("goal"),
-        **_trial_options(opts),
-    )
+    rate, results = _run_trials(opts, opts["trials"])
     if opts.get("output"):
         rows = [(i, r.seed, int(r.success), r.final_error, r.reason, *map(len, _trial_logs(r))) for i, r in enumerate(results)]
         write_rows(opts["output"], ["trial", "seed", "success", "final_error_ft", "reason", "commands", "fixes"], rows)
@@ -306,11 +294,7 @@ def cmd_simulate(opts) -> int:
 
 
 def cmd_navigate(opts) -> int:
-    world = _load_world_with_overrides(opts)
-    bundle = None if opts["oracle"] else model.load_model(opts["model"])
-    _, (result,) = rfsim.corner_success_rate(
-        world, bundle, 1, opts["seed"], opts.get("start"), opts.get("goal"), **_trial_options(opts)
-    )
+    _, (result,) = _run_trials(opts, 1)
     prefix = opts["out_prefix"]
     commands, fixes = _trial_logs(result)
     write_rows(f"{prefix}_trajectory.csv", ["x", "y", "heading"], result.trajectory)
@@ -374,10 +358,7 @@ _COMMANDS = {
                         {"output": None, "threshold": features.DEFAULT_PCC_THRESHOLD, "min_presence": None}),
     "train": (cmd_train, "select features, split, normalize and train a position model", {"dataset": "dataset CSV"},
               {"output": _REQUIRED, "report": None, "threshold": features.DEFAULT_PCC_THRESHOLD, "min_presence": None,
-               "ratio": features.DEFAULT_TRAIN_RATIO, "epochs": model.DEFAULT_EPOCHS,
-               "validation_split": model.DEFAULT_VALIDATION_SPLIT, "batch_size": model.DEFAULT_BATCH_SIZE,
-               "learning_rate": model.DEFAULT_LEARNING_RATE, "optimizer": model.TrainConfig.optimizer,
-               "seed": model.TrainConfig.seed}),
+               "ratio": features.DEFAULT_TRAIN_RATIO, **{f.name: f.default for f in dataclasses.fields(model.TrainConfig)}}),
     "evaluate": (cmd_evaluate, "predicted-vs-actual scatter data and metrics for a dataset",
                  {"model": "model file", "dataset": "labelled dataset CSV"}, {"output": None}),
     "plan": (cmd_plan, "A* path and checkpoint plan on a grid map", {"map": "grid map text file"},

@@ -38,11 +38,6 @@ RELU = "relu"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, IDENTITY)
 
-DEFAULT_EPOCHS = 700
-DEFAULT_VALIDATION_SPLIT = 0.2
-DEFAULT_BATCH_SIZE = 16
-DEFAULT_LEARNING_RATE = 1e-3
-
 _MAGIC = b"FPNNMODEL\x00"
 _FORMAT_VERSION = 1
 
@@ -367,10 +362,10 @@ def _step(model: MlpRegressor, batch: np.ndarray, truth: np.ndarray, grads: list
 class TrainConfig:
     """Training hyperparameters; every value is recorded for reproducibility."""
 
-    epochs: int = DEFAULT_EPOCHS
-    validation_split: float = DEFAULT_VALIDATION_SPLIT
-    batch_size: int = DEFAULT_BATCH_SIZE
-    learning_rate: float = DEFAULT_LEARNING_RATE
+    epochs: int = 700
+    validation_split: float = 0.2
+    batch_size: int = 16
+    learning_rate: float = 1e-3
     seed: int = 0
     optimizer: str = "adam"  # "adam" (adaptive-moment) or "sgd" (plain gradient descent)
 

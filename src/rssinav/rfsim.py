@@ -306,7 +306,6 @@ class TrialResult:
     robot: SimRobot
     events: list = field(default_factory=list)
     reason: str = ""
-    success_radius: float = 0.0
     seed: int = 0
 
     @property
@@ -473,7 +472,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
         if not on_walkable:
             reason += "+left_walkable"
         success = reason == "done" and final_error <= success_radius
-        return TrialResult(success, final_error, robot, events, reason, success_radius, seed)
+        return TrialResult(success, final_error, robot, events, reason, seed)
 
     return trial
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rssinav import cli, scan_ingest
+from rssinav import cli, features, model, scan_ingest
 from rssinav.cli import build_parser, main
 from rssinav.errors import ToolkitError
 
@@ -36,6 +36,12 @@ def write_scan_dir(tmp_path):
             )
             (scans / f"{x}_{y}_{rep}.txt").write_text(text)
     return scans
+
+
+def model_bytes(bundle) -> bytes:
+    sink = io.BytesIO()
+    model.save_model(bundle.model, bundle.selection, bundle.params, sink)
+    return sink.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +136,24 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.count("\n") == 2 and err.count(str(latin1)) == err.count(str(duplicate_mac)) == 1
 
+    def test_a_position_the_dataset_readers_refuse_writes_nothing(self, tmp_path, capsys):
+        scans = write_scan_dir(tmp_path)
+        (scans / "20000000000_0_0.txt").write_text(ONE_CELL.format(i=1, level=-50))  # parses; x is past COORDINATE_LIMIT, in row 3
+        out = tmp_path / "ds.csv"
+        assert main(["ingest", str(scans), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: dataset row 3, column x: 2e+10 ft is outside [-1e+09, 1e+09]\n"
+        assert not out.exists()
+
+
+def test_make_dataset_refuses_cells_the_dataset_readers_refuse(workspace, tmp_path, capsys):
+    world = tmp_path / "world.txt"
+    lines = workspace[1].read_text().splitlines(keepends=True)
+    world.write_text("12 12 1e300\n" + "".join(lines[1:]))  # the first cell's center is x = 5e299 ft
+    out = tmp_path / "ds.csv"
+    assert main(["make-dataset", str(world), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: dataset row 1, column x: 5e+299 ft is outside [-1e+09, 1e+09]\n"
+    assert not out.exists()
+
 
 class TestTrainEvaluate:
     def test_train_writes_model_and_report(self, workspace, capsys):
@@ -158,6 +182,37 @@ class TestTrainEvaluate:
         for name in ("plain", "variant"):
             assert main(["train", str(tmp_path / f"{name}.csv"), "-o", str(tmp_path / f"{name}.bin"), "--epochs", "40", "--seed", "7"]) == 0
         assert (tmp_path / "variant.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()
+
+    def test_train_without_flags_writes_the_library_defaults_model(self, workspace, tmp_path):
+        _, _, dataset, _ = workspace
+        out = tmp_path / "m.bin"
+        assert main(["train", str(dataset), "-o", str(out)]) == 0
+        assert out.read_bytes() == model_bytes(cli.run_training_pipeline(scan_ingest.read_csv(dataset))[0])
+
+    def test_min_presence_drops_a_sparse_column_in_select_features_and_train(self, workspace, tmp_path):
+        _, _, dataset, _ = workspace
+        sparse = "02:00:00:00:00:02"
+        header, *rows = dataset.read_text().splitlines()
+        column = header.split(",").index(sparse)
+        cells = [row.split(",") for row in rows]
+        for row in cells:
+            if float(row[-2]) < 8:  # 75 of the 95 rows: missing (0) there, so it tracks x
+                row[column] = "0"
+        path = tmp_path / "sparse.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in [header.split(","), *cells]))
+        data = scan_ingest.read_csv(path)
+        assert sparse in features.select_features(data).kept_columns  # correlation alone keeps it
+        reduced = features.reduce_columns(data, features.columns_with_presence(data, 0.5))
+        assert sparse not in reduced.ap_columns
+
+        assert main(["select-features", str(path), "--min-presence", "0.5", "-o", str(tmp_path / "f.csv")]) == 0
+        listed = [line.split(",")[0] for line in (tmp_path / "f.csv").read_text().splitlines()[1:]]
+        assert listed == list(reduced.ap_columns)
+        out = tmp_path / "m.bin"
+        assert main(["train", str(path), "--min-presence", "0.5", "--epochs", "40", "--seed", "7", "-o", str(out)]) == 0
+        bundle, _, _ = cli.run_training_pipeline(reduced, train_config=model.TrainConfig(epochs=40, seed=7))
+        assert model.load_model(out).selection.kept_columns == bundle.selection.kept_columns
+        assert out.read_bytes() == model_bytes(bundle)
 
     def test_missing_dataset_fails_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "model.bin"

@@ -51,17 +51,15 @@ import importlib.util
 import io
 import json
 import platform
-import shutil
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchpairs import describe
-from bytediff import ROOT, export_revision
+from benchpairs import describe, parent_tree
+from bytediff import ROOT
 
 BOOTSTRAP = 10_000  # resamples of the pairs for the interval of the median ratio
 
@@ -187,18 +185,9 @@ def main(argv=None) -> int:
     if args.pairs < 2 or args.trials < 1:
         parser.error("--pairs must be >= 2 and --trials >= 1")
 
-    export = None
-    parent = Path(args.parent)
-    revision = None if (parent / "src" / "rssinav").is_dir() else args.parent
-    try:
-        if revision:
-            export = Path(tempfile.mkdtemp(prefix="benchab-"))
-            parent = export_revision(revision, export / "parent-tree")
-        sides = build_sides({"parent": parent.resolve(), "change": ROOT})
+    with parent_tree(args.parent) as (parent, revision):
+        sides = build_sides({"parent": parent, "change": ROOT})
         revisions = {"parent": describe(parent, revision), "change": describe(ROOT, None)}
-    finally:
-        if export:
-            shutil.rmtree(export, ignore_errors=True)
 
     if args.layer == "trials":
         run_block, block, unit = run_trials, lambda pair: range((pair + 1) * args.trials, (pair + 2) * args.trials), "seed"

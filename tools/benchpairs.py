@@ -37,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from bytediff import ROOT, export_revision
@@ -98,6 +99,19 @@ def noise_floor(workload: str, seed: int, written: Path) -> str:
     return f"; A/A ops_per_s {path.name} median ratio {s['median_ratio']:.4f}, pairs {min(ratios):.4f} to {max(ratios):.4f}"
 
 
+@contextmanager
+def parent_tree(arg: str):
+    """A directory, or a git revision exported and cleaned up: yields (the tree, the revision or None)."""
+    if (Path(arg) / "src" / "rssinav").is_dir():
+        yield Path(arg).resolve(), None
+        return
+    export = Path(tempfile.mkdtemp(prefix="parent-tree-"))
+    try:
+        yield export_revision(arg, export / "parent-tree").resolve(), arg
+    finally:
+        shutil.rmtree(export, ignore_errors=True)
+
+
 def describe(tree: Path, revision: str | None) -> str:
     """A git revision as its full hash; a directory as its path, with its HEAD and whether it has uncommitted changes if it is a checkout."""
     git = ["git", "-C", str(ROOT if revision else tree)]
@@ -123,14 +137,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    export = None
-    parent = Path(args.parent)
-    revision = None if (parent / "src" / "rssinav").is_dir() else args.parent
-    try:
-        if revision:
-            export = Path(tempfile.mkdtemp(prefix="benchpairs-"))
-            parent = export_revision(revision, export / "parent-tree")
-        trees = {"parent": parent.resolve(), "change": ROOT}
+    with parent_tree(args.parent) as (parent, revision):
+        trees = {"parent": parent, "change": ROOT}
         runs = []
         for pair in range(args.pairs):
             for order, name in enumerate(("parent", "change") if pair % 2 == 0 else ("change", "parent")):
@@ -147,9 +155,6 @@ def main(argv=None) -> int:
                 })
                 print(f"pair {pair} {name:<6} " + " ".join(f"{k}={v:.6g}" for k, v in metrics.items()), file=sys.stderr, flush=True)
         revisions = {"parent": describe(parent, revision), "change": describe(ROOT, None)}
-    finally:
-        if export:
-            shutil.rmtree(export, ignore_errors=True)
 
     summary = compare(runs, {name: better for name, better in directions.items() if all(name in run["metrics"] for run in runs)})
     record = {

@@ -13,6 +13,8 @@ each in its own directory, with every output path relative to it:
     make-world, make-dataset, ingest (plain, --no-aggregate, --ssid),
     train --seed 0 and train --optimizer sgd --batch-size 7
     --validation-split 0 (model file and report each), evaluate, select-features,
+    select-features and train --epochs 50 on the ingested captures with
+    --min-presence 0.5 (which drops the one access point most scans miss),
     simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
     split evenly across CPUs), simulate --oracle --trials 50 -o,
     simulate --oracle --trials 7 --step-distance 30 -o, simulate --trials 12
@@ -64,6 +66,10 @@ STEPS = [
      + ["--validation-split", "0", "--epochs", "50", "--seed", "3"], ["model_sgd.bin", "model_sgd.bin.report.csv"]),
     ("evaluate", ["evaluate", "model.bin", "dataset.csv", "-o", "evaluate.csv"], ["evaluate.csv"]),
     ("select-features", ["select-features", "dataset.csv", "-o", "features.csv"], ["features.csv"]),
+    ("select-features --min-presence", ["select-features", "ingest.csv", "--min-presence", "0.5", "-o", "features_presence.csv"],
+     ["features_presence.csv"]),
+    ("train --min-presence", ["train", "ingest.csv", "--min-presence", "0.5", "--epochs", "50", "-o", "model_presence.bin"],
+     ["model_presence.bin", "model_presence.bin.report.csv"]),
     ("simulate", ["simulate", "world.txt", "model.bin", "--trials", "100", "-o", "trials.csv"], ["trials.csv"]),
     ("simulate --trials 7", ["simulate", "world.txt", "model.bin", "--trials", "7", "-o", "trials_7.csv"], ["trials_7.csv"]),
     ("simulate --oracle", ["simulate", "world.txt", "--oracle", "--trials", "50", "-o", "trials_oracle.csv"], ["trials_oracle.csv"]),
@@ -104,7 +110,8 @@ FAILURES = [
 
 
 def write_captures(directory: Path) -> None:
-    """Seeded scan captures: 6x4 locations x 3 scans of 9 APs, a third of them on SSID Guest."""
+    """Seeded scan captures: 6x4 locations x 3 scans of 9 APs, a third of them on SSID Guest;
+    AP 02:00:00:00:01:01 is heard only from x >= 20 ft, a third of the locations."""
     directory.mkdir()
     rnd = random.Random(2026)
     aps = [(f"02:00:00:00:01:{i:02X}", "Guest" if i % 3 == 0 else "LabNet", rnd.uniform(0, 30), rnd.uniform(0, 20)) for i in range(9)]
@@ -114,6 +121,8 @@ def write_captures(directory: Path) -> None:
                 lines = []
                 for cell, (mac, ssid, ax, ay) in enumerate(aps, start=1):
                     rssi = round(-40 - 30 * math.log10(max(1.0, math.hypot(ax - x, ay - y))) + rnd.gauss(0, 2))
+                    if mac.endswith(":01") and x < 20:
+                        continue
                     lines += [f"Cell {cell:02d} - Address: {mac}", f'          ESSID:"{ssid}"', f"          Signal level={rssi} dBm"]
                 (directory / f"{x}_{y}_{rep}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
