@@ -12,6 +12,7 @@ rounded to integer dBm to match real scan granularity.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import pickle
@@ -33,6 +34,8 @@ from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, _can
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
 _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duration), bit for bit: -0.0 is not 0.0
+_NODE_KEY = struct.Struct("<3d")  # a pose graph key (x, y, heading), bit for bit
+_GRAPH_MOVES = 2048  # moves a run's pose graph keeps, about 0.9 KB each with six APs: a reference run of 5,000 trials needs 27
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
 _WALK_BATCH = 4096  # substeps a trial holds before it checks them for walkable cells: one check per reference trial
 _SEED_MASK = (1 << 63) - 1
@@ -127,19 +130,29 @@ def simulate_scan(world: SimWorld, position: tuple[float, float], draw_index: in
     if not world.grid.contains_point(x, y):
         raise OutOfBounds(f"scan position ({x}, {y}) is outside the map")
     seeds = [(world.rng_seed if seed is None else seed) & _SEED_MASK, draw_index & _SEED_MASK]
-    levels = _scan_levels(world, x, y, np.random.default_rng(seeds).standard_normal(len(world.aps)).tolist())
+    levels = _scan_levels(world, _path_loss(world, x, y), np.random.default_rng(seeds).standard_normal(len(world.aps)).tolist())
     return ScanSnapshot(tuple(ScanEntry(ap.mac, ap.ssid, rssi) for ap, rssi in zip(world.aps, levels)))
 
 
-def _scan_levels(world: SimWorld, x: float, y: float, noise: list[float]) -> list[int]:
-    """The RSSI formula: each AP's level in integer dBm at (x, y), in ``world.aps`` order, with its
-    standard normal draw from ``noise``."""
+def _path_loss(world: SimWorld, x: float, y: float) -> list[float]:
+    """The deterministic half of the RSSI formula: each AP's p0 - 10 n log10(d / d_ref) in dBm at (x, y),
+    in ``world.aps`` order."""
+    ref = world.reference_distance
+    losses = []
+    for ap in world.aps:
+        d = math.hypot(x - ap.position[0], y - ap.position[1])
+        losses.append(ap.p0 - 10.0 * ap.path_loss_exponent * math.log10((ref if ref > d else d) / ref))  # max(d, ref) without the call
+    return losses
+
+
+def _scan_levels(world: SimWorld, losses: list[float], noise: list[float]) -> list[int]:
+    """The noisy half of the RSSI formula: each AP's level in integer dBm, its ``_path_loss`` level plus
+    sigma times its standard normal draw from ``noise``, rounded half up and clamped to [RSSI_FLOOR, 0]:
+    ``floor(min(0.0, max(RSSI_FLOOR, level + 0.5)))`` without the two builtin calls, a NaN included."""
     levels = []
-    for ap, z in zip(world.aps, noise):
-        d = max(math.hypot(x - ap.position[0], y - ap.position[1]), world.reference_distance)
-        level = ap.p0 - 10.0 * ap.path_loss_exponent * math.log10(d / world.reference_distance)
-        level += ap.noise_sigma * z
-        levels.append(math.floor(min(0.0, max(RSSI_FLOOR, level + 0.5))))
+    for ap, level, z in zip(world.aps, losses, noise):
+        level = level + ap.noise_sigma * z + 0.5
+        levels.append(0 if level >= 0.0 else math.floor(level) if level > RSSI_FLOOR else RSSI_FLOOR)
     return levels
 
 
@@ -384,8 +397,12 @@ def run_trial(
     Nothing the robot does depends on whether its substeps stay on walkable
     cells, so they are checked in batches (``_all_walkable``): at the end of
     the trial, or once ``_WALK_BATCH`` substeps are pending, until a check
-    fails; the answer is the per-command one.  The trial ends on Done,
-    Aborted, or after ``_MAX_FIXES`` fixes.  Success means Done with the true
+    fails; the answer is the per-command one.  The run (``_trials``) keeps
+    a pose graph that its trials share: each true pose's path loss, and the
+    end pose and walkability verdict of each command driven from it, are
+    derived once, so a trial drives a decided move without integrating or
+    checking it; a run of one trial, as here, starts it empty.  The trial
+    ends on Done, Aborted, or after ``_MAX_FIXES`` fixes.  Success means Done with the true
     position within ``success_radius`` ft of the goal center and no substep
     off walkable cells; ``success_radius`` and ``scan_period`` must be finite
     and positive, and small enough that the trial clock stays finite; an
@@ -422,17 +439,45 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     columns = [] if oracle else [index.get(mac) for mac in bundle.selection.kept_columns]
     known = any(i is not None for i in columns)
 
+    # The run's pose graph.  A true pose is a pure function of the commands driven from the start pose, so the
+    # trials walk one small lattice of poses again and again.  A node is a pose's (x, y, heading, path loss, moves),
+    # keyed by the pose's bits, as -0.0 is not 0.0; its path loss is None off the map, and () when no fix needs it.
+    # A move is [command, end node, verdict], keyed by the command's identity (2 == 2.0; the move holds the command,
+    # so its id stays its own); the verdict on its substeps' walkability is None until a checked batch decides it.
+    # Tickets bound the graph: the first _GRAPH_MOVES moves are kept, and each adds at most one node.  Threads that
+    # race on one miss may each build its move: either is the same move, and each took a ticket.
+    nodes, tickets = {}, itertools.count()
+
+    def node(x: float, y: float, theta: float) -> tuple:
+        if not grid.contains_point(x, y):
+            return (x, y, theta, None, {})
+        return (x, y, theta, _path_loss(world, x, y) if known else (), {})
+
+    def add_move(here: tuple, command: DriveCommand, poses: np.ndarray) -> list:
+        """The move of ``command`` from ``here``, its end read from ``poses``, kept in the graph while it has room."""
+        end = poses[:, -1].tolist()
+        key = _NODE_KEY.pack(*end)
+        move = [command, nodes.get(key) or node(*end), None]
+        if next(tickets) < _GRAPH_MOVES:
+            nodes.setdefault(key, move[1])
+            here[4][id(command)] = move
+        return move
+
+    origin = node(*robot.pose)
+    nodes[_NODE_KEY.pack(*robot.pose)] = origin
+
     def trial(seed: int) -> TrialResult:
         state = start
         events = []
-        x, y, theta = robot.pose
+        here = origin
         on_walkable = True
-        pending, held = [], 0  # the x/y rows of the commands not checked yet, and their substeps
+        pending, held, unchecked = [], 0, []  # the x/y rows not checked yet, their substeps and their moves
         clock = 0.0
         reason = "fix_budget"
         key, lanes = seed & _SEED_MASK, []  # the words of draws 0, 1, ...: the block's 16, then 64, 256, _MAX_FIXES
         for draw_index in range(_MAX_FIXES):
-            if not grid.contains_point(x, y):
+            x, y, theta, losses, moves = here
+            if losses is None:
                 on_walkable = False
                 reason = "left_map"
                 break
@@ -445,7 +490,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
                 elif draw_index == len(lanes):  # grown fourfold in one call: a call's cost hardly depends on its lanes
                     more = min(3 * draw_index, _MAX_FIXES - draw_index)
                     lanes += _lane_words([key] * more, range(draw_index, draw_index + more)).T.tolist()
-                levels = _scan_levels(world, x, y, _lane_noise(lanes[draw_index], len(world.aps)))
+                levels = _scan_levels(world, losses, _lane_noise(lanes[draw_index], len(losses)))
                 fix = _predict_vector(bundle, np.array([MISSING_RSSI if i is None else float(levels[i]) for i in columns]))
             else:
                 fix = None
@@ -453,21 +498,31 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
             state, command = nav_step(state, fix)
             if command is not None:
                 events.append(("command", clock, command))
-                poses = _command_poses(robot, command, (x, y, theta))
-                x, y, theta = poses[:, -1].tolist()
+                move, poses = moves.get(id(command)), None
+                if move is None:
+                    poses = _command_poses(robot, command, (x, y, theta))
+                    move = add_move(here, command, poses)
+                here = move[1]
                 if on_walkable:
-                    pending.append(poses[:2])
-                    held += poses.shape[1]
-                    if held >= _WALK_BATCH:
-                        on_walkable = _all_walkable(grid, pending)
-                        pending, held = [], 0
+                    if move[2] is None:  # undecided: its substeps join the batch
+                        if poses is None:
+                            poses = _command_poses(robot, command, (x, y, theta))
+                        pending.append(poses[:2])
+                        unchecked.append(move)
+                        held += poses.shape[1]
+                        if held >= _WALK_BATCH:
+                            on_walkable = _settle(grid, pending, unchecked)
+                            pending, held, unchecked = [], 0, []
+                    elif not move[2]:
+                        on_walkable = False
                 del poses  # held in pending or checked: the next command's need not sit beside them
                 clock += command.duration
             if state.mode in (Mode.DONE, Mode.ABORTED):
                 reason = state.mode.value
                 break
         if on_walkable and pending:
-            on_walkable = _all_walkable(grid, pending)
+            on_walkable = _settle(grid, pending, unchecked)
+        x, y = here[:2]
         final_error = math.hypot(x - gx, y - gy)
         if not on_walkable:
             reason += "+left_walkable"
@@ -475,6 +530,20 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
         return TrialResult(success, final_error, robot, events, reason, seed)
 
     return trial
+
+
+def _settle(grid: GridMap, pending: list, moves: list) -> bool:
+    """Whether every column of the x/y rows ``pending`` lies on a walkable cell, in one ``_all_walkable``
+    batch; records the verdict of each of ``moves``, whose rows these are: walkable when the batch is, and
+    after a failed batch each one's own check."""
+    if _all_walkable(grid, pending):
+        for move in moves:
+            move[2] = True
+        return True
+    for move, rows in zip(moves, pending):
+        if move[2] is None:
+            move[2] = _all_walkable(grid, [rows])
+    return False
 
 
 def _all_walkable(grid: GridMap, rows: list) -> bool:

@@ -1,3 +1,5 @@
+import contextlib
+import inspect
 import io
 import math
 import os
@@ -9,18 +11,19 @@ import time
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rssinav import rfsim
+from rssinav import planner, rfsim
 from rssinav.errors import InvalidParameter, OutOfBounds
 from rssinav.features import denormalize_coords
 from rssinav.fileio import write_rows
 from rssinav.model import NoKnownAccessPoints, PositionEstimate, TrainConfig, forward, prepare_features
-from rssinav.navctl import MAX_DURATION, DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, turn_command
+from rssinav.navctl import MAX_DURATION, DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step, stop_command, turn_command
 from rssinav.planner import EmptyPath, GridMap, NoPath, PlannedPath, astar, extract_checkpoints, first_segment_heading
 from rssinav.rfsim import (
     REFERENCE_GOAL,
@@ -1004,6 +1007,200 @@ class TestBatchedWalkableCheck:
                 finally:
                     tracemalloc.stop()
         assert peaks[6] < peaks[2] + 3 * 360_001 * 8 / 10
+
+
+def pose_graph(trial):
+    """The nodes and the moves of a run's pose graph that its start node reaches, found through the per-seed
+    function's closure: a node is (x, y, heading, path loss, moves), a move [command, end node, verdict]."""
+    origin = inspect.getclosurevars(trial).nonlocals["origin"]
+    nodes, moves, todo = {id(origin): origin}, [], [origin]
+    while todo:
+        for move in todo.pop()[4].values():
+            moves.append(move)
+            if id(move[1]) not in nodes:
+                nodes[id(move[1])] = move[1]
+                todo.append(move[1])
+    return list(nodes.values()), moves
+
+
+def minus_zero_heading(path):
+    """first_segment_heading with a -0.0 for a 0 component, so a route that starts east starts at heading -0.0."""
+    x, y = planner.first_segment_heading(path).vector
+    return SimpleNamespace(vector=(x or -0.0, y or -0.0))
+
+
+@contextlib.contextmanager
+def scripted_nav(scripts):
+    """nav_step, in run_trial and in reference_run_trial, replaced by one that issues the commands of
+    ``scripts[k % len(scripts)]`` in the k-th trial it sees start, then a stop into Done."""
+    trials = []
+
+    def nav(state, fix):
+        if state.mode is Mode.AWAITING_FIX:  # a start state: every later one is advancing
+            trials.append(iter(scripts[len(trials) % len(scripts)]))
+        command = next(trials[-1], None)
+        if command is None:
+            return replace(state, mode=Mode.DONE, next_checkpoint_index=len(state.plan)), stop_command()
+        return replace(state, mode=Mode.ADVANCING), command
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rfsim, "nav_step", nav)
+        patch.setattr(sys.modules[__name__], "nav_step", nav)
+        yield
+
+
+class TestPoseGraph:
+    """A run's trials walk one pose graph: path loss, moves and walkability verdicts are derived once per
+    pose; every trial must be the one reference_run_trial gives, field for field and bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        floor=st.booleans(),  # an open 40 x 7 floor of 10 ft cells, or the reference world
+        oracle=st.booleans(),
+        base_seed=st.integers(0, 2**64) | st.integers(2**63 - 20, 2**63 + 20),
+        trials=st.integers(1, 24),
+        sigma=st.sampled_from([2.0, 6.0]),
+        # a step over 10 s takes the uncached integration path
+        step=st.sampled_from([2.0, 0.6]) | st.floats(0.5, 3.0) | st.floats(10.5, 40.0),
+        veer=st.none() | st.floats(-1e-3, 1e-3),
+        goal=st.integers(3, 39),
+        pillar=st.none() | st.floats(0.0, 1.0),
+        minus_zero=st.booleans(),
+        shared=st.sampled_from(["corner_success_rate", "_trials"]),
+    )
+    @example(False, False, 2**63 - 3, 24, 6.0, 2.0, None, 3, 0.4, True, "corner_success_rate")
+    def test_runs_match_the_reference_seed_by_seed(self, ref_world, trained, floor, oracle, base_seed, trials, sigma, step, veer, goal, pillar, minus_zero, shared):
+        world = with_noise_sigma(replace(ref_world, grid=GridMap(40, 7, 10.0)) if floor else ref_world, sigma)
+        start, goal = ((0, 3), (goal, 3)) if floor else (REFERENCE_START, REFERENCE_GOAL)
+        path = astar(world.grid, start, goal)
+        bundle = None if oracle else trained[0]
+        kwargs = dict(
+            nav_config=NavConfig(step_distance=step, checkpoint_radius=0.6 * step if floor else 1.5),
+            oracle=oracle,
+            calibration=None if veer is None else veered(world.robot, veer),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if minus_zero:
+                patch.setattr(rfsim, "first_segment_heading", minus_zero_heading)
+                patch.setattr(sys.modules[__name__], "first_segment_heading", minus_zero_heading)
+            if pillar is not None:
+                # the cell the first trial crosses at the ``pillar`` fraction of its substeps is blocked, so
+                # later trials that drive the same move meet its failed verdict
+                poses = list(run_trial(world, bundle, path, seed=base_seed, **kwargs).trajectory)
+                cell = cell_of(world.grid, *poses[round(pillar * (len(poses) - 1))][:2])
+                if world.grid.in_bounds(cell) and cell not in (start, goal):
+                    walkable = world.grid.walkable.copy()
+                    walkable[cell[1], cell[0]] = False
+                    world = replace(world, grid=replace(world.grid, walkable=walkable))
+            if shared == "corner_success_rate":
+                path = astar(world.grid, start, goal)  # it plans its route on the world it is given
+                rate, results = corner_success_rate(world, bundle, trials, base_seed, start, goal, **kwargs)
+                assert rate == sum(r.success for r in results) / trials
+            else:
+                trial = rfsim._trials(world, bundle, path, **kwargs)
+                results = [trial(base_seed + i) for i in range(trials)]
+            expected = [reference_run_trial(world, bundle, path, seed=base_seed + i, **kwargs) for i in range(trials)]
+        assert results == expected and repr(results) == repr(expected)  # repr tells -0.0 from 0.0
+
+    def test_a_decided_move_is_neither_integrated_nor_checked_again(self, ref_world, trained, monkeypatch):
+        # a trial that leaves the map checks nothing, so the moves only such trials drive stay undecided
+        path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
+        trial = rfsim._trials(ref_world, trained[0], path)
+        first = [trial(seed) for seed in range(40)]
+        kept = [r for r in first if not r.reason.startswith("left_map")]
+        assert {r.reason for r in kept} == {"done"} and len(kept) == 15
+        calls = []
+        for name in ("_command_poses", "_all_walkable", "_path_loss"):
+            real = getattr(rfsim, name)
+            monkeypatch.setattr(rfsim, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        assert [trial(r.seed) for r in kept] == kept
+        assert calls == []
+        assert [trial(seed) for seed in range(40)] == first
+        assert set(calls) == {"_command_poses"}  # the undecided moves of the trials that leave the map
+
+    def test_a_failed_batch_leaves_each_move_its_own_verdict(self, ref_world, monkeypatch):
+        # TestBatchedWalkableCheck's north row with a pillar at cell 15: batches hold commands 1-2, 3-4 and
+        # 5-6, and the robot crosses the pillar in command 5 only, so its batch fails and 6 passes alone
+        north = ["."] * 40
+        north[15] = "#"
+        world = replace(ref_world, grid=GridMap.from_text("40 3 10\n" + "\n".join(["#" * 40, "." * 40, "".join(north)]) + "\n"))
+        path = astar(world.grid, (0, 1), (20, 1))
+        kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), oracle=True, calibration=veered(world.robot, 2e-4))
+        trial = rfsim._trials(world, None, path, **kwargs)
+        result = trial(0)
+        assert result == reference_run_trial(world, None, path, **kwargs) and result.reason == "done+left_walkable"
+        _, moves = pose_graph(trial)
+        verdicts = [move[2] for move in moves]
+        assert verdicts[:6] == [True] * 4 + [False, True] and set(verdicts[6:]) == {None}  # unchecked after the failure
+        calls = []
+        real = rfsim._command_poses
+        monkeypatch.setattr(rfsim, "_command_poses", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(rfsim, "_all_walkable", lambda *args: pytest.fail("a decided verdict was checked again"))
+        assert trial(1) == replace(result, seed=1)  # an oracle robot drives the same moves whatever the seed
+        assert calls == []
+
+    def test_a_heading_of_minus_zero_is_its_own_node(self, monkeypatch):
+        # in-place pivots left and right by 0.05 rad bring the robot back to its position at heading 0.0
+        world = open_world([AccessPointSim(MAC, "Net", (2.0, 2.0))], SimRobot(wheel_base=0.4))
+        path = astar(world.grid, (5, 5), (8, 5))
+        monkeypatch.setattr(rfsim, "first_segment_heading", minus_zero_heading)
+        left, right = DriveCommand(-1.0, 1.0, 0.01, "pivot"), DriveCommand(1.0, -1.0, 0.01, "pivot")
+        with scripted_nav([[left, right]]):
+            trial = rfsim._trials(world, None, path, oracle=True)
+            trial(0)
+        nodes, _ = pose_graph(trial)
+        origin, back = nodes[0], nodes[0][4][id(left)][1][4][id(right)][1]
+        assert origin[:3] == (5.5, 5.5, -0.0) and math.copysign(1.0, origin[2]) == -1.0
+        assert back[:3] == (5.5, 5.5, 0.0) and math.copysign(1.0, back[2]) == 1.0 and back is not origin
+
+    def test_equal_commands_of_other_types_are_other_moves(self, ref_world):
+        # 2 == 2.0, but a move holds the very command it was issued for
+        path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
+        floats, ints = DriveCommand(1.0, 1.0, 2.0, "forward"), DriveCommand(1, 1, 2, "forward")
+        assert floats == ints
+        with scripted_nav([[floats], [ints]]):
+            trial = rfsim._trials(ref_world, None, path, oracle=True)
+            results = [trial(seed) for seed in range(4)]
+            expected = [reference_run_trial(ref_world, None, path, seed=seed, oracle=True) for seed in range(4)]
+        assert results == expected and repr(results) == repr(expected)
+        assert [type(c.duration) for kind, _, c in results[1].events if kind == "command"] == [int, float]
+        nodes, _ = pose_graph(trial)
+        assert [move[0] for move in nodes[0][4].values()] == [floats, ints]
+        assert [id(move[0]) for move in nodes[0][4].values()] == [id(floats), id(ints)]
+
+    def test_a_long_high_noise_run_keeps_at_most_the_cap(self, ref_world, trained, monkeypatch):
+        # 0.1 ft steps at sigma 20: each trial wanders to fresh poses, and 150 trials make about 6,000 moves
+        world = with_noise_sigma(ref_world, 20.0)
+        path = astar(world.grid, REFERENCE_START, REFERENCE_GOAL)
+        kwargs = dict(nav_config=NavConfig(step_distance=0.1))
+        integrated = []
+        real = rfsim._command_poses
+        monkeypatch.setattr(rfsim, "_command_poses", lambda *args: integrated.append(1) or real(*args))
+        trial = rfsim._trials(world, trained[0], path, **kwargs)
+        results = [trial(seed) for seed in range(150)]
+        nodes, moves = pose_graph(trial)
+        assert len(integrated) > 2 * rfsim._GRAPH_MOVES
+        assert len(moves) == rfsim._GRAPH_MOVES and len(nodes) <= rfsim._GRAPH_MOVES + 1
+        for seed in (0, 149):  # the first trials fill the graph; the last ones run past the cap
+            expected = reference_run_trial(world, trained[0], path, seed=seed, **kwargs)
+            assert results[seed] == expected and repr(results[seed]) == repr(expected)
+
+    def test_trials_in_threads_share_one_graph(self, ref_world, trained):
+        from concurrent.futures import ThreadPoolExecutor
+
+        path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
+        kwargs = dict(nav_config=NavConfig(step_distance=0.6))
+        expected = [reference_run_trial(ref_world, trained[0], path, seed=seed, **kwargs) for seed in range(48)]
+        trial = rfsim._trials(ref_world, trained[0], path, **kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(trial, range(48), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected and repr(results) == repr(expected)
+        assert [trial(seed) for seed in range(48)] == expected  # and the graph they left
 
 
 def cell_of(grid, x, y):

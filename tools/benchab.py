@@ -3,20 +3,24 @@
 tree's, in alternating blocks inside one process, so a gain of a few
 percent can be told from the machine's drift.
 
-    python3 tools/benchab.py PARENT [--layer trials|online] [--pairs 60] [--trials 100] [--label L]
+    python3 tools/benchab.py PARENT [--layer trials|run|online] [--pairs 60] [--trials 100] [--label L]
 
 PARENT is a source checkout (a directory holding ``src/rssinav``) or a git
 revision of this repository, exported with ``git archive`` as in
 ``bytediff.py``; naming this tree (``.``) gives an A/A run, the noise floor.
 Each tree's ``src/rssinav`` is imported under its own package name, so both
-run side by side with their own caches.  The inputs are built once: the
-reference world and the test suite's reference model (training seed 0 on
-the world's synthetic dataset), which reaches each tree through its own
-``save_model`` and ``load_model``.  The layers (default ``trials``):
+run side by side with their own caches.  The inputs are built once per
+process: the reference world and the test suite's reference model (training
+seed 0 on the world's synthetic dataset), which reaches each tree through
+its own ``save_model`` and ``load_model``.  The layers (default ``trials``):
 
 - ``trials``: a block is ``--trials`` serial ``rfsim.run_trial`` calls
   (simulate's defaults, seeds (p + 1) * trials onwards in pair p, so each
-  block starts with cold noise caches).
+  block starts with cold noise caches).  Each call derives a fresh run, so
+  nothing a run keeps is reused: the all-miss case of the run's memos.
+- ``run``: a block builds one ``rfsim._trials`` run on the same seeds and
+  calls it once per seed, as ``simulate`` does on one CPU, so its trials
+  share what the run keeps.
 - ``online``: the robot's decision loop on scan text.  A block is
   ``--trials`` missions along the reference route, one fix per route cell
   until the navigator stops or aborts; a fix is ``parse_scan_text`` ->
@@ -25,18 +29,23 @@ the world's synthetic dataset), which reaches each tree through its own
   network for the filter to drop, rendered to text once before any timing
   and fed to both sides.
 
-Pair p runs the same block on each side, the parent first in even pairs
-and this tree first in odd ones, after one untimed warm-up block per side.
-If any trial's or fix's outcome differs between the sides, the script
-refuses: it prints the first differing seed or mission, writes nothing and
-exits 1.  Otherwise it writes ``bench/BENCH_<layer>_ab_<label>.json`` with
-every block time, the per-pair time ratios (this tree / parent), their
-median, the pairs this tree won, and a bootstrap 95% confidence interval of
-the median ratio.  The last line printed is a summary to quote; when
-``bench/`` holds the layer's A/A file ``BENCH_<layer>_ab_aa.json`` (another
-file than the one written), it ends with that file's median and interval.
-Serial in-process work only: the fork split, start-up and set-up stay
-perfbench's.
+The pairs run in two child processes, one after the other, half the pairs
+each: the first imports the parent tree first, the second this tree, so a
+layout that favours whichever side a process imports first shows as a gap
+between the halves rather than as a bias that resampling cannot see.  In
+each, pair p runs the same block on each side, the parent first in even
+pairs and this tree first in odd ones, after one untimed warm-up block per
+side.  If any trial's or fix's outcome differs between the sides, the
+script refuses: it prints the first differing seed or mission, writes
+nothing and exits 1.  Otherwise it writes
+``bench/BENCH_<layer>_ab_<label>.json`` with every block time, the per-pair
+time ratios (this tree / parent), their median, the pairs this tree won,
+each half's median and wins, and a bootstrap 95% confidence interval of the
+median ratio that resamples each half's pairs apart.  The last line printed
+is a summary to quote, with both halves; when ``bench/`` holds the layer's
+A/A file ``BENCH_<layer>_ab_aa.json`` (another file than the one written),
+it ends with that file's median and interval.  Serial in-process work only:
+the fork split, start-up and set-up stay perfbench's.
 """
 
 from __future__ import annotations
@@ -47,11 +56,13 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):  # 
     os.environ.setdefault(_name, "1")
 
 import argparse
+import functools
 import importlib.util
 import io
 import json
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -76,7 +87,8 @@ def load_tree(tree: Path, name: str):
 
 
 def build_sides(trees: dict[str, Path]) -> dict[str, tuple]:
-    """Per side: its package and its (world, bundle, path), the model trained once and passed through bytes."""
+    """Per side: its package and its (world, bundle, path), the model trained once and passed through bytes;
+    the trees are imported in ``trees``' order."""
     packages = {side: load_tree(tree, f"rssinav_ab_{side}") for side, tree in trees.items()}
     change = packages["change"]
     world = change.rfsim.reference_world()
@@ -91,11 +103,14 @@ def build_sides(trees: dict[str, Path]) -> dict[str, tuple]:
     return sides
 
 
-def run_trials(side: tuple, seeds: range) -> tuple[float, list[str]]:
-    """Seconds for serial ``run_trial`` over ``seeds``, and each trial's outcome and event log as text."""
+def run_trials(side: tuple, seeds: range, shared: bool) -> tuple[float, list[str]]:
+    """Seconds for serial trials over ``seeds``, all in one ``rfsim._trials`` run when ``shared``, else each
+    by ``run_trial``, a fresh run; and each trial's outcome and event log as text."""
     package, (world, bundle, path) = side
+    rfsim = package.rfsim
     t0 = time.perf_counter()
-    results = [package.rfsim.run_trial(world, bundle, path, seed=seed) for seed in seeds]
+    trial = rfsim._trials(world, bundle, path) if shared else lambda seed: rfsim.run_trial(world, bundle, path, seed=seed)
+    results = [trial(seed) for seed in seeds]
     elapsed = time.perf_counter() - t0
     return elapsed, [repr((r.seed, r.success, r.final_error, r.reason, r.events)) for r in results]
 
@@ -158,9 +173,12 @@ def machine() -> dict:
     }
 
 
-def bootstrap_ci(ratios: list[float]) -> list[float]:
-    """The 2.5th and 97.5th percentiles of the median over resamples of the pairs (fixed seed)."""
-    medians = np.median(np.random.default_rng(0).choice(ratios, (BOOTSTRAP, len(ratios))), axis=1)
+def bootstrap_ci(halves: list[list[float]]) -> list[float]:
+    """The 2.5th and 97.5th percentiles of the pooled median over resamples of the pairs, each half's pairs
+    resampled among themselves so every resample keeps both processes' share (fixed seed)."""
+    rng = np.random.default_rng(0)
+    pooled = np.concatenate([rng.choice(ratios, (BOOTSTRAP, len(ratios))) for ratios in halves], axis=1)
+    medians = np.median(pooled, axis=1)
     return [float(np.percentile(medians, 2.5)), float(np.percentile(medians, 97.5))]
 
 
@@ -174,28 +192,18 @@ def noise_floor(written: Path, layer: str) -> str:
     return f"; A/A {path.name} median ratio {record['median_ratio']:.4f}, CI {low:.4f} to {high:.4f}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("parent", help="parent source checkout (directory) or git revision")
-    parser.add_argument("--layer", choices=("trials", "online"), default="trials", help="the layer timed (default: trials)")
-    parser.add_argument("--pairs", type=int, default=60)
-    parser.add_argument("--trials", type=int, default=100, help="serial trials, or online missions, per block (default: 100)")
-    parser.add_argument("--label", default="change", help="the file name's last part (default: change)")
-    args = parser.parse_args(argv)
-    if args.pairs < 2 or args.trials < 1:
-        parser.error("--pairs must be >= 2 and --trials >= 1")
-
-    with parent_tree(args.parent) as (parent, revision):
-        sides = build_sides({"parent": parent, "change": ROOT})
-        revisions = {"parent": describe(parent, revision), "change": describe(ROOT, None)}
-
-    if args.layer == "trials":
-        run_block, block, unit = run_trials, lambda pair: range((pair + 1) * args.trials, (pair + 2) * args.trials), "seed"
-    else:
+def run_half(args, trees: dict[str, Path], pairs: range) -> dict:
+    """Time ``pairs`` in this process, the trees imported in ``trees``' order: each side's block seconds,
+    or the refusal message when the sides' outcomes differ."""
+    sides = build_sides(trees)
+    if args.layer == "online":
         missions = render_missions(sides["change"], args.trials)
         run_block, block, unit = run_online, lambda pair: missions, "mission"
+    else:
+        run_block, unit = functools.partial(run_trials, shared=args.layer == "run"), "seed"
+        block = lambda pair: range((pair + 1) * args.trials, (pair + 2) * args.trials)
     seconds = {"parent": [], "change": []}
-    for pair in range(-1, args.pairs):  # pair -1 is the untimed warm-up
+    for pair in [-1, *pairs]:  # pair -1 is the untimed warm-up
         work = block(pair)
         outcomes = {}
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
@@ -204,26 +212,68 @@ def main(argv=None) -> int:
                 seconds[side].append(elapsed)
         if outcomes["parent"] != outcomes["change"]:
             first = next(i for i, (a, b) in enumerate(zip(outcomes["parent"], outcomes["change"])) if a != b)
-            which = work[first] if args.layer == "trials" else first
-            print(f"error: the trees' {args.layer} differ (first at {unit} {which}); no timing reported", file=sys.stderr)
-            return 1
+            which = first if args.layer == "online" else work[first]
+            return {"refused": f"the trees' {args.layer} differ (first at {unit} {which}); no timing reported"}
+    return {"seconds": seconds}
 
-    ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", help="parent source checkout (directory) or git revision")
+    parser.add_argument("--layer", choices=("trials", "run", "online"), default="trials", help="the layer timed (default: trials)")
+    parser.add_argument("--pairs", type=int, default=60)
+    parser.add_argument("--trials", type=int, default=100, help="serial trials, or online missions, per block (default: 100)")
+    parser.add_argument("--label", default="change", help="the file name's last part (default: change)")
+    parser.add_argument("--half", nargs=3, metavar=("FIRST", "START", "STOP"), help=argparse.SUPPRESS)  # a child's share
+    args = parser.parse_args(argv)
+    if args.pairs < 2 or args.trials < 1:
+        parser.error("--pairs must be >= 2 and --trials >= 1")
+
+    if args.half:  # a child: PARENT is a directory, FIRST the side it imports first
+        first, start, stop = args.half[0], int(args.half[1]), int(args.half[2])
+        trees = {"parent": Path(args.parent), "change": ROOT}
+        order = [first, *(side for side in trees if side != first)]
+        print(json.dumps(run_half(args, {side: trees[side] for side in order}, range(start, stop))))
+        return 0
+
+    split = args.pairs // 2
+    halves = []
+    with parent_tree(args.parent) as (parent, revision):
+        for first, start, stop in (("parent", 0, split), ("change", split, args.pairs)):
+            argv = [sys.executable, __file__, str(parent), "--layer", args.layer, "--trials", str(args.trials), "--half", first, str(start), str(stop)]
+            done = subprocess.run(argv, capture_output=True, text=True)
+            if done.returncode:
+                print(f"error: the half importing {first} first failed (exit {done.returncode}): {done.stderr.strip()[-2000:]}", file=sys.stderr)
+                return 1
+            half = json.loads(done.stdout.splitlines()[-1])
+            if "refused" in half:
+                print(f"error: {half['refused']}", file=sys.stderr)
+                return 1
+            halves.append({"imported_first": first, "pairs": [start, stop], **half})
+        revisions = {"parent": describe(parent, revision), "change": describe(ROOT, None)}
+
+    seconds = {side: [t for half in halves for t in half["seconds"][side]] for side in ("parent", "change")}
+    for half in halves:
+        ratios = [c / p for p, c in zip(half["seconds"]["parent"], half["seconds"]["change"])]
+        half.update(ratios=ratios, median_ratio=statistics.median(ratios), wins=sum(r < 1 for r in ratios))
+        del half["seconds"]
+    ratios = [r for half in halves for r in half["ratios"]]
     record = {
         "layer": args.layer,
         "label": args.label,
         "pairs": args.pairs,
-        ("trials_per_block" if args.layer == "trials" else "missions_per_block"): args.trials,
+        ("missions_per_block" if args.layer == "online" else "trials_per_block"): args.trials,
         "revisions": revisions,
         "machine": machine(),
         "results_identical": True,
         "block_seconds": seconds,
         "first": ["parent" if pair % 2 == 0 else "change" for pair in range(args.pairs)],
+        "halves": [{k: half[k] for k in ("imported_first", "pairs", "median_ratio", "wins")} for half in halves],
         "ratios": ratios,
         "median_ratio": statistics.median(ratios),
         "quartiles": statistics.quantiles(ratios, n=4, method="inclusive"),
         "wins": sum(r < 1 for r in ratios),
-        "ci95": bootstrap_ci(ratios),
+        "ci95": bootstrap_ci([half["ratios"] for half in halves]),
     }
     out = ROOT / "bench" / f"BENCH_{args.layer}_ab_{args.label}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -231,7 +281,9 @@ def main(argv=None) -> int:
     low, high = record["ci95"]
     print(
         f"{out.name}: time ratio change/parent median {record['median_ratio']:.4f}, CI {low:.4f} to {high:.4f}, "
-        f"change faster in {record['wins']}/{args.pairs} pairs; block medians parent {statistics.median(seconds['parent']) * 1e3:.1f} ms, "
+        f"change faster in {record['wins']}/{args.pairs} pairs; "
+        + ", ".join(f"{h['imported_first']} imported first {h['median_ratio']:.4f} ({h['wins']}/{h['pairs'][1] - h['pairs'][0]})" for h in halves)
+        + f"; block medians parent {statistics.median(seconds['parent']) * 1e3:.1f} ms, "
         f"change {statistics.median(seconds['change']) * 1e3:.1f} ms; {args.layer} identical" + noise_floor(out, args.layer)
     )
     return 0

@@ -19,15 +19,20 @@ each in its own directory, with every output path relative to it:
     split evenly across CPUs), simulate --oracle --trials 50 -o,
     simulate --oracle --trials 7 --step-distance 30 -o, simulate --trials 12
     -o from seeds 2**32 - 6 and 2**63 - 8 and with --step-distance 0.3,
-    navigate (three CSVs), navigate --oracle on the reverse route, on a
-    route with right turns and with --step-distance 30, navigate --seed
-    2**32 (three CSVs each), plan -o
+    simulate --trials 300 --noise-sigma 6 -o, simulate --trials 50 -o on the
+    route with right turns (--start 3,11 --goal 11,3), navigate (three
+    CSVs), navigate --oracle on the reverse route, on a route with right
+    turns and with --step-distance 30, navigate --seed 2**32 (three CSVs
+    each), plan -o
 
 A 30 ft step is a 30 s command, longer than the 10 s the increment memo
 keeps, so those two runs cover the uncached integration path.  The seeds
 from 2**32 - 6 are one and two 32-bit words long, those from 2**63 - 8 wrap
 to 0-3 under the 63-bit seed mask, and 0.3 ft steps take about 40 fixes, so
 those runs cover every grouping and extension of the trials' noise lanes.
+At --noise-sigma 6 and on the route with right turns, a few trials fail a
+walkability check inside the map, so later trials of the run drive moves
+that a failed check has decided are not walkable.
 
 Each command's stdout is compared too, and so are the exit status and
 stderr of a few runs that must fail with one error line (FAILURES).  The
@@ -83,6 +88,12 @@ STEPS = [
      ["trials_wrap.csv"]),
     ("simulate --step-distance 0.3", ["simulate", "world.txt", "model.bin", "--trials", "12", "--step-distance", "0.3", "-o", "trials_short.csv"],
      ["trials_short.csv"]),
+    # trials that drive moves a failed walkability check has decided: at high noise, and on the staircase
+    # route of "navigate right turns"
+    ("simulate --noise-sigma 6", ["simulate", "world.txt", "model.bin", "--trials", "300", "--noise-sigma", "6", "-o", "trials_noisy.csv"],
+     ["trials_noisy.csv"]),
+    ("simulate right turns", ["simulate", "world.txt", "model.bin", "--trials", "50", "--start", "3,11", "--goal", "11,3", "-o", "trials_right.csv"],
+     ["trials_right.csv"]),
     ("navigate", ["navigate", "world.txt", "model.bin", "--out-prefix", "nav"],
      ["nav_trajectory.csv", "nav_fixes.csv", "nav_commands.csv"]),
     # the oracle reverse of the reference route turns left, as the forward one does; the
