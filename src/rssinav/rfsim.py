@@ -37,7 +37,6 @@ _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duratio
 _NODE_KEY = struct.Struct("<3d")  # a pose graph key (x, y, heading), bit for bit
 _GRAPH_MOVES = 2048  # moves a run's pose graph keeps, about 0.9 KB each with six APs: a reference run of 5,000 trials needs 27
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
-_WALK_BATCH = 4096  # substeps a trial holds before it checks them for walkable cells: one check per reference trial
 _SEED_MASK = (1 << 63) - 1
 _MASK128 = (1 << 128) - 1
 
@@ -394,15 +393,13 @@ def run_trial(
     at the true pose, or the true position when ``oracle``, which simulates
     no scan), feeds it to the navigation state machine and integrates the
     emitted command in substeps of at most 0.01 s with ``_command_poses``.
-    Nothing the robot does depends on whether its substeps stay on walkable
-    cells, so they are checked in batches (``_all_walkable``): at the end of
-    the trial, or once ``_WALK_BATCH`` substeps are pending, until a check
-    fails; the answer is the per-command one.  The run (``_trials``) keeps
-    a pose graph that its trials share: each true pose's path loss, and the
-    end pose and walkability verdict of each command driven from it, are
-    derived once, so a trial drives a decided move without integrating or
-    checking it; a run of one trial, as here, starts it empty.  The trial
-    ends on Done, Aborted, or after ``_MAX_FIXES`` fixes.  Success means Done with the true
+    The run (``_trials``) keeps a pose graph that its trials share: each
+    true pose's path loss, and the end pose of each command driven from it
+    with the verdict of ``_all_walkable`` on whether its substeps stay on
+    walkable cells, are derived once, when the move is first made, so a
+    trial drives a known move without integrating or checking it; a run of
+    one trial, as here, starts it empty.  The trial ends on Done, Aborted,
+    or after ``_MAX_FIXES`` fixes.  Success means Done with the true
     position within ``success_radius`` ft of the goal center and no substep
     off walkable cells; ``success_radius`` and ``scan_period`` must be finite
     and positive, and small enough that the trial clock stays finite; an
@@ -442,10 +439,11 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     # The run's pose graph.  A true pose is a pure function of the commands driven from the start pose, so the
     # trials walk one small lattice of poses again and again.  A node is a pose's (x, y, heading, path loss, moves),
     # keyed by the pose's bits, as -0.0 is not 0.0; its path loss is None off the map, and () when no fix needs it.
-    # A move is [command, end node, verdict], keyed by the command's identity (2 == 2.0; the move holds the command,
-    # so its id stays its own); the verdict on its substeps' walkability is None until a checked batch decides it.
-    # Tickets bound the graph: the first _GRAPH_MOVES moves are kept, and each adds at most one node.  Threads that
-    # race on one miss may each build its move: either is the same move, and each took a ticket.
+    # A move is (command, end node, verdict), keyed by the command's identity (2 == 2.0; the move holds the command,
+    # so its id stays its own); the verdict, whether its substeps stay on walkable cells, is decided when the move is
+    # made, on the map or off it.  Tickets bound the graph: the first _GRAPH_MOVES moves are kept, and each adds at
+    # most one node.  Threads that race on one miss may each build its move: either is the same move, and each took
+    # a ticket.
     nodes, tickets = {}, itertools.count()
 
     def node(x: float, y: float, theta: float) -> tuple:
@@ -453,11 +451,12 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
             return (x, y, theta, None, {})
         return (x, y, theta, _path_loss(world, x, y) if known else (), {})
 
-    def add_move(here: tuple, command: DriveCommand, poses: np.ndarray) -> list:
-        """The move of ``command`` from ``here``, its end read from ``poses``, kept in the graph while it has room."""
+    def add_move(here: tuple, command: DriveCommand) -> tuple:
+        """The move of ``command`` from ``here``, integrated and checked, kept in the graph while it has room."""
+        poses = _command_poses(robot, command, here[:3])
         end = poses[:, -1].tolist()
         key = _NODE_KEY.pack(*end)
-        move = [command, nodes.get(key) or node(*end), None]
+        move = (command, nodes.get(key) or node(*end), _all_walkable(grid, poses[:2]))
         if next(tickets) < _GRAPH_MOVES:
             nodes.setdefault(key, move[1])
             here[4][id(command)] = move
@@ -471,12 +470,11 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
         events = []
         here = origin
         on_walkable = True
-        pending, held, unchecked = [], 0, []  # the x/y rows not checked yet, their substeps and their moves
         clock = 0.0
         reason = "fix_budget"
         key, lanes = seed & _SEED_MASK, []  # the words of draws 0, 1, ...: the block's 16, then 64, 256, _MAX_FIXES
         for draw_index in range(_MAX_FIXES):
-            x, y, theta, losses, moves = here
+            x, y, _, losses, moves = here
             if losses is None:
                 on_walkable = False
                 reason = "left_map"
@@ -498,30 +496,13 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
             state, command = nav_step(state, fix)
             if command is not None:
                 events.append(("command", clock, command))
-                move, poses = moves.get(id(command)), None
-                if move is None:
-                    poses = _command_poses(robot, command, (x, y, theta))
-                    move = add_move(here, command, poses)
+                move = moves.get(id(command)) or add_move(here, command)
                 here = move[1]
-                if on_walkable:
-                    if move[2] is None:  # undecided: its substeps join the batch
-                        if poses is None:
-                            poses = _command_poses(robot, command, (x, y, theta))
-                        pending.append(poses[:2])
-                        unchecked.append(move)
-                        held += poses.shape[1]
-                        if held >= _WALK_BATCH:
-                            on_walkable = _settle(grid, pending, unchecked)
-                            pending, held, unchecked = [], 0, []
-                    elif not move[2]:
-                        on_walkable = False
-                del poses  # held in pending or checked: the next command's need not sit beside them
+                on_walkable = on_walkable and move[2]
                 clock += command.duration
             if state.mode in (Mode.DONE, Mode.ABORTED):
                 reason = state.mode.value
                 break
-        if on_walkable and pending:
-            on_walkable = _settle(grid, pending, unchecked)
         x, y = here[:2]
         final_error = math.hypot(x - gx, y - gy)
         if not on_walkable:
@@ -532,26 +513,14 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     return trial
 
 
-def _settle(grid: GridMap, pending: list, moves: list) -> bool:
-    """Whether every column of the x/y rows ``pending`` lies on a walkable cell, in one ``_all_walkable``
-    batch; records the verdict of each of ``moves``, whose rows these are: walkable when the batch is, and
-    after a failed batch each one's own check."""
-    if _all_walkable(grid, pending):
-        for move in moves:
-            move[2] = True
-        return True
-    for move, rows in zip(moves, pending):
-        if move[2] is None:
-            move[2] = _all_walkable(grid, [rows])
-    return False
-
-
-def _all_walkable(grid: GridMap, rows: list) -> bool:
-    """Whether every column of the x/y ``rows`` lies on a walkable cell; a failed bounds test skips
-    the lookup of the whole batch.  The cells are floored in place and looked up by one flat index row."""
-    cells = np.concatenate(rows, axis=1)
-    np.floor(np.divide(cells, grid.cell_size, out=cells), out=cells)
-    if not ((cells >= 0) & (cells < ((grid.width,), (grid.height,)))).all():
+def _all_walkable(grid: GridMap, rows: np.ndarray) -> bool:
+    """Whether every column of the 2 x n x/y ``rows`` lies on a walkable cell.  The cells are divided into a
+    fresh array and floored in place; a bounds test on each row's least and greatest cell, which a NaN fails,
+    skips the lookup by one flat index row when it fails."""
+    cells = np.divide(rows, grid.cell_size)
+    np.floor(cells, out=cells)
+    (left, bottom), (right, top) = cells.min(axis=1).tolist(), cells.max(axis=1).tolist()
+    if not (left >= 0 and bottom >= 0 and right < grid.width and top < grid.height):
         return False
     cells[1] *= grid.width  # exact: both are integers below the cell count
     cells[1] += cells[0]

@@ -900,16 +900,16 @@ def veered(robot, veer):
     return replace(cal, veer_bias=cal.veer_bias + veer)
 
 
-class TestBatchedWalkableCheck:
-    """run_trial checks the substeps for walkable cells in batches of up to _WALK_BATCH; every trial must be
-    the per-command check's, field for field."""
+class TestWalkableCheck:
+    """run_trial checks whether each move's substeps stay on walkable cells when the move is made; every trial
+    must be the per-command check's, field for field."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         floor=st.booleans(),  # an open 40 x 7 floor of 10 ft cells, or the reference world
         oracle=st.booleans(),
         seed=st.integers(0, 2**32),
-        # 3,001-6,001 substeps a step cross a batch at every step or every other; 501-3,001 fill one over several
+        # steps of 3,001-6,001 substeps, of 501-3,001, or of 51-301
         step=st.floats(30.0, 60.0) | st.floats(5.0, 30.0) | st.floats(0.5, 3.0),
         radius=st.floats(0.5, 0.8),  # times the step
         veer=st.none() | st.floats(-1e-3, 1e-3),
@@ -928,7 +928,7 @@ class TestBatchedWalkableCheck:
         bundle = None if oracle else trained[0]
         if pillar is not None:
             # the robot steers by fixes alone, so it drives the same substeps with the cell of the
-            # ``pillar`` fraction of them blocked, and crosses that cell in a command of any batch
+            # ``pillar`` fraction of them blocked, and crosses that cell in any of its commands
             poses = list(run_trial(world, bundle, path, **kwargs).trajectory)
             cell = cell_of(world.grid, *poses[round(pillar * (len(poses) - 1))][:2])
             if world.grid.in_bounds(cell):
@@ -938,20 +938,19 @@ class TestBatchedWalkableCheck:
         result, expected = run_trial(world, bundle, path, **kwargs), reference_run_trial(world, bundle, path, **kwargs)
         assert result == expected and repr(result) == repr(expected)  # repr tells -0.0 from 0.0
 
-    # 35 ft steps, 3,501 poses each, so batches hold commands 1-2, 3-4 and 5-6, and what is left
-    # when the trial ends.  Veering north, the robot crosses the open north row at cells 14-21
-    # (commands 5 and 6) on its way to cell (20, 1), or at 21-24 (command 7) on to (24, 1).
+    # 35 ft steps, 3,501 poses each.  Veering north, the robot crosses the open north row at
+    # cells 14-21 (commands 5 and 6) on its way to cell (20, 1), or at 21-24 (command 7) on to (24, 1).
     @pytest.mark.parametrize(
         "goal, veer, pillar, reason",
         [
             (20, 0.0, None, "done"),
             (20, 2e-4, None, "done"),  # off the corridor, but on walkable cells
-            (20, 2e-4, 15, "done+left_walkable"),  # crossed in a batch's first command only
-            (24, 2e-4, 22, "done+left_walkable"),  # crossed in the batch checked at the trial's end only
+            (20, 2e-4, 15, "done+left_walkable"),  # crossed in command 5 only
+            (24, 2e-4, 22, "done+left_walkable"),  # crossed in command 7 only
             (24, 2.4e-4, None, "left_map+left_walkable"),
         ],
     )
-    def test_long_veering_steps_across_batches(self, ref_world, goal, veer, pillar, reason):
+    def test_long_veering_steps_across_the_north_row(self, ref_world, goal, veer, pillar, reason):
         north = ["."] * 40
         if pillar is not None:
             north[pillar] = "#"
@@ -977,10 +976,9 @@ class TestBatchedWalkableCheck:
         return args, result
 
     def test_memory_does_not_grow_with_hour_long_commands(self):
-        # each step fills a batch, which is checked and dropped before the next step, so the peak is one step's
-        # poses beside the check's floored cells and flat index row, however many steps the trial drives;
-        # unchecked batches would add a step's each, and the last step's poses beside the next one's integration
-        # one more
+        # each step's poses are checked and dropped when its move is made, so the peak is one step's poses
+        # beside the check's floored cells and flat index row, however many steps the trial drives; poses kept
+        # past their move would add a step's each
         peaks = {}
         for steps in (2, 6):
             args, _ = self.hour_long_steps(steps)
@@ -1011,7 +1009,7 @@ class TestBatchedWalkableCheck:
 
 def pose_graph(trial):
     """The nodes and the moves of a run's pose graph that its start node reaches, found through the per-seed
-    function's closure: a node is (x, y, heading, path loss, moves), a move [command, end node, verdict]."""
+    function's closure: a node is (x, y, heading, path loss, moves), a move (command, end node, verdict)."""
     origin = inspect.getclosurevars(trial).nonlocals["origin"]
     nodes, moves, todo = {id(origin): origin}, [], [origin]
     while todo:
@@ -1103,7 +1101,7 @@ class TestPoseGraph:
         assert results == expected and repr(results) == repr(expected)  # repr tells -0.0 from 0.0
 
     def test_a_decided_move_is_neither_integrated_nor_checked_again(self, ref_world, trained, monkeypatch):
-        # a trial that leaves the map checks nothing, so the moves only such trials drive stay undecided
+        # every move is decided when it is made, the moves of the trials that leave the map included
         path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
         trial = rfsim._trials(ref_world, trained[0], path)
         first = [trial(seed) for seed in range(40)]
@@ -1113,25 +1111,27 @@ class TestPoseGraph:
         for name in ("_command_poses", "_all_walkable", "_path_loss"):
             real = getattr(rfsim, name)
             monkeypatch.setattr(rfsim, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-        assert [trial(r.seed) for r in kept] == kept
-        assert calls == []
         assert [trial(seed) for seed in range(40)] == first
-        assert set(calls) == {"_command_poses"}  # the undecided moves of the trials that leave the map
+        assert calls == []
 
-    def test_a_failed_batch_leaves_each_move_its_own_verdict(self, ref_world, monkeypatch):
-        # TestBatchedWalkableCheck's north row with a pillar at cell 15: batches hold commands 1-2, 3-4 and
-        # 5-6, and the robot crosses the pillar in command 5 only, so its batch fails and 6 passes alone
+    def test_every_move_holds_its_own_verdict(self, ref_world, monkeypatch):
+        # TestWalkableCheck's north row with a pillar at cell 15, veering a little harder on to (24, 1): the
+        # robot crosses the pillar in command 5 only, stays on walkable cells in command 6 and leaves the map in 7
         north = ["."] * 40
         north[15] = "#"
         world = replace(ref_world, grid=GridMap.from_text("40 3 10\n" + "\n".join(["#" * 40, "." * 40, "".join(north)]) + "\n"))
-        path = astar(world.grid, (0, 1), (20, 1))
-        kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), oracle=True, calibration=veered(world.robot, 2e-4))
+        path = astar(world.grid, (0, 1), (24, 1))
+        kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), oracle=True, calibration=veered(world.robot, 2.2e-4))
         trial = rfsim._trials(world, None, path, **kwargs)
         result = trial(0)
-        assert result == reference_run_trial(world, None, path, **kwargs) and result.reason == "done+left_walkable"
-        _, moves = pose_graph(trial)
-        verdicts = [move[2] for move in moves]
-        assert verdicts[:6] == [True] * 4 + [False, True] and set(verdicts[6:]) == {None}  # unchecked after the failure
+        assert result == reference_run_trial(world, None, path, **kwargs) and result.reason == "left_map+left_walkable"
+        nodes, _ = pose_graph(trial)
+        moves = [(here, move) for here in nodes for move in here[4].values()]  # in the order driven: the graph is a chain
+        assert [move[2] for _, move in moves] == [True] * 4 + [False, True, False]
+        assert moves[-1][1][1][3] is None  # the last move ends off the map
+        for here, (command, _, verdict) in moves:
+            assert type(verdict) is bool
+            assert verdict == rfsim._all_walkable(world.grid, rfsim._command_poses(result.robot, command, here[:3])[:2])
         calls = []
         real = rfsim._command_poses
         monkeypatch.setattr(rfsim, "_command_poses", lambda *args: calls.append(args) or real(*args))

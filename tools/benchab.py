@@ -29,20 +29,20 @@ its own ``save_model`` and ``load_model``.  The layers (default ``trials``):
   network for the filter to drop, rendered to text once before any timing
   and fed to both sides.
 
-The pairs run in two child processes, one after the other, half the pairs
-each: the first imports the parent tree first, the second this tree, so a
-layout that favours whichever side a process imports first shows as a gap
-between the halves rather than as a bias that resampling cannot see.  In
-each, pair p runs the same block on each side, the parent first in even
-pairs and this tree first in odd ones, after one untimed warm-up block per
-side.  If any trial's or fix's outcome differs between the sides, the
+The pairs run in four child processes, one after the other, a quarter of
+the pairs each: they import the parent tree first and this tree first in
+turn, so a layout that favours whichever side a process imports first shows
+as a gap between the processes, and the interval resamples the processes
+as well as their pairs.  In each, pair p runs the same block on each side,
+the parent first in even pairs and this tree first in odd ones, after one
+untimed warm-up block per side.  If any trial's or fix's outcome differs between the sides, the
 script refuses: it prints the first differing seed or mission, writes
 nothing and exits 1.  Otherwise it writes
 ``bench/BENCH_<layer>_ab_<label>.json`` with every block time, the per-pair
 time ratios (this tree / parent), their median, the pairs this tree won,
-each half's median and wins, and a bootstrap 95% confidence interval of the
-median ratio that resamples each half's pairs apart.  The last line printed
-is a summary to quote, with both halves; when ``bench/`` holds the layer's
+each process's median and wins, and a bootstrap 95% confidence interval of
+the median ratio that resamples the processes, then the pairs inside each.
+The last line printed is a summary to quote, with every process; when ``bench/`` holds the layer's
 A/A file ``BENCH_<layer>_ab_aa.json`` (another file than the one written),
 it ends with that file's median and interval.  Serial in-process work only:
 the fork split, start-up and set-up stay perfbench's.
@@ -72,7 +72,8 @@ import numpy as np
 from benchpairs import describe, parent_tree
 from bytediff import ROOT
 
-BOOTSTRAP = 10_000  # resamples of the pairs for the interval of the median ratio
+BOOTSTRAP = 10_000  # resamples of the processes and their pairs for the interval of the median ratio
+PROCESSES = 4  # child processes a recording runs in, importing the parent tree first in every other one
 
 
 def load_tree(tree: Path, name: str):
@@ -173,12 +174,18 @@ def machine() -> dict:
     }
 
 
-def bootstrap_ci(halves: list[list[float]]) -> list[float]:
-    """The 2.5th and 97.5th percentiles of the pooled median over resamples of the pairs, each half's pairs
-    resampled among themselves so every resample keeps both processes' share (fixed seed)."""
+def bootstrap_ci(processes: list[list[float]]) -> list[float]:
+    """The 2.5th and 97.5th percentiles of the pooled median over two-level resamples (fixed seed): each
+    process's share of a resample is drawn from a process picked at random, its pairs drawn among that
+    process's, so the interval sees how far one process's layout moves the ratios as well as their spread."""
     rng = np.random.default_rng(0)
-    pooled = np.concatenate([rng.choice(ratios, (BOOTSTRAP, len(ratios))) for ratios in halves], axis=1)
-    medians = np.median(pooled, axis=1)
+    sizes = np.array([len(ratios) for ratios in processes])
+    starts = np.cumsum(sizes) - sizes
+    draws = []
+    for size in sizes.tolist():
+        picked = rng.integers(len(sizes), size=(BOOTSTRAP, 1))
+        draws.append(starts[picked] + rng.integers(sizes[picked], size=(BOOTSTRAP, size)))
+    medians = np.median(np.concatenate(processes)[np.concatenate(draws, axis=1)], axis=1)
     return [float(np.percentile(medians, 2.5)), float(np.percentile(medians, 97.5))]
 
 
@@ -192,7 +199,7 @@ def noise_floor(written: Path, layer: str) -> str:
     return f"; A/A {path.name} median ratio {record['median_ratio']:.4f}, CI {low:.4f} to {high:.4f}"
 
 
-def run_half(args, trees: dict[str, Path], pairs: range) -> dict:
+def run_process(args, trees: dict[str, Path], pairs: range) -> dict:
     """Time ``pairs`` in this process, the trees imported in ``trees``' order: each side's block seconds,
     or the refusal message when the sides' outcomes differ."""
     sides = build_sides(trees)
@@ -224,40 +231,41 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=60)
     parser.add_argument("--trials", type=int, default=100, help="serial trials, or online missions, per block (default: 100)")
     parser.add_argument("--label", default="change", help="the file name's last part (default: change)")
-    parser.add_argument("--half", nargs=3, metavar=("FIRST", "START", "STOP"), help=argparse.SUPPRESS)  # a child's share
+    parser.add_argument("--child", nargs=3, metavar=("FIRST", "START", "STOP"), help=argparse.SUPPRESS)  # a child's share
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.trials < 1:
-        parser.error("--pairs must be >= 2 and --trials >= 1")
+    if args.pairs < PROCESSES or args.trials < 1:
+        parser.error(f"--pairs must be >= {PROCESSES} and --trials >= 1")
 
-    if args.half:  # a child: PARENT is a directory, FIRST the side it imports first
-        first, start, stop = args.half[0], int(args.half[1]), int(args.half[2])
+    if args.child:  # a child: PARENT is a directory, FIRST the side it imports first
+        first, start, stop = args.child[0], int(args.child[1]), int(args.child[2])
         trees = {"parent": Path(args.parent), "change": ROOT}
         order = [first, *(side for side in trees if side != first)]
-        print(json.dumps(run_half(args, {side: trees[side] for side in order}, range(start, stop))))
+        print(json.dumps(run_process(args, {side: trees[side] for side in order}, range(start, stop))))
         return 0
 
-    split = args.pairs // 2
-    halves = []
+    bounds = [args.pairs * k // PROCESSES for k in range(PROCESSES + 1)]
+    processes = []
     with parent_tree(args.parent) as (parent, revision):
-        for first, start, stop in (("parent", 0, split), ("change", split, args.pairs)):
-            argv = [sys.executable, __file__, str(parent), "--layer", args.layer, "--trials", str(args.trials), "--half", first, str(start), str(stop)]
+        for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            first = ("parent", "change")[k % 2]
+            argv = [sys.executable, __file__, str(parent), "--layer", args.layer, "--trials", str(args.trials), "--child", first, str(start), str(stop)]
             done = subprocess.run(argv, capture_output=True, text=True)
             if done.returncode:
-                print(f"error: the half importing {first} first failed (exit {done.returncode}): {done.stderr.strip()[-2000:]}", file=sys.stderr)
+                print(f"error: the process importing {first} first failed (exit {done.returncode}): {done.stderr.strip()[-2000:]}", file=sys.stderr)
                 return 1
-            half = json.loads(done.stdout.splitlines()[-1])
-            if "refused" in half:
-                print(f"error: {half['refused']}", file=sys.stderr)
+            process = json.loads(done.stdout.splitlines()[-1])
+            if "refused" in process:
+                print(f"error: {process['refused']}", file=sys.stderr)
                 return 1
-            halves.append({"imported_first": first, "pairs": [start, stop], **half})
+            processes.append({"imported_first": first, "pairs": [start, stop], **process})
         revisions = {"parent": describe(parent, revision), "change": describe(ROOT, None)}
 
-    seconds = {side: [t for half in halves for t in half["seconds"][side]] for side in ("parent", "change")}
-    for half in halves:
-        ratios = [c / p for p, c in zip(half["seconds"]["parent"], half["seconds"]["change"])]
-        half.update(ratios=ratios, median_ratio=statistics.median(ratios), wins=sum(r < 1 for r in ratios))
-        del half["seconds"]
-    ratios = [r for half in halves for r in half["ratios"]]
+    seconds = {side: [t for process in processes for t in process["seconds"][side]] for side in ("parent", "change")}
+    for process in processes:
+        ratios = [c / p for p, c in zip(process["seconds"]["parent"], process["seconds"]["change"])]
+        process.update(ratios=ratios, median_ratio=statistics.median(ratios), wins=sum(r < 1 for r in ratios))
+        del process["seconds"]
+    ratios = [r for process in processes for r in process["ratios"]]
     record = {
         "layer": args.layer,
         "label": args.label,
@@ -268,12 +276,12 @@ def main(argv=None) -> int:
         "results_identical": True,
         "block_seconds": seconds,
         "first": ["parent" if pair % 2 == 0 else "change" for pair in range(args.pairs)],
-        "halves": [{k: half[k] for k in ("imported_first", "pairs", "median_ratio", "wins")} for half in halves],
+        "processes": [{k: process[k] for k in ("imported_first", "pairs", "median_ratio", "wins")} for process in processes],
         "ratios": ratios,
         "median_ratio": statistics.median(ratios),
         "quartiles": statistics.quantiles(ratios, n=4, method="inclusive"),
         "wins": sum(r < 1 for r in ratios),
-        "ci95": bootstrap_ci([half["ratios"] for half in halves]),
+        "ci95": bootstrap_ci([process["ratios"] for process in processes]),
     }
     out = ROOT / "bench" / f"BENCH_{args.layer}_ab_{args.label}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -282,7 +290,7 @@ def main(argv=None) -> int:
     print(
         f"{out.name}: time ratio change/parent median {record['median_ratio']:.4f}, CI {low:.4f} to {high:.4f}, "
         f"change faster in {record['wins']}/{args.pairs} pairs; "
-        + ", ".join(f"{h['imported_first']} imported first {h['median_ratio']:.4f} ({h['wins']}/{h['pairs'][1] - h['pairs'][0]})" for h in halves)
+        + ", ".join(f"{p['imported_first']} imported first {p['median_ratio']:.4f} ({p['wins']}/{p['pairs'][1] - p['pairs'][0]})" for p in processes)
         + f"; block medians parent {statistics.median(seconds['parent']) * 1e3:.1f} ms, "
         f"change {statistics.median(seconds['change']) * 1e3:.1f} ms; {args.layer} identical" + noise_floor(out, args.layer)
     )
