@@ -963,6 +963,21 @@ class TestWalkableCheck:
         if pillar is not None:
             assert (pillar, 2) in {cell_of(world.grid, x, y) for x, y, _ in result.trajectory}
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-2.0, 14.0) | st.sampled_from([0.0, -0.0, 12.0, -1e-300, math.nan, math.inf, -math.inf])] * 2),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_all_walkable_matches_a_per_point_check(self, ref_world, points):
+        # the reference world's L-shaped mask of 12 x 12 one-foot cells: each point in bounds, then on a walkable
+        # cell; a NaN is in neither
+        grid = ref_world.grid
+        expected = all(0 <= x < grid.width and 0 <= y < grid.height and grid.walkable[math.floor(y), math.floor(x)] for x, y in points)
+        assert rfsim._all_walkable(grid, np.array(points).T) is expected
+
     @staticmethod
     def hour_long_steps(steps):
         """A world and run_trial arguments for an oracle trial of ``steps`` forward steps of MAX_DURATION, 360,001

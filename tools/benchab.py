@@ -11,8 +11,9 @@ revision of this repository, exported with ``git archive`` as in
 Each tree's ``src/rssinav`` is imported under its own package name, so both
 run side by side with their own caches.  The inputs are built once per
 process: the reference world and the test suite's reference model (training
-seed 0 on the world's synthetic dataset), which reaches each tree through
-its own ``save_model`` and ``load_model``.  The layers (default ``trials``):
+seed 0 on the world's synthetic dataset), trained in a third import of this
+tree that no block runs, and read by each tree's own ``load_model``.  The
+layers (default ``trials``):
 
 - ``trials``: a block is ``--trials`` serial ``rfsim.run_trial`` calls
   (simulate's defaults, seeds (p + 1) * trials onwards in pair p, so each
@@ -35,17 +36,18 @@ turn, so a layout that favours whichever side a process imports first shows
 as a gap between the processes, and the interval resamples the processes
 as well as their pairs.  In each, pair p runs the same block on each side,
 the parent first in even pairs and this tree first in odd ones, after one
-untimed warm-up block per side.  If any trial's or fix's outcome differs between the sides, the
-script refuses: it prints the first differing seed or mission, writes
-nothing and exits 1.  Otherwise it writes
+untimed warm-up block per side.  If any trial's or fix's outcome differs
+between the sides, the script refuses: it prints the first differing seed
+or mission, writes nothing and exits 1.  Otherwise it writes
 ``bench/BENCH_<layer>_ab_<label>.json`` with every block time, the per-pair
 time ratios (this tree / parent), their median, the pairs this tree won,
 each process's median and wins, and a bootstrap 95% confidence interval of
 the median ratio that resamples the processes, then the pairs inside each.
-The last line printed is a summary to quote, with every process; when ``bench/`` holds the layer's
-A/A file ``BENCH_<layer>_ab_aa.json`` (another file than the one written),
-it ends with that file's median and interval.  Serial in-process work only:
-the fork split, start-up and set-up stay perfbench's.
+The last line printed is a summary to quote, with every process; when
+``bench/`` holds the layer's A/A file ``BENCH_<layer>_ab_aa.json`` (another
+file than the one written), it ends with that file's median and interval.
+Serial in-process work only: the fork split, start-up and set-up stay
+perfbench's.
 """
 
 from __future__ import annotations
@@ -89,13 +91,14 @@ def load_tree(tree: Path, name: str):
 
 def build_sides(trees: dict[str, Path]) -> dict[str, tuple]:
     """Per side: its package and its (world, bundle, path), the model trained once and passed through bytes;
-    the trees are imported in ``trees``' order."""
-    packages = {side: load_tree(tree, f"rssinav_ab_{side}") for side, tree in trees.items()}
-    change = packages["change"]
-    world = change.rfsim.reference_world()
-    bundle, _, _ = change.cli.run_training_pipeline(change.rfsim.generate_synthetic_dataset(world), train_config=change.model.TrainConfig(seed=0))
+    the trees are imported in ``trees``' order.  The model is trained in a third import of this tree, as a
+    side whose own package trained it ran its blocks slower (A/A ``run`` medians 1.05 and 1.02 on a 2-core VM)."""
+    trainer = load_tree(ROOT, "rssinav_ab_model")
+    world = trainer.rfsim.reference_world()
+    bundle, _, _ = trainer.cli.run_training_pipeline(trainer.rfsim.generate_synthetic_dataset(world), train_config=trainer.model.TrainConfig(seed=0))
     saved = io.BytesIO()
-    change.model.save_model(bundle.model, bundle.selection, bundle.params, saved)
+    trainer.model.save_model(bundle.model, bundle.selection, bundle.params, saved)
+    packages = {side: load_tree(tree, f"rssinav_ab_{side}") for side, tree in trees.items()}
     sides = {}
     for side, package in packages.items():
         world = package.rfsim.reference_world()
