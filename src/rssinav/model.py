@@ -539,7 +539,7 @@ def predict_position(bundle: ModelBundle, snapshot: ScanSnapshot) -> PositionEst
     """
     observed = snapshot.rssi_by_mac()
     kept = bundle.selection.kept_columns
-    if not any(mac in observed for mac in kept):
+    if observed.keys().isdisjoint(kept):
         raise NoKnownAccessPoints("snapshot contains none of the model's access points")
     return PositionEstimate(*_predict_vector(bundle, np.array([float(observed.get(mac, MISSING_RSSI)) for mac in kept])))
 

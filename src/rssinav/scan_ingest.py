@@ -149,6 +149,43 @@ class FingerprintDataset:
         )
 
 
+@lru_cache(maxsize=4096)
+def _keyword_line(line: str) -> tuple[tuple[str, str, str] | None, str | None, str | None]:
+    """What a line holding ``Address``, ``ESSID`` or ``Signal level`` says, as ``(header, essid, signal)``.
+
+    ``header`` is a cell header's ``(label, upper-cased MAC, raw MAC)``, ``essid`` the quoted network name,
+    and ``signal`` None without ``Signal level``, ``""`` for a level not in dBm, else its digits.  Each is
+    None where the line does not carry it.  Memoized on the exact line: the cell headers, ESSIDs and signal
+    lines of one building repeat from scan to scan.
+    """
+    header = _CELL_RE.match(line) if "Address" in line else None
+    if header:
+        return (header.group(1), header.group(2).upper(), header.group(2)), None, None
+    essid = _ESSID_RE.search(line) if "ESSID" in line else None
+    signal = None
+    if "Signal level" in line:
+        match = _SIGNAL_RE.search(line)
+        signal = match.group(1) if match and match.group(2) == "dBm" else ""
+    return None, essid.group(1) if essid else None, signal
+
+
+# one shared instance per (mac, ssid, rssi): the class is frozen, and a scan's entries repeat from scan to scan
+_scan_entry = lru_cache(maxsize=4096)(ScanEntry)
+
+
+def _close_cell(cell: list, entries: dict[str, ScanEntry]) -> None:
+    """Check the finished cell ``[label, mac, ssid, rssi]`` and add its entry to ``entries``."""
+    label, mac, ssid, rssi = cell
+    if ssid is None or rssi is None:
+        raise MalformedCell(f"cell {label} is missing its {'ESSID' if ssid is None else 'Signal'} line")
+    if mac in entries:
+        raise DuplicateMac(f"MAC {mac} appears twice in one scan")
+    try:
+        entries[mac] = _scan_entry(mac, ssid, rssi)
+    except ValueError as exc:
+        raise MalformedCell(str(exc)) from exc
+
+
 def parse_scan_text(text: str) -> list[ScanEntry]:
     """Parse scan-tool output into entries, in document order.
 
@@ -156,41 +193,39 @@ def parse_scan_text(text: str) -> list[ScanEntry]:
     may come in either order.  A cell missing its address, ESSID or signal
     level is rejected with MalformedCell; a signal not expressed in dBm raises
     BadSignalUnit; a repeated MAC raises DuplicateMac.  Cells are checked in
-    document order, so the first faulty one is reported.
+    document order, so the first faulty one is reported.  Each keyword line is
+    decided, and each entry built, once per distinct value (bounded memos of
+    4,096 each); a line without a keyword enters no memo, and a faulty line or
+    cell raises on every call.
     """
     entries: dict[str, ScanEntry] = {}
     cell = None  # the open block: [label, mac, ssid, rssi]
-    for line in [*text.splitlines(), None]:  # None: the end of the text closes the last cell
-        header = _CELL_RE.match(line) if line is not None and "Address" in line else None
-        if header or line is None:
+    for line in text.splitlines():
+        if "Address" not in line and "ESSID" not in line and "Signal level" not in line:
+            continue  # kept out of the memo: lines such as Extra:tsf= differ from scan to scan
+        header, essid, signal = _keyword_line(line)
+        if header:
             if cell is not None:
-                label, mac, ssid, rssi = cell
-                if ssid is None or rssi is None:
-                    raise MalformedCell(f"cell {label} is missing its {'ESSID' if ssid is None else 'Signal'} line")
-                if mac in entries:
-                    raise DuplicateMac(f"MAC {mac} appears twice in one scan")
-                try:
-                    entries[mac] = ScanEntry(mac, ssid, rssi)
-                except ValueError as exc:
-                    raise MalformedCell(str(exc)) from exc
-            if header:
-                cell = [header.group(1), header.group(2).upper(), None, None]
-                if not _canonical_mac(cell[1]):
-                    raise MalformedCell(f"cell {cell[0]} has a malformed address {header.group(2)!r}")
+                _close_cell(cell, entries)
+            label, mac, raw = header
+            if not _canonical_mac(mac):
+                raise MalformedCell(f"cell {label} has a malformed address {raw!r}")
+            cell = [label, mac, None, None]
         elif cell is None:
             continue  # preamble before the first cell
-        elif cell[2] is None and "ESSID" in line and (essid := _ESSID_RE.search(line)):
-            cell[2] = essid.group(1)
-        elif "Signal level" in line:
-            signal = _SIGNAL_RE.search(line)
-            if not signal or signal.group(2) != "dBm":
+        elif essid is not None and cell[2] is None:
+            cell[2] = essid
+        elif signal is not None:
+            if not signal:
                 raise BadSignalUnit(f"signal not expressed in dBm: {line.strip()!r}")
             if cell[3] is None:
                 try:
-                    cell[3] = int(signal.group(1))
+                    cell[3] = int(signal)
                 except ValueError:  # more digits than int() converts: far outside the RSSI range
-                    digits = len(signal.group(1).lstrip("-"))
+                    digits = len(signal.lstrip("-"))
                     raise MalformedCell(f"cell {cell[0]} has a signal level of {digits} digits") from None
+    if cell is not None:
+        _close_cell(cell, entries)
     return list(entries.values())
 
 

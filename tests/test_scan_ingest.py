@@ -19,6 +19,12 @@ from rssinav.scan_ingest import (
     ScanSnapshot,
     SchemaMismatch,
     UnlabeledSnapshot,
+    _canonical_mac,
+    _CELL_RE,
+    _ESSID_RE,
+    _keyword_line,
+    _scan_entry,
+    _SIGNAL_RE,
     aggregate_resamples,
     build_dataset,
     filter_by_ssid,
@@ -150,6 +156,128 @@ class TestParse:
         except ToolkitError:
             return
         assert isinstance(entries, list)
+
+
+# The parser as it was before its line and entry memos, verbatim: the reference the memoized parser is held to.
+def reference_parse_scan_text(text: str) -> list[ScanEntry]:
+    """Parse scan-tool output into entries, in document order.
+
+    Unknown lines inside a cell block are skipped; the ESSID and Signal lines
+    may come in either order.  A cell missing its address, ESSID or signal
+    level is rejected with MalformedCell; a signal not expressed in dBm raises
+    BadSignalUnit; a repeated MAC raises DuplicateMac.  Cells are checked in
+    document order, so the first faulty one is reported.
+    """
+    entries: dict[str, ScanEntry] = {}
+    cell = None  # the open block: [label, mac, ssid, rssi]
+    for line in [*text.splitlines(), None]:  # None: the end of the text closes the last cell
+        header = _CELL_RE.match(line) if line is not None and "Address" in line else None
+        if header or line is None:
+            if cell is not None:
+                label, mac, ssid, rssi = cell
+                if ssid is None or rssi is None:
+                    raise MalformedCell(f"cell {label} is missing its {'ESSID' if ssid is None else 'Signal'} line")
+                if mac in entries:
+                    raise DuplicateMac(f"MAC {mac} appears twice in one scan")
+                try:
+                    entries[mac] = ScanEntry(mac, ssid, rssi)
+                except ValueError as exc:
+                    raise MalformedCell(str(exc)) from exc
+            if header:
+                cell = [header.group(1), header.group(2).upper(), None, None]
+                if not _canonical_mac(cell[1]):
+                    raise MalformedCell(f"cell {cell[0]} has a malformed address {header.group(2)!r}")
+        elif cell is None:
+            continue  # preamble before the first cell
+        elif cell[2] is None and "ESSID" in line and (essid := _ESSID_RE.search(line)):
+            cell[2] = essid.group(1)
+        elif "Signal level" in line:
+            signal = _SIGNAL_RE.search(line)
+            if not signal or signal.group(2) != "dBm":
+                raise BadSignalUnit(f"signal not expressed in dBm: {line.strip()!r}")
+            if cell[3] is None:
+                try:
+                    cell[3] = int(signal.group(1))
+                except ValueError:  # more digits than int() converts: far outside the RSSI range
+                    digits = len(signal.group(1).lstrip("-"))
+                    raise MalformedCell(f"cell {cell[0]} has a signal level of {digits} digits") from None
+    return list(entries.values())
+
+
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]  # all str.splitlines honours
+PADS = st.sampled_from(["", "          ", "\t"])
+MACS = ["AA:BB:CC:DD:EE:FF", "11:22:33:44:55:66", "02:00:00:00:00:01", "aa:bb:cc:dd:ee:02"] * 8 + ["02:00:00:00:00:0G", "NOT_A_MAC", 'ESSID:"x"']
+NAMES = st.one_of(st.sampled_from(["CSU Net", "", "Ünïcødé", "日本語", "a=b dBm"]), st.text(max_size=8))
+LEVELS = st.sampled_from(["-61", "-72", "0", "-0", "-255", "-٣"] * 8 + ["5", "-256", "-" + "9" * 5000, "70/100", "-61dBm", ""])
+UNITS = st.sampled_from([" dBm", " dBm  ", "dBm"] * 16 + [" mW", "", " dBmX"])
+HEADERS = st.builds(lambda pad, label, mac, tail: f"{pad}Cell {label} - Address: {mac}{tail}",
+                    PADS, st.sampled_from(["01", "2", "٣"]), st.sampled_from(MACS), st.sampled_from(["", "  ", "", " x"]))
+ESSIDS = st.builds(lambda pad, name, tail: f'{pad}ESSID:"{name}"{tail}', PADS, NAMES, st.sampled_from(["", "", "  Signal level=-5 dBm"]))
+SIGNALS = st.builds(lambda pad, lead, eq, level, unit: f"{pad}{lead}Signal level{eq}{level}{unit}", PADS,
+                    st.sampled_from(["", "Quality=50/70  ", 'ESSID:"Other"  ']), st.sampled_from(["="] * 16 + [" = ", ""]), LEVELS, UNITS)
+JUNK = st.one_of(st.sampled_from(["wlan0     Scan completed :", "Extra:tsf=000000a1b2c3d4e5", "Extra: Last beacon: 24ms ago",
+                                  "Encryption key:on", "Address", "ESSID:nope", "", "   "]), st.text(max_size=12))
+BODY = st.one_of(ESSIDS, SIGNALS, JUNK)
+
+
+@st.composite
+def scan_texts(draw):
+    """A preamble, then cells: a header and body lines in any order, mostly one ESSID and one signal line
+    among them; every line ends in a line break of any kind."""
+    lines = draw(st.lists(BODY, max_size=2))
+    for _ in range(draw(st.integers(0, 5))):
+        body = draw(st.lists(BODY, max_size=3))
+        body += [draw(fields) for fields in (ESSIDS, SIGNALS) if draw(st.sampled_from([True] * 5 + [False]))]
+        lines += [draw(HEADERS), *draw(st.permutations(body))]
+    return "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines) + draw(st.sampled_from(["", "junk"]))
+
+
+MEMOS = (_canonical_mac, _keyword_line, _scan_entry)
+
+
+def parse_outcome(parse, text):
+    """The entries ``parse`` returns for ``text``, or the type and message of the error it raises."""
+    try:
+        return parse(text)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+class TestParseMemos:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_texts())
+    def test_cold_and_warm_parses_match_the_reference(self, text):
+        expected = parse_outcome(reference_parse_scan_text, text)
+        for memo in MEMOS:
+            memo.cache_clear()
+        assert parse_outcome(parse_scan_text, text) == expected  # every memo misses
+        assert parse_outcome(parse_scan_text, text) == expected  # every line and entry was memoized
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (ONE_CELL.replace("-61 dBm", "-61 mW"), BadSignalUnit("signal not expressed in dBm: 'Signal level=-61 mW'")),
+            (ONE_CELL.replace("AA:BB:CC:DD:EE:FF", "NOT_A_MAC"), MalformedCell("cell 01 has a malformed address 'NOT_A_MAC'")),
+            (ONE_CELL.replace("-61", "5"), MalformedCell("RSSI must be in [-255, 0] dBm, got 5")),
+            (ONE_CELL.replace("-61", "-" + "9" * 5000), MalformedCell("cell 01 has a signal level of 5000 digits")),
+            (ONE_CELL + ONE_CELL, DuplicateMac("MAC AA:BB:CC:DD:EE:FF appears twice in one scan")),
+        ],
+        ids=["not-dbm", "malformed-address", "rssi-out-of-range", "too-many-digits", "duplicate-mac"],
+    )
+    def test_a_bad_line_fails_on_every_call(self, text, error):
+        for _ in range(3):
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                parse_scan_text(text)
+
+    def test_every_memo_is_bounded(self):
+        assert [memo.cache_info().maxsize for memo in MEMOS] == [4096] * len(MEMOS)
+
+    def test_lines_without_a_keyword_enter_no_memo(self):
+        parse_scan_text(TWO_CELLS)
+        sizes = [memo.cache_info().currsize for memo in MEMOS]
+        for k in range(50):
+            assert parse_scan_text(f"wlan0     Scan completed :\nExtra:tsf={k:016x}\nExtra: Last beacon: {k}ms ago\n") == []
+        assert [memo.cache_info().currsize for memo in MEMOS] == sizes
 
 
 class TestFilter:

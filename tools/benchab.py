@@ -30,7 +30,7 @@ layers (default ``trials``):
   network for the filter to drop, rendered to text once before any timing
   and fed to both sides.
 
-The pairs run in four child processes, one after the other, a quarter of
+The pairs run in eight child processes, one after the other, an eighth of
 the pairs each: they import the parent tree first and this tree first in
 turn, so a layout that favours whichever side a process imports first shows
 as a gap between the processes, and the interval resamples the processes
@@ -75,7 +75,7 @@ from benchpairs import describe, parent_tree
 from bytediff import ROOT
 
 BOOTSTRAP = 10_000  # resamples of the processes and their pairs for the interval of the median ratio
-PROCESSES = 4  # child processes a recording runs in, importing the parent tree first in every other one
+PROCESSES = 8  # child processes a recording runs in, importing the parent tree first in every other one
 
 
 def load_tree(tree: Path, name: str):

@@ -6,11 +6,13 @@ this tree, and print each output's SHA-256 and whether the two agree.
 
 PARENT is a source checkout (a directory holding ``src/rssinav``) or a git
 revision of this repository, which is exported with ``git archive``.  The
-script writes one set of shared inputs (scan captures in two SSIDs and a
-120x100 grid map with walls), then runs the same CLI pipeline in each tree,
-each in its own directory, with every output path relative to it:
+script writes one set of shared inputs (two sets of scan captures in two
+SSIDs, one in 3-line cells and one in iwlist's verbose layout, and a 120x100
+grid map with walls), then runs the same CLI pipeline in each tree, each in
+its own directory, with every output path relative to it:
 
     make-world, make-dataset, ingest (plain, --no-aggregate, --ssid),
+    ingest and ingest --ssid on the iwlist-layout captures,
     train --seed 0 and train --optimizer sgd --batch-size 7
     --validation-split 0 (model file and report each), evaluate, select-features,
     select-features and train --epochs 50 on the ingested captures with
@@ -58,13 +60,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (label, argv, output files); "{captures}" and "{map}" name the shared inputs
+# (label, argv, output files); "{captures}", "{iwlist}" and "{map}" name the shared inputs
 STEPS = [
     ("make-world", ["make-world", "-o", "world.txt"], ["world.txt"]),
     ("make-dataset", ["make-dataset", "world.txt", "-o", "dataset.csv"], ["dataset.csv"]),
     ("ingest", ["ingest", "{captures}", "-o", "ingest.csv"], ["ingest.csv"]),
     ("ingest --no-aggregate", ["ingest", "{captures}", "-o", "ingest_resamples.csv", "--no-aggregate"], ["ingest_resamples.csv"]),
     ("ingest --ssid", ["ingest", "{captures}", "-o", "ingest_ssid.csv", "--ssid", "LabNet"], ["ingest_ssid.csv"]),
+    ("ingest iwlist", ["ingest", "{iwlist}", "-o", "ingest_iwlist.csv"], ["ingest_iwlist.csv"]),
+    ("ingest iwlist --ssid", ["ingest", "{iwlist}", "-o", "ingest_iwlist_ssid.csv", "--ssid", "LabNet"], ["ingest_iwlist_ssid.csv"]),
     ("train", ["train", "dataset.csv", "-o", "model.bin", "--seed", "0"], ["model.bin", "model.bin.report.csv"]),
     # SGD, a ragged last batch (71 training rows in batches of 7) and no validation rows
     ("train --optimizer sgd", ["train", "dataset.csv", "-o", "model_sgd.bin", "--optimizer", "sgd", "--batch-size", "7"]
@@ -120,11 +124,38 @@ FAILURES = [
 ]
 
 
-def write_captures(directory: Path) -> None:
+def iwlist_cell(cell: int, mac: str, ssid: str, rssi: int, tsf: int) -> list[str]:
+    """A 16-line cell in iwlist's verbose layout, the signal line before the ESSID and a timer value
+    ``tsf`` that differs from scan to scan."""
+    channel = 1 + int(mac[-2:], 16) % 11
+    pad = " " * 20
+    return [
+        f"          Cell {cell:02d} - Address: {mac}",
+        f"{pad}Channel:{channel}",
+        f"{pad}Frequency:{2.407 + 0.005 * channel:.3f} GHz (Channel {channel})",
+        f"{pad}Quality={max(0, min(70, rssi + 110))}/70  Signal level={rssi} dBm  ",
+        f"{pad}Encryption key:on",
+        f'{pad}ESSID:"{ssid}"',
+        f"{pad}Bit Rates:1 Mb/s; 2 Mb/s; 5.5 Mb/s; 11 Mb/s; 6 Mb/s",
+        f"{pad}          9 Mb/s; 12 Mb/s; 18 Mb/s; 24 Mb/s; 36 Mb/s",
+        f"{pad}Mode:Master",
+        f"{pad}Extra:tsf={tsf:016x}",
+        f"{pad}Extra: Last beacon: {tsf % 997}ms ago",
+        f"{pad}IE: Unknown: 00{len(ssid):02X}{ssid.encode().hex().upper()}",
+        f"{pad}IE: IEEE 802.11i/WPA2 Version 1",
+        f"{pad}    Group Cipher : CCMP",
+        f"{pad}    Pairwise Ciphers (1) : CCMP",
+        f"{pad}    Authentication Suites (1) : PSK",
+    ]
+
+
+def write_captures(directory: Path, iwlist: bool = False) -> None:
     """Seeded scan captures: 6x4 locations x 3 scans of 9 APs, a third of them on SSID Guest;
-    AP 02:00:00:00:01:01 is heard only from x >= 20 ft, a third of the locations."""
+    AP 02:00:00:00:01:01 is heard only from x >= 20 ft, a third of the locations.  With ``iwlist``, the
+    set draws from its own seed and is in iwlist's verbose layout: a preamble line, then 16-line cells,
+    and the file 0_0_0.txt has \\r\\n line ends."""
     directory.mkdir()
-    rnd = random.Random(2026)
+    rnd = random.Random(2027 if iwlist else 2026)
     aps = [(f"02:00:00:00:01:{i:02X}", "Guest" if i % 3 == 0 else "LabNet", rnd.uniform(0, 30), rnd.uniform(0, 20)) for i in range(9)]
     for x in range(0, 30, 5):
         for y in range(0, 20, 5):
@@ -134,8 +165,14 @@ def write_captures(directory: Path) -> None:
                     rssi = round(-40 - 30 * math.log10(max(1.0, math.hypot(ax - x, ay - y))) + rnd.gauss(0, 2))
                     if mac.endswith(":01") and x < 20:
                         continue
-                    lines += [f"Cell {cell:02d} - Address: {mac}", f'          ESSID:"{ssid}"', f"          Signal level={rssi} dBm"]
-                (directory / f"{x}_{y}_{rep}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                    if iwlist:
+                        lines += iwlist_cell(cell, mac, ssid, rssi, ((x * 100 + y) * 10 + rep) * 4096 + cell)
+                    else:
+                        lines += [f"Cell {cell:02d} - Address: {mac}", f'          ESSID:"{ssid}"', f"          Signal level={rssi} dBm"]
+                if iwlist:
+                    lines.insert(0, "wlan0     Scan completed :")
+                newline = "\r\n" if iwlist and x == y == rep == 0 else "\n"
+                (directory / f"{x}_{y}_{rep}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8", newline=newline)
 
 
 def write_map(path: Path, width: int = 120, height: int = 100) -> None:
@@ -198,8 +235,9 @@ def main(argv=None) -> int:
         if not (parent / "src" / "rssinav").is_dir():
             parent = export_revision(args.parent, work / "parent-tree")
         write_captures(work / "captures")
+        write_captures(work / "iwlist", iwlist=True)
         write_map(work / "map.txt")
-        inputs = {"captures": str(work / "captures"), "map": str(work / "map.txt")}
+        inputs = {"captures": str(work / "captures"), "iwlist": str(work / "iwlist"), "map": str(work / "map.txt")}
         before = run_tree(parent.resolve(), work / "parent", inputs)
         after = run_tree(ROOT, work / "change", inputs)
     finally:
