@@ -250,10 +250,11 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
 
 
 def forward(model: MlpRegressor, x) -> np.ndarray:
-    """Inference on one vector or a batch: batch norm uses running statistics, so no row depends on its batch."""
+    """Inference on one vector, a batch, or an (n, 1, k) stack of one-row batches: batch norm uses running
+    statistics, so no row depends on its batch."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ShapeMismatch(f"expected a vector or matrix, got ndim={arr.ndim}")
+    if not (arr.ndim in (1, 2) or arr.ndim == 3 and arr.shape[1] == 1):
+        raise ShapeMismatch(f"expected a vector, a matrix or an (n, 1, k) stack, got shape {arr.shape}")
     if arr.shape[-1] != model.input_width:
         raise ShapeMismatch(f"input width {arr.shape[-1]} != model width {model.input_width}")
     return _pass(model, arr, False)
@@ -264,7 +265,9 @@ def _pass(model: MlpRegressor, batch: np.ndarray, batch_stats: bool, cache: list
     statistics if ``batch_stats``, else running ones; ``cache`` receives
     per-layer tuples for backpropagation, (input, z) for a dense layer and
     (mean, var, xhat, ivar) for batch norm.  A row's dense product is the
-    matrix-vector product that a one-row batch reaches too, bit for bit; each
+    matrix-vector product that a one-row batch reaches too, bit for bit, and
+    so is each row's of an (n, 1, k) stack, where matmul runs one such
+    product per one-row batch; a 2-D batch's matrix product is not.  Each
     layer works in place on the fresh array it made, never on ``batch``."""
     out = batch
     for layer in model.layers:
@@ -541,18 +544,25 @@ def predict_position(bundle: ModelBundle, snapshot: ScanSnapshot) -> PositionEst
     kept = bundle.selection.kept_columns
     if observed.keys().isdisjoint(kept):
         raise NoKnownAccessPoints("snapshot contains none of the model's access points")
-    return PositionEstimate(*_predict_vector(bundle, np.array([float(observed.get(mac, MISSING_RSSI)) for mac in kept])))
+    return PositionEstimate(*_predict_rows(bundle, np.array([float(observed.get(mac, MISSING_RSSI)) for mac in kept]))[0])
 
 
-def _predict_vector(bundle: ModelBundle, vector: np.ndarray) -> tuple[float, float]:
-    """(x, y) in feet from raw RSSI values in kept-column order: the prediction core.
+def _predict_rows(bundle: ModelBundle, rows: np.ndarray) -> list[tuple[float, float]]:
+    """Each row's (x, y) in feet from raw RSSI values in kept-column order: the prediction core.
 
-    Denormalization runs on Python floats, the same IEEE multiply and add
-    per coordinate as ``denormalize_coords``.
+    A 1-D vector is one row and goes through ``forward`` as a row; an (n, k)
+    array goes through it as the (n, 1, k) stack of its rows, one pass for
+    all of them, with each row's bits.  Denormalization runs on Python
+    floats, the same IEEE multiply and add per coordinate as
+    ``denormalize_coords``.
     """
-    x, y = forward(bundle.model, prepare_features(bundle, vector)).tolist()
+    values = prepare_features(bundle, rows)
     params = bundle.params
-    return x * params.extent + params.origin_x, y * params.extent + params.origin_y
+    extent, origin_x, origin_y = params.extent, params.origin_x, params.origin_y
+    if values.ndim == 1:  # predict_position's every call: a lone row skips the list comprehension's call
+        x, y = forward(bundle.model, values).tolist()
+        return [(x * extent + origin_x, y * extent + origin_y)]
+    return [(x * extent + origin_x, y * extent + origin_y) for (x, y), in forward(bundle.model, values[:, None]).tolist()]
 
 
 def _finite_block(block: np.ndarray, index: int, name: str, error: type) -> np.ndarray:

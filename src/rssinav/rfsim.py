@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParameter, OutOfBounds, ToolkitError, check_seed, require_positive
 from .fileio import finite_floats, format_number, open_sink, read_text
-from .model import ModelBundle, _predict_vector, predict_position
+from .model import ModelBundle, _predict_rows, predict_position
 from .navctl import MAX_DURATION, DriveCommand, DrivetrainCalibration, Mode, NavConfig, NavState, nav_step
 from .planner import GridMap, MapFormatError, PlannedPath, astar, extract_checkpoints, first_segment_heading
 from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, _canonical_mac, aggregate_resamples, build_dataset, parse_scan_text
@@ -37,6 +37,7 @@ _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duratio
 _NODE_KEY = struct.Struct("<3d")  # a pose graph key (x, y, heading), bit for bit
 _GRAPH_MOVES = 2048  # moves a run's pose graph keeps, about 0.9 KB each with six APs: a reference run of 5,000 trials needs 27
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
+_TICKET_TRIALS = 64  # the fewest consecutive trials a ticket hands out; a process runs a ticket's trials in lockstep
 _SEED_MASK = (1 << 63) - 1
 _MASK128 = (1 << 128) - 1
 
@@ -405,11 +406,23 @@ def run_trial(
     and positive, and small enough that the trial clock stays finite; an
     empty path raises EmptyPath.
     """
-    return _trials(world, bundle, path, nav_config, success_radius, oracle=oracle, calibration=calibration, scan_period=scan_period)(seed)
+    return _trials(world, bundle, path, nav_config, success_radius, oracle=oracle, calibration=calibration, scan_period=scan_period)([seed])[0]
+
+
+class _Trial:
+    """A trial's progress in a lockstep run: its seed and noise key, navigation state, event log, node,
+    walkability, clock, end reason so far and noise-lane words."""
+
+    __slots__ = ("seed", "key", "state", "events", "here", "on_walkable", "clock", "reason", "lanes")
+
+    def __init__(self, seed: int, state: NavState, here: tuple):
+        self.seed, self.key, self.state, self.events, self.here = seed, seed & _SEED_MASK, state, [], here
+        self.on_walkable, self.clock, self.reason, self.lanes = True, 0.0, "fix_budget", []
 
 
 def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=False, calibration=None, scan_period=2.0):
-    """``run_trial`` as a function of the seed: the checks and everything a run's trials share, derived once."""
+    """``run_trial`` as a function of a list of seeds, whose trials advance in lockstep: the checks and
+    everything a run's trials share are derived once, then each call runs its seeds' trials a fix at a time."""
     require_positive(success_radius=success_radius, scan_period=scan_period)
     if not math.isfinite(_MAX_FIXES * (scan_period + MAX_DURATION)):
         raise InvalidParameter(f"scan_period {scan_period} s overflows the clock of a {_MAX_FIXES}-fix trial")
@@ -428,7 +441,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
 
     # The kept columns as indices into world.aps (None: not in this world).  Each fix
     # feeds _scan_levels, with the noise of the seed's lanes (what default_rng([seed,
-    # draw]) draws, bit for bit), straight to _predict_vector without the ScanEntry and
+    # draw]) draws, bit for bit), straight to _predict_rows without the ScanEntry and
     # ScanSnapshot checks, which hold already: AccessPointSim checks its MAC, SimWorld
     # refuses duplicate MACs and _scan_levels clamps each level to [RSSI_FLOOR, 0].  With
     # no kept column in the world every fix is a "nofix", as predict_position refuses it.
@@ -443,7 +456,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     # so its id stays its own); the verdict, whether its substeps stay on walkable cells, is decided when the move is
     # made, on the map or off it.  Tickets bound the graph: the first _GRAPH_MOVES moves are kept, and each adds at
     # most one node.  Threads that race on one miss may each build its move: either is the same move, and each took
-    # a ticket.
+    # a ticket.  What a node or move holds does not depend on which trial made it, so neither does any trial.
     nodes, tickets = {}, itertools.count()
 
     def node(x: float, y: float, theta: float) -> tuple:
@@ -465,52 +478,61 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     origin = node(*robot.pose)
     nodes[_NODE_KEY.pack(*robot.pose)] = origin
 
-    def trial(seed: int) -> TrialResult:
-        state = start
-        events = []
-        here = origin
-        on_walkable = True
-        clock = 0.0
-        reason = "fix_budget"
-        key, lanes = seed & _SEED_MASK, []  # the words of draws 0, 1, ...: the block's 16, then 64, 256, _MAX_FIXES
+    def run(seeds) -> list[TrialResult]:
+        """The trials of ``seeds``, in their order.  Round k is every active trial's fix k: first each trial's
+        scan levels and model row, then one ``_predict_rows`` call for the round's rows (a lone row as a row, no
+        call without one), then each trial in turn records its fix, steps and drives.  A trial leaves the
+        rounds as its lone loop would end: off the map, Done or Aborted, or after ``_MAX_FIXES`` fixes."""
+        trials = [_Trial(seed, start, origin) for seed in seeds]
+        active = trials
         for draw_index in range(_MAX_FIXES):
-            x, y, _, losses, moves = here
-            if losses is None:
-                on_walkable = False
-                reason = "left_map"
+            scanning, rows = [], []
+            for trial in active:
+                losses = trial.here[3]
+                if losses is None:
+                    trial.on_walkable = False
+                    trial.reason = "left_map"
+                    continue
+                trial.clock += scan_period
+                scanning.append(trial)
+                if known:
+                    lanes, key = trial.lanes, trial.key  # the words of draws 0, 1, ...: the block's 16, then 64, 256, _MAX_FIXES
+                    if not lanes:
+                        lanes = trial.lanes = _lane_block(key // _LANE_SEEDS)[key % _LANE_SEEDS].tolist()
+                    elif draw_index == len(lanes):  # grown fourfold in one call: a call's cost hardly depends on its lanes
+                        more = min(3 * draw_index, _MAX_FIXES - draw_index)
+                        lanes += _lane_words([key] * more, range(draw_index, draw_index + more)).T.tolist()
+                    levels = _scan_levels(world, losses, _lane_noise(lanes[draw_index], len(losses)))
+                    rows.append([MISSING_RSSI if i is None else float(levels[i]) for i in columns])
+            if rows:
+                fixes = _predict_rows(bundle, np.array(rows[0] if len(rows) == 1 else rows))
+            else:  # the true positions, or no model row at all
+                fixes = [trial.here[:2] if oracle else None for trial in scanning]
+            active = []
+            for trial, fix in zip(scanning, fixes):
+                here = trial.here
+                trial.events.append(("fix" if fix is not None else "nofix", trial.clock, (here[:2], fix)))
+                trial.state, command = nav_step(trial.state, fix)
+                if command is not None:
+                    trial.events.append(("command", trial.clock, command))
+                    move = here[4].get(id(command)) or add_move(here, command)
+                    trial.here = move[1]
+                    trial.on_walkable = trial.on_walkable and move[2]
+                    trial.clock += command.duration
+                if trial.state.mode in (Mode.DONE, Mode.ABORTED):
+                    trial.reason = trial.state.mode.value
+                else:
+                    active.append(trial)
+            if not active:
                 break
-            clock += scan_period
-            if oracle:
-                fix = (x, y)
-            elif known:
-                if not lanes:
-                    lanes = _lane_block(key // _LANE_SEEDS)[key % _LANE_SEEDS].tolist()
-                elif draw_index == len(lanes):  # grown fourfold in one call: a call's cost hardly depends on its lanes
-                    more = min(3 * draw_index, _MAX_FIXES - draw_index)
-                    lanes += _lane_words([key] * more, range(draw_index, draw_index + more)).T.tolist()
-                levels = _scan_levels(world, losses, _lane_noise(lanes[draw_index], len(losses)))
-                fix = _predict_vector(bundle, np.array([MISSING_RSSI if i is None else float(levels[i]) for i in columns]))
-            else:
-                fix = None
-            events.append(("fix" if fix is not None else "nofix", clock, ((x, y), fix)))
-            state, command = nav_step(state, fix)
-            if command is not None:
-                events.append(("command", clock, command))
-                move = moves.get(id(command)) or add_move(here, command)
-                here = move[1]
-                on_walkable = on_walkable and move[2]
-                clock += command.duration
-            if state.mode in (Mode.DONE, Mode.ABORTED):
-                reason = state.mode.value
-                break
-        x, y = here[:2]
-        final_error = math.hypot(x - gx, y - gy)
-        if not on_walkable:
-            reason += "+left_walkable"
-        success = reason == "done" and final_error <= success_radius
-        return TrialResult(success, final_error, robot, events, reason, seed)
+        return [finish(trial) for trial in trials]
 
-    return trial
+    def finish(trial: _Trial) -> TrialResult:
+        final_error = math.hypot(trial.here[0] - gx, trial.here[1] - gy)
+        reason = trial.reason if trial.on_walkable else trial.reason + "+left_walkable"
+        return TrialResult(reason == "done" and final_error <= success_radius, final_error, robot, trial.events, reason, trial.seed)
+
+    return run
 
 
 def _all_walkable(grid: GridMap, rows: np.ndarray) -> bool:
@@ -540,28 +562,30 @@ def corner_success_rate(
 
     Every trial drives that one path from its first cell, so all share the run's derived start
     (``_trials``), commands and substep increments; they use seeds base_seed .. base_seed + trials - 1,
-    and the default route is the reference world's corner run.  Trials go by ticket to the CPUs in the affinity mask, trial 0 to
-    this process (``_map_trials``); the results and every output are a serial run's, byte for byte.
+    and the default route is the reference world's corner run.  Trials go by ticket, in blocks of consecutive
+    seeds that advance in lockstep, to the CPUs in the affinity mask, trial 0 to this process (``_map_trials``);
+    the results and every output are a serial run's, byte for byte.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
     start = REFERENCE_START if start is None else start
     goal = REFERENCE_GOAL if goal is None else goal
     path = astar(world.grid, start, goal)
-    trial = _trials(world, bundle, path, **trial_kwargs)
-    results = _map_trials(lambda i: trial(base_seed + i), trials)
+    run = _trials(world, bundle, path, **trial_kwargs)
+    results = _map_trials(lambda indices: run([base_seed + i for i in indices]), trials)
     rate = sum(r.success for r in results) / trials
     return rate, results
 
 
-def _map_trials(trial, count: int) -> list:
-    """``[trial(i) for i in range(count)]`` on the CPUs in the affinity mask, by ticket: at most 1,024 tickets
-    of ceil(count / 1024) indices, in one 4 KiB write that never blocks.  This process takes ticket 0, then forks
-    a child per other CPU; each takes a ticket at a time, a child until its first failure, then pipes back one
-    pickle of {index: result} and ends in ``os._exit``.  An index without a result runs here in order, so errors
-    are the serial loop's; a failure here kills the children first."""
+def _map_trials(run, count: int) -> list:
+    """``run(range(count))`` on the CPUs in the affinity mask, by ticket, where ``run`` maps a range of indices
+    to their results: at most 1,024 tickets of max(ceil(count / 1024), _TICKET_TRIALS) consecutive indices, in
+    one 4 KiB write that never blocks.  This process takes ticket 0, then forks a child per other CPU; each runs
+    a ticket's range at a time, a child until its first failure, then pipes back one pickle of {index: result}
+    and ends in ``os._exit``.  An index without a result runs here alone, in order, so errors are the serial
+    loop's; a failure here kills the children first."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    block = -(-count // 1024) or 1
+    block = max(-(-count // 1024), _TICKET_TRIALS)
     tickets = range(-(-count // block))
     results, pids = {}, []
     fds = list(os.pipe())  # open pipe ends: the tickets' read end, its write end, then one read end per child
@@ -574,9 +598,9 @@ def _map_trials(trial, count: int) -> list:
             pid = os.fork()
             if pid == 0:
                 try:
-                    with contextlib.suppress(Exception):  # i stays without a result: the parent runs it again
-                        for i in _claimed(fds[0], os.read(fds[0], 4), block, count):
-                            results[i] = trial(i)  # results is empty here: no trial runs before the forks
+                    with contextlib.suppress(Exception):  # the range stays without results: the parent runs it again
+                        for indices in _claimed(fds[0], os.read(fds[0], 4), block, count):
+                            results.update(zip(indices, run(indices)))  # results is empty here: no trial runs before the forks
                     view = memoryview(pickle.dumps(results))
                     while view:
                         view = view[os.write(fds[-1], view) :]
@@ -586,14 +610,14 @@ def _map_trials(trial, count: int) -> list:
             pids.append(pid)
             os.close(fds.pop())  # the write end: EOF comes when the child exits
         try:
-            for i in _claimed(fds[0], first, block, count):
-                results[i] = trial(i)
+            for indices in _claimed(fds[0], first, block, count):
+                results.update(zip(indices, run(indices)))
         except Exception:
             for pid in pids:  # reaped below
                 os.kill(pid, signal.SIGKILL)
-            for lower in range(i):  # a lower index's error comes first, as in the serial loop
-                if lower not in results:
-                    trial(lower)
+            for i in range(indices.stop):  # alone and in order: a lower index's error comes first, as in the serial loop
+                if i not in results:
+                    run(range(i, i + 1))
             raise
         for pid, read_end in zip(pids[:], fds[1:]):
             data = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))  # to EOF before waitpid: it can outgrow the pipe buffer
@@ -601,7 +625,7 @@ def _map_trials(trial, count: int) -> list:
             pids.remove(pid)
             if status == 0:
                 results.update(pickle.loads(data))
-        return [results[i] if i in results else trial(i) for i in range(count)]
+        return [results[i] if i in results else run(range(i, i + 1))[0] for i in range(count)]
     finally:  # on every exit path: no open pipe end, no unreaped child
         for fd in fds:
             os.close(fd)
@@ -611,10 +635,10 @@ def _map_trials(trial, count: int) -> list:
 
 
 def _claimed(tickets: int, ticket: bytes, block: int, count: int):
-    """The indices of ``ticket``, then of each ticket read from ``tickets`` until none is left."""
+    """The index range of ``ticket``, then of each ticket read from ``tickets`` until none is left."""
     while ticket:
         start = int.from_bytes(ticket, "little") * block
-        yield from range(start, min(start + block, count))
+        yield range(start, min(start + block, count))
         ticket = os.read(tickets, 4)
 
 

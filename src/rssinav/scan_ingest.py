@@ -71,7 +71,7 @@ def _canonical_mac(mac: str) -> bool:
     return _MAC_RE.match(mac) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-instance __dict__: the parser's entry memo and every snapshot hold many
 class ScanEntry:
     """One access point's observation: MAC, network name, RSSI in dBm."""
 

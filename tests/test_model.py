@@ -25,7 +25,7 @@ from rssinav.model import (
     UninitializedStatistics,
     VersionMismatch,
     _pass,
-    _predict_vector,
+    _predict_rows,
     backward,
     forward,
     initialize_parameters,
@@ -337,16 +337,7 @@ class TestForward:
     @example(in_width=1, hidden=[1], with_batchnorm=True, seed=0, data=None)
     def test_inference_matches_the_one_row_batch_pass_bit_for_bit(self, in_width, hidden, with_batchnorm, seed, data):
         # rows go through a matrix-vector product and in-place layer steps; the batch pass they replace is the bits
-        rng = np.random.default_rng(seed)
-        layers, width = [], in_width
-        for i, out_width in enumerate([*hidden, 2]):
-            last = i == len(hidden)
-            layers.append(DenseLayer(rng.uniform(-1, 1, (out_width, width)), rng.uniform(-0.5, 0.5, out_width), "identity" if last else "relu"))
-            if i == 0 and with_batchnorm:
-                stats = (rng.uniform(0.5, 1.5, out_width), rng.uniform(-0.5, 0.5, out_width), rng.uniform(-1, 1, out_width), rng.uniform(0, 2, out_width))
-                layers.append(BatchNormLayer(*stats))
-            width = out_width
-        model = MlpRegressor(layers)
+        model = random_mlp(np.random.default_rng(seed), in_width, hidden, with_batchnorm)
         values = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
         if data is None:  # the explicit example: signed zeros alone
             row, rows = np.array([-0.0]), np.array([[0.0], [-0.0]])
@@ -362,13 +353,50 @@ class TestForward:
         for i, x in enumerate(rows):
             assert forward(model, x).tobytes() == forward(model, rows[i : i + 1])[0].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # the reference model's layer shapes (32 x 13 or 32 x 6 or 32 x 40, then 64 x 32 and 2 x 64), or any
+        shape=st.tuples(st.sampled_from([13, 6, 40]), st.just([32, 64])) | st.tuples(st.integers(1, 40), st.lists(st.integers(1, 64), min_size=1, max_size=3)),
+        with_batchnorm=st.booleans(),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(13, [32, 64]), with_batchnorm=True, n=300, seed=0)
+    def test_a_stack_of_rows_is_each_row_bit_for_bit(self, shape, with_batchnorm, n, seed):
+        # an (n, 1, k) stack runs one matrix-vector product per row, where a 2-D batch's matrix product would not
+        # give a row's bits
+        rng = np.random.default_rng(seed)
+        in_width, hidden = shape
+        model = random_mlp(rng, in_width, hidden, with_batchnorm)
+        rows = rng.uniform(-10, 10, (n, in_width))
+        rows[rng.uniform(size=rows.shape) < 0.1] = -0.0
+        stack, before = rows[:, None], rows.tobytes()
+        got = forward(model, stack)
+        assert got.shape == (n, 1, 2)
+        assert got.tobytes() == np.array([forward(model, row) for row in rows]).tobytes()
+        assert rows.tobytes() == before  # the input is never written
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 80), seed=st.integers(0, 2**32 - 1))
+    def test_predicting_rows_at_once_is_each_row_alone(self, n, seed):
+        # the stacked rows go through prepare_features, the stack and the float denormalization of a lone row
+        rng = np.random.default_rng(seed)
+        bundle = small_bundle(rng)
+        rows = rng.uniform(-120, 10, (n, 3)).round()
+        rows[:, 0] = 0.0  # a missing AP
+        got = _predict_rows(bundle, rows)
+        alone = [_predict_rows(bundle, row) for row in rows]
+        assert all(len(one) == 1 for one in alone)
+        assert [struct.pack("<2d", *xy) for xy in got] == [struct.pack("<2d", *one[0]) for one in alone]
+        assert all(type(v) is float for xy in got for v in xy)
+
     def test_a_row_is_checked_as_a_batch_is(self):
         model = MlpRegressor(
             [DenseLayer(np.eye(2), np.zeros(2), "identity"), BatchNormLayer.fresh(2), DenseLayer(np.eye(2), np.zeros(2), "identity")]
         )
         with pytest.raises(UninitializedStatistics):
             forward(model, np.array([1.0, 2.0]))
-        for x in ([1.0, 2.0, 3.0], [1.0], 1.0, [[[1.0, 2.0]]]):
+        for x in ([1.0, 2.0, 3.0], [1.0], 1.0, [[[1.0, 2.0], [1.0, 2.0]]], [[[1.0, 2.0, 3.0]]], [[[[1.0, 2.0]]]]):  # an (n, 1, 2) stack is input
             with pytest.raises(ShapeMismatch):
                 forward(model, x)
 
@@ -649,6 +677,20 @@ class TestBatchNormInference:
         assert agrees()
         train(model, X, rng.uniform(0, 1, (6, 2)), TrainConfig(epochs=3, batch_size=4, seed=2))
         assert agrees()
+
+
+def random_mlp(rng, in_width, hidden, with_batchnorm):
+    """Dense ReLU layers of the ``hidden`` widths and a 2-wide identity layer, seeded from ``rng``; with
+    ``with_batchnorm``, an inference batch norm with random running statistics after the first."""
+    layers, width = [], in_width
+    for i, out_width in enumerate([*hidden, 2]):
+        last = i == len(hidden)
+        layers.append(DenseLayer(rng.uniform(-1, 1, (out_width, width)), rng.uniform(-0.5, 0.5, out_width), "identity" if last else "relu"))
+        if i == 0 and with_batchnorm:
+            stats = (rng.uniform(0.5, 1.5, out_width), rng.uniform(-0.5, 0.5, out_width), rng.uniform(-1, 1, out_width), rng.uniform(0, 2, out_width))
+            layers.append(BatchNormLayer(*stats))
+        width = out_width
+    return MlpRegressor(layers)
 
 
 def small_bundle(rng=None):
@@ -945,7 +987,7 @@ class TestPredict:
         monkeypatch.setattr(model_module, "forward", lambda model, x: np.array(out))
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and 1e308 * 11
             expected = denormalize_coords(bundle.params, np.array(out)).tolist()
-            got = _predict_vector(bundle, np.zeros(3))
+            got = _predict_rows(bundle, np.zeros(3))[0]
         assert all(type(v) is float for v in got)
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in expected]
 

@@ -10,7 +10,6 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -541,10 +540,17 @@ def serial_trials(world, bundle, trials, base_seed=0, **kwargs):
 
 
 def hook_trials(monkeypatch, hook):
-    """Send every trial of a run, corner_success_rate's or run_trial's, through ``hook(run, seed)``, where
-    ``run`` is the run's real per-seed function: run_trial would come back to the hook."""
+    """Send every trial of a run, corner_success_rate's or run_trial's, through ``hook(run, seed)``, one seed
+    after another, where ``run`` runs one seed through the run's real runner: run_trial would come back to
+    the hook."""
     per_run = rfsim._trials
-    monkeypatch.setattr(rfsim, "_trials", lambda *args, **kwargs: partial(hook, per_run(*args, **kwargs)))
+
+    def hooked(*args, **kwargs):
+        run = per_run(*args, **kwargs)
+        one = lambda seed: run([seed])[0]
+        return lambda seeds: [hook(one, seed) for seed in seeds]
+
+    monkeypatch.setattr(rfsim, "_trials", hooked)
 
 
 def wait_until(condition, timeout=30.0):
@@ -557,12 +563,14 @@ def wait_until(condition, timeout=30.0):
 
 class TestParallelTrials:
     """Trials are handed out by ticket to this process and forked children; three
-    CPUs are claimed, so two children are forked whatever the host.  A run of 7
-    has 7 one-trial tickets, and this process always runs trial 0."""
+    CPUs are claimed, so two children are forked whatever the host.  Tickets
+    hold one trial at the least here, not 64, so a run of 7 has 7 one-trial
+    tickets, and this process always runs trial 0."""
 
     @pytest.fixture(autouse=True)
     def three_cpus_and_nothing_left(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 1)
         fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
         yield
         with pytest.raises(ChildProcessError):  # neither a running child nor a zombie
@@ -636,6 +644,38 @@ class TestParallelTrials:
             monkeypatch.delattr(os, "fork")
         _, results = corner_success_rate(ref_world, None, trials, base_seed=4, oracle=True)
         assert results == serial_trials(ref_world, None, trials, base_seed=4, oracle=True)
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_lockstep_tickets_match_the_serial_loop(self, ref_world, trained, monkeypatch, oracle):
+        # tickets of 64 trials, 64 + 64 + 64 + 8, each run in lockstep by whichever process claims it
+        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)
+        world, bundle = with_noise_sigma(ref_world, 2.0), None if oracle else trained[0]
+        rate, results = corner_success_rate(world, bundle, 200, base_seed=37, oracle=oracle)
+        expected = serial_trials(world, bundle, 200, base_seed=37, oracle=oracle)
+        assert results == expected and repr(results) == repr(expected)
+        assert rate == sum(r.success for r in expected) / 200
+
+    def test_a_run_of_one_ticket_forks_nothing(self, ref_world, monkeypatch):
+        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one ticket"))
+        _, results = corner_success_rate(ref_world, None, 64, base_seed=4, oracle=True)
+        assert results == serial_trials(ref_world, None, 64, base_seed=4, oracle=True)
+
+    @pytest.mark.parametrize("count, failing", [(10, (3, 5)), (10, (0, 9)), (200, (140, 150)), (200, (70, 3))])
+    def test_a_failing_block_raises_the_serial_loops_first_error(self, monkeypatch, count, failing):
+        # a block fails at whichever of its trials fails first in the rounds, here the highest; the serial loop
+        # fails at the lowest, which only running the indices alone and in order finds
+        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)
+
+        def run(indices):
+            failed = [i for i in indices if i in failing]
+            if failed:
+                raise ValueError(f"trial {max(failed)} failed")
+            return [-i for i in indices]
+
+        with pytest.raises(ValueError, match=f"^trial {min(failing)} failed$"):
+            rfsim._map_trials(run, count)
+        assert rfsim._map_trials(lambda indices: [-i for i in indices], count) == [-i for i in range(count)]
 
     def test_more_trials_than_tickets(self, ref_world, monkeypatch):
         parent, writes, write = os.getpid(), [], os.write
@@ -713,8 +753,68 @@ class TestParallelTrials:
         assert results == serial_trials(ref_world, None, 7, oracle=True)
 
 
+class TestLockstep:
+    """A run advances its seeds' trials in lockstep: round k derives every active trial's fix k, with one
+    _predict_rows call for the round's model rows.  Each trial must be the one reference_run_trial gives,
+    field for field and bit for bit, whichever round the others end in."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """The rows of each _predict_rows call a run makes: the count, and whether a lone row came as a vector."""
+        calls, real = [], rfsim._predict_rows
+
+        def record(bundle, rows):
+            calls.append((1 if rows.ndim == 1 else len(rows), rows.ndim == 1))
+            return real(bundle, rows)
+
+        monkeypatch.setattr(rfsim, "_predict_rows", record)
+        return calls
+
+    @pytest.mark.parametrize(
+        "sigma, step, seeds, reasons",
+        [
+            (2.0, 2.0, range(40), {"done", "left_map+left_walkable"}),  # 25 of them leave the map
+            (2.0, 0.3, range(24, 40), {"done", "left_map+left_walkable"}),  # seed 28 runs 67 rounds, the last 25 alone
+            (2.0, 0.017, [0, 1, 3], {"done", "fix_budget"}),  # 489, 500 and 493 rounds
+            (6.0, 2.0, range(2**63 - 20, 2**63 + 20), None),  # seeds that mask to both ends of the 63-bit range
+        ],
+        ids=["left-map", "narrows-to-one", "fix-budget", "noisy-masked-seeds"],
+    )
+    def test_model_runs_match_the_reference(self, ref_world, trained, rounds, sigma, step, seeds, reasons):
+        world = with_noise_sigma(ref_world, sigma)
+        path = astar(world.grid, REFERENCE_START, REFERENCE_GOAL)
+        kwargs = dict(nav_config=NavConfig(step_distance=step))
+        results = rfsim._trials(world, trained[0], path, **kwargs)(seeds)
+        expected = [reference_run_trial(world, trained[0], path, seed=seed, **kwargs) for seed in seeds]
+        assert results == expected and repr(results) == repr(expected)  # repr tells -0.0 from 0.0
+        assert reasons is None or {r.reason for r in results} == reasons
+        # one call per round, for the trials still in it; a lone row as a vector
+        fixes = [sum(kind != "command" for kind, _, _ in r.events) for r in results]  # "nofix" included: one per round
+        assert rounds == [(n, n == 1) for n in (sum(f > k for f in fixes) for k in range(max(fixes)))]
+        assert len(set(fixes)) > 1  # the trials end in different rounds
+
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no-known-ap"])
+    def test_runs_without_model_rows_make_no_forward_call(self, ref_world, trained, monkeypatch, oracle):
+        # an oracle robot scans nothing; a model that knows none of the world's APs gets a "nofix" every round
+        bundle = None if oracle else with_kept_columns(trained[0], range(6))
+        monkeypatch.setattr(rfsim, "_predict_rows", lambda *args: pytest.fail("a forward pass without a model row"))
+        path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
+        kwargs = dict(nav_config=NavConfig(max_consecutive_misses=3), oracle=oracle, calibration=veered(ref_world.robot, 1e-3))
+        results = rfsim._trials(ref_world, bundle, path, **kwargs)(range(20))
+        expected = [reference_run_trial(ref_world, bundle, path, seed=seed, **kwargs) for seed in range(20)]
+        assert results == expected and repr(results) == repr(expected)
+        kinds = {kind for r in results for kind, _, _ in r.events} - {"command"}
+        assert kinds == ({"fix"} if oracle else {"nofix"})
+
+    def test_a_seed_twice_in_one_run_is_the_same_trial_twice(self, ref_world, trained):
+        path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
+        first, again, other = rfsim._trials(ref_world, trained[0], path)([3, 3, 4])
+        assert first == again == run_trial(ref_world, trained[0], path, seed=3) and first is not again
+        assert other == run_trial(ref_world, trained[0], path, seed=4)
+
+
 def reference_predict_position(bundle, snapshot):
-    """predict_position before its prediction core moved into _predict_vector, verbatim."""
+    """predict_position before its prediction core moved into a function of its own, verbatim."""
     observed = snapshot.rssi_by_mac()
     kept = bundle.selection.kept_columns
     if not any(mac in observed for mac in kept):
@@ -786,7 +886,7 @@ def with_kept_columns(bundle, foreign):
 
 
 class TestDirectScanPath:
-    """run_trial feeds _scan_levels straight into _predict_vector; it must give the
+    """run_trial feeds _scan_levels straight into _predict_rows; it must give the
     trial that simulate_scan -> predict_position gave, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
@@ -860,7 +960,7 @@ class TestNoiseLanes:
         calls = []
         lane_words = rfsim._lane_words
         monkeypatch.setattr(rfsim, "_lane_words", lambda seeds, draws: calls.append(len(seeds)) or lane_words(seeds, draws))
-        result = trial(28)
+        (result,) = trial([28])
         assert sum(kind != "command" for kind, _, _ in result.events) > 64
         assert calls == [48, 192]
 
@@ -870,7 +970,7 @@ class TestNoiseLanes:
         try:
             sizes = []
             for seed in range(32, 32 + 64 * 6):  # seven blocks, in seed order as the tickets go
-                trial(seed)
+                trial([seed])
                 sizes.append(rfsim._lane_block.cache_info().currsize)
             info = rfsim._lane_block.cache_info()
         finally:
@@ -1111,7 +1211,7 @@ class TestPoseGraph:
                 assert rate == sum(r.success for r in results) / trials
             else:
                 trial = rfsim._trials(world, bundle, path, **kwargs)
-                results = [trial(base_seed + i) for i in range(trials)]
+                results = trial([base_seed + i for i in range(trials)])  # in lockstep
             expected = [reference_run_trial(world, bundle, path, seed=base_seed + i, **kwargs) for i in range(trials)]
         assert results == expected and repr(results) == repr(expected)  # repr tells -0.0 from 0.0
 
@@ -1119,14 +1219,14 @@ class TestPoseGraph:
         # every move is decided when it is made, the moves of the trials that leave the map included
         path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
         trial = rfsim._trials(ref_world, trained[0], path)
-        first = [trial(seed) for seed in range(40)]
+        first = trial(range(40))  # in lockstep
         kept = [r for r in first if not r.reason.startswith("left_map")]
         assert {r.reason for r in kept} == {"done"} and len(kept) == 15
         calls = []
         for name in ("_command_poses", "_all_walkable", "_path_loss"):
             real = getattr(rfsim, name)
             monkeypatch.setattr(rfsim, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-        assert [trial(seed) for seed in range(40)] == first
+        assert trial(range(40)) == first
         assert calls == []
 
     def test_every_move_holds_its_own_verdict(self, ref_world, monkeypatch):
@@ -1138,7 +1238,7 @@ class TestPoseGraph:
         path = astar(world.grid, (0, 1), (24, 1))
         kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), oracle=True, calibration=veered(world.robot, 2.2e-4))
         trial = rfsim._trials(world, None, path, **kwargs)
-        result = trial(0)
+        (result,) = trial([0])
         assert result == reference_run_trial(world, None, path, **kwargs) and result.reason == "left_map+left_walkable"
         nodes, _ = pose_graph(trial)
         moves = [(here, move) for here in nodes for move in here[4].values()]  # in the order driven: the graph is a chain
@@ -1151,7 +1251,7 @@ class TestPoseGraph:
         real = rfsim._command_poses
         monkeypatch.setattr(rfsim, "_command_poses", lambda *args: calls.append(args) or real(*args))
         monkeypatch.setattr(rfsim, "_all_walkable", lambda *args: pytest.fail("a decided verdict was checked again"))
-        assert trial(1) == replace(result, seed=1)  # an oracle robot drives the same moves whatever the seed
+        assert trial([1]) == [replace(result, seed=1)]  # an oracle robot drives the same moves whatever the seed
         assert calls == []
 
     def test_a_heading_of_minus_zero_is_its_own_node(self, monkeypatch):
@@ -1162,7 +1262,7 @@ class TestPoseGraph:
         left, right = DriveCommand(-1.0, 1.0, 0.01, "pivot"), DriveCommand(1.0, -1.0, 0.01, "pivot")
         with scripted_nav([[left, right]]):
             trial = rfsim._trials(world, None, path, oracle=True)
-            trial(0)
+            trial([0])
         nodes, _ = pose_graph(trial)
         origin, back = nodes[0], nodes[0][4][id(left)][1][4][id(right)][1]
         assert origin[:3] == (5.5, 5.5, -0.0) and math.copysign(1.0, origin[2]) == -1.0
@@ -1175,7 +1275,7 @@ class TestPoseGraph:
         assert floats == ints
         with scripted_nav([[floats], [ints]]):
             trial = rfsim._trials(ref_world, None, path, oracle=True)
-            results = [trial(seed) for seed in range(4)]
+            results = [trial([seed])[0] for seed in range(4)]  # one at a time: the script goes by the trial that starts
             expected = [reference_run_trial(ref_world, None, path, seed=seed, oracle=True) for seed in range(4)]
         assert results == expected and repr(results) == repr(expected)
         assert [type(c.duration) for kind, _, c in results[1].events if kind == "command"] == [int, float]
@@ -1192,7 +1292,7 @@ class TestPoseGraph:
         real = rfsim._command_poses
         monkeypatch.setattr(rfsim, "_command_poses", lambda *args: integrated.append(1) or real(*args))
         trial = rfsim._trials(world, trained[0], path, **kwargs)
-        results = [trial(seed) for seed in range(150)]
+        results = [trial([seed])[0] for seed in range(150)]
         nodes, moves = pose_graph(trial)
         assert len(integrated) > 2 * rfsim._GRAPH_MOVES
         assert len(moves) == rfsim._GRAPH_MOVES and len(nodes) <= rfsim._GRAPH_MOVES + 1
@@ -1211,11 +1311,11 @@ class TestPoseGraph:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(trial, range(48), timeout=120))
+                results = list(pool.map(lambda seed: trial([seed])[0], range(48), timeout=120))
         finally:
             sys.setswitchinterval(interval)
         assert results == expected and repr(results) == repr(expected)
-        assert [trial(seed) for seed in range(48)] == expected  # and the graph they left
+        assert trial(range(48)) == expected  # and the graph they left, in lockstep
 
 
 def cell_of(grid, x, y):

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import pickle
 import re
 
 import numpy as np
@@ -53,6 +55,32 @@ TWO_CELLS = (
 CELL_A = "Cell 01 - Address: AA:BB:CC:DD:EE:FF\n"
 CELL_B = "Cell 02 - Address: 11:22:33:44:55:66\n"
 ENTRY_A = ScanEntry("AA:BB:CC:DD:EE:FF", "CSU Net", -61)
+
+
+class TestScanEntry:
+    """Entries are frozen and slotted: shared by the parser's memo and every snapshot, each without a __dict__."""
+
+    def test_an_entry_pickles_hashes_and_compares(self):
+        entry = ScanEntry("AA:BB:CC:DD:EE:FF", "CSU Net", -61)
+        copy = pickle.loads(pickle.dumps(entry))
+        assert copy == entry and copy is not entry and hash(copy) == hash(entry)
+        assert {entry, copy, ScanEntry("AA:BB:CC:DD:EE:FF", "CSU Net", -62)} == {entry, ScanEntry("AA:BB:CC:DD:EE:FF", "CSU Net", -62)}
+        assert entry != ScanEntry("AA:BB:CC:DD:EE:FF", "CSU", -61) and entry != ("AA:BB:CC:DD:EE:FF", "CSU Net", -61)
+        assert dataclasses.replace(entry, rssi=-70) == ScanEntry("AA:BB:CC:DD:EE:FF", "CSU Net", -70)
+
+    def test_an_entry_refuses_assignment_and_has_no_dict(self):
+        entry = ScanEntry("AA:BB:CC:DD:EE:FF", "CSU Net", -61)
+        for name, value in (("rssi", -70), ("mac", "11:22:33:44:55:66"), ("extra", 1)):
+            with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+                setattr(entry, name, value)
+        assert entry == ScanEntry("AA:BB:CC:DD:EE:FF", "CSU Net", -61)
+        assert not hasattr(entry, "__dict__") and ScanEntry.__slots__ == ("mac", "ssid", "rssi")
+
+    def test_a_checked_field_is_still_checked(self):
+        with pytest.raises(ToolkitError, match="not a canonical MAC address"):
+            ScanEntry("AA:BB:CC", "Net", -61)
+        with pytest.raises(ToolkitError, match=re.escape(f"RSSI must be in [{RSSI_FLOOR}, 0] dBm, got 1")):
+            ScanEntry("AA:BB:CC:DD:EE:FF", "Net", 1)
 
 
 class TestParse:

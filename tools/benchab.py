@@ -17,11 +17,14 @@ layers (default ``trials``):
 
 - ``trials``: a block is ``--trials`` serial ``rfsim.run_trial`` calls
   (simulate's defaults, seeds (p + 1) * trials onwards in pair p, so each
-  block starts with cold noise caches).  Each call derives a fresh run, so
-  nothing a run keeps is reused: the all-miss case of the run's memos.
+  block starts with cold noise caches).  Each call derives a fresh run of
+  one trial, so nothing a run keeps is reused (the all-miss case of the
+  run's memos), and each fix goes through the model as a lone row.
 - ``run``: a block builds one ``rfsim._trials`` run on the same seeds and
-  calls it once per seed, as ``simulate`` does on one CPU, so its trials
-  share what the run keeps.
+  runs them all in one call, in lockstep, as ``simulate`` runs one ticket,
+  so its trials share what the run keeps and each round's rows go through
+  the model at once.  A tree whose runner takes one seed, from before the
+  lockstep runs, is called once per seed.
 - ``online``: the robot's decision loop on scan text.  A block is
   ``--trials`` missions along the reference route, one fix per route cell
   until the navigator stops or aborts; a fix is ``parse_scan_text`` ->
@@ -60,6 +63,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):  # 
 import argparse
 import functools
 import importlib.util
+import inspect
 import io
 import json
 import platform
@@ -108,13 +112,16 @@ def build_sides(trees: dict[str, Path]) -> dict[str, tuple]:
 
 
 def run_trials(side: tuple, seeds: range, shared: bool) -> tuple[float, list[str]]:
-    """Seconds for serial trials over ``seeds``, all in one ``rfsim._trials`` run when ``shared``, else each
-    by ``run_trial``, a fresh run; and each trial's outcome and event log as text."""
+    """Seconds for the trials of ``seeds``, all in one ``rfsim._trials`` run when ``shared``, else each by
+    ``run_trial``, a fresh run; and each trial's outcome and event log as text."""
     package, (world, bundle, path) = side
     rfsim = package.rfsim
     t0 = time.perf_counter()
-    trial = rfsim._trials(world, bundle, path) if shared else lambda seed: rfsim.run_trial(world, bundle, path, seed=seed)
-    results = [trial(seed) for seed in seeds]
+    if shared:
+        run = rfsim._trials(world, bundle, path)
+        results = run(seeds) if "seeds" in inspect.signature(run).parameters else [run(seed) for seed in seeds]
+    else:
+        results = [rfsim.run_trial(world, bundle, path, seed=seed) for seed in seeds]
     elapsed = time.perf_counter() - t0
     return elapsed, [repr((r.seed, r.success, r.final_error, r.reason, r.events)) for r in results]
 

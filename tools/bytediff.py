@@ -18,7 +18,10 @@ its own directory, with every output path relative to it:
     select-features and train --epochs 50 on the ingested captures with
     --min-presence 0.5 (which drops the one access point most scans miss),
     simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
-    split evenly across CPUs), simulate --oracle --trials 50 -o,
+    split evenly across CPUs), simulate --trials 1 -o (one trial, forking
+    nothing), simulate --trials 1500 -o (tickets of more than one trial in
+    either tree), simulate --oracle --trials 50 -o, simulate --oracle
+    --trials 130 -o (two tickets of 64 trials and one of 2, with no model rows),
     simulate --oracle --trials 7 --step-distance 30 -o, simulate --trials 12
     -o from seeds 2**32 - 6 and 2**63 - 8 and with --step-distance 0.3,
     simulate --trials 300 --noise-sigma 6 -o, simulate --trials 50 -o on the
@@ -81,7 +84,11 @@ STEPS = [
      ["model_presence.bin", "model_presence.bin.report.csv"]),
     ("simulate", ["simulate", "world.txt", "model.bin", "--trials", "100", "-o", "trials.csv"], ["trials.csv"]),
     ("simulate --trials 7", ["simulate", "world.txt", "model.bin", "--trials", "7", "-o", "trials_7.csv"], ["trials_7.csv"]),
+    ("simulate --trials 1", ["simulate", "world.txt", "model.bin", "--trials", "1", "-o", "trials_1.csv"], ["trials_1.csv"]),
+    ("simulate --trials 1500", ["simulate", "world.txt", "model.bin", "--trials", "1500", "-o", "trials_1500.csv"], ["trials_1500.csv"]),
     ("simulate --oracle", ["simulate", "world.txt", "--oracle", "--trials", "50", "-o", "trials_oracle.csv"], ["trials_oracle.csv"]),
+    ("simulate --oracle --trials 130", ["simulate", "world.txt", "--oracle", "--trials", "130", "-o", "trials_oracle_130.csv"],
+     ["trials_oracle_130.csv"]),
     ("simulate --step-distance 30", ["simulate", "world.txt", "--oracle", "--trials", "7", "--step-distance", "30", "-o", "trials_long.csv"],
      ["trials_long.csv"]),
     # scan noise: seeds of one and two 32-bit words in one run, seeds masked past 2**63 to 0-3, and trials
