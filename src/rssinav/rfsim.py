@@ -37,7 +37,7 @@ _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duratio
 _NODE_KEY = struct.Struct("<3d")  # a pose graph key (x, y, heading), bit for bit
 _GRAPH_MOVES = 2048  # moves a run's pose graph keeps, about 0.9 KB each with six APs: a reference run of 5,000 trials needs 27
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
-_TICKET_TRIALS = 64  # the fewest consecutive trials a ticket hands out; a process runs a ticket's trials in lockstep
+_TICKET_TRIALS = 128  # the fewest consecutive trials a ticket hands out, two lane blocks; a process runs a ticket's trials in lockstep
 _SEED_MASK = (1 << 63) - 1
 _MASK128 = (1 << 128) - 1
 
@@ -156,6 +156,24 @@ def _scan_levels(world: SimWorld, losses: list[float], noise: list[float]) -> li
     return levels
 
 
+def _level_rows(world: SimWorld, losses: list[list[float]], noise: np.ndarray, gather: list[int]) -> np.ndarray:
+    """``_scan_levels`` of many scans at once, as model rows of their ``gather`` columns: row i holds the levels
+    of ``losses[i]`` and of the draws in ``noise[i]``, and a column gathered from index ``len(world.aps)``
+    reads MISSING_RSSI.  The steps are the scalar formula's, bit for bit: sigma times the draw, plus the
+    loss, plus 0.5, floored, then ``fmax`` to RSSI_FLOOR (a NaN goes to the floor, as it does there) and
+    ``fmin`` to 0."""
+    levels = np.empty((len(noise), len(world.aps) + 1))
+    level = levels[:, :-1]
+    np.multiply(noise, [ap.noise_sigma for ap in world.aps], out=level)
+    level += losses
+    level += 0.5
+    np.floor(level, out=level)
+    np.fmax(level, RSSI_FLOOR, out=level)
+    np.fmin(level, 0.0, out=level)
+    levels[:, -1] = MISSING_RSSI
+    return levels[:, gather]
+
+
 # The trials' noise source: the generator of np.random.default_rng([seed, draw]) for many (seed, draw) lanes at
 # once.  SeedSequence's pool mixing and generate_state(4, np.uint64) run in uint32 numpy arithmetic over the lanes,
 # as their hash constants do not depend on the data; PCG64's seeding runs on Python ints for each lane drawn.
@@ -216,15 +234,13 @@ def _lane_block(block: int) -> np.ndarray:
     return words
 
 
-def _lane_noise(words, n: int) -> list[float]:
-    """``standard_normal(n)`` of a lane's generator, the one default_rng seeds from its words (a, b, c, d):
-    PCG64 from state 0 with increment inc = 2 * (c * 2**64 + d) + 1, one LCG step, plus a * 2**64 + b, another step."""
+def _lane_state(words) -> dict:
+    """The ``PCG64.state`` of the generator default_rng seeds from a lane's words (a, b, c, d): from state 0
+    with increment inc = 2 * (c * 2**64 + d) + 1, one LCG step, plus a * 2**64 + b, another step."""
     a, b, c, d = words
     inc = (c << 65 | d << 1 | 1) & _MASK128
     state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
-    lane = _LANE_GENERATOR
-    lane.bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-    return lane.standard_normal(n).tolist()
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 def render_scan_text(snapshot: ScanSnapshot) -> str:
@@ -439,15 +455,16 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     gx, gy = grid.cell_center(path.cells[-1])
     robot = replace(world.robot, x=sx, y=sy, heading=math.atan2(heading.vector[1], heading.vector[0]))
 
-    # The kept columns as indices into world.aps (None: not in this world).  Each fix
-    # feeds _scan_levels, with the noise of the seed's lanes (what default_rng([seed,
-    # draw]) draws, bit for bit), straight to _predict_rows without the ScanEntry and
-    # ScanSnapshot checks, which hold already: AccessPointSim checks its MAC, SimWorld
-    # refuses duplicate MACs and _scan_levels clamps each level to [RSSI_FLOOR, 0].  With
-    # no kept column in the world every fix is a "nofix", as predict_position refuses it.
+    # The kept columns as indices into world.aps, len(world.aps) for one not in this world,
+    # which reads MISSING_RSSI.  Each fix feeds its scan levels (_scan_levels, or a round's
+    # _level_rows), with the noise of the seed's lanes (what default_rng([seed, draw])
+    # draws, bit for bit), straight to _predict_rows without the ScanEntry and ScanSnapshot
+    # checks, which hold already: AccessPointSim checks its MAC, SimWorld refuses duplicate
+    # MACs and both level paths clamp each level to [RSSI_FLOOR, 0].  With no kept column in
+    # the world every fix is a "nofix", as predict_position refuses it.
     index = {ap.mac: i for i, ap in enumerate(world.aps)}
-    columns = [] if oracle else [index.get(mac) for mac in bundle.selection.kept_columns]
-    known = any(i is not None for i in columns)
+    columns = [] if oracle else [index.get(mac, len(index)) for mac in bundle.selection.kept_columns]
+    known = len(index) > min(columns, default=len(index))
 
     # The run's pose graph.  A true pose is a pure function of the commands driven from the start pose, so the
     # trials walk one small lattice of poses again and again.  A node is a pose's (x, y, heading, path loss, moves),
@@ -479,17 +496,17 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     nodes[_NODE_KEY.pack(*robot.pose)] = origin
 
     def run(seeds) -> list[TrialResult]:
-        """The trials of ``seeds``, in their order.  Round k is every active trial's fix k: first each trial's
-        scan levels and model row, then one ``_predict_rows`` call for the round's rows (a lone row as a row, no
-        call without one), then each trial in turn records its fix, steps and drives.  A trial leaves the
-        rounds as its lone loop would end: off the map, Done or Aborted, or after ``_MAX_FIXES`` fixes."""
+        """The trials of ``seeds``, in their order.  Round k is every active trial's fix k: first the round's
+        scan levels and model rows, two or more in one array (``_level_rows``) and a lone one by the scalar
+        ``_scan_levels``, then one ``_predict_rows`` call for the rows (a lone row as a row, no call without
+        one), then each trial in turn records its fix, steps and drives.  A trial leaves the rounds as its
+        lone loop would end: off the map, Done or Aborted, or after ``_MAX_FIXES`` fixes."""
         trials = [_Trial(seed, start, origin) for seed in seeds]
         active = trials
         for draw_index in range(_MAX_FIXES):
-            scanning, rows = [], []
+            scanning, words = [], []
             for trial in active:
-                losses = trial.here[3]
-                if losses is None:
+                if trial.here[3] is None:
                     trial.on_walkable = False
                     trial.reason = "left_map"
                     continue
@@ -502,10 +519,20 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
                     elif draw_index == len(lanes):  # grown fourfold in one call: a call's cost hardly depends on its lanes
                         more = min(3 * draw_index, _MAX_FIXES - draw_index)
                         lanes += _lane_words([key] * more, range(draw_index, draw_index + more)).T.tolist()
-                    levels = _scan_levels(world, losses, _lane_noise(lanes[draw_index], len(losses)))
-                    rows.append([MISSING_RSSI if i is None else float(levels[i]) for i in columns])
-            if rows:
-                fixes = _predict_rows(bundle, np.array(rows[0] if len(rows) == 1 else rows))
+                    words.append(lanes[draw_index])
+            if words:  # each lane's draws from this thread's generator, set to the lane's state
+                bits, normal = _LANE_GENERATOR.bits, _LANE_GENERATOR.standard_normal
+                if len(words) == 1:  # a lone row: the scalar formula, as a vector
+                    bits.state = _lane_state(words[0])
+                    levels = _scan_levels(world, scanning[0].here[3], normal(len(index)).tolist())
+                    levels.append(MISSING_RSSI)
+                    fixes = _predict_rows(bundle, np.array([float(levels[i]) for i in columns]))
+                else:  # one array: a row of draws per lane, then the levels of them all
+                    noise = np.empty((len(words), len(index)))
+                    for row, lane in zip(noise, words):
+                        bits.state = _lane_state(lane)
+                        normal(out=row)  # standard_normal(len(index))'s draws, bit for bit
+                    fixes = _predict_rows(bundle, _level_rows(world, [trial.here[3] for trial in scanning], noise, columns))
             else:  # the true positions, or no model row at all
                 fixes = [trial.here[:2] if oracle else None for trial in scanning]
             active = []
@@ -579,14 +606,16 @@ def corner_success_rate(
 
 def _map_trials(run, count: int) -> list:
     """``run(range(count))`` on the CPUs in the affinity mask, by ticket, where ``run`` maps a range of indices
-    to their results: at most 1,024 tickets of max(ceil(count / 1024), _TICKET_TRIALS) consecutive indices, in
-    one 4 KiB write that never blocks.  This process takes ticket 0, then forks a child per other CPU; each runs
-    a ticket's range at a time, a child until its first failure, then pipes back one pickle of {index: result}
-    and ends in ``os._exit``.  An index without a result runs here alone, in order, so errors are the serial
-    loop's; a failure here kills the children first."""
+    to their results: count // block tickets (at least one) of block = max(ceil(count / 1024), _TICKET_TRIALS)
+    consecutive indices, the first with the remainder too, so no ticket is shorter than a block unless it is
+    the only one, and a run of fewer than two blocks forks nothing; at most 1,024 tickets, in one 4 KiB write that
+    never blocks.  This process takes ticket 0, then forks a child per other CPU; each runs a ticket's range at
+    a time, a child until its first failure, then pipes back one pickle of {index: result} and ends in
+    ``os._exit``.  An index without a result runs here alone, in order, so errors are the serial loop's; a
+    failure here kills the children first."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
     block = max(-(-count // 1024), _TICKET_TRIALS)
-    tickets = range(-(-count // block))
+    tickets = range(max(1, count // block))
     results, pids = {}, []
     fds = list(os.pipe())  # open pipe ends: the tickets' read end, its write end, then one read end per child
     try:
@@ -635,10 +664,13 @@ def _map_trials(run, count: int) -> list:
 
 
 def _claimed(tickets: int, ticket: bytes, block: int, count: int):
-    """The index range of ``ticket``, then of each ticket read from ``tickets`` until none is left."""
+    """The index range of ``ticket``, then of each ticket read from ``tickets`` until none is left.  Ticket 0
+    takes the remainder beyond whole blocks too, as this process runs it while the children start, so every
+    ticket handed out last is one block."""
+    extra = count - max(1, count // block) * block  # ticket 0's indices beyond one block; below 0 if it is short
     while ticket:
-        start = int.from_bytes(ticket, "little") * block
-        yield range(start, min(start + block, count))
+        k = int.from_bytes(ticket, "little")
+        yield range(0 if k == 0 else k * block + extra, (k + 1) * block + extra)
         ticket = os.read(tickets, 4)
 
 

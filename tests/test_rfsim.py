@@ -561,6 +561,16 @@ def wait_until(condition, timeout=30.0):
         time.sleep(0.01)
 
 
+@pytest.fixture
+def nothing_left():
+    """After the test: no forked child left running or unreaped, and no pipe end left open."""
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    yield
+    with pytest.raises(ChildProcessError):  # neither a running child nor a zombie
+        os.waitpid(-1, os.WNOHANG)
+    assert fds is None or sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end left open
+
+
 class TestParallelTrials:
     """Trials are handed out by ticket to this process and forked children; three
     CPUs are claimed, so two children are forked whatever the host.  Tickets
@@ -568,14 +578,9 @@ class TestParallelTrials:
     tickets, and this process always runs trial 0."""
 
     @pytest.fixture(autouse=True)
-    def three_cpus_and_nothing_left(self, monkeypatch):
+    def three_cpus_and_nothing_left(self, monkeypatch, nothing_left):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 1)
-        fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        yield
-        with pytest.raises(ChildProcessError):  # neither a running child nor a zombie
-            os.waitpid(-1, os.WNOHANG)
-        assert fds is None or sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end left open
 
     @pytest.mark.parametrize("oracle", [False, True])
     @pytest.mark.parametrize("trials", [1, 2, 3, 7, 100])
@@ -647,7 +652,7 @@ class TestParallelTrials:
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_lockstep_tickets_match_the_serial_loop(self, ref_world, trained, monkeypatch, oracle):
-        # tickets of 64 trials, 64 + 64 + 64 + 8, each run in lockstep by whichever process claims it
+        # tickets of 64 trials, 72 (the first, with the remainder) + 64 + 64, each run in lockstep by whichever process claims it
         monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)
         world, bundle = with_noise_sigma(ref_world, 2.0), None if oracle else trained[0]
         rate, results = corner_success_rate(world, bundle, 200, base_seed=37, oracle=oracle)
@@ -661,7 +666,7 @@ class TestParallelTrials:
         _, results = corner_success_rate(ref_world, None, 64, base_seed=4, oracle=True)
         assert results == serial_trials(ref_world, None, 64, base_seed=4, oracle=True)
 
-    @pytest.mark.parametrize("count, failing", [(10, (3, 5)), (10, (0, 9)), (200, (140, 150)), (200, (70, 3))])
+    @pytest.mark.parametrize("count, failing", [(10, (3, 5)), (10, (0, 9)), (200, (140, 150)), (200, (80, 3))])
     def test_a_failing_block_raises_the_serial_loops_first_error(self, monkeypatch, count, failing):
         # a block fails at whichever of its trials fails first in the rounds, here the highest; the serial loop
         # fails at the lowest, which only running the indices alone and in order finds
@@ -678,6 +683,7 @@ class TestParallelTrials:
         assert rfsim._map_trials(lambda indices: [-i for i in indices], count) == [-i for i in range(count)]
 
     def test_more_trials_than_tickets(self, ref_world, monkeypatch):
+        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)  # below ceil(70,000 / 1,024) = 69: the ticket cap sets the block
         parent, writes, write = os.getpid(), [], os.write
 
         def parent_write(fd, data):
@@ -692,7 +698,7 @@ class TestParallelTrials:
         hook_trials(monkeypatch, stub)
         rate, results = corner_success_rate(ref_world, None, 70_000, base_seed=5, oracle=True)
         assert results == [stub(None, seed) for seed in range(5, 70_005)] and rate == 23_333 / 70_000
-        assert writes == [4 * 1015]  # one write before the forks: 1,015 tickets of 69 trials, within 4 KiB
+        assert writes == [4 * 1014]  # one write before the forks: 1,014 tickets of 69 trials, the first with 34 more, within 4 KiB
 
     def test_a_lower_failure_held_by_a_child_wins_over_a_higher_one_here(self, ref_world, monkeypatch, tmp_path):
         parent = os.getpid()
@@ -751,6 +757,42 @@ class TestParallelTrials:
         _, results = corner_success_rate(ref_world, None, 7, oracle=True)
         assert len(sizes) == 2 and sum(sizes) > 6 * 100_000 and max(sizes) > 1 << 16  # each child's pickle, one past 64 KiB
         assert results == serial_trials(ref_world, None, 7, oracle=True)
+
+
+class TestTickets:
+    """On two CPUs, at the real ticket size of 128 trials, two lane blocks: the first ticket takes the
+    remainder, so no ticket is shorter than a block and a run of fewer than two blocks forks nothing."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus_and_nothing_left(self, monkeypatch, nothing_left):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.mark.parametrize("count", [1, 100, 127, 128, 255])
+    def test_fewer_than_two_blocks_fork_nothing(self, monkeypatch, count):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail(f"forked for {count} trials"))
+        claimed = []
+        results = rfsim._map_trials(lambda indices: claimed.append(indices) or [-i for i in indices], count)
+        assert claimed == [range(count)] and results == [-i for i in range(count)]
+
+    @pytest.mark.parametrize("count", [256, 257, 383, 384, 1000, 131_072, 131_073])
+    def test_no_ticket_is_shorter_than_a_block(self, monkeypatch, count):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())  # the child's list is its own copy
+        results = rfsim._map_trials(lambda indices: [(i, indices) for i in indices], count)
+        assert [i for i, _ in results] == list(range(count))
+        tickets = sorted({indices for _, indices in results}, key=lambda indices: indices.start)
+        block = max(-(-count // 1024), rfsim._TICKET_TRIALS)  # 128 up to 131,072 trials, then the 1,024-ticket cap
+        assert [len(t) for t in tickets] == [block + count % block] + [block] * (count // block - 1)  # the first takes the remainder
+        assert all(a.stop == b.start for a, b in zip(tickets, tickets[1:])) and tickets[-1].stop == count
+        assert min(len(t) for t in tickets) >= rfsim._TICKET_TRIALS == 128 and len(tickets) <= 1024
+        assert forks == [1]  # one child on two CPUs
+
+    def test_two_blocks_match_the_serial_loop(self, ref_world, trained):
+        # 256 trials: two tickets of 128, one in a forked child, each run in lockstep
+        rate, results = corner_success_rate(ref_world, trained[0], 256, base_seed=3)
+        expected = serial_trials(ref_world, trained[0], 256, base_seed=3)
+        assert results == expected and repr(results) == repr(expected)
+        assert rate == sum(r.success for r in expected) / 256
 
 
 class TestLockstep:
@@ -914,6 +956,13 @@ class TestDirectScanPath:
             assert {kind for kind, _, _ in result.events} == {"nofix"} and result.reason == "aborted"
 
 
+def lane_noise(words, n: int) -> np.ndarray:
+    """``standard_normal(n)`` of a fresh generator set to a lane's state, as a lone row draws it."""
+    bits = np.random.PCG64(0)
+    bits.state = rfsim._lane_state(words)
+    return np.random.Generator(bits).standard_normal(n)
+
+
 class TestNoiseLanes:
     """Trials draw their scan noise from lanes: the generator states of np.random.default_rng([seed, draw]),
     derived many at a time; every draw must be default_rng's, bit for bit."""
@@ -926,9 +975,14 @@ class TestNoiseLanes:
     @example(lanes=[(0, 0), (2**32 - 1, 1), (2**32, 2**21 - 1), (2**63 - 1, 499), (5, 0)], n=6)  # both seed word counts in one call
     def test_lanes_draw_what_default_rng_draws(self, lanes, n):
         words = rfsim._lane_words(*zip(*lanes)).T.tolist()
-        for (seed, draw), lane in zip(lanes, words):
+        rows = np.empty((len(words), n))  # as a round draws them: one generator, a row per lane, in turn
+        bits, normal = rfsim._LANE_GENERATOR.bits, rfsim._LANE_GENERATOR.standard_normal
+        for row, lane in zip(rows, words):
+            bits.state = rfsim._lane_state(lane)
+            normal(out=row)
+        for (seed, draw), lane, row in zip(lanes, words, rows):
             expected = np.random.default_rng([seed, draw]).standard_normal(n)
-            assert np.array(rfsim._lane_noise(lane, n)).tobytes() == expected.tobytes()
+            assert lane_noise(lane, n).tobytes() == row.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("block", [0, 2**26 - 1, 2**26, 2**57 - 1], ids=["first", "below-2**32", "from-2**32", "last"])
     def test_a_block_holds_its_seeds_first_draws(self, block):
@@ -937,7 +991,7 @@ class TestNoiseLanes:
         for i, seed_words in enumerate(words.tolist()):
             for draw, lane in enumerate(seed_words):
                 expected = np.random.default_rng([block * 64 + i, draw]).standard_normal(6)
-                assert np.array(rfsim._lane_noise(lane, 6)).tobytes() == expected.tobytes()
+                assert lane_noise(lane, 6).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "seed, step, fixes",
@@ -992,6 +1046,52 @@ class TestNoiseLanes:
         finally:
             sys.setswitchinterval(interval)
         assert results == expected
+
+
+# levels (loss + sigma * draw) at the rounding and clamping edges: -0.5, 0 and +0.5, and next to RSSI_FLOOR
+EDGE_LEVELS = [-0.5, -0.0, 0.0, 0.5, -1.0, math.nextafter(-0.5, 0.0), math.nextafter(-0.5, -1.0), math.nextafter(0.0, -1.0)]
+EDGE_LEVELS += [RSSI_FLOOR + d for d in (-1.0, -0.5, 0.0, 0.5, 1.0)] + [math.nextafter(RSSI_FLOOR - 0.5, x) for x in (0.0, -math.inf)]
+SPECIAL = [math.nan, math.inf, -math.inf]
+
+
+class TestLevelRows:
+    """A round of two or more scans computes its levels as one array (_level_rows); every row must be the
+    model row a lone scan gets from _scan_levels, kept column by kept column, bit for bit."""
+
+    @staticmethod
+    def check(sigmas, losses, noise, gather):
+        m = len(sigmas)
+        world = open_world([AccessPointSim(f"02:00:00:00:00:{i + 1:02X}", "LabNet", (i + 0.5, 0.5), noise_sigma=sigma) for i, sigma in enumerate(sigmas)])
+        with np.errstate(all="ignore"):  # inf * 0, inf - inf and overflow, which the scalar formula meets silently
+            rows = rfsim._level_rows(world, losses, np.array(noise, dtype=float), gather)
+        expected = []
+        for loss, draws in zip(losses, noise):
+            levels = rfsim._scan_levels(world, loss, draws)
+            expected.append([MISSING_RSSI if i == m else float(levels[i]) for i in gather])  # index m: not in the world
+        assert rows.shape == (len(losses), len(gather)) and rows.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 50.0])
+    def test_every_edge_level_with_every_edge_draw(self, sigma):
+        # -0.5 + sigma * -1e-17 rounds to -0.5 before the half is added, so the level is 0 where adding the
+        # half first gives -1; a NaN level goes to the floor, an infinite one to a bound
+        draws = [0.0, -0.0, 1e-17, -1e-17, 0.5, -0.5, *SPECIAL]
+        pairs = [(loss, draw) for loss in EDGE_LEVELS + SPECIAL for draw in draws]
+        self.check([sigma, 2.0], [[loss, -40.0] for loss, _ in pairs], [[draw, 1.0] for _, draw in pairs], [1, 2, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        sigmas=st.lists(st.sampled_from([0.0, 1.0, 2.0, 50.0]) | st.floats(0.0, 50.0), min_size=1, max_size=6),
+        n=st.integers(2, 5),
+    )
+    def test_rows_are_the_scalar_levels_bit_for_bit(self, data, sigmas, n):
+        m = len(sigmas)
+        loss = st.sampled_from(EDGE_LEVELS + SPECIAL) | st.floats(RSSI_FLOOR - 50.0, 50.0) | st.floats()
+        draw = st.sampled_from([0.0, -0.0, 1e-17, -1e-17, *SPECIAL]) | st.floats(-8.0, 8.0) | st.floats()
+        losses = data.draw(st.lists(st.lists(loss, min_size=m, max_size=m), min_size=n, max_size=n))
+        noise = data.draw(st.lists(st.lists(draw, min_size=m, max_size=m), min_size=n, max_size=n))
+        gather = data.draw(st.lists(st.integers(0, m), min_size=1, max_size=8))
+        self.check(sigmas, losses, noise, gather)
 
 
 def veered(robot, veer):

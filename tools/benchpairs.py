@@ -15,9 +15,15 @@ on both sides: an A/A run that records the machine's noise floor.
 
 The file ``bench/BENCH_<workload>_s<seed>_<label>.json`` holds both
 revisions, the machine from the first run's ``report`` line, every run's
-end-to-end metrics and operation counts, and per metric: each side's median and quartiles, the per-pair
-ratios (this tree / parent), the pairs this tree won, and whether the median
-gap exceeds the parent's quartile distance.  ``outputs_match`` says whether
+end-to-end metrics, operation counts and ``speed`` block (the raw,
+unnormalized figures and the speed probe's ``reference_median_s``), and
+per metric: each side's median and quartiles, the per-pair ratios (this
+tree / parent), the pairs this tree won, and whether the median gap exceeds
+the parent's quartile distance.  ``summary`` compares the metrics as
+reported, at the nominal machine speed; ``raw_summary`` compares the raw
+figures and the probe's median, so a normalized gap that the raw figures do
+not show, beside a gap in ``reference_median_s``, is the probe's bias and
+not the program's.  ``outputs_match`` says whether
 every run on both sides reported the same ``output_sha256``.  No wall-clock
 value enters a primary output of the program; the file is a measurement and
 differs from run to run.  The last line printed is a one-line summary to
@@ -63,10 +69,15 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare(runs: list[dict], directions: dict[str, str]) -> dict:
+def raw_values(run: dict) -> dict:
+    """A run's figures before speed normalization, and the speed probe's median reference time."""
+    return {**run["speed"]["raw"], "reference_median_s": run["speed"]["reference_median_s"]}
+
+
+def compare(runs: list[dict], directions: dict[str, str], values=lambda run: run["metrics"]) -> dict:
     """Per metric: each side's quartiles, the per-pair ratios and wins, and whether the median gap clears the parent's spread."""
     pairs = sorted({run["pair"] for run in runs})
-    side = {(run["pair"], run["side"]): run["metrics"] for run in runs}
+    side = {(run["pair"], run["side"]): values(run) for run in runs}
     summary = {}
     for name, better in directions.items():
         parent = [side[p, "parent"][name] for p in pairs]
@@ -151,12 +162,15 @@ def main(argv=None) -> int:
                     "metrics": metrics,
                     **{key: result[key] for key in ("correct", "attempted", "failed")},
                     "output_sha256": result["report"]["output_sha256"],
+                    "speed": result["report"]["speed"],
                     "machine": result["report"]["machine"],
                 })
                 print(f"pair {pair} {name:<6} " + " ".join(f"{k}={v:.6g}" for k, v in metrics.items()), file=sys.stderr, flush=True)
         revisions = {"parent": describe(parent, revision), "change": describe(ROOT, None)}
 
     summary = compare(runs, {name: better for name, better in directions.items() if all(name in run["metrics"] for run in runs)})
+    raw_directions = {**directions, "reference_median_s": "lower"}  # a lower reference time: a faster machine
+    raw_summary = compare(runs, {name: raw_directions[name] for name in raw_values(runs[0]) if name in raw_directions}, raw_values)
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -168,6 +182,7 @@ def main(argv=None) -> int:
         "outputs_match": all(run["output_sha256"] == runs[0]["output_sha256"] for run in runs),
         "failed": {name: sum(run["failed"] for run in runs if run["side"] == name) for name in ("parent", "change")},
         "summary": summary,
+        "raw_summary": raw_summary,
         "runs": [{k: v for k, v in run.items() if k != "machine"} for run in runs],
     }
     out = ROOT / "bench" / f"BENCH_{args.workload}_s{args.seed}_{args.label}.json"
@@ -179,6 +194,8 @@ def main(argv=None) -> int:
         f"{out.name}: {head} parent {s['parent']['median']:.6g} [{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] -> "
         f"change {s['change']['median']:.6g} [{s['change']['q1']:.6g}, {s['change']['q3']:.6g}], median ratio {s['median_ratio']:.4f}, "
         f"won {s['wins']}/{s['pairs']} pairs, gap {'exceeds' if s['gap_exceeds_parent_iqr'] else 'within'} parent IQR; "
+        f"raw {head} median ratio {raw_summary[head]['median_ratio']:.4f} (won {raw_summary[head]['wins']}/{s['pairs']}), "
+        f"reference_median_s median ratio {raw_summary['reference_median_s']['median_ratio']:.4f}; "
         f"outputs {'identical' if record['outputs_match'] else 'DIFFER'}; failed ops {record['failed']['parent']}/{record['failed']['change']}"
         + noise_floor(args.workload, args.seed, out)
     )

@@ -20,8 +20,10 @@ its own directory, with every output path relative to it:
     simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
     split evenly across CPUs), simulate --trials 1 -o (one trial, forking
     nothing), simulate --trials 1500 -o (tickets of more than one trial in
-    either tree), simulate --oracle --trials 50 -o, simulate --oracle
-    --trials 130 -o (two tickets of 64 trials and one of 2, with no model rows),
+    either tree), simulate --trials 130 -o and simulate --trials 256 -o (one
+    ticket of 130, and two of 128, with tickets of 128 trials whose first one
+    takes the remainder), simulate --oracle --trials 50 -o, simulate --oracle
+    --trials 130 -o (one ticket of 130 trials, with no model rows),
     simulate --oracle --trials 7 --step-distance 30 -o, simulate --trials 12
     -o from seeds 2**32 - 6 and 2**63 - 8 and with --step-distance 0.3,
     simulate --trials 300 --noise-sigma 6 -o, simulate --trials 50 -o on the
@@ -86,6 +88,8 @@ STEPS = [
     ("simulate --trials 7", ["simulate", "world.txt", "model.bin", "--trials", "7", "-o", "trials_7.csv"], ["trials_7.csv"]),
     ("simulate --trials 1", ["simulate", "world.txt", "model.bin", "--trials", "1", "-o", "trials_1.csv"], ["trials_1.csv"]),
     ("simulate --trials 1500", ["simulate", "world.txt", "model.bin", "--trials", "1500", "-o", "trials_1500.csv"], ["trials_1500.csv"]),
+    ("simulate --trials 130", ["simulate", "world.txt", "model.bin", "--trials", "130", "-o", "trials_130.csv"], ["trials_130.csv"]),
+    ("simulate --trials 256", ["simulate", "world.txt", "model.bin", "--trials", "256", "-o", "trials_256.csv"], ["trials_256.csv"]),
     ("simulate --oracle", ["simulate", "world.txt", "--oracle", "--trials", "50", "-o", "trials_oracle.csv"], ["trials_oracle.csv"]),
     ("simulate --oracle --trials 130", ["simulate", "world.txt", "--oracle", "--trials", "130", "-o", "trials_oracle_130.csv"],
      ["trials_oracle_130.csv"]),
