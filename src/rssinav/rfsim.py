@@ -11,12 +11,8 @@ rounded to integer dBm to match real scan granularity.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import os
-import pickle
-import signal
 import struct
 import threading
 from dataclasses import dataclass, field, replace
@@ -37,7 +33,7 @@ _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duratio
 _NODE_KEY = struct.Struct("<3d")  # a pose graph key (x, y, heading), bit for bit
 _GRAPH_MOVES = 2048  # moves a run's pose graph keeps, about 0.9 KB each with six APs: a reference run of 5,000 trials needs 27
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
-_TICKET_TRIALS = 128  # the fewest consecutive trials a ticket hands out, two lane blocks; a process runs a ticket's trials in lockstep
+_SEEDS_PER_CALL = 128  # two lane blocks; a call keeps all its trials' noise lanes alive: 3,000 trials in one call peak at 23 MB, not 10
 _SEED_MASK = (1 << 63) - 1
 _MASK128 = (1 << 128) - 1
 
@@ -182,7 +178,7 @@ _LANE_DRAWS = 16  # draws per seed in a block; a reference trial averages 7.5 fi
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-class _LaneGenerator(threading.local):  # one per thread, so one per process for the forked trial children
+class _LaneGenerator(threading.local):  # one per thread: a generator's state is set for each lane drawn
     def __getattr__(self, name: str):  # built at a thread's first draw: importing loads no numpy.random
         self.bits = np.random.PCG64(0)  # each lane drawn sets its state
         self.standard_normal = np.random.Generator(self.bits).standard_normal
@@ -589,9 +585,9 @@ def corner_success_rate(
 
     Every trial drives that one path from its first cell, so all share the run's derived start
     (``_trials``), commands and substep increments; they use seeds base_seed .. base_seed + trials - 1,
-    and the default route is the reference world's corner run.  Trials go by ticket, in blocks of consecutive
-    seeds that advance in lockstep, to the CPUs in the affinity mask, trial 0 to this process (``_map_trials``);
-    the results and every output are a serial run's, byte for byte.
+    and the default route is the reference world's corner run.  The seeds run in this process, by
+    ``_SEEDS_PER_CALL`` consecutive seeds to a call of the run's runner, whose trials advance in lockstep;
+    if a call raises, its seeds run again alone and in order, so the error raised is the serial loop's first.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
@@ -599,79 +595,17 @@ def corner_success_rate(
     goal = REFERENCE_GOAL if goal is None else goal
     path = astar(world.grid, start, goal)
     run = _trials(world, bundle, path, **trial_kwargs)
-    results = _map_trials(lambda indices: run([base_seed + i for i in indices]), trials)
+    results, stop = [], base_seed + trials
+    for first in range(base_seed, stop, _SEEDS_PER_CALL):
+        seeds = range(first, min(first + _SEEDS_PER_CALL, stop))
+        try:
+            results += run(seeds)
+        except Exception:
+            for seed in seeds:  # a round can fail at a higher seed first
+                run([seed])
+            raise
     rate = sum(r.success for r in results) / trials
     return rate, results
-
-
-def _map_trials(run, count: int) -> list:
-    """``run(range(count))`` on the CPUs in the affinity mask, by ticket, where ``run`` maps a range of indices
-    to their results: count // block tickets (at least one) of block = max(ceil(count / 1024), _TICKET_TRIALS)
-    consecutive indices, the first with the remainder too, so no ticket is shorter than a block unless it is
-    the only one, and a run of fewer than two blocks forks nothing; at most 1,024 tickets, in one 4 KiB write that
-    never blocks.  This process takes ticket 0, then forks a child per other CPU; each runs a ticket's range at
-    a time, a child until its first failure, then pipes back one pickle of {index: result} and ends in
-    ``os._exit``.  An index without a result runs here alone, in order, so errors are the serial loop's; a
-    failure here kills the children first."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    block = max(-(-count // 1024), _TICKET_TRIALS)
-    tickets = range(max(1, count // block))
-    results, pids = {}, []
-    fds = list(os.pipe())  # open pipe ends: the tickets' read end, its write end, then one read end per child
-    try:
-        os.write(fds[1], b"".join(k.to_bytes(4, "little") for k in tickets))
-        os.close(fds.pop())  # with the write end closed, a read past the last ticket returns b"" at once
-        first = os.read(fds[0], 4)
-        for _ in range(min(cpus, len(tickets)) - 1):
-            fds += os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    with contextlib.suppress(Exception):  # the range stays without results: the parent runs it again
-                        for indices in _claimed(fds[0], os.read(fds[0], 4), block, count):
-                            results.update(zip(indices, run(indices)))  # results is empty here: no trial runs before the forks
-                    view = memoryview(pickle.dumps(results))
-                    while view:
-                        view = view[os.write(fds[-1], view) :]
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-            os.close(fds.pop())  # the write end: EOF comes when the child exits
-        try:
-            for indices in _claimed(fds[0], first, block, count):
-                results.update(zip(indices, run(indices)))
-        except Exception:
-            for pid in pids:  # reaped below
-                os.kill(pid, signal.SIGKILL)
-            for i in range(indices.stop):  # alone and in order: a lower index's error comes first, as in the serial loop
-                if i not in results:
-                    run(range(i, i + 1))
-            raise
-        for pid, read_end in zip(pids[:], fds[1:]):
-            data = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))  # to EOF before waitpid: it can outgrow the pipe buffer
-            status = os.waitpid(pid, 0)[1]
-            pids.remove(pid)
-            if status == 0:
-                results.update(pickle.loads(data))
-        return [results[i] if i in results else run(range(i, i + 1))[0] for i in range(count)]
-    finally:  # on every exit path: no open pipe end, no unreaped child
-        for fd in fds:
-            os.close(fd)
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _claimed(tickets: int, ticket: bytes, block: int, count: int):
-    """The index range of ``ticket``, then of each ticket read from ``tickets`` until none is left.  Ticket 0
-    takes the remainder beyond whole blocks too, as this process runs it while the children start, so every
-    ticket handed out last is one block."""
-    extra = count - max(1, count // block) * block  # ticket 0's indices beyond one block; below 0 if it is short
-    while ticket:
-        k = int.from_bytes(ticket, "little")
-        yield range(0 if k == 0 else k * block + extra, (k + 1) * block + extra)
-        ticket = os.read(tickets, 4)
 
 
 # ---------------------------------------------------------------------------

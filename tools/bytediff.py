@@ -17,13 +17,12 @@ its own directory, with every output path relative to it:
     --validation-split 0 (model file and report each), evaluate, select-features,
     select-features and train --epochs 50 on the ingested captures with
     --min-presence 0.5 (which drops the one access point most scans miss),
-    simulate --trials 100 -o, simulate --trials 7 -o (trials that do not
-    split evenly across CPUs), simulate --trials 1 -o (one trial, forking
-    nothing), simulate --trials 1500 -o (tickets of more than one trial in
-    either tree), simulate --trials 130 -o and simulate --trials 256 -o (one
-    ticket of 130, and two of 128, with tickets of 128 trials whose first one
-    takes the remainder), simulate --oracle --trials 50 -o, simulate --oracle
-    --trials 130 -o (one ticket of 130 trials, with no model rows),
+    simulate --trials 100 -o, simulate --trials 7 -o, simulate --trials 1
+    -o (one trial), simulate --trials 1500 -o, simulate --trials 130 -o and
+    simulate --trials 256 -o (runner calls of 128 seeds: eleven and a tail
+    of 92, one and a tail of 2, and two), simulate --oracle --trials 50 -o,
+    simulate --oracle --trials 130 -o (a call of 128 and a tail of 2, with
+    no model rows),
     simulate --oracle --trials 7 --step-distance 30 -o, simulate --trials 12
     -o from seeds 2**32 - 6 and 2**63 - 8 and with --step-distance 0.3,
     simulate --trials 300 --noise-sigma 6 -o, simulate --trials 50 -o on the
