@@ -560,7 +560,7 @@ class TestCornerRuns:
     to a call of the run's runner, whose trials advance in lockstep."""
 
     @pytest.mark.parametrize("oracle", [False, True])
-    @pytest.mark.parametrize("trials", [1, 7, 100, 256, 300])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7, 100, 128, 129, 256, 300])
     def test_results_match_the_serial_loop(self, ref_world, trained, trials, oracle):
         world, bundle = with_noise_sigma(ref_world, 2.0), None if oracle else trained[0]
         rate, results = corner_success_rate(world, bundle, trials, base_seed=11, oracle=oracle)
@@ -568,7 +568,7 @@ class TestCornerRuns:
         assert results == expected and [repr(r) for r in results] == [repr(r) for r in expected]  # repr tells -0.0 from 0.0
         assert rate == sum(r.success for r in expected) / trials
 
-    @pytest.mark.parametrize("trials, first_failure", [(7, 0), (7, 3), (7, 6), (300, 200)])
+    @pytest.mark.parametrize("trials, first_failure", [(7, 0), (7, 3), (7, 6), (300, 127), (300, 128), (300, 200)])
     @pytest.mark.parametrize("error", [ValueError, NoPath, OutOfBounds])
     def test_the_first_failing_trial_raises_as_in_the_serial_loop(self, ref_world, monkeypatch, trials, first_failure, error):
         def trial(run, seed):
@@ -611,7 +611,25 @@ class TestCornerRuns:
             corner_success_rate(ref_world, None, 300, base_seed=5, oracle=True)
         assert [list(seeds) for seeds in calls] == [list(range(5, 133)), list(range(133, 261))]
 
-    @pytest.mark.parametrize("trials, sizes", [(1, [1]), (100, [100]), (128, [128]), (129, [128, 1]), (256, [128, 128]), (300, [128, 128, 44])])
+    def test_a_failing_call_reruns_its_seeds_alone_up_to_the_error_and_no_later_call_runs(self, ref_world, monkeypatch):
+        calls = []
+
+        def run(seeds):
+            calls.append(list(seeds))
+            if 140 in seeds:
+                raise ValueError("trial 140 failed")
+            return [stub_result(ref_world, seed) for seed in seeds]
+
+        monkeypatch.setattr(rfsim, "_trials", lambda *args, **kwargs: run)
+        with pytest.raises(ValueError, match="^trial 140 failed$"):
+            corner_success_rate(ref_world, None, 300, oracle=True)
+        assert calls == [list(range(128)), list(range(128, 256))] + [[seed] for seed in range(128, 141)]
+
+    @pytest.mark.parametrize(
+        "trials, sizes",
+        [(1, [1]), (100, [100]), (127, [127]), (128, [128]), (129, [128, 1]), (255, [128, 127]), (256, [128, 128])]
+        + [(257, [128, 128, 1]), (300, [128, 128, 44]), (384, [128] * 3), (385, [128] * 3 + [1])],
+    )
     def test_the_runner_gets_consecutive_runs_of_at_most_128_seeds(self, ref_world, monkeypatch, trials, sizes):
         # one call over all the seeds would keep every trial's noise lanes alive at once: 23 MB traced at 3,000 trials, not 10
         calls, per_run = [], rfsim._trials
