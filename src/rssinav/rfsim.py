@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidParameter, OutOfBounds, ToolkitError, check_seed, require_positive
 from .fileio import finite_floats, format_number, open_sink, read_text
@@ -33,9 +33,8 @@ _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duratio
 _NODE_KEY = struct.Struct("<3d")  # a pose graph key (x, y, heading), bit for bit
 _GRAPH_MOVES = 2048  # moves a run's pose graph keeps, about 0.9 KB each with six APs: a reference run of 5,000 trials needs 27
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
-_SEEDS_PER_CALL = 128  # two lane blocks; a call keeps all its trials' noise lanes alive: 3,000 trials in one call peak at 23 MB, not 10
+_SEEDS_PER_CALL = 128  # two lane blocks; a call keeps all its trials' noise lanes alive: 3,000 trials in one call peak at 13 MB, not 9.7
 _SEED_MASK = (1 << 63) - 1
-_MASK128 = (1 << 128) - 1
 
 
 class WorldFormatError(ToolkitError):
@@ -172,20 +171,22 @@ def _level_rows(world: SimWorld, losses: list[list[float]], noise: np.ndarray, g
 
 # The trials' noise source: the generator of np.random.default_rng([seed, draw]) for many (seed, draw) lanes at
 # once.  SeedSequence's pool mixing and generate_state(4, np.uint64) run in uint32 numpy arithmetic over the lanes,
-# as their hash constants do not depend on the data; PCG64's seeding runs on Python ints for each lane drawn.
+# as their hash constants do not depend on the data; PCG64 seeds each lane drawn from its words through _Lane.
 _LANE_SEEDS = 64  # consecutive seeds per memo block
 _LANE_DRAWS = 16  # draws per seed in a block; a reference trial averages 7.5 fixes
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-class _LaneGenerator(threading.local):  # one per thread: a generator's state is set for each lane drawn
-    def __getattr__(self, name: str):  # built at a thread's first draw: importing loads no numpy.random
-        self.bits = np.random.PCG64(0)  # each lane drawn sets its state
-        self.standard_normal = np.random.Generator(self.bits).standard_normal
-        return getattr(self, name)
+class _Lane(ISeedSequence):
+    """A lane's seed sequence: PCG64(_Lane(words)) is the bit generator default_rng([seed, draw]) builds, for the
+    lane's words (a, b, c, d) from ``_lane_words``, a C-contiguous uint64 row, which PCG64 reads as it lies."""
 
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-_LANE_GENERATOR = _LaneGenerator()
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype is not np.uint64:
+            raise InvalidParameter(f"a lane holds the 4 uint64 words PCG64 asks for, not {n_words} of {dtype!r}")
+        return self.words
 
 
 def _hashmix(row: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -197,11 +198,11 @@ def _hashmix(row: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
 
 
 def _lane_words(seeds, draws) -> np.ndarray:
-    """Rows a, b, c, d of SeedSequence([seed, draw]).generate_state(4, np.uint64), a column per lane, for
+    """SeedSequence([seed, draw]).generate_state(4, np.uint64) of each lane, a C-contiguous row per lane, for
     0 <= seed < 2**64 and 0 <= draw < 2**32; a lane's entropy is its seed's one or two words, then its draw's."""
     seeds, draws = np.asarray(seeds, np.uint64), np.asarray(draws, np.uint32)
     low, high = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
-    words = np.zeros((4, len(seeds)), np.uint64)
+    words = np.zeros((len(seeds), 4), np.uint64)
     for lanes in filter(len, (np.flatnonzero(high == 0), np.flatnonzero(high))):  # the hash goes by the word count
         entropy = [low[lanes], high[lanes], draws[lanes]] if high[lanes[0]] else [low[lanes], draws[lanes]]
         pool, const = [], 0x43B0D7E5
@@ -217,26 +218,18 @@ def _lane_words(seeds, draws) -> np.ndarray:
         const = 0x8B51F9DD
         for k in range(8):  # little-endian pairs of uint32 words
             row, const = _hashmix(pool[k % 4], const, 0x58F38DED)
-            words[k // 2, lanes] |= row.astype(np.uint64) << np.uint64(32 * (k % 2))
+            words[lanes, k // 2] |= row.astype(np.uint64) << np.uint64(32 * (k % 2))
     return words
 
 
 @lru_cache(maxsize=4)  # a run's trials touch its blocks in seed order; a block holds 32 KB of words
 def _lane_block(block: int) -> np.ndarray:
-    """The words of seeds block * 64 ... block * 64 + 63 by draws 0 ... 15, shape (64, 16, 4), read-only."""
+    """The words of seeds block * 64 ... block * 64 + 63 by draws 0 ... 15, shape (64, 16, 4), C-contiguous and
+    read-only, so each lane is a row ``_Lane`` can hand to PCG64."""
     seeds = np.arange(block * _LANE_SEEDS, (block + 1) * _LANE_SEEDS, dtype=np.uint64)
-    words = _lane_words(seeds.repeat(_LANE_DRAWS), np.tile(np.arange(_LANE_DRAWS), _LANE_SEEDS)).T.reshape(_LANE_SEEDS, _LANE_DRAWS, 4)
+    words = _lane_words(seeds.repeat(_LANE_DRAWS), np.tile(np.arange(_LANE_DRAWS), _LANE_SEEDS)).reshape(_LANE_SEEDS, _LANE_DRAWS, 4)
     words.flags.writeable = False  # the cache hands it to every caller
     return words
-
-
-def _lane_state(words) -> dict:
-    """The ``PCG64.state`` of the generator default_rng seeds from a lane's words (a, b, c, d): from state 0
-    with increment inc = 2 * (c * 2**64 + d) + 1, one LCG step, plus a * 2**64 + b, another step."""
-    a, b, c, d = words
-    inc = (c << 65 | d << 1 | 1) & _MASK128
-    state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 def render_scan_text(snapshot: ScanSnapshot) -> str:
@@ -429,7 +422,7 @@ class _Trial:
 
     def __init__(self, seed: int, state: NavState, here: tuple):
         self.seed, self.key, self.state, self.events, self.here = seed, seed & _SEED_MASK, state, [], here
-        self.on_walkable, self.clock, self.reason, self.lanes = True, 0.0, "fix_budget", []
+        self.on_walkable, self.clock, self.reason, self.lanes = True, 0.0, "fix_budget", None
 
 
 def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=False, calibration=None, scan_period=2.0):
@@ -508,26 +501,23 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
                     continue
                 trial.clock += scan_period
                 scanning.append(trial)
-                if known:
-                    lanes, key = trial.lanes, trial.key  # the words of draws 0, 1, ...: the block's 16, then 64, 256, _MAX_FIXES
-                    if not lanes:
-                        lanes = trial.lanes = _lane_block(key // _LANE_SEEDS)[key % _LANE_SEEDS].tolist()
-                    elif draw_index == len(lanes):  # grown fourfold in one call: a call's cost hardly depends on its lanes
-                        more = min(3 * draw_index, _MAX_FIXES - draw_index)
-                        lanes += _lane_words([key] * more, range(draw_index, draw_index + more)).T.tolist()
-                    words.append(lanes[draw_index])
-            if words:  # each lane's draws from this thread's generator, set to the lane's state
-                bits, normal = _LANE_GENERATOR.bits, _LANE_GENERATOR.standard_normal
+                if known:  # the words of draws 0, 1, ...: the block's row of 16, then all _MAX_FIXES in one array
+                    if draw_index == 0:
+                        trial.lanes = _lane_block(trial.key // _LANE_SEEDS)[trial.key % _LANE_SEEDS]
+                    elif draw_index == _LANE_DRAWS:  # one call: its cost hardly depends on its lanes
+                        more = _lane_words([trial.key] * (_MAX_FIXES - _LANE_DRAWS), range(_LANE_DRAWS, _MAX_FIXES))
+                        trial.lanes = np.concatenate((trial.lanes, more))
+                    words.append(trial.lanes[draw_index])
+            if words:  # each lane's draws from its own generator, seeded from its words
                 if len(words) == 1:  # a lone row: the scalar formula, as a vector
-                    bits.state = _lane_state(words[0])
-                    levels = _scan_levels(world, scanning[0].here[3], normal(len(index)).tolist())
+                    noise = np.random.Generator(np.random.PCG64(_Lane(words[0]))).standard_normal(len(index))
+                    levels = _scan_levels(world, scanning[0].here[3], noise.tolist())
                     levels.append(MISSING_RSSI)
                     fixes = _predict_rows(bundle, np.array([float(levels[i]) for i in columns]))
                 else:  # one array: a row of draws per lane, then the levels of them all
                     noise = np.empty((len(words), len(index)))
-                    for row, lane in zip(noise, words):
-                        bits.state = _lane_state(lane)
-                        normal(out=row)  # standard_normal(len(index))'s draws, bit for bit
+                    for row, lane in zip(noise, words):  # standard_normal(len(index))'s draws, bit for bit
+                        np.random.Generator(np.random.PCG64(_Lane(lane))).standard_normal(out=row)
                     fixes = _predict_rows(bundle, _level_rows(world, [trial.here[3] for trial in scanning], noise, columns))
             else:  # the true positions, or no model row at all
                 fixes = [trial.here[:2] if oracle else None for trial in scanning]

@@ -806,14 +806,12 @@ class TestDirectScanPath:
 
 
 def lane_noise(words, n: int) -> np.ndarray:
-    """``standard_normal(n)`` of a fresh generator set to a lane's state, as a lone row draws it."""
-    bits = np.random.PCG64(0)
-    bits.state = rfsim._lane_state(words)
-    return np.random.Generator(bits).standard_normal(n)
+    """``standard_normal(n)`` of a fresh generator seeded from a lane's words, as a lone row draws it."""
+    return np.random.Generator(np.random.PCG64(rfsim._Lane(words))).standard_normal(n)
 
 
 class TestNoiseLanes:
-    """Trials draw their scan noise from lanes: the generator states of np.random.default_rng([seed, draw]),
+    """Trials draw their scan noise from lanes: the seed words of np.random.default_rng([seed, draw]),
     derived many at a time; every draw must be default_rng's, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
@@ -823,13 +821,12 @@ class TestNoiseLanes:
     )
     @example(lanes=[(0, 0), (2**32 - 1, 1), (2**32, 2**21 - 1), (2**63 - 1, 499), (5, 0)], n=6)  # both seed word counts in one call
     def test_lanes_draw_what_default_rng_draws(self, lanes, n):
-        words = rfsim._lane_words(*zip(*lanes)).T.tolist()
-        rows = np.empty((len(words), n))  # as a round draws them: one generator, a row per lane, in turn
-        bits, normal = rfsim._LANE_GENERATOR.bits, rfsim._LANE_GENERATOR.standard_normal
+        words = rfsim._lane_words(*zip(*lanes))
+        rows = np.empty((len(words), n))  # as a round draws them: a generator per lane, a row each, in turn
         for row, lane in zip(rows, words):
-            bits.state = rfsim._lane_state(lane)
-            normal(out=row)
+            np.random.Generator(np.random.PCG64(rfsim._Lane(lane))).standard_normal(out=row)
         for (seed, draw), lane, row in zip(lanes, words, rows):
+            assert rfsim._Lane(lane).generate_state(4, np.uint64).tobytes() == np.random.SeedSequence([seed, draw]).generate_state(4, np.uint64).tobytes()
             expected = np.random.default_rng([seed, draw]).standard_normal(n)
             assert lane_noise(lane, n).tobytes() == row.tobytes() == expected.tobytes()
 
@@ -837,7 +834,7 @@ class TestNoiseLanes:
     def test_a_block_holds_its_seeds_first_draws(self, block):
         words = rfsim._lane_block(block)
         assert words.shape == (64, 16, 4) and not words.flags.writeable
-        for i, seed_words in enumerate(words.tolist()):
+        for i, seed_words in enumerate(words):
             for draw, lane in enumerate(seed_words):
                 expected = np.random.default_rng([block * 64 + i, draw]).standard_normal(6)
                 assert lane_noise(lane, 6).tobytes() == expected.tobytes()
@@ -848,24 +845,47 @@ class TestNoiseLanes:
         ids=["0", "63", "4294967301", "9223372036854775811", "past-64", "past-256", "fix-budget"],  # 2**63 + 3 masks to 3
     )
     def test_a_trial_past_the_blocks_draws_matches_the_old_loop(self, ref_world, trained, seed, step, fixes):
-        # lanes grow from the block's 16 draws to 64, 256 and _MAX_FIXES; 0.3 ft steps take about 39 fixes
+        # past draw 16 a trial derives the rest of its lanes up to _MAX_FIXES; 0.3 ft steps take about 39 fixes
         path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
         kwargs = dict(nav_config=NavConfig(step_distance=step), seed=seed)
         result, expected = run_trial(ref_world, trained[0], path, **kwargs), reference_run_trial(ref_world, trained[0], path, **kwargs)
         assert result == expected and repr(result) == repr(expected)
         assert sum(kind != "command" for kind, _, _ in result.events) > fixes
 
-    def test_a_long_trial_grows_its_lanes_fourfold(self, ref_world, trained, monkeypatch):
-        # seed 28's 0.3 ft-step trial takes 67 fixes: one call grows 16 lanes to 64, another 64 to 256
+    @pytest.mark.parametrize("seed, step, calls", [(28, 0.3, [rfsim._MAX_FIXES - 16]), (0, 2.0, [])], ids=["past-16", "within-16"])
+    def test_a_trial_past_its_blocks_draws_derives_the_rest_in_one_call(self, ref_world, trained, monkeypatch, seed, step, calls):
+        # seed 28's 0.3 ft-step trial takes 67 fixes, seed 0's 2 ft-step trial fewer than 16
+        path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
+        trial = rfsim._trials(ref_world, trained[0], path, NavConfig(step_distance=step))
+        rfsim._lane_block(0)  # the block's 16 draws are the memo's, not the trial's
+        seen = []
+        lane_words = rfsim._lane_words
+        monkeypatch.setattr(rfsim, "_lane_words", lambda seeds, draws: seen.append(len(seeds)) or lane_words(seeds, draws))
+        (result,) = trial([seed])
+        assert (sum(kind != "command" for kind, _, _ in result.events) > 16) == bool(calls)
+        assert seen == calls
+
+    def test_every_lane_reaches_pcg64_as_a_contiguous_uint64_row(self, ref_world, trained, monkeypatch):
+        # PCG64 reads the words where they lie: a transposed, strided row would seed other draws without an error
         path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
         trial = rfsim._trials(ref_world, trained[0], path, NavConfig(step_distance=0.3))
-        rfsim._lane_block(0)  # the block's 16 draws are the memo's, not the trial's
-        calls = []
-        lane_words = rfsim._lane_words
-        monkeypatch.setattr(rfsim, "_lane_words", lambda seeds, draws: calls.append(len(seeds)) or lane_words(seeds, draws))
-        (result,) = trial([28])
-        assert sum(kind != "command" for kind, _, _ in result.events) > 64
-        assert calls == [48, 192]
+        rows = []
+        generate_state = rfsim._Lane.generate_state
+        monkeypatch.setattr(rfsim._Lane, "generate_state", lambda self, *request: rows.append(generate_state(self, *request)) or rows[-1])
+        results = trial(range(60, 70)) + trial([28])  # rounds of many rows past their block rows, then a lone row
+        fixes = [sum(kind != "command" for kind, _, _ in result.events) for result in results]
+        assert len(rows) == sum(fixes) and max(fixes[:-1]) > 16 and fixes[-1] > 16
+        for row in rows:
+            assert row.dtype == np.uint64 and row.shape == (4,) and row.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "request_", [(8, np.uint32), (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64), (4, "u8")], ids=["8-u4", "4-u4", "2-u8", "8-u8", "4-i8", "4-str"]
+    )
+    def test_a_lane_refuses_any_other_state_request(self, request_):
+        lane = rfsim._Lane(rfsim._lane_block(0)[0][0])
+        assert lane.generate_state(4, np.uint64) is lane.words
+        with pytest.raises(InvalidParameter):
+            lane.generate_state(*request_)
 
     def test_the_block_memo_stays_bounded_over_a_long_run(self, ref_world, trained):
         trial = rfsim._trials(ref_world, trained[0], astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL))

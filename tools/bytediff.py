@@ -25,6 +25,7 @@ its own directory, with every output path relative to it:
     no model rows),
     simulate --oracle --trials 7 --step-distance 30 -o, simulate --trials 12
     -o from seeds 2**32 - 6 and 2**63 - 8 and with --step-distance 0.3,
+    simulate --trials 3 -o with --step-distance 0.02 and 0.01,
     simulate --trials 300 --noise-sigma 6 -o, simulate --trials 50 -o on the
     route with right turns (--start 3,11 --goal 11,3), navigate (three
     CSVs), navigate --oracle on the reverse route, on a route with right
@@ -34,8 +35,14 @@ its own directory, with every output path relative to it:
 A 30 ft step is a 30 s command, longer than the 10 s the increment memo
 keeps, so those two runs cover the uncached integration path.  The seeds
 from 2**32 - 6 are one and two 32-bit words long, those from 2**63 - 8 wrap
-to 0-3 under the 63-bit seed mask, and 0.3 ft steps take about 40 fixes, so
-those runs cover every grouping and extension of the trials' noise lanes.
+to 0-3 under the 63-bit seed mask, 0.3 ft steps take about 40 fixes, 0.02
+ft steps 400-460 and 0.01 ft steps run each trial to the 500-fix budget, so
+those runs cover every grouping of the trials' noise lanes and their
+extension past a block's 16 draws up to the budget.  The trials CSV shows
+the noise only through each trial's course: the 0.02 ft trials' rows change
+when the extension's draws change, the 0.01 ft trials' rows do not (each
+ends at the budget with the same error), but they index the extension's last
+draw.
 At --noise-sigma 6 and on the route with right turns, a few trials fail a
 walkability check inside the map, so later trials of the run drive moves
 that a failed check has decided are not walkable.
@@ -94,14 +101,18 @@ STEPS = [
      ["trials_oracle_130.csv"]),
     ("simulate --step-distance 30", ["simulate", "world.txt", "--oracle", "--trials", "7", "--step-distance", "30", "-o", "trials_long.csv"],
      ["trials_long.csv"]),
-    # scan noise: seeds of one and two 32-bit words in one run, seeds masked past 2**63 to 0-3, and trials
-    # of about 40 fixes, past the 16 draws a seed's noise block holds
+    # scan noise: seeds of one and two 32-bit words in one run, seeds masked past 2**63 to 0-3, trials of
+    # about 40 fixes, past the 16 draws a seed's noise block holds, and trials that run to the fix budget
     ("simulate --seed 2**32 - 6", ["simulate", "world.txt", "model.bin", "--seed", "4294967290", "--trials", "12", "-o", "trials_2w.csv"],
      ["trials_2w.csv"]),
     ("simulate --seed 2**63 - 8", ["simulate", "world.txt", "model.bin", "--seed", "9223372036854775800", "--trials", "12", "-o", "trials_wrap.csv"],
      ["trials_wrap.csv"]),
     ("simulate --step-distance 0.3", ["simulate", "world.txt", "model.bin", "--trials", "12", "--step-distance", "0.3", "-o", "trials_short.csv"],
      ["trials_short.csv"]),
+    ("simulate --step-distance 0.02", ["simulate", "world.txt", "model.bin", "--trials", "3", "--step-distance", "0.02", "-o", "trials_crawl.csv"],
+     ["trials_crawl.csv"]),
+    ("simulate --step-distance 0.01", ["simulate", "world.txt", "model.bin", "--trials", "3", "--step-distance", "0.01", "-o", "trials_budget.csv"],
+     ["trials_budget.csv"]),
     # trials that drive moves a failed walkability check has decided: at high noise, and on the staircase
     # route of "navigate right turns"
     ("simulate --noise-sigma 6", ["simulate", "world.txt", "model.bin", "--trials", "300", "--noise-sigma", "6", "-o", "trials_noisy.csv"],
