@@ -240,12 +240,12 @@ def initialize_parameters(model: MlpRegressor, rng: np.random.Generator) -> None
         layer.reset(rng)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
+def _as_batch(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
-        return arr[None, :], True
+        return arr[None, :]
     if arr.ndim == 2:
-        return arr, False
+        return arr
     raise ShapeMismatch(f"expected a vector or matrix, got ndim={arr.ndim}")
 
 
@@ -341,8 +341,8 @@ def backward(model: MlpRegressor, inputs, targets):
 
 
 def _loss_and_grads(model: MlpRegressor, inputs, targets):
-    batch, _ = _as_batch(inputs)
-    truth, _ = _as_batch(targets)
+    batch = _as_batch(inputs)
+    truth = _as_batch(targets)
     if batch.shape[0] != truth.shape[0] or batch.shape[1] != model.input_width or truth.shape[1] != model.output_width:
         raise ShapeMismatch("batch and target shapes do not match the model")
     if batch.shape[0] == 0:
@@ -462,8 +462,8 @@ def train(model: MlpRegressor, inputs, targets, config: TrainConfig) -> TrainRep
     Raises DivergenceDetected (carrying the report so far) if the loss goes
     non-finite.
     """
-    X, _ = _as_batch(inputs)
-    T, _ = _as_batch(targets)
+    X = _as_batch(inputs)
+    T = _as_batch(targets)
     if X.shape[0] == 0:
         raise EmptyDataset("no training rows")
     if X.shape[0] != T.shape[0] or X.shape[1] != model.input_width or T.shape[1] != model.output_width:

@@ -30,8 +30,7 @@ from .scan_ingest import MISSING_RSSI, RSSI_FLOOR, ScanEntry, ScanSnapshot, _can
 
 _SUBSTEP = 0.01  # seconds; kinematic integration granularity
 _POSE_KEY = struct.Struct("<4d")  # a memo key (v, omega, start heading, duration), bit for bit: -0.0 is not 0.0
-_NODE_KEY = struct.Struct("<3d")  # a pose graph key (x, y, heading), bit for bit
-_GRAPH_MOVES = 2048  # moves a run's pose graph keeps, about 0.9 KB each with six APs: a reference run of 5,000 trials needs 27
+_GRAPH_MOVES = 2048  # moves a run's pose graph keeps, one node per move, about 0.9 KB each with six APs: a reference run of 5,000 trials needs 27
 _MAX_FIXES = 500  # fixes after which a trial ends as "fix_budget"
 _SEEDS_PER_CALL = 128  # two lane blocks; a call keeps all its trials' noise lanes alive: 3,000 trials in one call peak at 13 MB, not 9.7
 _SEED_MASK = (1 << 63) - 1
@@ -400,11 +399,11 @@ def run_trial(
     no scan), feeds it to the navigation state machine and integrates the
     emitted command in substeps of at most 0.01 s with ``_command_poses``.
     The run (``_trials``) keeps a pose graph that its trials share: each
-    true pose's path loss, and the end pose of each command driven from it
-    with the verdict of ``_all_walkable`` on whether its substeps stay on
-    walkable cells, are derived once, when the move is first made, so a
-    trial drives a known move without integrating or checking it; a run of
-    one trial, as here, starts it empty.  The trial ends on Done, Aborted,
+    true pose's path loss, the end pose of each command driven from it, and
+    whether the path of commands to that pose kept every substep on walkable
+    cells (``_all_walkable``), are derived once, when the move is first made,
+    so a trial drives a known move without integrating or checking it; a run
+    of one trial, as here, starts it empty.  The trial ends on Done, Aborted,
     or after ``_MAX_FIXES`` fixes.  Success means Done with the true
     position within ``success_radius`` ft of the goal center and no substep
     off walkable cells; ``success_radius`` and ``scan_period`` must be finite
@@ -416,13 +415,13 @@ def run_trial(
 
 class _Trial:
     """A trial's progress in a lockstep run: its seed and noise key, navigation state, event log, node,
-    walkability, clock, end reason so far and noise-lane words."""
+    clock, end reason so far and noise-lane words."""
 
-    __slots__ = ("seed", "key", "state", "events", "here", "on_walkable", "clock", "reason", "lanes")
+    __slots__ = ("seed", "key", "state", "events", "here", "clock", "reason", "lanes")
 
     def __init__(self, seed: int, state: NavState, here: tuple):
         self.seed, self.key, self.state, self.events, self.here = seed, seed & _SEED_MASK, state, [], here
-        self.on_walkable, self.clock, self.reason, self.lanes = True, 0.0, "fix_budget", None
+        self.clock, self.reason, self.lanes = 0.0, "fix_budget", None
 
 
 def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=False, calibration=None, scan_period=2.0):
@@ -455,34 +454,30 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     columns = [] if oracle else [index.get(mac, len(index)) for mac in bundle.selection.kept_columns]
     known = len(index) > min(columns, default=len(index))
 
-    # The run's pose graph.  A true pose is a pure function of the commands driven from the start pose, so the
-    # trials walk one small lattice of poses again and again.  A node is a pose's (x, y, heading, path loss, moves),
-    # keyed by the pose's bits, as -0.0 is not 0.0; its path loss is None off the map, and () when no fix needs it.
-    # A move is (command, end node, verdict), keyed by the command's identity (2 == 2.0; the move holds the command,
-    # so its id stays its own); the verdict, whether its substeps stay on walkable cells, is decided when the move is
-    # made, on the map or off it.  Tickets bound the graph: the first _GRAPH_MOVES moves are kept, and each adds at
-    # most one node.  Threads that race on one miss may each build its move: either is the same move, and each took
-    # a ticket.  What a node or move holds does not depend on which trial made it, so neither does any trial.
-    nodes, tickets = {}, itertools.count()
+    # The run's pose graph, a tree of command sequences.  A true pose is a pure function of the commands driven from
+    # the start pose, so the trials drive the same few sequences again and again.  A node is a pose's (x, y, heading,
+    # path loss, moves, walkable); its path loss is None off the map, and () when no fix needs it; walkable says
+    # whether every substep on its one path from the start stayed on walkable cells, which a node off the map has not.
+    # A move is (command, end node), keyed by the command's identity (2 == 2.0; the move holds the command, so its id
+    # stays its own), and makes a fresh end node.  Tickets bound the graph: the first _GRAPH_MOVES moves are kept.
+    # Threads that race on one miss may each build its move: the two end nodes are equal, and each took a ticket.
+    # What a node holds does not depend on which trial made it, so neither does any trial.
+    tickets = itertools.count()
 
-    def node(x: float, y: float, theta: float) -> tuple:
+    def node(x: float, y: float, theta: float, walkable: bool) -> tuple:
         if not grid.contains_point(x, y):
-            return (x, y, theta, None, {})
-        return (x, y, theta, _path_loss(world, x, y) if known else (), {})
+            return (x, y, theta, None, {}, False)
+        return (x, y, theta, _path_loss(world, x, y) if known else (), {}, walkable)
 
     def add_move(here: tuple, command: DriveCommand) -> tuple:
         """The move of ``command`` from ``here``, integrated and checked, kept in the graph while it has room."""
         poses = _command_poses(robot, command, here[:3])
-        end = poses[:, -1].tolist()
-        key = _NODE_KEY.pack(*end)
-        move = (command, nodes.get(key) or node(*end), _all_walkable(grid, poses[:2]))
+        move = (command, node(*poses[:, -1].tolist(), here[5] and _all_walkable(grid, poses[:2])))
         if next(tickets) < _GRAPH_MOVES:
-            nodes.setdefault(key, move[1])
             here[4][id(command)] = move
         return move
 
-    origin = node(*robot.pose)
-    nodes[_NODE_KEY.pack(*robot.pose)] = origin
+    origin = node(*robot.pose, True)
 
     def run(seeds) -> list[TrialResult]:
         """The trials of ``seeds``, in their order.  Round k is every active trial's fix k: first the round's
@@ -496,7 +491,6 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
             scanning, words = [], []
             for trial in active:
                 if trial.here[3] is None:
-                    trial.on_walkable = False
                     trial.reason = "left_map"
                     continue
                 trial.clock += scan_period
@@ -528,9 +522,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
                 trial.state, command = nav_step(trial.state, fix)
                 if command is not None:
                     trial.events.append(("command", trial.clock, command))
-                    move = here[4].get(id(command)) or add_move(here, command)
-                    trial.here = move[1]
-                    trial.on_walkable = trial.on_walkable and move[2]
+                    trial.here = (here[4].get(id(command)) or add_move(here, command))[1]
                     trial.clock += command.duration
                 if trial.state.mode in (Mode.DONE, Mode.ABORTED):
                     trial.reason = trial.state.mode.value
@@ -542,7 +534,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
 
     def finish(trial: _Trial) -> TrialResult:
         final_error = math.hypot(trial.here[0] - gx, trial.here[1] - gy)
-        reason = trial.reason if trial.on_walkable else trial.reason + "+left_walkable"
+        reason = trial.reason if trial.here[5] else trial.reason + "+left_walkable"
         return TrialResult(reason == "done" and final_error <= success_radius, final_error, robot, trial.events, reason, trial.seed)
 
     return run

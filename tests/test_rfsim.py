@@ -1093,7 +1093,7 @@ class TestWalkableCheck:
 
 def pose_graph(trial):
     """The nodes and the moves of a run's pose graph that its start node reaches, found through the per-seed
-    function's closure: a node is (x, y, heading, path loss, moves), a move (command, end node, verdict)."""
+    function's closure: a node is (x, y, heading, path loss, moves, walkable), a move (command, end node)."""
     origin = inspect.getclosurevars(trial).nonlocals["origin"]
     nodes, moves, todo = {id(origin): origin}, [], [origin]
     while todo:
@@ -1103,6 +1103,19 @@ def pose_graph(trial):
                 nodes[id(move[1])] = move[1]
                 todo.append(move[1])
     return list(nodes.values()), moves
+
+
+def path_checks(grid, robot, origin):
+    """The ``_all_walkable`` checks of the commands on each node's one path from ``origin``, a list per node
+    in the order of a depth-first walk, asserting on the way that each node's flag is the AND of its checks."""
+    found, todo = [], [(origin, [])]
+    while todo:
+        here, checks = todo.pop()
+        assert here[5] is all(checks)
+        found.append(checks)
+        for command, end in here[4].values():
+            todo.append((end, checks + [rfsim._all_walkable(grid, rfsim._command_poses(robot, command, here[:3])[:2])]))
+    return found
 
 
 def minus_zero_heading(path):
@@ -1132,8 +1145,8 @@ def scripted_nav(scripts):
 
 
 class TestPoseGraph:
-    """A run's trials walk one pose graph: path loss, moves and walkability verdicts are derived once per
-    pose; every trial must be the one reference_run_trial gives, field for field and bit for bit."""
+    """A run's trials walk one pose graph: path loss, moves and walkability are derived once per node;
+    every trial must be the one reference_run_trial gives, field for field and bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1167,7 +1180,7 @@ class TestPoseGraph:
                 patch.setattr(sys.modules[__name__], "first_segment_heading", minus_zero_heading)
             if pillar is not None:
                 # the cell the first trial crosses at the ``pillar`` fraction of its substeps is blocked, so
-                # later trials that drive the same move meet its failed verdict
+                # later trials that drive the same moves reach its end node, which holds the failed check
                 poses = list(run_trial(world, bundle, path, seed=base_seed, **kwargs).trajectory)
                 cell = cell_of(world.grid, *poses[round(pillar * (len(poses) - 1))][:2])
                 if world.grid.in_bounds(cell) and cell not in (start, goal):
@@ -1198,7 +1211,7 @@ class TestPoseGraph:
         assert trial(range(40)) == first
         assert calls == []
 
-    def test_every_move_holds_its_own_verdict(self, ref_world, monkeypatch):
+    def test_every_node_holds_its_path_walkability(self, ref_world, trained, monkeypatch):
         # TestWalkableCheck's north row with a pillar at cell 15, veering a little harder on to (24, 1): the
         # robot crosses the pillar in command 5 only, stays on walkable cells in command 6 and leaves the map in 7
         north = ["."] * 40
@@ -1209,19 +1222,24 @@ class TestPoseGraph:
         trial = rfsim._trials(world, None, path, **kwargs)
         (result,) = trial([0])
         assert result == reference_run_trial(world, None, path, **kwargs) and result.reason == "left_map+left_walkable"
-        nodes, _ = pose_graph(trial)
-        moves = [(here, move) for here in nodes for move in here[4].values()]  # in the order driven: the graph is a chain
-        assert [move[2] for _, move in moves] == [True] * 4 + [False, True, False]
-        assert moves[-1][1][1][3] is None  # the last move ends off the map
-        for here, (command, _, verdict) in moves:
-            assert type(verdict) is bool
-            assert verdict == rfsim._all_walkable(world.grid, rfsim._command_poses(result.robot, command, here[:3])[:2])
+        nodes, moves = pose_graph(trial)  # in the order driven: the graph is a chain
+        assert [end for _, end in moves] == nodes[1:]
+        assert path_checks(world.grid, result.robot, nodes[0]) == [[]] + [[True] * k for k in range(1, 5)] + [
+            [True] * 4 + [False], [True] * 4 + [False, True], [True] * 4 + [False, True, False]]
+        assert nodes[-1][3] is None  # the last move ends off the map
         calls = []
         real = rfsim._command_poses
         monkeypatch.setattr(rfsim, "_command_poses", lambda *args: calls.append(args) or real(*args))
-        monkeypatch.setattr(rfsim, "_all_walkable", lambda *args: pytest.fail("a decided verdict was checked again"))
+        monkeypatch.setattr(rfsim, "_all_walkable", lambda *args: pytest.fail("a node's walkability was checked again"))
         assert trial([1]) == [replace(result, seed=1)]  # an oracle robot drives the same moves whatever the seed
         assert calls == []
+        monkeypatch.undo()
+        # at sigma 6 some trials of the reference run fail the check inside the map, on a branch of the tree
+        world = with_noise_sigma(ref_world, 6.0)
+        run = rfsim._trials(world, trained[0], astar(world.grid, REFERENCE_START, REFERENCE_GOAL))
+        results = run(range(300))
+        assert {"done", "done+left_walkable"} <= {r.reason for r in results}
+        assert not all(map(all, path_checks(world.grid, results[0].robot, pose_graph(run)[0][0])))
 
     def test_a_heading_of_minus_zero_is_its_own_node(self, monkeypatch):
         # in-place pivots left and right by 0.05 rad bring the robot back to its position at heading 0.0
@@ -1264,7 +1282,8 @@ class TestPoseGraph:
         results = [trial([seed])[0] for seed in range(150)]
         nodes, moves = pose_graph(trial)
         assert len(integrated) > 2 * rfsim._GRAPH_MOVES
-        assert len(moves) == rfsim._GRAPH_MOVES and len(nodes) <= rfsim._GRAPH_MOVES + 1
+        assert len(moves) == rfsim._GRAPH_MOVES and len(nodes) == len(moves) + 1  # a tree: one node per move
+        assert len({id(end) for _, end in moves}) == len(moves)  # and no end node is reached twice
         for seed in (0, 149):  # the first trials fill the graph; the last ones run past the cap
             expected = reference_run_trial(world, trained[0], path, seed=seed, **kwargs)
             assert results[seed] == expected and repr(results[seed]) == repr(expected)

@@ -27,7 +27,8 @@ its own directory, with every output path relative to it:
     -o from seeds 2**32 - 6 and 2**63 - 8 and with --step-distance 0.3,
     simulate --trials 3 -o with --step-distance 0.02 and 0.01,
     simulate --trials 300 --noise-sigma 6 -o, simulate --trials 50 -o on the
-    route with right turns (--start 3,11 --goal 11,3), navigate (three
+    route with right turns (--start 3,11 --goal 11,3), simulate --trials
+    150 --step-distance 0.1 --noise-sigma 20 -o, navigate (three
     CSVs), navigate --oracle on the reverse route, on a route with right
     turns and with --step-distance 30, navigate --seed 2**32 (three CSVs
     each), plan -o
@@ -44,8 +45,10 @@ when the extension's draws change, the 0.01 ft trials' rows do not (each
 ends at the budget with the same error), but they index the extension's last
 draw.
 At --noise-sigma 6 and on the route with right turns, a few trials fail a
-walkability check inside the map, so later trials of the run drive moves
-that a failed check has decided are not walkable.
+walkability check inside the map, so later trials of the run reach nodes of
+the pose graph whose path has failed it.  At --noise-sigma 20 with 0.1 ft
+steps, 150 trials make about 7,200 moves, past the 2,048 the pose graph
+keeps, so that run covers the moves that are made but not kept.
 
 Each command's stdout is compared too, and so are the exit status and
 stderr of a few runs that must fail with one error line (FAILURES).  The
@@ -113,12 +116,15 @@ STEPS = [
      ["trials_crawl.csv"]),
     ("simulate --step-distance 0.01", ["simulate", "world.txt", "model.bin", "--trials", "3", "--step-distance", "0.01", "-o", "trials_budget.csv"],
      ["trials_budget.csv"]),
-    # trials that drive moves a failed walkability check has decided: at high noise, and on the staircase
+    # trials that reach nodes whose path failed a walkability check: at high noise, and on the staircase
     # route of "navigate right turns"
     ("simulate --noise-sigma 6", ["simulate", "world.txt", "model.bin", "--trials", "300", "--noise-sigma", "6", "-o", "trials_noisy.csv"],
      ["trials_noisy.csv"]),
     ("simulate right turns", ["simulate", "world.txt", "model.bin", "--trials", "50", "--start", "3,11", "--goal", "11,3", "-o", "trials_right.csv"],
      ["trials_right.csv"]),
+    # 0.1 ft steps at sigma 20: about 7,200 moves, past the pose graph's cap of 2,048 kept moves
+    ("simulate --noise-sigma 20", ["simulate", "world.txt", "model.bin", "--trials", "150", "--step-distance", "0.1", "--noise-sigma", "20",
+                                   "-o", "trials_wander.csv"], ["trials_wander.csv"]),
     ("navigate", ["navigate", "world.txt", "model.bin", "--out-prefix", "nav"],
      ["nav_trajectory.csv", "nav_fixes.csv", "nav_commands.csv"]),
     # the oracle reverse of the reference route turns left, as the forward one does; the
