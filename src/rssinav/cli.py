@@ -155,16 +155,9 @@ def _load_world_with_overrides(opts) -> rfsim.SimWorld:
     return world
 
 
-def _trial_logs(result: rfsim.TrialResult) -> tuple[list, list]:
-    """A trial's command-log rows and fix rows, derived from its event log."""
-    commands = [(t, c.left_speed, c.right_speed, c.duration, c.reason) for kind, t, c in result.events if kind == "command"]
-    fixes = [payload for kind, _, payload in result.events if kind != "command"]
-    return commands, [(*true, *(estimate or (None, None))) for true, estimate in fixes]
-
-
 def _run_trials(opts, count: int) -> tuple[float, list[rfsim.TrialResult]]:
     """simulate's and navigate's trials: ``count`` seeded trials from ``--seed`` on the world's route, with
-    the model unless ``--oracle``; returns corner_success_rate's (rate, results)."""
+    the model, or with ``--oracle`` a None bundle, which fixes at the true positions; returns corner_success_rate's (rate, results)."""
     world = _load_world_with_overrides(opts)
     bundle = None if opts["oracle"] else model.load_model(opts["model"])
     nav_config = navctl.NavConfig(
@@ -172,7 +165,7 @@ def _run_trials(opts, count: int) -> tuple[float, list[rfsim.TrialResult]]:
     )
     return rfsim.corner_success_rate(
         world, bundle, count, opts["seed"], opts.get("start"), opts.get("goal"),
-        nav_config=nav_config, success_radius=opts["success_radius"], oracle=opts["oracle"], scan_period=opts["scan_period"],
+        nav_config=nav_config, success_radius=opts["success_radius"], scan_period=opts["scan_period"],
     )
 
 
@@ -286,7 +279,10 @@ def cmd_make_dataset(opts) -> int:
 def cmd_simulate(opts) -> int:
     rate, results = _run_trials(opts, opts["trials"])
     if opts.get("output"):
-        rows = [(i, r.seed, int(r.success), r.final_error, r.reason, *map(len, _trial_logs(r))) for i, r in enumerate(results)]
+        rows = []
+        for i, r in enumerate(results):
+            commands = sum(kind == "command" for kind, _, _ in r.events)  # every other event is a fix
+            rows.append((i, r.seed, int(r.success), r.final_error, r.reason, commands, len(r.events) - commands))
         write_rows(opts["output"], ["trial", "seed", "success", "final_error_ft", "reason", "commands", "fixes"], rows)
     successes = sum(r.success for r in results)
     print(f"success rate: {successes}/{len(results)} = {rate:.2f}")
@@ -296,7 +292,9 @@ def cmd_simulate(opts) -> int:
 def cmd_navigate(opts) -> int:
     _, (result,) = _run_trials(opts, 1)
     prefix = opts["out_prefix"]
-    commands, fixes = _trial_logs(result)
+    commands = [(t, c.left_speed, c.right_speed, c.duration, c.reason) for kind, t, c in result.events if kind == "command"]
+    fixes = [payload for kind, _, payload in result.events if kind != "command"]
+    fixes = [(*true, *(estimate or (None, None))) for true, estimate in fixes]
     write_rows(f"{prefix}_trajectory.csv", ["x", "y", "heading"], result.trajectory)
     write_rows(f"{prefix}_fixes.csv", ["x_true", "y_true", "x_est", "y_est"], fixes)
     write_rows(f"{prefix}_commands.csv", ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)

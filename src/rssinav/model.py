@@ -336,20 +336,15 @@ def backward(model: MlpRegressor, inputs, targets):
     shapes mirror parameter shapes, as a list of per-layer dicts (views of
     one flat gradient buffer).
     """
-    _, grad, _ = _loss_and_grads(model, inputs, targets)
-    return _unflatten(model, grad)
-
-
-def _loss_and_grads(model: MlpRegressor, inputs, targets):
     batch = _as_batch(inputs)
     truth = _as_batch(targets)
     if batch.shape[0] != truth.shape[0] or batch.shape[1] != model.input_width or truth.shape[1] != model.output_width:
         raise ShapeMismatch("batch and target shapes do not match the model")
     if batch.shape[0] == 0:
         raise EmptyDataset("gradient over an empty batch")
-    grad = np.empty(sum(getattr(layer, name).size for layer in model.layers for name in layer.BLOCKS[:2]))
-    loss, cache = _step(model, batch, truth, _unflatten(model, grad))
-    return loss, grad, cache
+    grads = _unflatten(model, np.empty(sum(getattr(layer, name).size for layer in model.layers for name in layer.BLOCKS[:2])))
+    _step(model, batch, truth, grads)
+    return grads
 
 
 def _step(model: MlpRegressor, batch: np.ndarray, truth: np.ndarray, grads: list[dict]) -> tuple[float, list]:

@@ -388,16 +388,17 @@ def _command_poses(robot: SimRobot, command: DriveCommand, pose) -> np.ndarray:
 
 def run_trial(
     world: SimWorld, bundle: ModelBundle | None, path: PlannedPath, nav_config: NavConfig | None = None, success_radius: float = 2.0,
-    seed: int = 0, *, oracle: bool = False, calibration: DrivetrainCalibration | None = None, scan_period: float = 2.0,
+    seed: int = 0, *, calibration: DrivetrainCalibration | None = None, scan_period: float = 2.0,
 ) -> TrialResult:
     """One closed-loop navigation trial on a planned path: scan, predict, step, drive.
 
     The trial plans nothing: the robot starts at the center of the path's
     first cell facing along its first segment, and the goal is its last cell.
     Each iteration produces a fix (the model's estimate from a scan simulated
-    at the true pose, or the true position when ``oracle``, which simulates
-    no scan), feeds it to the navigation state machine and integrates the
-    emitted command in substeps of at most 0.01 s with ``_command_poses``.
+    at the true pose, or, with a None ``bundle``, the true position: an oracle
+    trial, which simulates no scan), feeds it to the navigation state machine
+    and integrates the emitted command in substeps of at most 0.01 s with
+    ``_command_poses``.
     The run (``_trials``) keeps a pose graph that its trials share: each
     true pose's path loss, the end pose of each command driven from it, and
     whether the path of commands to that pose kept every substep on walkable
@@ -410,7 +411,7 @@ def run_trial(
     and positive, and small enough that the trial clock stays finite; an
     empty path raises EmptyPath.
     """
-    return _trials(world, bundle, path, nav_config, success_radius, oracle=oracle, calibration=calibration, scan_period=scan_period)([seed])[0]
+    return _trials(world, bundle, path, nav_config, success_radius, calibration=calibration, scan_period=scan_period)([seed])[0]
 
 
 class _Trial:
@@ -424,14 +425,12 @@ class _Trial:
         self.clock, self.reason, self.lanes = 0.0, "fix_budget", None
 
 
-def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=False, calibration=None, scan_period=2.0):
+def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, calibration=None, scan_period=2.0):
     """``run_trial`` as a function of a list of seeds, whose trials advance in lockstep: the checks and
     everything a run's trials share are derived once, then each call runs its seeds' trials a fix at a time."""
     require_positive(success_radius=success_radius, scan_period=scan_period)
     if not math.isfinite(_MAX_FIXES * (scan_period + MAX_DURATION)):
         raise InvalidParameter(f"scan_period {scan_period} s overflows the clock of a {_MAX_FIXES}-fix trial")
-    if bundle is None and not oracle:
-        raise InvalidParameter("a model bundle is required unless oracle localization is enabled")
     config = nav_config or NavConfig()
     heading = first_segment_heading(path)
     checkpoints = extract_checkpoints(path, heading)
@@ -449,9 +448,10 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
     # draws, bit for bit), straight to _predict_rows without the ScanEntry and ScanSnapshot
     # checks, which hold already: AccessPointSim checks its MAC, SimWorld refuses duplicate
     # MACs and both level paths clamp each level to [RSSI_FLOOR, 0].  With no kept column in
-    # the world every fix is a "nofix", as predict_position refuses it.
+    # the world every fix is a "nofix", as predict_position refuses it; a None bundle has no
+    # columns, and each of its fixes is the true position.
     index = {ap.mac: i for i, ap in enumerate(world.aps)}
-    columns = [] if oracle else [index.get(mac, len(index)) for mac in bundle.selection.kept_columns]
+    columns = [] if bundle is None else [index.get(mac, len(index)) for mac in bundle.selection.kept_columns]
     known = len(index) > min(columns, default=len(index))
 
     # The run's pose graph, a tree of command sequences.  A true pose is a pure function of the commands driven from
@@ -514,7 +514,7 @@ def _trials(world, bundle, path, nav_config=None, success_radius=2.0, *, oracle=
                         np.random.Generator(np.random.PCG64(_Lane(lane))).standard_normal(out=row)
                     fixes = _predict_rows(bundle, _level_rows(world, [trial.here[3] for trial in scanning], noise, columns))
             else:  # the true positions, or no model row at all
-                fixes = [trial.here[:2] if oracle else None for trial in scanning]
+                fixes = [trial.here[:2] if bundle is None else None for trial in scanning]
             active = []
             for trial, fix in zip(scanning, fixes):
                 here = trial.here
@@ -646,10 +646,7 @@ def save_world(world: SimWorld, sink) -> None:
 def load_world(source) -> SimWorld:
     """Parse a world file from a path or an open text file; any malformed,
     non-UTF-8 or non-finite input raises WorldFormatError."""
-    return _parse_world(read_text(source, WorldFormatError, "world file"))
-
-
-def _parse_world(text: str) -> SimWorld:
+    text = read_text(source, WorldFormatError, "world file")
     try:
         grid, rest = GridMap.consume_lines(text.splitlines())
     except MapFormatError as exc:

@@ -28,7 +28,7 @@ def trial_batch(ref_world, trained):
     started = time.perf_counter()
     fix_error = rfsim.mean_fix_error(world, bundle, draws_per_cell=3, seed=1234)
     rate, results = rfsim.corner_success_rate(world, bundle, trials=100, base_seed=0)
-    oracle_rate, _ = rfsim.corner_success_rate(world, None, trials=100, base_seed=0, oracle=True)
+    oracle_rate, _ = rfsim.corner_success_rate(world, None, trials=100, base_seed=0)
     doubled = rfsim.with_noise_sigma(ref_world, 2 * rfsim.REFERENCE_TRIAL_SIGMA)
     doubled_rate, doubled_results = rfsim.corner_success_rate(doubled, bundle, trials=100, base_seed=0)
     elapsed = time.perf_counter() - started

@@ -1,7 +1,8 @@
 """The file layer: library writers leave an existing file untouched when they
 fail, decode errors name the file, a leading byte-order mark is dropped, and
-no module but ``fileio`` opens files or renames temp files into place.  Beside it, a structure test keeps the one
-error path: the library raises no bare ValueError or TypeError."""
+no module but ``fileio`` opens files or renames temp files into place.  Beside it, structure tests keep the one
+error path (the library raises no bare ValueError or TypeError) and keep out dead API (every top-level
+definition is named elsewhere in the package)."""
 
 import ast
 import io
@@ -250,3 +251,35 @@ def test_one_error_path_to_the_cli():
 def test_the_raise_check_sees_each_bare_raise():
     source = "raise ValueError('x')\nraise TypeError\nraise ValueError from None\nraise InvalidParameter('x')\nraise\n"
     assert _bare_raises(ast.parse(source)) == ["line 1: raise ValueError", "line 2: raise TypeError", "line 3: raise ValueError"]
+
+
+def _unnamed_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """Each top-level function or class, as module.name, that no module names: no name, attribute or
+    ``from`` import (a package re-export counts) spells it."""
+    named = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+
+
+def test_no_definition_is_used_by_tests_alone():
+    """Dead API stays out: mean_fix_error, which acceptance criterion 5 measures with, is the one
+    definition the package itself does not use."""
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert _unnamed_definitions(modules) == ["rfsim.mean_fix_error"]
+
+
+def test_the_definition_check_sees_an_unnamed_one():
+    source = "from .b import g\ndef f(): return h.k\ndef unused(): pass\nclass Gone: pass\ndef h(): pass\ndef k(): pass\n"
+    assert _unnamed_definitions({"a": ast.parse(source)}) == ["a.f", "a.unused", "a.Gone"]

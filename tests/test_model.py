@@ -48,11 +48,10 @@ from rssinav.scan_ingest import ScanEntry, ScanSnapshot
 
 
 def numeric_gradients(model, X, T, step=1e-4):
-    from rssinav.model import _loss_and_grads
+    from rssinav.model import _as_batch, _pass
 
-    def loss_at():
-        loss, _, _ = _loss_and_grads(model, X, T)
-        return loss
+    def loss_at():  # the training-mode loss, as backward's pass computes it
+        return mae_loss(_pass(model, _as_batch(X), True), T)
 
     numeric = []
     for layer in model.layers:

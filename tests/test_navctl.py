@@ -4,9 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rssinav.cli import _trial_logs
+from rssinav import cli
 from rssinav.errors import InvalidParameter
-from rssinav.fileio import write_rows
 from rssinav.navctl import (
     DriveCommand,
     DrivetrainCalibration,
@@ -26,6 +25,14 @@ L_PLAN = (
     Checkpoint((2, 0), Action.TURN_RIGHT_90),
     Checkpoint((2, 2), Action.STOP),
 )
+
+
+def command_log(tmp_path, monkeypatch, events):
+    """The lines of the commands CSV that ``navigate`` writes for a trial whose event log is ``events``."""
+    trial = SimpleNamespace(events=events, trajectory=[], success=True, final_error=0.0, reason="done")
+    monkeypatch.setattr(cli, "_run_trials", lambda opts, count: (1.0, [trial]))
+    cli.cmd_navigate({"out_prefix": str(tmp_path / "nav")})
+    return (tmp_path / "nav_commands.csv").read_text().splitlines()
 
 
 def make_state(plan=L_PLAN, **config_kwargs):
@@ -54,7 +61,7 @@ class TestCommands:
         cal = DrivetrainCalibration(turn_90_duration=1.3)
         assert turn_command("left", cal) == DriveCommand(0.0, 1.0, 1.3, "turn_left_90")
 
-    def test_equal_settings_of_another_type_keep_their_own_commands(self, tmp_path):
+    def test_equal_settings_of_another_type_keep_their_own_commands(self, tmp_path, monkeypatch):
         # NavConfig(step_distance=2) == NavConfig(step_distance=2.0), yet the command log prints 2 and 2.0
         lines = []
         for distance in [2, 2.0, 2, 2.0]:
@@ -63,9 +70,7 @@ class TestCommands:
             _, turn = nav_step(state, (2.5, 0.5))
             assert forward is forward_command(state.config, state.calibration)  # built once, then shared
             assert (repr(forward.duration), repr(turn.left_speed)) == (repr(distance), "1.0")
-            commands, _ = _trial_logs(SimpleNamespace(events=[("command", 5.0, forward), ("command", 7.0, turn)]))
-            write_rows(tmp_path / "commands.csv", ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
-            lines.append((tmp_path / "commands.csv").read_text().splitlines()[1:])
+            lines.append(command_log(tmp_path, monkeypatch, [("command", 5.0, forward), ("command", 7.0, turn)])[1:])
         assert lines[0] == lines[2] == ["5.0,1.0,1.0,2,forward", "7.0,1.0,0.0,1.0,turn_right_90"]
         assert lines[1] == lines[3] == ["5.0,1.0,1.0,2.0,forward", "7.0,1.0,0.0,1.0,turn_right_90"]
 
@@ -284,16 +289,13 @@ class TestProgress:
 
 
 class TestCommandLog:
-    def test_csv_layout(self, tmp_path):
+    def test_csv_layout(self, tmp_path, monkeypatch):
         events = [
             ("command", 2.0, DriveCommand(1.0, 0.95, 2.0, "forward")),
             ("fix", 3.0, ((0.5, 0.5), None)),
             ("command", 4.0, DriveCommand(1.0, 0.0, 1.5, "turn_right_90")),
         ]
-        commands, _ = _trial_logs(SimpleNamespace(events=events))
-        path = tmp_path / "commands.csv"
-        write_rows(path, ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
-        lines = path.read_text().splitlines()
+        lines = command_log(tmp_path, monkeypatch, events)
         assert lines[0] == "timestamp,left_speed,right_speed,duration,reason"
         assert lines[1] == "2.0,1.0,0.95,2.0,forward"
         assert len(lines) == 3
@@ -307,12 +309,9 @@ class TestCommandLog:
             (lambda cal: turn_command("left", cal), "5.0,0.0,1.0,{duration!r},turn_left_90"),
         ],
     )
-    def test_built_commands_log_their_speeds_as_floats(self, tmp_path, build, line):
+    def test_built_commands_log_their_speeds_as_floats(self, tmp_path, monkeypatch, build, line):
         cal = default_calibration(SimRobot(wheel_base=0.4))
-        commands, _ = _trial_logs(SimpleNamespace(events=[("command", 5.0, build(cal))]))
-        path = tmp_path / "commands.csv"
-        write_rows(path, ["timestamp", "left_speed", "right_speed", "duration", "reason"], commands)
-        assert path.read_text().splitlines()[1] == line.format(duration=cal.turn_90_duration)
+        assert command_log(tmp_path, monkeypatch, [("command", 5.0, build(cal))])[1] == line.format(duration=cal.turn_90_duration)
 
     def test_stop_command_is_zero(self):
         assert stop_command() == DriveCommand(0.0, 0.0, 0.0, "stop")

@@ -434,7 +434,7 @@ class TestTrials:
     def test_oracle_zero_veer_straight_run_succeeds(self):
         world = reference_world(noise_sigma=0.0)
         world = SimWorld(world.grid, world.aps, SimRobot(x=0.5, y=0.5, wheel_base=0.4), world.rng_seed)
-        result = run_trial(world, None, astar(world.grid, (0, 0), (8, 0)), seed=0, oracle=True)
+        result = run_trial(world, None, astar(world.grid, (0, 0), (8, 0)), seed=0)
         assert result.success
         assert result.final_error < 0.5
 
@@ -450,12 +450,12 @@ class TestTrials:
         grid = GridMap.from_text("3 1 1\n.#.\n")
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (0.5, 0.5)),), SimRobot(x=0.5, y=0.5))
         with pytest.raises(NoPath):
-            corner_success_rate(world, None, 1, start=(0, 0), goal=(2, 0), oracle=True)
+            corner_success_rate(world, None, 1, start=(0, 0), goal=(2, 0))
 
     def test_a_run_plans_its_route_once(self, ref_world, monkeypatch):
         calls = []
         monkeypatch.setattr(rfsim, "astar", lambda *args: calls.append(args) or astar(*args))
-        corner_success_rate(ref_world, None, 5, oracle=True)
+        corner_success_rate(ref_world, None, 5)
         assert calls == [(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)]
 
     def test_a_run_derives_its_route_and_calibration_once(self, ref_world, monkeypatch):
@@ -463,16 +463,16 @@ class TestTrials:
         for name in ("first_segment_heading", "extract_checkpoints", "default_calibration"):
             monkeypatch.setattr(rfsim, name, lambda *args, real=getattr(rfsim, name), name=name: calls.append(name) or real(*args))
         for _ in range(2):  # nothing is kept from one run to the next
-            corner_success_rate(ref_world, None, 5, oracle=True)
+            corner_success_rate(ref_world, None, 5)
         assert calls == ["first_segment_heading", "extract_checkpoints", "default_calibration"] * 2
 
     def test_empty_path_raises(self, ref_world):
         with pytest.raises(EmptyPath):
-            run_trial(ref_world, None, PlannedPath(()), oracle=True)
+            run_trial(ref_world, None, PlannedPath(()))
 
     def test_zero_trials_rejected(self, ref_world):
         with pytest.raises(ValueError):
-            corner_success_rate(ref_world, None, trials=0, oracle=True)
+            corner_success_rate(ref_world, None, trials=0)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -488,21 +488,26 @@ class TestTrials:
     )
     def test_invalid_trial_parameters_rejected(self, ref_world, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_trial(ref_world, None, astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL), oracle=True, **kwargs)
+            run_trial(ref_world, None, astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL), **kwargs)
 
     @pytest.mark.parametrize(
         "build, message",
         [
             (lambda world: replace(world, aps=world.aps[:2] + world.aps[1:2]), "duplicate AP MAC addresses"),
-            (lambda world: run_trial(world, None, astar(world.grid, REFERENCE_START, REFERENCE_GOAL)), "a model bundle is required unless oracle localization is enabled"),
             (lambda world: generate_synthetic_dataset(world, resamples=0), "resamples must be >= 1"),  # make-dataset --resamples 0
         ],
-        ids=["duplicate-macs", "no-bundle-no-oracle", "zero-resamples"],
+        ids=["duplicate-macs", "zero-resamples"],
     )
     def test_invalid_world_or_run_rejected(self, ref_world, build, message):
         with pytest.raises(InvalidParameter) as raised:
             build(ref_world)
         assert raised.type is InvalidParameter and str(raised.value) == message
+
+    def test_a_trial_without_a_model_fixes_at_its_true_positions(self, ref_world):
+        result = run_trial(ref_world, None, astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL))
+        fixes = [payload for kind, _, payload in result.events if kind != "command"]
+        assert fixes and all(kind == "fix" for kind, _, _ in result.events if kind != "command")
+        assert all(estimate == true for true, estimate in fixes)
 
     def test_huge_wheel_base_turn_is_rejected(self, ref_world):
         # a 90-degree pivot of about 1.6e300 s, too long to integrate in 0.01 s substeps
@@ -511,7 +516,7 @@ class TestTrials:
             turn_command("left", calibration)
 
     def test_oracle_corner_rate_high(self, ref_world):
-        rate, results = corner_success_rate(ref_world, None, trials=3, base_seed=0, oracle=True)
+        rate, results = corner_success_rate(ref_world, None, trials=3, base_seed=0)
         assert rate >= 0.95
         for r in results:
             assert r.success and r.final_error <= 2.0  # corner_success_rate's default success_radius
@@ -563,8 +568,8 @@ class TestCornerRuns:
     @pytest.mark.parametrize("trials", [1, 2, 3, 7, 100, 128, 129, 256, 300])
     def test_results_match_the_serial_loop(self, ref_world, trained, trials, oracle):
         world, bundle = with_noise_sigma(ref_world, 2.0), None if oracle else trained[0]
-        rate, results = corner_success_rate(world, bundle, trials, base_seed=11, oracle=oracle)
-        expected = serial_trials(world, bundle, trials, base_seed=11, oracle=oracle)
+        rate, results = corner_success_rate(world, bundle, trials, base_seed=11)
+        expected = serial_trials(world, bundle, trials, base_seed=11)
         assert results == expected and [repr(r) for r in results] == [repr(r) for r in expected]  # repr tells -0.0 from 0.0
         assert rate == sum(r.success for r in expected) / trials
 
@@ -577,10 +582,10 @@ class TestCornerRuns:
             return run(seed)
 
         hook_trials(monkeypatch, trial)
-        expected = serial_trials(ref_world, None, trials, oracle=True)
+        expected = serial_trials(ref_world, None, trials)
         assert type(expected) is error and str(expected) == f"trial {first_failure} failed"
         with pytest.raises(error) as raised:
-            corner_success_rate(ref_world, None, trials, oracle=True)
+            corner_success_rate(ref_world, None, trials)
         assert str(raised.value) == str(expected)
 
     @pytest.mark.parametrize("trials, failing", [(10, (3, 5)), (10, (0, 9)), (200, (140, 150)), (200, (80, 3)), (300, (299, 256))])
@@ -595,7 +600,7 @@ class TestCornerRuns:
 
         monkeypatch.setattr(rfsim, "_trials", lambda *args, **kwargs: run)
         with pytest.raises(ValueError, match=f"^trial {min(failing)} failed$"):
-            corner_success_rate(ref_world, None, trials, oracle=True)
+            corner_success_rate(ref_world, None, trials)
 
     def test_an_interrupt_propagates_and_runs_nothing_again(self, ref_world, monkeypatch):
         calls = []
@@ -608,7 +613,7 @@ class TestCornerRuns:
 
         monkeypatch.setattr(rfsim, "_trials", lambda *args, **kwargs: run)
         with pytest.raises(KeyboardInterrupt):
-            corner_success_rate(ref_world, None, 300, base_seed=5, oracle=True)
+            corner_success_rate(ref_world, None, 300, base_seed=5)
         assert [list(seeds) for seeds in calls] == [list(range(5, 133)), list(range(133, 261))]
 
     def test_a_failing_call_reruns_its_seeds_alone_up_to_the_error_and_no_later_call_runs(self, ref_world, monkeypatch):
@@ -622,7 +627,7 @@ class TestCornerRuns:
 
         monkeypatch.setattr(rfsim, "_trials", lambda *args, **kwargs: run)
         with pytest.raises(ValueError, match="^trial 140 failed$"):
-            corner_success_rate(ref_world, None, 300, oracle=True)
+            corner_success_rate(ref_world, None, 300)
         assert calls == [list(range(128)), list(range(128, 256))] + [[seed] for seed in range(128, 141)]
 
     @pytest.mark.parametrize(
@@ -639,7 +644,7 @@ class TestCornerRuns:
             return lambda seeds: calls.append(list(seeds)) or run(seeds)
 
         monkeypatch.setattr(rfsim, "_trials", hooked)
-        _, results = corner_success_rate(ref_world, None, trials, base_seed=5, oracle=True)
+        _, results = corner_success_rate(ref_world, None, trials, base_seed=5)
         assert [len(seeds) for seeds in calls] == sizes
         assert [seed for seeds in calls for seed in seeds] == list(range(5, 5 + trials)) == [r.seed for r in results]
 
@@ -690,7 +695,7 @@ class TestLockstep:
         bundle = None if oracle else with_kept_columns(trained[0], range(6))
         monkeypatch.setattr(rfsim, "_predict_rows", lambda *args: pytest.fail("a forward pass without a model row"))
         path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
-        kwargs = dict(nav_config=NavConfig(max_consecutive_misses=3), oracle=oracle, calibration=veered(ref_world.robot, 1e-3))
+        kwargs = dict(nav_config=NavConfig(max_consecutive_misses=3), calibration=veered(ref_world.robot, 1e-3))
         results = rfsim._trials(ref_world, bundle, path, **kwargs)(range(20))
         expected = [reference_run_trial(ref_world, bundle, path, seed=seed, **kwargs) for seed in range(20)]
         assert results == expected and repr(results) == repr(expected)
@@ -716,7 +721,7 @@ def reference_predict_position(bundle, snapshot):
     return PositionEstimate(float(x), float(y))
 
 
-def reference_run_trial(world, bundle, path, nav_config=None, success_radius=2.0, seed=0, *, oracle=False, calibration=None, scan_period=2.0):
+def reference_run_trial(world, bundle, path, nav_config=None, success_radius=2.0, seed=0, *, calibration=None, scan_period=2.0):
     """run_trial when each fix went through simulate_scan and predict_position, verbatim
     but for the reference copies of those two."""
     config = nav_config or NavConfig()
@@ -742,7 +747,7 @@ def reference_run_trial(world, bundle, path, nav_config=None, success_radius=2.0
             reason = "left_map"
             break
         clock += scan_period
-        if oracle:
+        if bundle is None:
             fix = (x, y)
         else:
             try:
@@ -991,7 +996,6 @@ class TestWalkableCheck:
         kwargs = dict(
             nav_config=NavConfig(step_distance=step, checkpoint_radius=radius * step),
             seed=seed,
-            oracle=oracle,
             calibration=None if veer is None else veered(world.robot, veer),
         )
         bundle = None if oracle else trained[0]
@@ -1025,7 +1029,7 @@ class TestWalkableCheck:
             north[pillar] = "#"
         world = replace(ref_world, grid=GridMap.from_text("40 3 10\n" + "\n".join(["#" * 40, "." * 40, "".join(north)]) + "\n"))
         path = astar(world.grid, (0, 1), (goal, 1))
-        kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), oracle=True, calibration=veered(world.robot, veer))
+        kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), calibration=veered(world.robot, veer))
         result = run_trial(world, None, path, **kwargs)
         assert result == reference_run_trial(world, None, path, **kwargs)
         assert result.reason == reason
@@ -1054,7 +1058,7 @@ class TestWalkableCheck:
         grid = GridMap(steps + 1, 1, 3600.0)
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (1800.0, 1800.0)),), SimRobot(wheel_base=0.4))
         args = (world, None, astar(grid, (0, 0), (steps, 0)), NavConfig(step_distance=MAX_DURATION, checkpoint_radius=1000.0))
-        result = run_trial(*args, oracle=True)
+        result = run_trial(*args)
         assert result.reason == "done"
         assert [c.reason for kind, _, c in result.events if kind == "command"] == ["forward"] * steps + ["stop"]
         return args, result
@@ -1068,7 +1072,7 @@ class TestWalkableCheck:
             args, _ = self.hour_long_steps(steps)
             tracemalloc.start()
             try:
-                run_trial(*args, oracle=True)
+                run_trial(*args)
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1079,7 +1083,7 @@ class TestWalkableCheck:
     def test_writing_the_trajectory_does_not_grow_with_hour_long_commands(self):
         # the trajectory is replayed a command at a time, so navigate's CSV holds one step's poses at once
         peaks = {}
-        for steps in (2, 6):
+        for steps in (1, 3):
             _, result = self.hour_long_steps(steps)
             with open(os.devnull, "w") as sink:
                 tracemalloc.start()
@@ -1088,7 +1092,7 @@ class TestWalkableCheck:
                     peaks[steps] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-        assert peaks[6] < peaks[2] + 3 * 360_001 * 8 / 10
+        assert peaks[3] < peaks[1] + 3 * 360_001 * 8 / 10
 
 
 def pose_graph(trial):
@@ -1171,7 +1175,6 @@ class TestPoseGraph:
         bundle = None if oracle else trained[0]
         kwargs = dict(
             nav_config=NavConfig(step_distance=step, checkpoint_radius=0.6 * step if floor else 1.5),
-            oracle=oracle,
             calibration=None if veer is None else veered(world.robot, veer),
         )
         with pytest.MonkeyPatch.context() as patch:
@@ -1218,7 +1221,7 @@ class TestPoseGraph:
         north[15] = "#"
         world = replace(ref_world, grid=GridMap.from_text("40 3 10\n" + "\n".join(["#" * 40, "." * 40, "".join(north)]) + "\n"))
         path = astar(world.grid, (0, 1), (24, 1))
-        kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), oracle=True, calibration=veered(world.robot, 2.2e-4))
+        kwargs = dict(nav_config=NavConfig(step_distance=35.0, checkpoint_radius=21.0), calibration=veered(world.robot, 2.2e-4))
         trial = rfsim._trials(world, None, path, **kwargs)
         (result,) = trial([0])
         assert result == reference_run_trial(world, None, path, **kwargs) and result.reason == "left_map+left_walkable"
@@ -1248,7 +1251,7 @@ class TestPoseGraph:
         monkeypatch.setattr(rfsim, "first_segment_heading", minus_zero_heading)
         left, right = DriveCommand(-1.0, 1.0, 0.01, "pivot"), DriveCommand(1.0, -1.0, 0.01, "pivot")
         with scripted_nav([[left, right]]):
-            trial = rfsim._trials(world, None, path, oracle=True)
+            trial = rfsim._trials(world, None, path)
             trial([0])
         nodes, _ = pose_graph(trial)
         origin, back = nodes[0], nodes[0][4][id(left)][1][4][id(right)][1]
@@ -1261,9 +1264,9 @@ class TestPoseGraph:
         floats, ints = DriveCommand(1.0, 1.0, 2.0, "forward"), DriveCommand(1, 1, 2, "forward")
         assert floats == ints
         with scripted_nav([[floats], [ints]]):
-            trial = rfsim._trials(ref_world, None, path, oracle=True)
+            trial = rfsim._trials(ref_world, None, path)
             results = [trial([seed])[0] for seed in range(4)]  # one at a time: the script goes by the trial that starts
-            expected = [reference_run_trial(ref_world, None, path, seed=seed, oracle=True) for seed in range(4)]
+            expected = [reference_run_trial(ref_world, None, path, seed=seed) for seed in range(4)]
         assert results == expected and repr(results) == repr(expected)
         assert [type(c.duration) for kind, _, c in results[1].events if kind == "command"] == [int, float]
         nodes, _ = pose_graph(trial)
@@ -1333,7 +1336,7 @@ class TestTrialReplay:
     def test_trajectory_matches_the_per_substep_reference(self, ref_world, trained, seed, oracle, reason):
         bundle, _, _ = trained
         path = astar(ref_world.grid, REFERENCE_START, REFERENCE_GOAL)
-        result = run_trial(ref_world, None if oracle else bundle, path, seed=seed, oracle=oracle)
+        result = run_trial(ref_world, None if oracle else bundle, path, seed=seed)
         assert result.reason == reason
         start = ref_world.grid.cell_center(REFERENCE_START)
         assert list(result.trajectory)[0] == (start[0], start[1], 0.0)  # the route's first segment runs east
@@ -1352,7 +1355,7 @@ class TestTrialReplay:
         robot = SimRobot(wheel_base=0.4, left_scale=0.98)
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (5.0, 1.5)),), robot)
         cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=default_calibration(robot).turn_90_duration)
-        result = run_trial(world, None, astar(grid, (0, 1), goal), oracle=True, calibration=cal)
+        result = run_trial(world, None, astar(grid, (0, 1), goal), calibration=cal)
         assert result.reason == reason
         _, poses = replay_substeps(world, result)
         assert list(result.trajectory) == poses
@@ -1371,7 +1374,7 @@ class TestTrialReplay:
         robot = SimRobot(wheel_base=0.4)
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (4.5, 0.5)),), robot)
         cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=turn_scale * default_calibration(robot).turn_90_duration)
-        result = run_trial(world, None, astar(grid, (0, 0), (8, 9)), oracle=True, calibration=cal)
+        result = run_trial(world, None, astar(grid, (0, 0), (8, 9)), calibration=cal)
         for command in [payload for kind, _, payload in result.events if kind == "command"]:
             assert command.reason != "forward" or _body_rates(robot, command)[1] == 0.0
         _, poses = replay_substeps(world, result)
@@ -1400,7 +1403,7 @@ class TestTrialReplay:
         robot = SimRobot(wheel_base=0.4, right_scale=0.98)
         world = SimWorld(grid, (AccessPointSim(MAC, "Net", (5.0, 0.5)),), robot)
         cal = DrivetrainCalibration(veer_bias=0.0, turn_90_duration=default_calibration(robot).turn_90_duration)
-        result = run_trial(world, None, astar(grid, (0, 0), (8, 0)), oracle=True, calibration=cal)
+        result = run_trial(world, None, astar(grid, (0, 0), (8, 0)), calibration=cal)
         assert result.reason == "left_map+left_walkable"
         assert list(result.trajectory)[-1][1] < 0.0
 
